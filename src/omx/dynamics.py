@@ -23,6 +23,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import connected_components
 
 from .hilbert import DensityMatrix, ModeSpace, Operator, annihilator
 
@@ -81,9 +82,7 @@ def liouvillian(model: LindbladModel, check: bool = True) -> sp.csr_matrix:
     L = L.tocsr()
     L.sort_indices()
     if check:
-        tvec = np.zeros(n * n)
-        tvec[:: n + 1] = 1.0
-        worst = np.abs(tvec @ L).max()
+        worst = np.abs(_trace_vec(n) @ L).max()
         scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
         if worst > TRACE_PRESERVATION_ATOL * scale:
             raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
@@ -119,23 +118,54 @@ def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
 class SteadyStateReport:
     state: DensityMatrix
     residual: float
-    method: str  # "null-space" or "long-time"
+    method: str  # "null-space", "normal-equations" or "long-time"
     null_gap: float | None = None
+    solved_dim: int | None = None  # size of the linear system actually solved
+
+
+def _population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
+    """Sorted indices of the block of L that holds the populations.
+
+    The block is the connected component of entry (0,0) in the graph of
+    L's sparsity pattern. Raises SolverError if the diagonal entries
+    vec(|i><i|) fall in more than one component.
+    """
+    # csgraph casts complex weights to real, which would drop the purely
+    # imaginary -i[H, rho] entries: hand it a real pattern instead
+    pattern = sp.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
+    _, labels = connected_components(pattern, directed=True, connection="weak")
+    if np.any(labels[:: n + 1] != labels[0]):
+        raise SolverError(
+            "degenerate Liouvillian null space: the populations split into "
+            "disconnected sectors, each with its own steady state")
+    return np.flatnonzero(labels == labels[0])
 
 
 def steady_state(model: LindbladModel, method: str = "null-space",
                  check_unique: bool = True, t_horizon: float | None = None) -> SteadyStateReport:
     """Stationary state of the master equation.
 
-    The default solves the Liouvillian null space directly: the row of L
-    belonging to the (0,0) matrix element is replaced by the trace condition
-    and the resulting square system is solved sparsely. A least-squares
-    solve on the trace-augmented system is used as fallback. method
-    "long-time" instead propagates a maximally mixed state until stationary.
+    The default solves the Liouvillian null space directly, on the
+    population sector of L only. When H and every collapse operator shift
+    some charge Q by a fixed amount (a weak U(1) symmetry, e.g.
+    Q = n_s - n_m for the rotating-wave model), L maps each coherence
+    order |i><j| with Q_i - Q_j = q onto itself, so L is block-diagonal and
+    the steady state lives in the block that holds the populations
+    (Buca & Prosen, New J. Phys. 14, 073007 (2012)). That block is found
+    from the sparsity pattern alone, as the connected component of the
+    (0,0) entry; for a model without such a symmetry it is the whole space.
+    Within it the row of the (0,0) matrix element is replaced by the trace
+    condition and the square system is solved sparsely, with the normal
+    equations of the trace-augmented system as fallback
+    (method "normal-equations" in the report). The residual is checked on
+    the full L. method "long-time" instead propagates a maximally mixed
+    state until stationary.
 
     check_unique verifies the second-smallest |eigenvalue| of L exceeds
     1e-8; a degenerate null space (dark state or disconnected sector)
-    raises SolverError.
+    raises SolverError. Populations split over several sectors raise
+    SolverError even with check_unique=False, since each such sector
+    carries its own steady state.
     """
     L = liouvillian(model)
     n = model.space.total_dim
@@ -154,33 +184,39 @@ def steady_state(model: LindbladModel, method: str = "null-space",
         states = evolve(model, rho0, np.linspace(0.0, horizon, 5))
         x = states[-1].matrix.reshape(-1)
         resid = float(np.linalg.norm(L @ x))
-        return SteadyStateReport(states[-1], resid, "long-time", lam1)
+        return SteadyStateReport(states[-1], resid, "long-time", lam1, n * n)
     if method != "null-space":
         raise ValueError(f"unknown steady-state method {method!r}")
 
-    tvec = _trace_vec(n)
-    rhs = np.zeros(n * n, dtype=complex)
+    idx = _population_sector(L, n)
+    m = idx.size
+    Lc = L if m == n * n else L[idx][:, idx]
+    tvec = _trace_vec(n)[idx]
+    rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
-    M = L.tolil(copy=True)
+    M = Lc.tolil(copy=True)
     M[0, :] = tvec
+    x = np.zeros(n * n, dtype=complex)
     try:
-        x = spla.spsolve(M.tocsc(), rhs)
+        x[idx] = spla.spsolve(M.tocsc(), rhs)
     except RuntimeError as exc:
         raise SolverError(f"sparse solve failed: {exc}") from exc
     resid = float(np.linalg.norm(L @ x))
+    used = "null-space"
     if not np.isfinite(resid) or resid > STEADY_RESIDUAL_ATOL:
-        # fallback: normal equations of [L; t] x = [0; 1]
-        A = sp.vstack([L, sp.csr_matrix(tvec)]).tocsc()
-        b = np.zeros(n * n + 1, dtype=complex)
+        # fallback: normal equations of [L_CC; t_C] x_C = [0; 1]
+        used = "normal-equations"
+        A = sp.vstack([Lc, sp.csr_matrix(tvec)]).tocsc()
+        b = np.zeros(m + 1, dtype=complex)
         b[-1] = 1.0
-        x = spla.spsolve((A.conj().T @ A).tocsc(), A.conj().T @ b)
+        x[idx] = spla.spsolve((A.conj().T @ A).tocsc(), A.conj().T @ b)
         resid = float(np.linalg.norm(L @ x))
         if not np.isfinite(resid) or resid > STEADY_RESIDUAL_ATOL:
             raise SolverError(f"steady-state residual {resid:.2e} exceeds tolerance")
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    return SteadyStateReport(DensityMatrix(model.space, rho), resid, "null-space", lam1)
+    return SteadyStateReport(DensityMatrix(model.space, rho), resid, used, lam1, m)
 
 
 def _default_horizon(model: LindbladModel) -> float:

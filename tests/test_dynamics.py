@@ -103,6 +103,82 @@ def test_steady_state_degenerate_sector_raises():
         steady_state(model)
 
 
+def test_steady_state_split_populations_raise_typed():
+    # same dissipationless model: each population |i><i| is its own sector,
+    # so the sector solve must refuse even without the eigenvalue check
+    space = ModeSpace([("c", 3)])
+    h = Operator(space, number_op(space, "c").matrix, hermitian_hint=True)
+    model = LindbladModel(h, [], space)
+    with pytest.raises(SolverError, match="degenerate"):
+        steady_state(model, check_unique=False)
+
+
+def _full_space_steady_state(model) -> np.ndarray:
+    # oracle: trace row over the whole Liouvillian, one sparse solve
+    import scipy.sparse.linalg as spla
+    L = liouvillian(model)
+    n = model.space.total_dim
+    M = L.tolil(copy=True)
+    M[0, :] = np.eye(n).reshape(-1)
+    rhs = np.zeros(n * n, dtype=complex)
+    rhs[0] = 1.0
+    rho = spla.spsolve(M.tocsc(), rhs).reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _rwa(n_th, dims=(3, 3, 4)):
+    p = SystemParams(g0=2.0, kappa=1.0, omega_m=8.0, J=4.0, Delta_a=1.0,
+                     Omega_a=0.01, gamma=0.2, N_th=n_th)
+    return build_rwa(p, dims)
+
+
+def _driven_transistor(n_m=1, delta=0.7, omega=0.01):
+    model = _transistor(n_m)
+    s = annihilator(model.space, "s")
+    h = (model.hamiltonian.matrix - delta * (s.dag() @ s).matrix
+         + 1j * omega * (s.matrix - s.matrix.conj().T))
+    return model.with_hamiltonian(Operator(model.space, h))
+
+
+@pytest.mark.parametrize("make", [lambda: _rwa(0.0), lambda: _rwa(0.3), _driven_transistor],
+                         ids=["rwa-Nth0", "rwa-Nth0.3", "transistor-driven"])
+def test_sector_solve_matches_full_space_oracle(make):
+    model = make()
+    rep = steady_state(model)
+    assert rep.method == "null-space"
+    assert np.abs(rep.state.matrix - _full_space_steady_state(model)).max() <= 1e-12
+
+
+def test_sector_solve_dimension():
+    n = 4 * 4 * 6
+    rep = steady_state(_rwa(0.0, (4, 4, 6)), check_unique=False)
+    assert rep.solved_dim == 1216 < n * n
+    small = steady_state(_rwa(0.3), check_unique=False)
+    assert small.solved_dim < 36 * 36
+    assert steady_state(_driven_transistor()).solved_dim == 16 * 16
+
+
+def test_steady_state_reports_normal_equations_fallback(monkeypatch):
+    import omx.dynamics
+    real = omx.dynamics.spla.spsolve
+    calls = []
+
+    def nan_first(A, b):
+        calls.append(A.shape)
+        x = real(A, b)
+        return np.full_like(x, np.nan) if len(calls) == 1 else x
+
+    model = _rwa(0.3)
+    oracle = _full_space_steady_state(model)
+    monkeypatch.setattr(omx.dynamics.spla, "spsolve", nan_first)
+    rep = steady_state(model, check_unique=False)
+    assert len(calls) == 2
+    assert rep.method == "normal-equations"
+    assert rep.residual < 1e-9
+    assert np.abs(rep.state.matrix - oracle).max() < 1e-8
+
+
 def test_steady_state_long_time_agrees():
     p = SystemParams(g0=2.0, kappa=1.0, omega_m=8.0, J=4.0, Delta_a=1.0,
                      Omega_a=0.01, gamma=0.2, N_th=0.3)
