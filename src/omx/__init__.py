@@ -33,7 +33,6 @@ from .dynamics import (  # noqa: F401
     SolverError,
     SteadyStateReport,
     evolve,
-    expect,
     g2_zero,
     liouvillian,
     nonhermitian_eigs,

@@ -50,10 +50,10 @@ class SixStateResult:
     g2_zero: float
 
 
-def six_state_g2(params: SystemParams, n_max: int | None = None) -> SixStateResult:
+def six_state_g2(params: SystemParams) -> SixStateResult:
     """Thermally averaged <n_a> and g2(0) to leading order in the drive.
 
-    n_max defaults to the truncation keeping the zeta_n tail below 1e-6.
+    The mechanical ladder is truncated where the zeta_n tail drops below 1e-6.
     Omega_a rescaling cancels exactly in g2 (the probabilities use
     params.Omega_a, falling back to the weak-drive default 0.01 kappa).
     Raises near the kappa = 0 poles of X_n or 2 X_n - g0^2.
@@ -61,10 +61,8 @@ def six_state_g2(params: SystemParams, n_max: int | None = None) -> SixStateResu
     params.require("Delta_a")
     g0, kappa, nth = params.g0, params.kappa, params.N_th
     omega = params.Omega_a if params.Omega_a else 1e-2 * kappa
-    if n_max is None:
-        n_max = thermal_dim(nth) - 1
-    zeta = thermal_weights(nth, n_max + 1)
-    ns = np.arange(n_max + 1)
+    ns = np.arange(thermal_dim(nth))
+    zeta = thermal_weights(nth, ns.size)
     d = params.Delta_a - 1j * kappa
     x = 4 * d * d - g0**2 * (ns + 1)
     two_x = 2 * x - g0**2
@@ -218,27 +216,23 @@ def _qubit_superposition(dim: int) -> np.ndarray:
     return v
 
 
-def phase_gate_error(params: SystemParams, delta_s_grid=None,
-                     exact: bool = False, dim: int = 4) -> GateBudget:
+def phase_gate_error(params: SystemParams, exact: bool = False) -> GateBudget:
     """Conditional-phase gate error between two phonon qubits.
 
     The Kerr cross term acts for t_g = pi/(2|Lambda|); during that time the
     state decoheres at Gamma_decoh = 2 Gamma_m + Gamma_phi + gamma'/2. The
     analytic estimate is eps_g ~= 1 - exp(-Gamma_decoh t_g), minimized over
-    Delta_s on a grid (default 60 points over (0, 1.5 g0], negative branch).
-    With exact=True the error at the optimum is recomputed by evolving the
-    eliminated two-mode master equation from (|0> + |1>)(|0> + |1>)/2 and
-    projecting onto the coherently evolved target state, so that the
+    Delta_s on 60 points from -0.025 g0 to -1.5 g0. With exact=True the
+    error at the optimum is recomputed by evolving the eliminated two-mode
+    master equation (4 Fock levels per mode) from (|0> + |1>)(|0> + |1>)/2
+    and projecting onto the coherently evolved target state, so that the
     decoherence-free limit gives exactly zero error.
     """
     if params.g0 <= 0:
         raise ValueError("phase_gate_error needs g0 > 0")
     params.require("gamma")
-    if delta_s_grid is None:
-        delta_s_grid = -np.linspace(0.025, 1.5, 60) * params.g0
-    grid = np.asarray(delta_s_grid, dtype=float)
     best = None
-    for ds in grid:
+    for ds in -np.linspace(0.025, 1.5, 60) * params.g0:
         p = params.replace(Delta_s=float(ds))
         b = phonon_nonlinearity(p)
         if b.Lambda == 0:
@@ -255,17 +249,17 @@ def phase_gate_error(params: SystemParams, delta_s_grid=None,
     if exact:
         p = params.replace(Delta_s=best.delta_s_opt)
         best.extras["epsilon_g_estimate"] = best.epsilon_g
-        best.epsilon_g = _exact_gate_error(p, best.t_g, dim)
+        best.epsilon_g = _exact_gate_error(p, best.t_g)
     best.clamped = best.epsilon_g > 1.0
     best.epsilon_g = min(max(best.epsilon_g, 0.0), 1.0)
     return best
 
 
-def _exact_gate_error(params: SystemParams, t_g: float, dim: int) -> float:
-    model = models.build_effective_phonon(params, truncations=(dim, dim),
+def _exact_gate_error(params: SystemParams, t_g: float) -> float:
+    model = models.build_effective_phonon(params, truncations=(4, 4),
                                           two_resonators=True)
     n = model.space.total_dim
-    psi0 = np.kron(_qubit_superposition(dim), _qubit_superposition(dim))
+    psi0 = np.kron(_qubit_superposition(4), _qubit_superposition(4))
     rho0 = np.outer(psi0, psi0.conj())
     gen = liouvillian(model).toarray()
     rho = (sla.expm(gen * t_g) @ rho0.reshape(-1)).reshape(n, n)

@@ -24,6 +24,7 @@ Config grammar (INI-style, '#' comments):
     [run]               # scenario options (truncations, jobs, n_m, ...)
     truncations = a:4, s:4, m:6
     jobs = 1
+    check_unique = first  # g2scan: null-space check at first | all | none points
 
 Every output embeds the resolved parameters, grids, and options, enough to
 reproduce the run; repeated runs of one config are byte identical.
@@ -67,11 +68,10 @@ _PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)} - {"meta", "kappa_hz"}
 
 
 class Config:
-    def __init__(self, params: SystemParams, grids: dict, run: dict, raw: dict):
+    def __init__(self, params: SystemParams, grids: dict, run: dict):
         self.params = params
         self.grids = grids
         self.run = run
-        self.raw = raw
 
     def grid(self, name: str) -> np.ndarray:
         if name not in self.grids:
@@ -145,7 +145,7 @@ def load_config(path) -> Config:
         if section.startswith("grid."):
             grids[section[5:]] = _parse_grid(cp[section])
     run = dict(cp["run"]) if cp.has_section("run") else {}
-    return Config(params, grids, run, {s: dict(cp[s]) for s in cp.sections()})
+    return Config(params, grids, run)
 
 
 def _parse_truncations(text) -> dict[str, int]:
@@ -187,6 +187,16 @@ def _provenance(cfg: Config, scenario: str, **extra) -> dict:
     return meta
 
 
+def _map(fn, tasks, jobs: int):
+    """Yield fn(task) for each task in order, over jobs worker processes
+    when jobs > 1; rows yielded before a failure stay with the caller."""
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(fn, tasks)
+    else:
+        yield from map(fn, tasks)
+
+
 # ------------------------------------------------------------- scenarios ---
 
 def _weak_params(cfg: Config) -> SystemParams:
@@ -202,19 +212,19 @@ def _weak_params(cfg: Config) -> SystemParams:
     return p
 
 
+def _six_state_columns(p: SystemParams, grid, n0: float) -> dict:
+    """Closed-form <n_a>/n0 and g2 over the Delta_a grid."""
+    res = [analytics.six_state_g2(p.replace(Delta_a=float(da))) for da in grid]
+    return {"na_over_n0_analytic": np.array([r.mean_na / n0 for r in res]),
+            "g2_analytic": np.array([r.g2_zero for r in res])}
+
+
 def run_spectrum(cfg: Config) -> ScanResult:
     """Weak-drive excitation spectrum and g2 versus Delta_a (closed form)."""
     p = _weak_params(cfg)
     grid = cfg.grid("Delta_a")
     n0 = (p.Omega_a / p.kappa) ** 2
-    na, g2 = [], []
-    for da in grid:
-        res = analytics.six_state_g2(p.replace(Delta_a=float(da)))
-        na.append(res.mean_na / n0)
-        g2.append(res.g2_zero)
-    return ScanResult([("Delta_a", grid)],
-                      {"na_over_n0_analytic": np.array(na),
-                       "g2_analytic": np.array(g2)},
+    return ScanResult([("Delta_a", grid)], _six_state_columns(p, grid, n0),
                       _provenance(cfg, "spectrum", n0=n0))
 
 
@@ -238,19 +248,15 @@ def run_g2scan(cfg: Config) -> ScanResult:
         p = p.replace(gamma=0.01 * p.kappa, Q=None)
     grid = cfg.grid("Delta_a")
     truncations = _truncations(cfg, {"a": 4, "s": 4, "m": 6})
-    jobs = int(cfg.opt("jobs", 1))
     check = cfg.opt("check_unique", "first")
+    if check not in ("first", "all", "none"):
+        raise ConfigError(f"check_unique must be first, all or none; got {check!r}")
     tasks = [(p, da, truncations, check == "all" or (check == "first" and i == 0))
              for i, da in enumerate(grid)]
     rows = []
     try:
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                for row in pool.map(_g2_point, tasks):
-                    rows.append(row)
-        else:
-            for t in tasks:
-                rows.append(_g2_point(t))
+        for row in _map(_g2_point, tasks, int(cfg.opt("jobs", 1))):
+            rows.append(row)
     except SolverError as exc:
         done = grid[: len(rows)]
         partial = ScanResult(
@@ -263,19 +269,12 @@ def run_g2scan(cfg: Config) -> ScanResult:
         raise ScanAborted(
             f"solver failed at Delta_a = {grid[len(rows)]}: {exc}", partial) from exc
     n0 = (p.Omega_a / p.kappa) ** 2
-    na_num = np.array([r[0] for r in rows]) / n0
-    g2_num = np.array([r[1] for r in rows])
-    residual = np.array([r[2] for r in rows])
-    na_an, g2_an = [], []
-    for da in grid:
-        res = analytics.six_state_g2(p.replace(Delta_a=float(da)))
-        na_an.append(res.mean_na / n0)
-        g2_an.append(res.g2_zero)
     return ScanResult(
         [("Delta_a", grid)],
-        {"na_over_n0_numeric": na_num, "g2_numeric": g2_num,
-         "na_over_n0_analytic": np.array(na_an), "g2_analytic": np.array(g2_an),
-         "residual": residual},
+        {"na_over_n0_numeric": np.array([r[0] for r in rows]) / n0,
+         "g2_numeric": np.array([r[1] for r in rows]),
+         **_six_state_columns(p, grid, n0),
+         "residual": np.array([r[2] for r in rows])},
         _provenance(cfg, "g2scan", truncations=truncations, n0=n0))
 
 
@@ -290,7 +289,10 @@ def run_ming2(cfg: Config) -> ScanResult:
 def run_transistor(cfg: Config) -> ScanResult:
     p = cfg.params
     grid = cfg.grid("Delta")
-    n_ms = [int(v) for v in _floats(cfg.opt("n_m", "0, 1"))]
+    n_ms = _floats(cfg.opt("n_m", "0, 1"))
+    if not all(v >= 0 and v.is_integer() for v in n_ms):
+        raise ConfigError(f"n_m must be non-negative integers; got {cfg.opt('n_m')!r}")
+    n_ms = [int(v) for v in n_ms]
     omega = float(cfg.opt("omega", WEAK_DRIVE_DEFAULT * p.kappa))
     truncations = _truncations(cfg, None) or {"s": 4, "ap": 4}
     r_all = []
@@ -398,9 +400,6 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
     return res, reports
 
 
-_SWEEP_OBSERVABLES = {}
-
-
 def _sweep_g2(p: SystemParams) -> dict:
     res = analytics.six_state_g2(p)
     return {"g2_analytic": res.g2_zero, "mean_na": res.mean_na}
@@ -421,12 +420,12 @@ def _sweep_gate(p: SystemParams) -> dict:
     return {"eps_g": b.epsilon_g, "delta_s_opt": b.delta_s_opt, "t_g": b.t_g}
 
 
-_SWEEP_OBSERVABLES.update({
+_SWEEP_OBSERVABLES = {
     "six_state_g2": _sweep_g2,
     "transistor_error": _sweep_transistor,
     "phonon_nonlinearity": _sweep_nonlinearity,
     "phase_gate_error": _sweep_gate,
-})
+}
 
 
 def _sweep_point(args):
@@ -451,12 +450,7 @@ def run_sweep(cfg: Config) -> ScanResult:
     mesh = np.meshgrid(*[v for _, v in axes], indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     tasks = [(cfg.params, names, pt, obs_name) for pt in points]
-    jobs = int(cfg.opt("jobs", 1))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_sweep_point, tasks))
-    else:
-        rows = [_sweep_point(t) for t in tasks]
+    rows = list(_map(_sweep_point, tasks, int(cfg.opt("jobs", 1))))
     columns = {k: np.array([r[k] for r in rows]) for k in rows[0]}
     return ScanResult(axes, columns, _provenance(cfg, "sweep", observable=obs_name))
 

@@ -61,11 +61,11 @@ class LindbladModel:
         return LindbladModel(h, self.collapses, self.space, dict(self.meta))
 
 
-def liouvillian(model: LindbladModel, check: bool = True) -> sp.csr_matrix:
+def liouvillian(model: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix of the generator acting on vec(rho) (row-major).
 
-    With check=True the trace functional is verified to annihilate the
-    generator: |vec(I)^T L| <= 1e-10 columnwise.
+    The trace functional is verified to annihilate the generator:
+    |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
     """
     h = model.hamiltonian.matrix
     n = h.shape[0]
@@ -81,11 +81,10 @@ def liouvillian(model: LindbladModel, check: bool = True) -> sp.csr_matrix:
                         - sp.kron(eye, cdc.T, format="csr"))
     L = L.tocsr()
     L.sort_indices()
-    if check:
-        worst = np.abs(_trace_vec(n) @ L).max()
-        scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
-        if worst > TRACE_PRESERVATION_ATOL * scale:
-            raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
+    worst = np.abs(_trace_vec(n) @ L).max()
+    scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
+    if worst > TRACE_PRESERVATION_ATOL * scale:
+        raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
     return L
 
 
@@ -118,7 +117,7 @@ def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
 class SteadyStateReport:
     state: DensityMatrix
     residual: float
-    method: str  # "null-space", "normal-equations" or "long-time"
+    method: str  # "null-space" or "normal-equations" (the fallback)
     null_gap: float | None = None
     solved_dim: int | None = None  # size of the linear system actually solved
 
@@ -141,13 +140,12 @@ def _population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def steady_state(model: LindbladModel, method: str = "null-space",
-                 check_unique: bool = True, t_horizon: float | None = None) -> SteadyStateReport:
+def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyStateReport:
     """Stationary state of the master equation.
 
-    The default solves the Liouvillian null space directly, on the
-    population sector of L only. When H and every collapse operator shift
-    some charge Q by a fixed amount (a weak U(1) symmetry, e.g.
+    Solves the Liouvillian null space directly, on the population sector of
+    L only. When H and every collapse operator shift some charge Q by a
+    fixed amount (a weak U(1) symmetry, e.g.
     Q = n_s - n_m for the rotating-wave model), L maps each coherence
     order |i><j| with Q_i - Q_j = q onto itself, so L is block-diagonal and
     the steady state lives in the block that holds the populations
@@ -158,8 +156,7 @@ def steady_state(model: LindbladModel, method: str = "null-space",
     condition and the square system is solved sparsely, with the normal
     equations of the trace-augmented system as fallback
     (method "normal-equations" in the report). The residual is checked on
-    the full L. method "long-time" instead propagates a maximally mixed
-    state until stationary.
+    the full L.
 
     check_unique verifies the second-smallest |eigenvalue| of L exceeds
     1e-8; a degenerate null space (dark state or disconnected sector)
@@ -177,16 +174,6 @@ def steady_state(model: LindbladModel, method: str = "null-space",
                 "the model has a dark state or disconnected sector")
     else:
         lam1 = None
-
-    if method == "long-time":
-        rho0 = DensityMatrix(model.space, np.eye(n, dtype=complex) / n)
-        horizon = t_horizon if t_horizon is not None else _default_horizon(model)
-        states = evolve(model, rho0, np.linspace(0.0, horizon, 5))
-        x = states[-1].matrix.reshape(-1)
-        resid = float(np.linalg.norm(L @ x))
-        return SteadyStateReport(states[-1], resid, "long-time", lam1, n * n)
-    if method != "null-space":
-        raise ValueError(f"unknown steady-state method {method!r}")
 
     idx = _population_sector(L, n)
     m = idx.size
@@ -219,18 +206,12 @@ def steady_state(model: LindbladModel, method: str = "null-space",
     return SteadyStateReport(DensityMatrix(model.space, rho), resid, used, lam1, m)
 
 
-def _default_horizon(model: LindbladModel) -> float:
-    rates = [r for _, r in model.collapses if r > 0]
-    slowest = min(rates) if rates else 1.0
-    return 20.0 / slowest
-
-
-def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid,
-           rtol: float = 1e-9, atol: float = 1e-12) -> list[DensityMatrix]:
+def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMatrix]:
     """Trajectory of the master equation at the requested times.
 
-    Uses an adaptive DOP853 integration of the vectorized generator; the
-    trace drift is monitored at every output time and must stay below 1e-8.
+    Uses an adaptive DOP853 integration of the vectorized generator with
+    rtol = 1e-9 and atol = 1e-12; the trace drift is monitored at every
+    output time and must stay below 1e-8.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.ndim != 1 or t_grid.size < 1:
@@ -243,7 +224,7 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid,
     if t_grid[0] != 0.0:
         raise ValueError("t_grid must start at 0")
     sol = solve_ivp(lambda t, y: L @ y, (0.0, float(t_grid[-1])), y0,
-                    t_eval=t_grid, method="DOP853", rtol=rtol, atol=atol)
+                    t_eval=t_grid, method="DOP853", rtol=1e-9, atol=1e-12)
     if not sol.success:
         raise SolverError(f"time evolution failed: {sol.message}")
     out = []
@@ -258,10 +239,6 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid,
     return out
 
 
-def expect(state: DensityMatrix, op: Operator) -> complex:
-    return state.expect(op)
-
-
 def g2_zero(state: DensityMatrix, label: str) -> float:
     """Equal-time two-photon correlation <a+a+aa>/<a+a>^2 of one mode."""
     a = annihilator(state.space, label)
@@ -274,17 +251,16 @@ def g2_zero(state: DensityMatrix, label: str) -> float:
 
 
 def reflection_spectrum(model: LindbladModel, drive_label: str, delta_grid,
-                        omega: float, kappa: float | None = None,
-                        scan_labels=None, check_unique: bool = False):
+                        omega: float):
     """Weak-probe reflection r(Delta) = 1 + 2 kappa <c>_ss / Omega.
 
     Input-output convention: single-sided cavity with c_out = c_in +
     sqrt(2 kappa) c and drive Hamiltonian i Omega (c - c^dag), which is the
     phase for which the empty-cavity reflection is (i Delta + kappa)/
-    (i Delta - kappa). Scanning the probe detuning shifts every mode listed
-    in scan_labels (default: all modes of the model, appropriate for the
+    (i Delta - kappa), with kappa the collapse rate of the driven mode.
+    Scanning the probe detuning shifts every mode of the model, as fits the
     pinned transistor models where the mechanical state has been projected
-    out).
+    out. The steady states skip the uniqueness check.
 
     Expects a model without drive terms; the mechanical mode must already be
     pinned (see models.build_transistor). The probe must satisfy
@@ -293,23 +269,20 @@ def reflection_spectrum(model: LindbladModel, drive_label: str, delta_grid,
     """
     space = model.space
     c = annihilator(space, drive_label)
-    if kappa is None:
-        kappa = _collapse_rate(model, drive_label)
+    kappa = _collapse_rate(model, drive_label)
     if omega > 0.05 * kappa:
         raise ValueError(f"probe amplitude {omega} exceeds weak-drive bound 0.05*kappa")
-    labels = space.labels if scan_labels is None else tuple(scan_labels)
     n_scan = None
-    for lbl in labels:
+    for lbl in space.labels:
         a = annihilator(space, lbl)
         term = (a.dag() @ a).matrix
         n_scan = term if n_scan is None else n_scan + term
     drive = 1j * omega * (c.matrix - c.matrix.conj().T)
     n_drive = (c.dag() @ c).matrix
     out = []
-    for i, delta in enumerate(np.asarray(delta_grid, dtype=float)):
+    for delta in np.asarray(delta_grid, dtype=float):
         h = Operator(space, model.hamiltonian.matrix - delta * n_scan + drive)
-        rep = steady_state(model.with_hamiltonian(h),
-                           check_unique=check_unique and i == 0)
+        rep = steady_state(model.with_hamiltonian(h), check_unique=False)
         nbar = np.real(rep.state.expect(n_drive))
         if nbar > 0.1:
             raise SolverError(
@@ -324,7 +297,7 @@ def _collapse_rate(model: LindbladModel, label: str) -> float:
     for op, rate in model.collapses:
         if (op.matrix - target).nnz == 0:
             return rate
-    raise ValueError(f"no collapse operator found for mode {label!r}; pass kappa explicitly")
+    raise ValueError(f"no collapse operator found for mode {label!r}")
 
 
 @dataclass
@@ -336,20 +309,19 @@ class LabeledEigenvalue:
     overlap: float
 
 
-def nonhermitian_eigs(h_eff: Operator, k: int, b_mode: Operator | None = None):
+def nonhermitian_eigs(h_eff: Operator, k: int):
     """Lowest-lying complex eigenvalues of a non-Hermitian Hamiltonian.
 
     Returns k LabeledEigenvalue entries sorted by ascending real part.
     Each Fock level n = 0..k-1 of the hybridized B mode (taken from
-    h_eff.meta["b_mode"] unless given) is matched to the eigenvector of
+    h_eff.meta["b_mode"]) is matched to the eigenvector of
     largest overlap with (B^dag)^n |vac>; ties resolve toward lower n by
     assigning labels in ascending order with exclusion.
     """
     dim = h_eff.space.total_dim
     if k > dim:
         raise ValueError(f"k={k} exceeds space dimension {dim}")
-    if b_mode is None:
-        b_mode = h_eff.meta.get("b_mode")
+    b_mode = h_eff.meta.get("b_mode")
     if b_mode is None:
         raise ValueError("no B-mode operator available for Fock matching")
     if dim > DENSE_EIG_LIMIT:

@@ -162,23 +162,21 @@ class DensityMatrix:
 
     space: ModeSpace
     matrix: np.ndarray
-    validate: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=complex)
         n = self.space.total_dim
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match total_dim {n}")
-        if self.validate:
-            tr = np.trace(self.matrix)
-            if abs(tr - 1.0) > TRACE_ATOL:
-                raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.2e}")
-            herm = np.abs(self.matrix - self.matrix.conj().T).max()
-            if herm > TRACE_ATOL:
-                raise ValueError(f"not Hermitian: max deviation {herm:.2e}")
-            wmin = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
-            if wmin < -POSITIVITY_ATOL:
-                raise ValueError(f"negative eigenvalue {wmin:.2e}")
+        tr = np.trace(self.matrix)
+        if abs(tr - 1.0) > TRACE_ATOL:
+            raise ValueError(f"trace deviates from 1 by {abs(tr - 1.0):.2e}")
+        herm = np.abs(self.matrix - self.matrix.conj().T).max()
+        if herm > TRACE_ATOL:
+            raise ValueError(f"not Hermitian: max deviation {herm:.2e}")
+        wmin = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
+        if wmin < -POSITIVITY_ATOL:
+            raise ValueError(f"negative eigenvalue {wmin:.2e}")
 
     def expect(self, op) -> complex:
         m = op.matrix if isinstance(op, Operator) else op
@@ -228,8 +226,8 @@ def identity(space: ModeSpace) -> Operator:
                     hermitian_hint=True)
 
 
-def thermal_dim(n_th: float, tail: float = TAIL_MASS) -> int:
-    """Smallest truncation whose neglected thermal tail mass is < tail.
+def thermal_dim(n_th: float) -> int:
+    """Smallest truncation whose neglected thermal tail mass is < 1e-6.
 
     For occupation n_th the Fock distribution is geometric with ratio
     q = n_th/(n_th+1); the mass beyond dim levels is q**dim.
@@ -237,11 +235,11 @@ def thermal_dim(n_th: float, tail: float = TAIL_MASS) -> int:
     if n_th <= 0:
         return 2
     q = n_th / (n_th + 1.0)
-    return max(2, int(np.ceil(np.log(tail) / np.log(q))))
+    return max(2, int(np.ceil(np.log(TAIL_MASS) / np.log(q))))
 
 
-def coherent_dim(alpha: complex, tail: float = TAIL_MASS) -> int:
-    """Smallest truncation with Poissonian tail mass < tail for amplitude alpha."""
+def coherent_dim(alpha: complex) -> int:
+    """Smallest truncation with Poissonian tail mass < 1e-6 for amplitude alpha."""
     nbar = abs(alpha) ** 2
     if nbar == 0:
         return 2
@@ -250,15 +248,15 @@ def coherent_dim(alpha: complex, tail: float = TAIL_MASS) -> int:
     while True:
         n = np.arange(dim)
         logp = n * np.log(nbar) - nbar - np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, dim))]))
-        if 1.0 - np.exp(logp).sum() < tail:
+        if 1.0 - np.exp(logp).sum() < TAIL_MASS:
             return dim
         dim += 1
 
 
-def thermal_weights(n_th: float, dim: int, tail: float = TAIL_MASS) -> np.ndarray:
+def thermal_weights(n_th: float, dim: int) -> np.ndarray:
     """Renormalized geometric weights zeta_n over a truncated ladder.
 
-    Raises if the truncation drops more than `tail` probability mass.
+    Raises if the truncation drops more than 1e-6 of the probability mass.
     """
     if n_th < 0:
         raise ValueError("n_th must be >= 0")
@@ -267,10 +265,10 @@ def thermal_weights(n_th: float, dim: int, tail: float = TAIL_MASS) -> np.ndarra
         w[0] = 1.0
         return w
     q = n_th / (n_th + 1.0)
-    if q**dim > tail:
+    if q**dim > TAIL_MASS:
         raise ValueError(
             f"truncation dim={dim} keeps only {1 - q**dim:.8f} of the thermal "
-            f"distribution for n_th={n_th}; need dim >= {thermal_dim(n_th, tail)}")
+            f"distribution for n_th={n_th}; need dim >= {thermal_dim(n_th)}")
     w = (1 - q) * q ** np.arange(dim)
     return w / w.sum()
 

@@ -333,10 +333,6 @@ def fock_shift(params: SystemParams) -> float:
     return params.g0**2 * math.cos(frame.theta) ** 4 / (4 * denom)
 
 
-def _fock_rates(params: SystemParams, n: int) -> complex:
-    return coupling_spectrum(params, -n * fock_shift(params))
-
-
 def build_effective_phonon(params: SystemParams, truncations=None,
                            corrected: bool = False,
                            two_resonators: bool = False) -> LindbladModel:

@@ -66,7 +66,6 @@ class SystemParams:
     gamma: float | None = None
     omega_m: float | None = None          # second resonator via omega_m2
     omega_m2: float | None = None
-    omega_c: float | None = None
     J: float | None = None
     delta: float | None = None            # 2J - omega_m (also the hybridization detuning)
     Delta_s: float | None = None

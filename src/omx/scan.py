@@ -39,8 +39,7 @@ class ScanResult:
         for k, v in self.columns.items():
             if v.shape != (n,):
                 raise ValueError(f"column {k!r} has shape {v.shape}, expected ({n},)")
-            if np.issubdtype(v.dtype, np.floating) and np.isnan(v).any() \
-                    and not self.metadata.get("allow_nan"):
+            if np.issubdtype(v.dtype, np.floating) and np.isnan(v).any():
                 raise ValueError(f"column {k!r} contains NaN")
 
     @property
@@ -120,24 +119,23 @@ class CompareReport:
         return self.max_rel <= self.tolerance
 
 
-def compare(reference: ScanResult, other: ScanResult, tolerance: float,
-            columns=None, floor: float = 1e-30) -> CompareReport:
-    """Per-point relative deviation between matching columns of two results.
+def compare(reference: ScanResult, other: ScanResult, tolerance: float) -> CompareReport:
+    """Per-point relative deviation between the shared columns of two results.
 
     Axes must match exactly (names and values); mismatch raises ValueError.
-    Relative deviation uses the reference magnitude with a small floor.
+    Relative deviation uses the reference magnitude, floored at 1e-30.
     """
     if len(reference.axes) != len(other.axes):
         raise ValueError("axis count mismatch")
     for (na, va), (nb, vb) in zip(reference.axes, other.axes):
         if na != nb or va.shape != vb.shape or not np.allclose(va, vb, rtol=0, atol=0):
             raise ValueError(f"axis mismatch: {na!r} vs {nb!r}")
-    names = columns or sorted(set(reference.columns) & set(other.columns))
+    names = sorted(set(reference.columns) & set(other.columns))
     if not names:
         raise ValueError("no common columns to compare")
     rels = []
     for name in names:
         a, b = reference.columns[name], other.columns[name]
-        rels.append(np.abs(a - b) / np.maximum(np.abs(a), floor))
+        rels.append(np.abs(a - b) / np.maximum(np.abs(a), 1e-30))
     rel = np.concatenate(rels)
-    return CompareReport(float(rel.max()), float(np.median(rel)), tolerance, list(names))
+    return CompareReport(float(rel.max()), float(np.median(rel)), tolerance, names)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -42,8 +43,16 @@ T = 100 mK
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    with pytest.raises(ConfigError, match="unknown parameter"):
-        load_config(write(tmp_path / "c.cfg", "[params]\nbogus = 3\n"))
+    for key in ("bogus", "omega_c"):
+        with pytest.raises(ConfigError, match="unknown parameter"):
+            load_config(write(tmp_path / "c.cfg", f"[params]\n{key} = 3\n"))
+
+
+@pytest.mark.parametrize("path", sorted((Path(__file__).parents[1] / "configs").glob("*.cfg")),
+                         ids=lambda p: p.name)
+def test_shipped_config_loads(path):
+    cfg = load_config(path)
+    assert cfg.grids or cfg.run
 
 
 def test_config_grids(tmp_path):
@@ -127,6 +136,21 @@ n_m = 0, 1
     absr = res.columns["r_abs"].reshape(2, 65)
     assert absr[0].min() > 1 - 1e-6          # empty ladder: no dip
     assert absr[1].min() < 0.2               # split ladder: deep dips
+
+
+@pytest.mark.parametrize("n_m", ["0.5", "-1"])
+def test_transistor_rejects_non_integer_phonon_number(tmp_path, n_m):
+    cfg_path = write(tmp_path / "t.cfg", f"""
+[params]
+g0 = 10
+
+[grid.Delta]
+values = 0
+
+[run]
+n_m = 0, {n_m}
+""")
+    assert main(["transistor", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
@@ -342,6 +366,21 @@ truncations = a:3, s:3, m:3
     rows = [ln for ln in partial.splitlines() if not ln.startswith("#")]
     assert len(rows) == 1 + 2  # header + the two solved points
     assert "aborted_at" in partial
+
+
+def test_g2scan_rejects_unknown_check_unique(tmp_path):
+    cfg_path = write(tmp_path / "scan.cfg", """
+[params]
+g0 = 2
+
+[grid.Delta_a]
+values = 0.5
+
+[run]
+check_unique = sometimes
+""")
+    assert main(["g2scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert not (tmp_path / "g2scan.csv").exists()
 
 
 def test_unwritable_output_is_config_error(tmp_path):
