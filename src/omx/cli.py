@@ -258,24 +258,26 @@ def run_g2scan(cfg: Config) -> ScanResult:
         for row in _map(_g2_point, tasks, int(cfg.opt("jobs", 1))):
             rows.append(row)
     except SolverError as exc:
-        done = grid[: len(rows)]
-        partial = ScanResult(
-            [("Delta_a", done)],
-            {"na_numeric": np.array([r[0] for r in rows]),
-             "g2_numeric": np.array([r[1] for r in rows]),
-             "residual": np.array([r[2] for r in rows])},
-            _provenance(cfg, "g2scan", truncations=truncations,
-                        aborted_at=float(grid[len(rows)])))
+        partial = _g2scan_result(cfg, p, grid, rows, truncations,
+                                 aborted_at=float(grid[len(rows)]))
         raise ScanAborted(
             f"solver failed at Delta_a = {grid[len(rows)]}: {exc}", partial) from exc
+    return _g2scan_result(cfg, p, grid, rows, truncations)
+
+
+def _g2scan_result(cfg: Config, p: SystemParams, grid, rows, truncations,
+                   **extra) -> ScanResult:
+    """The g2scan table over the first len(rows) grid points: the same
+    columns for a finished and for an aborted scan."""
+    done = grid[: len(rows)]
     n0 = (p.Omega_a / p.kappa) ** 2
     return ScanResult(
-        [("Delta_a", grid)],
+        [("Delta_a", done)],
         {"na_over_n0_numeric": np.array([r[0] for r in rows]) / n0,
          "g2_numeric": np.array([r[1] for r in rows]),
-         **_six_state_columns(p, grid, n0),
+         **_six_state_columns(p, done, n0),
          "residual": np.array([r[2] for r in rows])},
-        _provenance(cfg, "g2scan", truncations=truncations, n0=n0))
+        _provenance(cfg, "g2scan", truncations=truncations, n0=n0, **extra))
 
 
 def run_ming2(cfg: Config) -> ScanResult:

@@ -1,6 +1,10 @@
 """Lindblad engine: Liouvillian assembly, steady states, time evolution,
 weak-drive reflection spectra, and non-Hermitian eigenvalues.
 
+Reflection spectra solve no master equation: they come from the resolvent
+of the non-Hermitian Hamiltonian on the one-excitation states (see
+reflection_spectrum).
+
 Master-equation convention (the one used throughout):
 
     rho' = -i[H, rho] + sum_k rate_k * D[c_k] rho,
@@ -260,36 +264,62 @@ def reflection_spectrum(model: LindbladModel, drive_label: str, delta_grid,
     (i Delta - kappa), with kappa the collapse rate of the driven mode.
     Scanning the probe detuning shifts every mode of the model, as fits the
     pinned transistor models where the mechanical state has been projected
-    out. The steady states skip the uniqueness check.
+    out.
+
+    No master equation is solved. With N the total excitation number and
+    H_eff = H - i sum_k rate_k c_k^dag c_k restricted to the N = 1 states,
+    the driven amplitudes obey (Gardiner & Collett, PRA 31, 3761 (1985))
+
+        <c> = i Omega G_ss,   G = (H_eff - Delta)^-1,
+        r(Delta) = 1 + 2 i kappa G_ss,
+
+    with s the state c^dag|vac>; one batched solve covers the whole grid.
+    This is exact for quadratic models such as models.build_transistor,
+    and exact to first order in Omega for any other model.
 
     Expects a model without drive terms; the mechanical mode must already be
-    pinned (see models.build_transistor). The probe must satisfy
-    omega <= 0.05 kappa, and a nonlinear response (<c^dag c> > 0.1) raises.
+    pinned (see models.build_transistor). H must conserve N and every
+    collapse operator must lower N by exactly one, else ValueError; this
+    rejects a drive term left in H. The probe must satisfy
+    omega <= 0.05 kappa, and a nonlinear response
+    (|<c>|^2 = Omega^2 |G_ss|^2 > 0.1) raises SolverError.
     Returns a list of (Delta, r) with r complex.
     """
     space = model.space
-    c = annihilator(space, drive_label)
     kappa = _collapse_rate(model, drive_label)
     if omega > 0.05 * kappa:
         raise ValueError(f"probe amplitude {omega} exceeds weak-drive bound 0.05*kappa")
-    n_scan = None
-    for lbl in space.labels:
-        a = annihilator(space, lbl)
-        term = (a.dag() @ a).matrix
-        n_scan = term if n_scan is None else n_scan + term
-    drive = 1j * omega * (c.matrix - c.matrix.conj().T)
-    n_drive = (c.dag() @ c).matrix
-    out = []
-    for delta in np.asarray(delta_grid, dtype=float):
-        h = Operator(space, model.hamiltonian.matrix - delta * n_scan + drive)
-        rep = steady_state(model.with_hamiltonian(h), check_unique=False)
-        nbar = np.real(rep.state.expect(n_drive))
-        if nbar > 0.1:
-            raise SolverError(
-                f"nonlinear response at Delta={delta}: <c^dag c> = {nbar:.3f} > 0.1")
-        r = 1.0 + 2.0 * kappa * complex(rep.state.expect(c)) / omega
-        out.append((float(delta), r))
-    return out
+    # total excitation number of each basis state, as integers (row-major
+    # product basis, as in ModeSpace.basis_index)
+    n_tot = np.indices(space.dims).reshape(len(space.dims), -1).sum(axis=0)
+    h = model.hamiltonian.matrix.tocoo()
+    if np.any(n_tot[h.row] != n_tot[h.col]):
+        raise ValueError("H does not conserve the excitation number "
+                         "(drive term left in the Hamiltonian?)")
+    h_eff = model.hamiltonian.matrix
+    for op, rate in model.collapses:
+        if rate == 0.0:
+            continue
+        m = op.matrix.tocoo()
+        if np.any(n_tot[m.row] != n_tot[m.col] - 1):
+            raise ValueError("a collapse operator does not lower the excitation number by one")
+        h_eff = h_eff - 1j * rate * (op.matrix.conj().T @ op.matrix)
+    # the vacuum is left out: with it the matrix is singular at Delta = 0
+    one = np.flatnonzero(n_tot == 1)
+    s = int(np.searchsorted(one, space.basis_index(
+        [int(lbl == drive_label) for lbl in space.labels])))
+    block = h_eff[one][:, one].toarray()
+    deltas = np.asarray(delta_grid, dtype=float)
+    e_s = np.zeros((one.size, 1))
+    e_s[s] = 1.0
+    g_ss = np.linalg.solve(block - deltas[:, None, None] * np.eye(one.size), e_s)[:, s, 0]
+    amp2 = omega**2 * np.abs(g_ss) ** 2
+    if np.any(amp2 > 0.1):
+        i = int(np.argmax(amp2 > 0.1))
+        raise SolverError(
+            f"nonlinear response at Delta={deltas[i]}: |<c>|^2 = {amp2[i]:.3f} > 0.1")
+    r = 1.0 + 2j * kappa * g_ss
+    return [(float(d), complex(x)) for d, x in zip(deltas, r)]
 
 
 def _collapse_rate(model: LindbladModel, label: str) -> float:

@@ -446,7 +446,10 @@ def build_transistor(params: SystemParams, n_m: int, truncations=(4, 4)) -> Lind
     probed symmetric mode and the phonon-shifted antisymmetric partner
     ("ap", offset by delta = 2J - omega_m). Both modes decay at kappa; the
     mechanical damping is set to zero by the pinning assumption
-    (Gamma_m << kappa). Feed the result to dynamics.reflection_spectrum.
+    (Gamma_m << kappa). Feed the result to dynamics.reflection_spectrum:
+    the model is quadratic, conserves the excitation number and loses it
+    one at a time, so the one-excitation resolvent gives its weak-probe
+    reflection exactly.
     """
     if n_m < 0:
         raise ValueError("n_m must be a non-negative integer")

@@ -368,6 +368,55 @@ truncations = a:3, s:3, m:3
     assert "aborted_at" in partial
 
 
+def test_g2scan_partial_has_the_full_columns(tmp_path, monkeypatch):
+    import omx.cli as climod
+    from omx.dynamics import SolverError
+
+    cfg_path = write(tmp_path / "scan.cfg", """
+[params]
+g0 = 2
+kappa = 1
+omega_m = 40
+J = 20
+Omega_a = 0.01
+gamma = 0.01
+
+[grid.Delta_a]
+values = 0.5, 1.0
+
+[run]
+truncations = a:3, s:3, m:3
+""")
+    full_out, part_out = tmp_path / "full", tmp_path / "part"
+    assert main(["g2scan", "--config", str(cfg_path), "--out", str(full_out)]) == 0
+
+    real = climod.steady_state
+    calls = {"n": 0}
+
+    def fail_second(*args, **kwargs):
+        calls["n"] += 1
+        if calls["n"] == 2:
+            raise SolverError("forced")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(climod, "steady_state", fail_second)
+    assert main(["g2scan", "--config", str(cfg_path), "--out", str(part_out)]) == 3
+
+    def table(path):
+        lines = path.read_text().splitlines()
+        return ([ln for ln in lines if ln.startswith("#")],
+                [ln for ln in lines if not ln.startswith("#")])
+
+    full_meta, full_rows = table(full_out / "g2scan.csv")
+    part_meta, part_rows = table(part_out / "g2scan.partial.csv")
+    assert part_rows[0] == full_rows[0]  # header
+    assert "na_over_n0_numeric" in part_rows[0] and "g2_analytic" in part_rows[0]
+    assert len(part_rows) == 2 and part_rows[1] == full_rows[1]
+    assert any(ln.startswith("# n0 = ") for ln in part_meta)
+    assert "# aborted_at = 1.0" in part_meta
+    assert set(part_meta) - {"# aborted_at = 1.0"} == set(full_meta)
+
+
 def test_g2scan_rejects_unknown_check_unique(tmp_path):
     cfg_path = write(tmp_path / "scan.cfg", """
 [params]

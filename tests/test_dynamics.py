@@ -298,6 +298,50 @@ def test_reflection_rejects_strong_drive():
         reflection_spectrum(_transistor(0), "s", [0.0], 0.2)
 
 
+@pytest.mark.parametrize("n_m", [0, 1, 2])
+def test_reflection_matches_lindblad_steady_state(n_m):
+    # oracle: r from <c> of the driven master equation, one steady state per
+    # Delta, on a model with a phonon-shifted partner (delta = 0.6)
+    p = SystemParams(g0=4.0, kappa=1.0, omega_m=100.0, J=50.3)
+    model = build_transistor(p, n_m)
+    space, omega, kappa = model.space, 0.01, 1.0
+    s = annihilator(space, "s")
+    n_tot = (number_op(space, "s") + number_op(space, "ap")).matrix
+    drive = 1j * omega * (s.matrix - s.matrix.conj().T)
+    grid = [-2.5, -0.3, 0.0, 0.6, 1.7]
+    for delta, r in reflection_spectrum(model, "s", grid, omega):
+        h = Operator(space, model.hamiltonian.matrix - delta * n_tot + drive)
+        # both modes are damped, so the steady state is unique; skip the check
+        state = steady_state(model.with_hamiltonian(h), check_unique=False).state
+        r_oracle = 1.0 + 2.0 * kappa * state.expect(s) / omega
+        assert abs(r - r_oracle) < 1e-10
+
+
+@pytest.mark.parametrize("n_m", [0, 1, 2])
+def test_reflection_closed_form_at_zero_detuning(n_m):
+    # delta = 2J - omega_m = 0: r = 1 - 2 kappa u / (u^2 + g_eff^2), u = kappa - i Delta
+    g0, kappa = 10.0, 1.0
+    grid = np.linspace(-8.0, 8.0, 33)
+    g_eff = 0.5 * g0 * np.sqrt(n_m)
+    u = kappa - 1j * grid
+    expected = 1.0 - 2.0 * kappa * u / (u**2 + g_eff**2)
+    r = np.array([r for _, r in reflection_spectrum(_transistor(n_m, g0), "s", grid, 0.01)])
+    assert np.abs(r - expected).max() < 1e-13
+
+
+def test_reflection_rejects_drive_in_hamiltonian():
+    with pytest.raises(ValueError, match="excitation number"):
+        reflection_spectrum(_driven_transistor(), "s", [0.0], 0.01)
+
+
+def test_reflection_rejects_raising_collapse():
+    model = _transistor(1)
+    heating = (annihilator(model.space, "ap").dag(), 0.1)
+    model = LindbladModel(model.hamiltonian, model.collapses + [heating], model.space)
+    with pytest.raises(ValueError, match="collapse operator"):
+        reflection_spectrum(model, "s", [0.0], 0.01)
+
+
 # ------------------------------------------------------- nonhermitian eigs ---
 
 def test_nonhermitian_eigs_free_ladder():
