@@ -38,14 +38,8 @@ POLE_ATOL = 1e-12
 
 @dataclass
 class SixStateResult:
-    """Weak-drive occupation probabilities and g2 for one detuning point."""
+    """Weak-drive mean photon number and g2 for one detuning point."""
 
-    delta_a: float
-    d: complex
-    X_n: np.ndarray
-    zeta_n: np.ndarray
-    p10n: np.ndarray
-    p20n: np.ndarray
     mean_na: float
     g2_zero: float
 
@@ -73,16 +67,16 @@ def six_state_g2(params: SystemParams) -> SixStateResult:
     p2 = 8 * np.abs(omega**2 * (8 * d * d - g0**2) / (x * two_x)) ** 2
     mean_na = float(zeta @ p1)
     g2 = 2 * float(zeta @ p2) / mean_na**2
-    return SixStateResult(params.Delta_a, d, x, zeta, p1, p2, mean_na, g2)
+    return SixStateResult(mean_na, g2)
 
 
-def min_g2_scan(params: SystemParams, g0_grid, nth_list,
-                delta_grid=None) -> ScanResult:
+def min_g2_scan(params: SystemParams, g0_grid, nth_list) -> ScanResult:
     """Minimum of g2(0) over probe detuning, per coupling and temperature.
 
-    The detuning grid must resolve kappa/20 (enforced); ties in the minimum
-    go to the smaller |Delta_a|. g2 is even in Delta_a, so only the
-    non-negative half axis is scanned and the reported argmin is >= 0.
+    Per coupling g0 the detuning grid runs from 0 to g0 + kappa in steps of
+    kappa/20; ties in the minimum go to the smaller |Delta_a|. g2 is even in
+    Delta_a, so only the non-negative half axis is scanned and the reported
+    argmin is >= 0.
     """
     g0_grid = np.asarray(g0_grid, dtype=float)
     nth_list = np.asarray(nth_list, dtype=float)
@@ -90,12 +84,7 @@ def min_g2_scan(params: SystemParams, g0_grid, nth_list,
     argmin = np.empty_like(min_g2)
     row = 0
     for g0 in g0_grid:
-        if delta_grid is None:
-            grid = np.arange(0.0, g0 + params.kappa, params.kappa / 20)
-        else:
-            grid = np.asarray(delta_grid, dtype=float)
-            if len(grid) > 1 and np.abs(np.diff(grid)).max() > params.kappa / 20 + 1e-12:
-                raise ValueError("detuning grid coarser than kappa/20")
+        grid = np.arange(0.0, g0 + params.kappa, params.kappa / 20)
         for nth in nth_list:
             p = params.replace(g0=float(g0), N_th=float(nth), T=None)
             vals = np.array([six_state_g2(p.replace(Delta_a=float(da))).g2_zero

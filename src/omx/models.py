@@ -464,24 +464,3 @@ def build_transistor(params: SystemParams, n_m: int, truncations=(4, 4)) -> Lind
         "frame": "transistor-pinned", "n_m": n_m, "kappa": params.kappa,
         "g_eff": geff})
 
-
-def asymmetric_phonon_coupling(params: SystemParams, space: ModeSpace,
-                               labels=("m1", "m2")) -> Operator:
-    """General two-resonator phonon operator entering the dispersive coupling,
-
-        N_b = xi1 n1 + xi2 n2 - (xi1 + xi2)(b1'b2 + b2'b1)/2,
-
-    with xi_i = g0 / (2J - omega_m^i). Experimental: quantitative results
-    in this package assume the symmetric detuning omega_m^{1,2} = 2J -+ delta
-    where N_b reduces to (g0/delta)(n1 - n2).
-    """
-    warnings.warn("asymmetric phonon coupling is experimental; quantitative "
-                  "results assume symmetric detuning", stacklevel=2)
-    params.require("J", "omega_m")
-    om2 = params.omega_m2 if params.omega_m2 is not None else params.omega_m
-    xi1 = params.g0 / (2 * params.J - params.omega_m)
-    xi2 = params.g0 / (2 * params.J - om2)
-    b1, b2 = annihilator(space, labels[0]), annihilator(space, labels[1])
-    op = (xi1 * (b1.dag() @ b1) + xi2 * (b2.dag() @ b2)
-          - 0.5 * (xi1 + xi2) * ((b1.dag() @ b2) + (b2.dag() @ b1)))
-    return Operator(space, op.matrix, hermitian_hint=True)

@@ -75,12 +75,6 @@ def test_min_g2_monotone_in_coupling_and_temperature():
     assert weak.columns["min_g2"][0] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_min_g2_grid_resolution_enforced():
-    p = SystemParams(g0=8.0, kappa=1.0, Omega_a=0.01)
-    with pytest.raises(ValueError, match="coarser"):
-        min_g2_scan(p, [8.0], [0.0], delta_grid=np.arange(0.0, 8.0, 1.0))
-
-
 def test_argmin_invariant_under_rate_rescaling():
     base = SystemParams(g0=8.0, kappa=1.0, Omega_a=0.01)
     r0 = min_g2_scan(base, [8.0], [0.0])

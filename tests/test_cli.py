@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -438,3 +440,13 @@ def test_unwritable_output_is_config_error(tmp_path):
     blocker.write_text("a file where a directory must go")
     assert main(["spectrum", "--config", str(cfg_path),
                  "--out", str(blocker / "sub")]) == 2
+
+
+def test_import_cli_leaves_scipy_integrate_unloaded():
+    # only dynamics.evolve integrates in time, and no scenario calls it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (f"import sys; sys.path.insert(0, {src!r}); import omx.cli; "
+            "print('scipy.integrate' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

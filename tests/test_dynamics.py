@@ -91,7 +91,6 @@ def test_steady_state_thermal_fixed_point():
     model = LindbladModel(h, [(b, 0.05 * (n_th + 1)), (b.dag(), 0.05 * n_th)], space)
     rep = steady_state(model)
     assert trace_distance(rep.state, thermal_state(space, n_th)) < 1e-8
-    assert rep.method == "null-space"
 
 
 def test_steady_state_degenerate_sector_raises():
@@ -146,7 +145,6 @@ def _driven_transistor(n_m=1, delta=0.7, omega=0.01):
 def test_sector_solve_matches_full_space_oracle(make):
     model = make()
     rep = steady_state(model)
-    assert rep.method == "null-space"
     assert np.abs(rep.state.matrix - _full_space_steady_state(model)).max() <= 1e-12
 
 
@@ -159,24 +157,20 @@ def test_sector_solve_dimension():
     assert steady_state(_driven_transistor()).solved_dim == 16 * 16
 
 
-def test_steady_state_reports_normal_equations_fallback(monkeypatch):
+def test_steady_state_failed_solve_raises_after_one_spsolve(monkeypatch):
+    # one solve path: a bad LU result is reported, never retried
     import omx.dynamics
     real = omx.dynamics.spla.spsolve
     calls = []
 
-    def nan_first(A, b):
+    def nan_solve(A, b):
         calls.append(A.shape)
-        x = real(A, b)
-        return np.full_like(x, np.nan) if len(calls) == 1 else x
+        return np.full_like(real(A, b), np.nan)
 
-    model = _rwa(0.3)
-    oracle = _full_space_steady_state(model)
-    monkeypatch.setattr(omx.dynamics.spla, "spsolve", nan_first)
-    rep = steady_state(model, check_unique=False)
-    assert len(calls) == 2
-    assert rep.method == "normal-equations"
-    assert rep.residual < 1e-9
-    assert np.abs(rep.state.matrix - oracle).max() < 1e-8
+    monkeypatch.setattr(omx.dynamics.spla, "spsolve", nan_solve)
+    with pytest.raises(SolverError, match="steady-state residual nan exceeds"):
+        steady_state(_rwa(0.3), check_unique=False)
+    assert len(calls) == 1
 
 
 def test_steady_state_long_time_agrees():
@@ -327,6 +321,22 @@ def test_reflection_closed_form_at_zero_detuning(n_m):
     expected = 1.0 - 2.0 * kappa * u / (u**2 + g_eff**2)
     r = np.array([r for _, r in reflection_spectrum(_transistor(n_m, g0), "s", grid, 0.01)])
     assert np.abs(r - expected).max() < 1e-13
+
+
+def test_reflection_is_passive():
+    # |r| <= 1, equivalent to kappa |G_ss|^2 <= Im G_ss: the bound that keeps
+    # |<c>|^2 <= (Omega/kappa)^2 without a check after the solve
+    grid = np.linspace(-12.0, 12.0, 4801)
+    models = [build_transistor(SystemParams(g0=10.0, kappa=1.0, omega_m=100.0, J=J), n_m)
+              for n_m in (0, 1, 2) for J in (50.0, 50.3)]   # delta = 0, 0.6
+    # the two modes decaying at unequal rates
+    base = models[-1]
+    s, ap = annihilator(base.space, "s"), annihilator(base.space, "ap")
+    models += [LindbladModel(base.hamiltonian, [(s, 1.0), (ap, rate)], base.space)
+               for rate in (0.1, 5.0)]
+    for model in models:
+        r = np.array([r for _, r in reflection_spectrum(model, "s", grid, 0.05)])
+        assert np.abs(r).max() <= 1.0 + 1e-12
 
 
 def test_reflection_rejects_drive_in_hamiltonian():

@@ -17,7 +17,6 @@ from omx import (
     hybridize,
     number_op,
 )
-from omx.models import asymmetric_phonon_coupling
 from omx.params import thermal_occupation
 
 
@@ -372,18 +371,6 @@ def test_transistor_effective_coupling():
         assert model.meta["g_eff"] == pytest.approx(5.0 * np.sqrt(n_m))
     with pytest.raises(ValueError):
         build_transistor(p, -1)
-
-
-def test_asymmetric_phonon_coupling_symmetric_limit():
-    p = SystemParams(g0=1.0, omega_m=97.0, omega_m2=103.0, J=50.0)
-    space = ModeSpace([("m1", 3), ("m2", 3)])
-    with pytest.warns(UserWarning, match="experimental"):
-        op = asymmetric_phonon_coupling(p, space)
-    delta = 3.0  # omega_m = 2J -+ delta
-    n1 = number_op(space, "m1")
-    n2 = number_op(space, "m2")
-    expected = (p.g0 / delta) * (n1 - n2).to_dense()
-    assert np.abs(op.to_dense() - expected).max() < 1e-12
 
 
 # ------------------------------------------------- effective-model fidelity ---
