@@ -37,6 +37,7 @@ from .dynamics import (  # noqa: F401
     liouvillian,
     nonhermitian_eigs,
     null_space_gap,
+    population_sector,
     reflection_spectrum,
     steady_state,
 )

@@ -33,6 +33,7 @@ from .hilbert import DensityMatrix, ModeSpace, Operator, annihilator
 TRACE_PRESERVATION_ATOL = 1e-10
 STEADY_RESIDUAL_ATOL = 1e-9
 NULL_GAP_ATOL = 1e-8
+HERMITIAN_RTOL = 1e-12
 DENSE_EIG_LIMIT = 2500
 
 
@@ -54,6 +55,10 @@ class LindbladModel:
             self.space = self.hamiltonian.space
         if self.hamiltonian.space != self.space:
             raise ValueError("hamiltonian acts on a different space")
+        h = self.hamiltonian.matrix
+        dev = abs(h - h.conj().T).max()
+        if dev > HERMITIAN_RTOL * abs(h).max():
+            raise ValueError(f"hamiltonian is not Hermitian: max|H - H^dag| = {dev:.2e}")
         for op, rate in self.collapses:
             if op.space != self.space:
                 raise ValueError("collapse operator acts on a different space")
@@ -100,8 +105,12 @@ def _trace_vec(n: int) -> np.ndarray:
 def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
     """(|lambda_0|, |lambda_1|): the two smallest-magnitude eigenvalues of L.
 
+    Both are measured, not bounded: by a dense eigvals for m <= 400, above
+    that by shift-invert ARPACK (k = 2 at sigma = 1e-9) on a sparse LU of L.
     A unique steady state requires |lambda_1| > 1e-8 (in the model's rate
-    units); |lambda_0| should be numerically zero.
+    units); |lambda_0| should be numerically zero. steady_state calls it on
+    the population sector only; on a full Liouvillian it is the reference
+    the block-by-block check is tested against.
     """
     m = L.shape[0]
     if m <= 400:
@@ -118,28 +127,86 @@ def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
 
 @dataclass
 class SteadyStateReport:
+    """Steady state with the evidence that it is the right one.
+
+    residual: |L x|_2 of the solution on the full Liouvillian.
+    null_gap: with check_unique, a lower bound on |lambda_1| of the full
+        Liouvillian: the smaller of the population sector's measured
+        |lambda_1| and the proven bounds on the other blocks (see
+        steady_state). None without the check.
+    solved_dim: size of the linear system actually solved.
+    """
+
     state: DensityMatrix
     residual: float
     null_gap: float | None = None
-    solved_dim: int | None = None  # size of the linear system actually solved
+    solved_dim: int | None = None
 
 
-def _population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
-    """Sorted indices of the block of L that holds the populations.
-
-    The block is the connected component of entry (0,0) in the graph of
-    L's sparsity pattern. Raises SolverError if the diagonal entries
-    vec(|i><i|) fall in more than one component.
-    """
+def _component_labels(L: sp.csr_matrix) -> np.ndarray:
+    """Label of each entry's connected component in L's sparsity graph."""
     # csgraph casts complex weights to real, which would drop the purely
     # imaginary -i[H, rho] entries: hand it a real pattern instead
     pattern = sp.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
-    _, labels = connected_components(pattern, directed=True, connection="weak")
+    return connected_components(pattern, directed=True, connection="weak")[1]
+
+
+def population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
+    """Sorted indices of the block of L that holds the populations.
+
+    The block is the connected component of entry (0,0) in the graph of
+    L's sparsity pattern, for n the Hilbert-space dimension. Raises
+    SolverError if the diagonal entries vec(|i><i|) fall in more than one
+    component.
+    """
+    labels = _component_labels(L)
     if np.any(labels[:: n + 1] != labels[0]):
         raise SolverError(
             "degenerate Liouvillian null space: the populations split into "
             "disconnected sectors, each with its own steady state")
     return np.flatnonzero(labels == labels[0])
+
+
+def _comparison(t: sp.csc_matrix) -> sp.csc_matrix:
+    """Comparison matrix M(T) of a triangular factor: |t_ii| on the
+    diagonal, -|t_ij| off it, as a real matrix."""
+    data = -np.abs(t.data)
+    cols = np.repeat(np.arange(t.shape[1]), np.diff(t.indptr))
+    data[t.indices == cols] *= -1.0
+    return sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape)
+
+
+def _coherence_gap(L: sp.csr_matrix, n: int, floor: float) -> float:
+    """Proven lower bound on min |lambda| over the blocks of L outside the
+    population sector; inf when there are none. A block whose cheap bound
+    falls below floor gets the exact ||B^-1||_1 instead. See steady_state."""
+    labels = _component_labels(L)
+    first = np.unique(labels, return_index=True)[1]
+    row, col = np.divmod(first, n)
+    partner = labels[col * n + row]   # the component of the transposed entries
+    bound = np.inf
+    for c in np.flatnonzero(np.arange(first.size) <= partner):
+        if c == labels[0]:
+            continue
+        idx = np.flatnonzero(labels == c)
+        try:
+            # a minimum-degree order on B + B^T fills about 40% less than
+            # the default COLAMD on these blocks (rwa a4/s4/m6)
+            lu = spla.splu(L[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                           options={"SymmetricMode": True})
+        except RuntimeError:   # an exactly singular factor: lambda = 0
+            return 0.0
+        # |B^-1| <= M(U_B)^-1 M(L_B)^-1 entrywise, so ||B^-1||_1 is at most the
+        # largest entry of e^T M(U_B)^-1 M(L_B)^-1: two transposed triangular solves
+        y = spla.spsolve_triangular(_comparison(lu.U).T, np.ones(idx.size), lower=True,
+                                    overwrite_A=True, overwrite_b=True)
+        z = spla.spsolve_triangular(_comparison(lu.L).T, y, lower=False, unit_diagonal=True,
+                                    overwrite_A=True, overwrite_b=True)
+        block = 1.0 / z.max()
+        if block < floor:
+            block = 1.0 / np.abs(lu.solve(np.eye(idx.size, dtype=complex))).sum(axis=0).max()
+        bound = min(bound, block)
+    return bound
 
 
 def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyStateReport:
@@ -168,26 +235,49 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     equations of A have cond(A)^2, so they are better conditioned only when
     cond(A) < sqrt(n), where the LU of M is already accurate to about 1e-14.
 
-    check_unique verifies the second-smallest |eigenvalue| of L exceeds
-    1e-8; a degenerate null space (dark state or disconnected sector)
-    raises SolverError. Populations split over several sectors raise
-    SolverError even with check_unique=False, since each such sector
+    check_unique verifies, block by block, that |lambda_1| of the full L
+    exceeds 1e-8; a degenerate null space (dark state or disconnected
+    sector) raises SolverError. report.null_gap is a lower bound on that
+    |lambda_1|. The spectrum of L is the union of its blocks' spectra, and a
+    second steady state may sit in any block: a Hermitian jump c + c^dag on
+    a qubit keeps sigma_x stationary in the {01, 10} block, and a cyclic
+    jump |k+1><k| on three levels keeps c and c^2 in the blocks of charge
+    difference 1 and 2, while the population block of both has a gap.
+    - The population block's |lambda_1| is measured by null_space_gap.
+    - Every other block B gets a proven bound. Since L(X^dag) = L(X)^dag
+      for Hermitian H, the transpose (i,j) -> (j,i) maps each block onto a
+      block with the complex-conjugate spectrum, so one block of each such
+      pair is checked. With P B Q = L_B U_B its sparse LU,
+      min |lambda(B)| = 1/rho(B^-1) >= 1/||B^-1||_1. The comparison matrix
+      M(T) (|t_ii| on the diagonal, -|t_ij| off it) of a triangular T
+      bounds |T^-1| <= M(T)^-1 entrywise (Higham, Accuracy and Stability of
+      Numerical Algorithms, ch. 8), so ||B^-1||_1 <= ||M(U_B)^-1 M(L_B)^-1||_1,
+      which two triangular solves give. Where the factors cancel, this
+      bound is loose (build_displaced at (4, 3, 5): 1.3e-9 against a true
+      0.036); a block whose bound falls below the population block's
+      |lambda_1| gets the exact ||B^-1||_1, one solve per column, instead. An
+      exactly singular factor counts as lambda = 0.
+    Both bounds hold up to the rounding of the LU. For the g2scan model
+    (rwa a4/s4/m6) the cheap bound on every other block is 80 or more, far
+    above the population |lambda_1| of about 0.01, so the reported gap is
+    the full-space |lambda_1|. Populations split over several sectors
+    raise SolverError even with check_unique=False, since each such sector
     carries its own steady state.
     """
     L = liouvillian(model)
     n = model.space.total_dim
-    if check_unique:
-        lam0, lam1 = null_space_gap(L)
-        if lam1 <= NULL_GAP_ATOL:
-            raise SolverError(
-                f"degenerate Liouvillian null space (|lambda_1| = {lam1:.2e}); "
-                "the model has a dark state or disconnected sector")
-    else:
-        lam1 = None
-
-    idx = _population_sector(L, n)
+    idx = population_sector(L, n)
     m = idx.size
     Lc = L if m == n * n else L[idx][:, idx]
+    gap = None
+    if check_unique:
+        lam1 = null_space_gap(Lc)[1]
+        gap = min(lam1, _coherence_gap(L, n, lam1))
+        if not gap > NULL_GAP_ATOL:
+            raise SolverError(
+                f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
+                "the model has a dark state or disconnected sector")
+
     tvec = _trace_vec(n)[idx]
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
@@ -203,7 +293,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    return SteadyStateReport(DensityMatrix(model.space, rho), resid, lam1, m)
+    return SteadyStateReport(DensityMatrix(model.space, rho), resid, gap, m)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMatrix]:

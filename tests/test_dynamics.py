@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from omx import (
     DensityMatrix,
@@ -10,6 +11,7 @@ from omx import (
     SolverError,
     SystemParams,
     annihilator,
+    build_displaced,
     build_rwa,
     build_transistor,
     evolve,
@@ -17,7 +19,9 @@ from omx import (
     g2_zero,
     liouvillian,
     nonhermitian_eigs,
+    null_space_gap,
     number_op,
+    population_sector,
     reflection_spectrum,
     steady_state,
     thermal_state,
@@ -112,6 +116,35 @@ def test_steady_state_split_populations_raise_typed():
         steady_state(model, check_unique=False)
 
 
+def _hermitian_jump():
+    # H = 0 and one jump c + c^dag on a qubit: sigma_x is stationary too
+    space = ModeSpace([("c", 2)])
+    c = annihilator(space, "c")
+    return LindbladModel(Operator(space, 0.0 * identity(space).matrix), [(c + c.dag(), 0.5)])
+
+
+def _cyclic_jump():
+    # H = 0 and one jump |k+1><k| (mod 3): c and c^2 are stationary too
+    space = ModeSpace([("c", 3)])
+    shift = Operator(space, sp.csr_matrix(np.roll(np.eye(3), 1, axis=0)))
+    return LindbladModel(Operator(space, 0.0 * identity(space).matrix), [(shift, 0.5)])
+
+
+@pytest.mark.parametrize("make, population_gap", [(_hermitian_jump, 2.0),
+                                                  (_cyclic_jump, np.sqrt(3.0))],
+                         ids=["hermitian-jump", "cyclic-jump"])
+def test_steady_state_degenerate_coherence_block_raises(make, population_gap):
+    # the population block alone has a gap; the second steady state lies
+    # in a block of coherences, which the check must cover as well
+    model = make()
+    L = liouvillian(model)
+    sector = population_sector(L, model.space.total_dim)
+    assert null_space_gap(L[sector][:, sector])[1] == pytest.approx(population_gap)
+    assert null_space_gap(L)[1] < 1e-12
+    with pytest.raises(SolverError, match="degenerate"):
+        steady_state(model)
+
+
 def _full_space_steady_state(model) -> np.ndarray:
     # oracle: trace row over the whole Liouvillian, one sparse solve
     import scipy.sparse.linalg as spla
@@ -146,6 +179,30 @@ def test_sector_solve_matches_full_space_oracle(make):
     model = make()
     rep = steady_state(model)
     assert np.abs(rep.state.matrix - _full_space_steady_state(model)).max() <= 1e-12
+
+
+def _displaced(dims):
+    p = SystemParams(g0=1.0, kappa=2.5e-2, gamma=2.5e-4, N_th=1.0,
+                     Delta_s=-1.0, omega_m=0.5, Delta_a=-5.5, alpha=1.0)
+    return build_displaced(p, dims)
+
+
+@pytest.mark.parametrize("make", [lambda: _rwa(0.0), lambda: _rwa(0.3),
+                                  lambda: _displaced((3, 2, 7)), lambda: _displaced((4, 3, 5)),
+                                  _driven_transistor],
+                         ids=["rwa-Nth0", "rwa-Nth0.3", "displaced-327", "displaced-435",
+                              "transistor-driven"])
+def test_null_gap_matches_full_space_oracle(make):
+    # oracle: shift-invert ARPACK on the full L. Its random start vector
+    # scatters |lambda_1| by up to 2.2e-8 relative (rwa-Nth0.3, 200 draws),
+    # hence rel 1e-6. The population block sets the gap of all five models:
+    # on the displaced ones only after the loose comparison bound on the
+    # coherence blocks (1.3e-9 at (4, 3, 5)) is replaced by the exact one.
+    model = make()
+    oracle = null_space_gap(liouvillian(model))[1]
+    gap = steady_state(model).null_gap
+    assert gap <= oracle * (1 + 1e-6)
+    assert gap == pytest.approx(oracle, rel=1e-6)
 
 
 def test_sector_solve_dimension():
@@ -350,6 +407,17 @@ def test_reflection_rejects_raising_collapse():
     model = LindbladModel(model.hamiltonian, model.collapses + [heating], model.space)
     with pytest.raises(ValueError, match="collapse operator"):
         reflection_spectrum(model, "s", [0.0], 0.01)
+
+
+def test_model_rejects_non_hermitian_hamiltonian():
+    # +1.5i s^dag s once gave max |r| = 3.11 over the reflection grid, silently
+    model = _transistor(1)
+    n_s = (annihilator(model.space, "s").dag() @ annihilator(model.space, "s")).matrix
+    h = model.hamiltonian.matrix
+    with pytest.raises(ValueError, match="not Hermitian"):
+        model.with_hamiltonian(Operator(model.space, h + 1.5j * n_s))
+    # the tolerance is relative: a deviation of 2e-7 on max|H| = 1.5e7 passes
+    model.with_hamiltonian(Operator(model.space, 1e6 * h + 1e-7j * n_s))
 
 
 # ------------------------------------------------------- nonhermitian eigs ---

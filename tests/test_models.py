@@ -381,8 +381,7 @@ def test_effective_phonon_tracks_displaced_dynamics():
     # over a full induced-dephasing time. The displaced generator is
     # diagonalised on its population sector only: the start state lies in
     # it, and L maps the sector onto itself.
-    from omx import build_displaced, liouvillian, phonon_nonlinearity
-    from omx.dynamics import _population_sector
+    from omx import build_displaced, liouvillian, phonon_nonlinearity, population_sector
 
     p = SystemParams(g0=1.0, kappa=2.5e-2, gamma=2.5e-4, N_th=1.0,
                      Delta_s=-1.0, omega_m=0.5, Delta_a=-5.5, alpha=1.0)
@@ -405,7 +404,7 @@ def test_effective_phonon_tracks_displaced_dynamics():
     start = np.outer(targets[2], targets[2].conj()).reshape(-1)
 
     L = liouvillian(full)
-    sector = _population_sector(L, n_full)
+    sector = population_sector(L, n_full)
     outside = np.ones(n_full * n_full, dtype=bool)
     outside[sector] = False
     assert not np.any(start[outside])
