@@ -64,6 +64,7 @@ from .analytics import (  # noqa: F401
     phase_gate_error,
     phonon_nonlinearity,
     six_state_g2,
+    six_state_spectrum,
     transistor_error,
 )
 from .scan import CompareReport, ScanResult, compare  # noqa: F401

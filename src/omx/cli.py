@@ -214,9 +214,8 @@ def _weak_params(cfg: Config) -> SystemParams:
 
 def _six_state_columns(p: SystemParams, grid, n0: float) -> dict:
     """Closed-form <n_a>/n0 and g2 over the Delta_a grid."""
-    res = [analytics.six_state_g2(p.replace(Delta_a=float(da))) for da in grid]
-    return {"na_over_n0_analytic": np.array([r.mean_na / n0 for r in res]),
-            "g2_analytic": np.array([r.g2_zero for r in res])}
+    mean_na, g2 = analytics.six_state_spectrum(p, grid)
+    return {"na_over_n0_analytic": mean_na / n0, "g2_analytic": g2}
 
 
 def run_spectrum(cfg: Config) -> ScanResult:

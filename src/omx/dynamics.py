@@ -110,15 +110,18 @@ def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
     A unique steady state requires |lambda_1| > 1e-8 (in the model's rate
     units); |lambda_0| should be numerically zero. steady_state calls it on
     the population sector only; on a full Liouvillian it is the reference
-    the block-by-block check is tested against.
+    the block-by-block check is tested against. ARPACK starts from a fixed
+    complex vector, so repeated calls return the same bits.
     """
     m = L.shape[0]
     if m <= 400:
         w = np.sort(np.abs(sla.eigvals(L.toarray())))
         return float(w[0]), float(w[1])
+    rng = np.random.default_rng(0)
+    v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     try:
         w = spla.eigs(L.tocsc(), k=2, sigma=1e-9, which="LM", return_eigenvectors=False,
-                      maxiter=5000)
+                      maxiter=5000, v0=v0)
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"null-space gap estimation failed: {exc}") from exc
     w = np.sort(np.abs(w))

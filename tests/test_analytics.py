@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize_scalar
@@ -11,9 +13,12 @@ from omx import (
     phase_gate_error,
     phonon_nonlinearity,
     six_state_g2,
+    six_state_spectrum,
     steady_state,
     transistor_error,
 )
+from omx.cli import load_config
+from omx.hilbert import thermal_dim, thermal_weights
 
 
 def test_g2_is_exactly_one_without_coupling():
@@ -36,6 +41,81 @@ def test_pole_guard_at_zero_linewidth():
     p = SystemParams(g0=8.0, kappa=1e-300, Delta_a=4.0, Omega_a=0.01)
     with pytest.raises(ZeroDivisionError):
         six_state_g2(p)
+    # |X_0| = 8e-14 at Delta_a = 1: the grid kernel names the pole's detuning
+    p = SystemParams(g0=2.0, kappa=1e-14, Omega_a=0.01)
+    with pytest.raises(ZeroDivisionError, match=r"at Delta_a = 1\.0 "):
+        six_state_spectrum(p, [0.5, 1.0, 1.5])
+
+
+def _ladder_sums(p, da):
+    """(sum zeta_n p_{1,0,n}, sum zeta_n p_{2,0,n}) at one detuning."""
+    g0, kappa, nth = p.g0, p.kappa, p.N_th
+    omega = p.Omega_a if p.Omega_a else 1e-2 * kappa
+    ns = np.arange(thermal_dim(nth))
+    zeta = thermal_weights(nth, ns.size)
+    d = da - 1j * kappa
+    x = 4 * d * d - g0**2 * (ns + 1)
+    two_x = 2 * x - g0**2
+    p1 = np.abs(4 * omega * d / x) ** 2
+    p2 = 8 * np.abs(omega**2 * (8 * d * d - g0**2) / (x * two_x)) ** 2
+    return float(zeta @ p1), float(zeta @ p2)
+
+
+def _six_state_point(p, da):
+    """(<n_a>, g2) from the closed form at one detuning: the reference that
+    six_state_spectrum must reproduce bit for bit."""
+    s1, s2 = _ladder_sums(p, da)
+    return s1, 2 * s2 / s1**2
+
+
+def _ming2_grid(g0, kappa=1.0):
+    return np.arange(0.0, g0 + kappa, kappa / 20)
+
+
+@pytest.mark.parametrize("nth", [0.0, 0.5, 1.0, 2.0])
+@pytest.mark.parametrize("g0, grid", [(6.0, _ming2_grid(6.0)), (20.0, _ming2_grid(20.0)),
+                                      (22.0, _ming2_grid(22.0)),
+                                      (8.0, np.linspace(-12.0, 12.0, 481))],
+                         ids=["ming2-g6", "ming2-g20", "ming2-g22", "spectrum-g8"])
+def test_six_state_spectrum_matches_per_point_formula(g0, grid, nth):
+    # equal, not close: the spectrum, g2scan and ming2 CSVs must not move
+    p = SystemParams(g0=g0, kappa=1.0, Omega_a=0.01, N_th=nth)
+    mean_na, g2 = six_state_spectrum(p, grid)
+    ref = np.array([_six_state_point(p, float(da)) for da in grid])
+    assert np.array_equal(mean_na, ref[:, 0])
+    assert np.array_equal(g2, ref[:, 1])
+
+
+def test_six_state_grids_hold_last_bit_sensitive_points():
+    # at these points g2 = 2 s2 / s1**2 differs in its last bit from
+    # 2 s2 / (s1 * s1), so the test above tells Python's pow from an
+    # ndarray's square
+    for g0, nth, da in ((6.0, 2.0, 2.9), (22.0, 0.5, 2.05)):
+        grid = _ming2_grid(g0)
+        k = int(np.abs(grid - da).argmin())
+        assert abs(grid[k] - da) < 1e-12
+        p = SystemParams(g0=g0, kappa=1.0, Omega_a=0.01, N_th=nth)
+        s1, s2 = _ladder_sums(p, float(grid[k]))
+        assert 2 * s2 / (s1 * s1) != 2 * s2 / s1**2
+
+
+def test_min_g2_scan_matches_per_point_argmin():
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "min_g2_vs_coupling.cfg")
+    g0_grid = cfg.grid("g0")
+    nth_list = [float(v) for v in cfg.opt("nth_list").split(",")]
+    res = min_g2_scan(cfg.params, g0_grid, nth_list)
+    want_min, want_arg = [], []
+    for g0 in g0_grid:
+        grid = _ming2_grid(g0, cfg.params.kappa)
+        for nth in nth_list:
+            p = cfg.params.replace(g0=float(g0), N_th=nth, T=None)
+            vals = [_six_state_point(p, float(da))[1] for da in grid]
+            # ties go to the smaller |Delta_a|
+            k = min(range(len(grid)), key=lambda i: (vals[i], abs(grid[i])))
+            want_min.append(vals[k])
+            want_arg.append(grid[k])
+    assert np.array_equal(res.columns["min_g2"], want_min)
+    assert np.array_equal(res.columns["argmin_delta_a"], want_arg)
 
 
 def test_antibunching_near_single_photon_resonances():

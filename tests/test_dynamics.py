@@ -193,8 +193,8 @@ def _displaced(dims):
                          ids=["rwa-Nth0", "rwa-Nth0.3", "displaced-327", "displaced-435",
                               "transistor-driven"])
 def test_null_gap_matches_full_space_oracle(make):
-    # oracle: shift-invert ARPACK on the full L. Its random start vector
-    # scatters |lambda_1| by up to 2.2e-8 relative (rwa-Nth0.3, 200 draws),
+    # oracle: shift-invert ARPACK on the full L. Its start vector moves
+    # |lambda_1| by up to 2.2e-8 relative (rwa-Nth0.3, 200 random draws),
     # hence rel 1e-6. The population block sets the gap of all five models:
     # on the displaced ones only after the loose comparison bound on the
     # coherence blocks (1.3e-9 at (4, 3, 5)) is replaced by the exact one.
@@ -203,6 +203,12 @@ def test_null_gap_matches_full_space_oracle(make):
     gap = steady_state(model).null_gap
     assert gap <= oracle * (1 + 1e-6)
     assert gap == pytest.approx(oracle, rel=1e-6)
+
+
+def test_null_space_gap_is_reproducible():
+    L = liouvillian(_rwa(0.3))
+    assert L.shape[0] > 400  # the ARPACK branch
+    assert null_space_gap(L) == null_space_gap(L)
 
 
 def test_sector_solve_dimension():
