@@ -34,6 +34,7 @@ from .params import SystemParams
 from .scan import ScanResult
 
 POLE_ATOL = 1e-12
+WEAK_DRIVE_DEFAULT = 0.01  # in units of kappa; used wherever a probe is implied
 
 
 @dataclass
@@ -52,7 +53,7 @@ def six_state_spectrum(params: SystemParams, delta_a) -> tuple[np.ndarray, np.nd
     and X_n, p_{1,0,n} and p_{2,0,n} are arrays over grid x ladder. The
     mechanical ladder is truncated where the zeta_n tail drops below 1e-6.
     Omega_a rescaling cancels exactly in g2 (the probabilities use
-    params.Omega_a, falling back to the weak-drive default 0.01 kappa).
+    params.Omega_a, falling back to WEAK_DRIVE_DEFAULT kappa).
     Raises ZeroDivisionError, naming the first such Delta_a, near the
     kappa = 0 poles of X_n or 2 X_n - g0^2.
 
@@ -65,7 +66,7 @@ def six_state_spectrum(params: SystemParams, delta_a) -> tuple[np.ndarray, np.nd
     ndarray ** 2 multiplies).
     """
     g0, kappa, nth = params.g0, params.kappa, params.N_th
-    omega = params.Omega_a if params.Omega_a else 1e-2 * kappa
+    omega = params.Omega_a if params.Omega_a else WEAK_DRIVE_DEFAULT * kappa
     ns = np.arange(thermal_dim(nth))
     zeta = thermal_weights(nth, ns.size)
     grid = np.asarray(delta_a, dtype=float)
@@ -131,7 +132,6 @@ class GateBudget:
     Gamma_m: float | None = None
     epsilon: float | None = None          # entangled-state preparation error
     tau_opt: float | None = None
-    tau_p: float | None = None
     Lambda: float | None = None           # induced Kerr strength
     Gamma_phi: float | None = None        # induced dephasing
     gamma_prime: float | None = None      # optical-leakage decay
@@ -145,27 +145,26 @@ class GateBudget:
     extras: dict = field(default_factory=dict)
 
 
-def transistor_error(params: SystemParams, tau_p: float | None = None) -> GateBudget:
+def transistor_error(params: SystemParams) -> GateBudget:
     """Error budget for mapping a phonon qubit onto a routed photon.
 
     epsilon(tau) = 4 kappa^2/g0^2 + 1/(tau kappa)^2 + tau Gamma_m, from
     imperfect reflection contrast, finite pulse bandwidth, and mechanical
     decoherence at Gamma_m = (gamma/2)(3 N_th + 1/2). The optimum pulse
-    duration is tau_opt = (kappa^2 Gamma_m)^(-1/3). Values above 1 are
-    clamped (flagged), since the budget is perturbative.
+    duration is tau_opt = (kappa^2 Gamma_m)^(-1/3), used unless params.tau_p
+    sets the pulse. Values above 1 are clamped (flagged), since the budget is
+    perturbative.
     """
     if params.g0 <= 0:
         raise ValueError("transistor_error needs g0 > 0")
     gm = params.Gamma_m
     tau_opt = (params.kappa**2 * gm) ** (-1.0 / 3.0) if gm > 0 else math.inf
-    tau = tau_p if tau_p is not None else (params.tau_p if params.tau_p is not None
-                                           else tau_opt)
+    tau = params.tau_p if params.tau_p is not None else tau_opt
     eps = 4 * params.kappa**2 / params.g0**2
     if math.isfinite(tau):
         eps += 1.0 / (tau * params.kappa) ** 2 + tau * gm
     clamped = eps > 1.0
-    return GateBudget(Gamma_m=gm, epsilon=min(eps, 1.0), tau_opt=tau_opt,
-                      tau_p=tau, clamped=clamped)
+    return GateBudget(Gamma_m=gm, epsilon=min(eps, 1.0), tau_opt=tau_opt, clamped=clamped)
 
 
 def phonon_nonlinearity(params: SystemParams, corrected: bool = False,

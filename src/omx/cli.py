@@ -21,8 +21,8 @@ Config grammar (INI-style, '#' comments):
     scale = lin         # or log
     # or instead:  values = -8, -4, 0, 4, 8
 
-    [run]               # scenario options (truncations, jobs, n_m, ...)
-    truncations = a:4, s:4, m:6
+    [run]               # scenario options; a key the scenario does not
+    truncations = a:4, s:4, m:6   # read (see _RUN_KEYS) is a config error
     jobs = 1
     check_unique = first  # g2scan: null-space check at first | all | none points
 
@@ -42,12 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, analytics, models
+from .analytics import WEAK_DRIVE_DEFAULT
 from .dynamics import SolverError, g2_zero, nonhermitian_eigs, reflection_spectrum, steady_state
 from .hilbert import annihilator
 from .params import SystemParams, parse_quantity
 from .scan import CompareReport, ScanResult
-
-WEAK_DRIVE_DEFAULT = 0.01  # in units of kappa; used wherever a probe is implied
 
 
 class ConfigError(ValueError):
@@ -57,14 +56,26 @@ class ConfigError(ValueError):
 class ScanAborted(RuntimeError):
     """A grid point failed to solve; carries whatever was already computed."""
 
-    def __init__(self, message: str, partial: "ScanResult | None" = None):
+    def __init__(self, message: str, partial: ScanResult):
         super().__init__(message)
         self.partial = partial
 
 
 # ---------------------------------------------------------------- config ---
 
-_PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)} - {"meta", "kappa_hz"}
+_PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)} - {"kappa_hz"}
+
+# the [run] keys each scenario reads
+_RUN_KEYS = {
+    "spectrum": set(),
+    "g2scan": {"truncations", "jobs", "check_unique"},
+    "ming2": {"nth_list"},
+    "transistor": {"n_m", "omega", "truncations"},
+    "gate-error": {"exact"},
+    "phonon-eigen": {"alphas", "n_max", "truncations"},
+    "compare-effective": {"alphas", "n_max", "truncations", "tolerance_re", "tolerance_im"},
+    "sweep": {"observable", "jobs"},
+}
 
 
 class Config:
@@ -148,7 +159,10 @@ def load_config(path) -> Config:
     return Config(params, grids, run)
 
 
-def _parse_truncations(text) -> dict[str, int]:
+def _truncations(cfg: Config, default):
+    text = cfg.opt("truncations")
+    if text is None:
+        return default
     out = {}
     for item in text.split(","):
         item = item.strip()
@@ -159,13 +173,6 @@ def _parse_truncations(text) -> dict[str, int]:
             raise ConfigError(f"truncation entry {item!r} is not label:dim")
         out[label.strip()] = int(dim)
     return out
-
-
-def _truncations(cfg: Config, default=None):
-    text = cfg.opt("truncations")
-    if text is None:
-        return default
-    return _parse_truncations(text)
 
 
 def _floats(text) -> list[float]:
@@ -179,7 +186,7 @@ def _provenance(cfg: Config, scenario: str, **extra) -> dict:
         "deterministic": True,
         "params": {k: v for k, v in (
             (f.name, getattr(cfg.params, f.name)) for f in dc_fields(cfg.params))
-            if v is not None and f"{k}" != "meta"},
+            if v is not None},
         "grids": {name: [float(v) for v in vals] for name, vals in cfg.grids.items()},
         "run": dict(cfg.run),
     }
@@ -295,7 +302,7 @@ def run_transistor(cfg: Config) -> ScanResult:
         raise ConfigError(f"n_m must be non-negative integers; got {cfg.opt('n_m')!r}")
     n_ms = [int(v) for v in n_ms]
     omega = float(cfg.opt("omega", WEAK_DRIVE_DEFAULT * p.kappa))
-    truncations = _truncations(cfg, None) or {"s": 4, "ap": 4}
+    truncations = _truncations(cfg, {"s": 4, "ap": 4})
     r_all = []
     for n_m in n_ms:
         model = models.build_transistor(p, n_m, (truncations["s"], truncations["ap"]))
@@ -401,38 +408,21 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
     return res, reports
 
 
-def _sweep_g2(p: SystemParams) -> dict:
-    res = analytics.six_state_g2(p)
-    return {"g2_analytic": res.g2_zero, "mean_na": res.mean_na}
-
-
-def _sweep_transistor(p: SystemParams) -> dict:
-    b = analytics.transistor_error(p)
-    return {"epsilon": b.epsilon, "tau_opt": b.tau_opt, "Gamma_m": b.Gamma_m}
-
-
-def _sweep_nonlinearity(p: SystemParams) -> dict:
-    b = analytics.phonon_nonlinearity(p)
-    return {"Lambda": b.Lambda, "Gamma_phi": b.Gamma_phi, "gamma_prime": b.gamma_prime}
-
-
-def _sweep_gate(p: SystemParams) -> dict:
-    b = analytics.phase_gate_error(p)
-    return {"eps_g": b.epsilon_g, "delta_s_opt": b.delta_s_opt, "t_g": b.t_g}
-
-
+# observable -> {output column: attribute of the record the observable returns}
 _SWEEP_OBSERVABLES = {
-    "six_state_g2": _sweep_g2,
-    "transistor_error": _sweep_transistor,
-    "phonon_nonlinearity": _sweep_nonlinearity,
-    "phase_gate_error": _sweep_gate,
+    "six_state_g2": {"g2_analytic": "g2_zero", "mean_na": "mean_na"},
+    "transistor_error": {"epsilon": "epsilon", "tau_opt": "tau_opt", "Gamma_m": "Gamma_m"},
+    "phonon_nonlinearity": {"Lambda": "Lambda", "Gamma_phi": "Gamma_phi",
+                            "gamma_prime": "gamma_prime"},
+    "phase_gate_error": {"eps_g": "epsilon_g", "delta_s_opt": "delta_s_opt", "t_g": "t_g"},
 }
 
 
 def _sweep_point(args):
     p, names, values, obs_name = args
     pp = p.replace(**dict(zip(names, map(float, values))))
-    return _SWEEP_OBSERVABLES[obs_name](pp)
+    out = getattr(analytics, obs_name)(pp)
+    return {col: getattr(out, attr) for col, attr in _SWEEP_OBSERVABLES[obs_name].items()}
 
 
 def run_sweep(cfg: Config) -> ScanResult:
@@ -493,6 +483,10 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
+        unknown = sorted(set(cfg.run) - _RUN_KEYS[args.scenario])
+        if unknown:
+            raise ConfigError(f"unknown [run] keys {unknown} for {args.scenario}; "
+                              f"known: {sorted(_RUN_KEYS[args.scenario])}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -513,7 +507,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ScanAborted as exc:
-        if exc.partial is not None and exc.partial.n_rows:
+        if exc.partial.n_rows:
             try:
                 _emit(exc.partial, out_dir, f"{args.scenario}.partial")
             except ConfigError as io_exc:

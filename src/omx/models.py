@@ -1,12 +1,14 @@
 """Model builders: two tunnel-coupled optical cavities with radiation-pressure
-coupling to one or two mechanical modes, in the lab frame, the two-mode
-rotating-wave frame, the displaced (classical-drive-eliminated) frame, the
-hybridized-mode frame, and the adiabatically eliminated phonon-only frame.
+coupling to one mechanical mode (two in the hybridized and eliminated phonon
+frames), in the lab frame, the two-mode rotating-wave frame, the displaced
+(classical-drive-eliminated) frame, the hybridized-mode frame, and the
+adiabatically eliminated phonon-only frame.
 
 Mode label conventions:
-    build_full          ("c1", "c2", "b1"[, "b2"])
+    build_full          ("c1", "c2", "b1")   b1 couples to cavity c1
     build_rwa           ("a", "s", "m")      antisymmetric, symmetric, mechanical
-    build_displaced     ("a", "s", "m") or ("a", "s", "m1", "m2")
+    build_displaced     ("a", "s", "m")
+    build_hybrid_...    ("a", "s", "m") or ("a", "s", "m1", "m2")
     build_effective_... ("B",) or ("B1", "B2")
     build_transistor    ("s", "ap")          probe mode and phonon-shifted partner
 
@@ -62,27 +64,23 @@ def _thermal_collapses(b: Operator, gamma: float, n_th: float):
     return cols
 
 
-def build_full(params: SystemParams, truncations=None,
-               mechanical_sites=(1,)) -> LindbladModel:
-    """Two tunnel-coupled cavities in the frame rotating at the drive.
+def build_full(params: SystemParams, truncations=None) -> LindbladModel:
+    """Two tunnel-coupled cavities in the frame rotating at the drive, with
+    one mechanical mode b1 on cavity c1.
 
-    H = -Delta_c (n1 + n2) + sum_i [omega_m^i b_i'b_i + g0 n_i (b_i + b_i')]
+    H = -Delta_c (n1 + n2) + omega_m b1'b1 + g0 n1 (b1 + b1')
         - J (c1'c2 + c2'c1) + sum_i Omega_i (c_i + c_i'),
     with Delta_c = (Delta_s + Delta_a)/2 the detuning from the bare cavity
     frequency, and local drive amplitudes Omega_{1,2} = (Omega_s +-
     Omega_a)/sqrt(2). Dissipation: kappa D[c_i] per cavity and thermal
-    contact on each mechanical mode.
+    contact on the mechanical mode.
     """
     params.require("omega_m", "J")
     if params.Delta_s is None or params.Delta_a is None:
         raise ValueError("build_full needs Delta_s and Delta_a (or one of them plus J)")
-    sites = tuple(sorted(mechanical_sites))
-    if not sites or any(s not in (1, 2) for s in sites):
-        raise ValueError("mechanical_sites must be a subset of {1, 2}")
-    labels = ["c1", "c2"] + [f"b{i}" for i in sites]
-    space = _resolve_truncations(params, labels, truncations)
+    space = _resolve_truncations(params, ["c1", "c2", "b1"], truncations)
 
-    c1, c2 = annihilator(space, "c1"), annihilator(space, "c2")
+    c1, c2, b = (annihilator(space, l) for l in ("c1", "c2", "b1"))
     delta_c = 0.5 * (params.Delta_s + params.Delta_a)
     h = (-delta_c * ((c1.dag() @ c1) + (c2.dag() @ c2))
          - params.J * ((c1.dag() @ c2) + (c1 @ c2.dag())))
@@ -91,17 +89,11 @@ def build_full(params: SystemParams, truncations=None,
     for amp, c in ((om1, c1), (om2, c2)):
         if amp:
             h = h + amp * (c + c.dag())
-    omegas = {1: params.omega_m, 2: params.omega_m2 if params.omega_m2 is not None
-              else params.omega_m}
+    h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
     cols = [(c1, params.kappa), (c2, params.kappa)]
-    for i in sites:
-        b = annihilator(space, f"b{i}")
-        x = b + b.dag()
-        ci = c1 if i == 1 else c2
-        h = h + omegas[i] * (b.dag() @ b) + params.g0 * ((ci.dag() @ ci) @ x)
-        cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
     ham = Operator(space, h.matrix, hermitian_hint=True)
-    return LindbladModel(ham, cols, space, meta={"frame": "full", "sites": sites})
+    return LindbladModel(ham, cols, space, meta={"frame": "full"})
 
 
 def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
@@ -138,46 +130,29 @@ def _alpha(params: SystemParams) -> complex:
     return params.alpha if params.alpha is not None else params.steady_alpha()
 
 
-def build_displaced(params: SystemParams, truncations=None,
-                    two_resonators: bool = False) -> LindbladModel:
+def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     """Frame with the classical drive removed by displacing c_s by alpha.
 
     The drive term disappears and the linear Hamiltonian picks up a
-    beam-splitter coupling G c_a b' + G* c_a' b with G = g0 alpha / 2
-    (for two resonators: sqrt(2) G c_a b_a' + h.c. with
-    b_a = (b1 - b2)/sqrt(2)); the three-wave coupling is unchanged.
-    alpha is taken from params or from the steady drive balance.
+    beam-splitter coupling G c_a b' + G* c_a' b with G = g0 alpha / 2;
+    the three-wave coupling is unchanged. alpha is taken from params or
+    from the steady drive balance.
     """
     params.require("omega_m")
     if params.Delta_s is None or params.Delta_a is None:
         raise ValueError("build_displaced needs Delta_s and Delta_a")
     alpha = _alpha(params)
     g = 0.5 * params.g0 * alpha
-    labels = ["a", "s"] + (["m1", "m2"] if two_resonators else ["m"])
-    space = _resolve_truncations(params, labels, truncations)
-    a, s = annihilator(space, "a"), annihilator(space, "s")
-    h = -params.Delta_s * (s.dag() @ s) - params.Delta_a * (a.dag() @ a)
+    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
+    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
+    h = (-params.Delta_s * (s.dag() @ s) - params.Delta_a * (a.dag() @ a)
+         + params.omega_m * (b.dag() @ b)
+         + (g * (a @ b.dag()) + np.conj(g) * (a.dag() @ b))
+         + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
     cols = [(a, params.kappa), (s, params.kappa)]
-    if two_resonators:
-        om2 = params.omega_m2 if params.omega_m2 is not None else (
-            params.omega_m + 2 * params.hybrid_delta)
-        b1, b2 = annihilator(space, "m1"), annihilator(space, "m2")
-        h = h + params.omega_m * (b1.dag() @ b1) + om2 * (b2.dag() @ b2)
-        bdiff = b1 - b2
-        h = h + (g * (a @ bdiff.dag()) + np.conj(g) * (a.dag() @ bdiff))
-        h = h + 0.5 * params.g0 * ((a @ s.dag() @ bdiff.dag()) + (a.dag() @ s @ bdiff))
-        for b in (b1, b2):
-            cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    else:
-        b = annihilator(space, "m")
-        h = h + params.omega_m * (b.dag() @ b)
-        h = h + (g * (a @ b.dag()) + np.conj(g) * (a.dag() @ b))
-        h = h + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b))
-        cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
     ham = Operator(space, h.matrix, hermitian_hint=True)
-    return LindbladModel(ham, cols, space,
-                         meta={"frame": "displaced", "alpha": alpha,
-                               "two_resonators": two_resonators})
+    return LindbladModel(ham, cols, space, meta={"frame": "displaced", "alpha": alpha})
 
 
 @dataclass
@@ -221,9 +196,8 @@ def hybridize(params: SystemParams, two_resonators: bool = False) -> HybridFrame
         frame = HybridFrame(G=g, delta=delta, Theta=big_theta,
                             gamma_prime=params.kappa * math.sin(2 * big_theta) ** 2)
         if params.omega_m is not None:
-            om2 = params.omega_m2 if params.omega_m2 is not None else params.omega_m + 2 * delta
             frame.tilde_omega_m = params.omega_m + (delta - root)
-            frame.tilde_omega_m2 = om2 - (delta - root)
+            frame.tilde_omega_m2 = params.omega_m + 2 * delta - (delta - root)
         if params.Delta_a is not None:
             frame.tilde_Delta_a = params.Delta_a
         _warn_cross_terms(params.kappa, root)

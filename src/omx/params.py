@@ -11,7 +11,7 @@ a thermal occupation, where h*nu/kT is used.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from scipy.constants import h, k as k_B
 
@@ -64,8 +64,7 @@ class SystemParams:
     g0: float = 0.0
     kappa: float = 1.0
     gamma: float | None = None
-    omega_m: float | None = None          # second resonator via omega_m2
-    omega_m2: float | None = None
+    omega_m: float | None = None
     J: float | None = None
     delta: float | None = None            # 2J - omega_m (also the hybridization detuning)
     Delta_s: float | None = None
@@ -76,9 +75,8 @@ class SystemParams:
     N_th: float | None = None
     T: float | None = None                # Kelvin; needs kappa_hz
     alpha: complex | None = None
-    tau_p: float | None = None
+    tau_p: float | None = None            # transistor pulse length; None means tau_opt
     kappa_hz: float | None = None         # physical kappa/2pi, anchors unit conversion
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.kappa <= 0:
@@ -132,7 +130,7 @@ class SystemParams:
         Every frequency-like keyword is divided by kappa_hz; T (Kelvin),
         N_th, Q, alpha pass through unchanged.
         """
-        passthrough = {"N_th", "Q", "alpha", "T", "meta"}
+        passthrough = {"N_th", "Q", "alpha", "T"}
         out = {"kappa": 1.0, "kappa_hz": kappa_hz}
         for name, value in kwargs.items():
             if value is None or name in passthrough:

@@ -39,7 +39,7 @@ class ScanResult:
         for k, v in self.columns.items():
             if v.shape != (n,):
                 raise ValueError(f"column {k!r} has shape {v.shape}, expected ({n},)")
-            if np.issubdtype(v.dtype, np.floating) and np.isnan(v).any():
+            if np.issubdtype(v.dtype, np.inexact) and np.isnan(v).any():
                 raise ValueError(f"column {k!r} contains NaN")
 
     @property

@@ -178,7 +178,7 @@ def test_transistor_error_physical_operating_point():
 
 def test_transistor_error_reflection_floor():
     p = SystemParams(g0=10.0, kappa=1.0, gamma=0.0, N_th=0.0)
-    budget = transistor_error(p, tau_p=np.inf)
+    budget = transistor_error(p.replace(tau_p=np.inf))
     assert budget.epsilon == pytest.approx(4.0 / 100.0, rel=1e-12)
 
 
@@ -190,13 +190,13 @@ def test_transistor_error_optimum_on_log_grid():
     opt = transistor_error(p)
     slack = 2.0 / (2 ** (-2 / 3) + 2 ** (1 / 3))
     for tau in np.geomspace(opt.tau_opt / 100, opt.tau_opt * 100, 41):
-        assert opt.epsilon <= slack * transistor_error(p, tau_p=float(tau)).epsilon + 1e-15
+        assert opt.epsilon <= slack * transistor_error(p.replace(tau_p=float(tau))).epsilon + 1e-15
 
 
 def test_transistor_error_matches_numeric_minimization():
     p = SystemParams(g0=10.0, kappa=1.0, gamma=2e-4, N_th=1.0)
     opt = transistor_error(p)
-    res = minimize_scalar(lambda t: transistor_error(p, tau_p=float(t)).epsilon,
+    res = minimize_scalar(lambda t: transistor_error(p.replace(tau_p=float(t))).epsilon,
                           bracket=(opt.tau_opt / 10, opt.tau_opt * 10))
     assert res.x == pytest.approx(2 ** (1 / 3) * opt.tau_opt, rel=1e-3)
     assert opt.tau_opt == pytest.approx(res.x, rel=0.3)  # rounded optimum is close
@@ -204,7 +204,7 @@ def test_transistor_error_matches_numeric_minimization():
 
 def test_transistor_error_clamped_flag():
     p = SystemParams(g0=0.1, kappa=1.0, gamma=0.0)
-    budget = transistor_error(p, tau_p=np.inf)
+    budget = transistor_error(p.replace(tau_p=np.inf))
     assert budget.clamped and budget.epsilon == 1.0
 
 

@@ -45,7 +45,7 @@ T = 100 mK
 
 
 def test_config_rejects_unknown_keys(tmp_path):
-    for key in ("bogus", "omega_c"):
+    for key in ("bogus", "omega_c", "omega_m2"):
         with pytest.raises(ConfigError, match="unknown parameter"):
             load_config(write(tmp_path / "c.cfg", f"[params]\n{key} = 3\n"))
 
@@ -212,6 +212,8 @@ def test_compare_reports_and_axis_mismatch():
 def test_scan_result_rejects_nan_and_bad_shape():
     with pytest.raises(ValueError, match="NaN"):
         ScanResult([("x", np.array([1.0]))], {"v": np.array([np.nan])})
+    with pytest.raises(ValueError, match="NaN"):
+        ScanResult([("x", np.array([0.0]))], {"r": np.array([complex(np.nan, 1.0)])})
     with pytest.raises(ValueError, match="shape"):
         ScanResult([("x", np.array([1.0, 2.0]))], {"v": np.array([1.0])})
 
@@ -432,6 +434,40 @@ check_unique = sometimes
 """)
     assert main(["g2scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
     assert not (tmp_path / "g2scan.csv").exists()
+
+
+def test_unknown_run_key_exits_2_before_solving(tmp_path, capsys):
+    cfg_path = write(tmp_path / "scan.cfg", """
+[params]
+g0 = 2
+
+[grid.Delta_a]
+values = 0.5
+
+[run]
+truncation = a:4, s:4, m:20
+""")
+    assert main(["g2scan", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "'truncation'" in capsys.readouterr().err
+    assert not (tmp_path / "g2scan.csv").exists()
+
+
+SHIPPED_SCENARIOS = {
+    "antibunching_spectrum": "spectrum", "antibunching_g2scan": "g2scan",
+    "g2scan_reduced": "g2scan", "min_g2_vs_coupling": "ming2",
+    "transistor_reflection": "transistor", "phonon_gate_error": "gate-error",
+    "phonon_eigen_benchmark": "phonon-eigen", "effective_model_check": "compare-effective",
+    "kerr_rates_sweep": "sweep",
+}
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for d in ("configs", "perfbench/configs")
+    for p in (Path(__file__).parents[1] / d).glob("*.cfg")),
+    ids=lambda p: p.relative_to(Path(__file__).parents[1]).as_posix())
+def test_shipped_run_keys_are_known(path):
+    from omx.cli import _RUN_KEYS
+    assert set(load_config(path).run) <= _RUN_KEYS[SHIPPED_SCENARIOS[path.stem]]
 
 
 def test_unwritable_output_is_config_error(tmp_path):
