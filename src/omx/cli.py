@@ -305,7 +305,7 @@ def run_transistor(cfg: Config) -> ScanResult:
     truncations = _truncations(cfg, {"s": 4, "ap": 4})
     r_all = []
     for n_m in n_ms:
-        model = models.build_transistor(p, n_m, (truncations["s"], truncations["ap"]))
+        model = models.build_transistor(p, n_m, truncations)
         refl = reflection_spectrum(model, "s", grid, omega)
         r_all.extend(r for _, r in refl)
     r_all = np.array(r_all)

@@ -108,24 +108,28 @@ def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
     Both are measured, not bounded: by a dense eigvals for m <= 400, above
     that by shift-invert ARPACK (k = 2 at sigma = 1e-9) on a sparse LU of L.
     A unique steady state requires |lambda_1| > 1e-8 (in the model's rate
-    units); |lambda_0| should be numerically zero. steady_state calls it on
-    the population sector only; on a full Liouvillian it is the reference
-    the block-by-block check is tested against. ARPACK starts from a fixed
-    complex vector, so repeated calls return the same bits.
+    units); |lambda_0| should be numerically zero. steady_state does not
+    call it: on a full Liouvillian it is the oracle that the block-by-block
+    check is tested against. ARPACK starts from a fixed complex vector, so
+    repeated calls return the same bits.
     """
     m = L.shape[0]
     if m <= 400:
         w = np.sort(np.abs(sla.eigvals(L.toarray())))
         return float(w[0]), float(w[1])
-    rng = np.random.default_rng(0)
-    v0 = rng.standard_normal(m) + 1j * rng.standard_normal(m)
     try:
         w = spla.eigs(L.tocsc(), k=2, sigma=1e-9, which="LM", return_eigenvectors=False,
-                      maxiter=5000, v0=v0)
+                      maxiter=5000, v0=_start_vector(m))
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"null-space gap estimation failed: {exc}") from exc
     w = np.sort(np.abs(w))
     return float(w[0]), float(w[1])
+
+
+def _start_vector(m: int) -> np.ndarray:
+    """The one random vector: a seeded complex ARPACK start vector."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
 
 @dataclass
@@ -134,9 +138,9 @@ class SteadyStateReport:
 
     residual: |L x|_2 of the solution on the full Liouvillian.
     null_gap: with check_unique, a lower bound on |lambda_1| of the full
-        Liouvillian: the smaller of the population sector's measured
-        |lambda_1| and the proven bounds on the other blocks (see
-        steady_state). None without the check.
+        Liouvillian: the smaller of the population sector's |lambda_1|,
+        measured with the solve's own LU, and the proven bounds on the
+        other blocks (see steady_state). None without the check.
     solved_dim: size of the linear system actually solved.
     """
 
@@ -162,7 +166,10 @@ def population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
     SolverError if the diagonal entries vec(|i><i|) fall in more than one
     component.
     """
-    labels = _component_labels(L)
+    return _sector(_component_labels(L), n)
+
+
+def _sector(labels: np.ndarray, n: int) -> np.ndarray:
     if np.any(labels[:: n + 1] != labels[0]):
         raise SolverError(
             "degenerate Liouvillian null space: the populations split into "
@@ -170,43 +177,63 @@ def population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def _comparison(t: sp.csc_matrix) -> sp.csc_matrix:
-    """Comparison matrix M(T) of a triangular factor: |t_ii| on the
-    diagonal, -|t_ij| off it, as a real matrix."""
-    data = -np.abs(t.data)
-    cols = np.repeat(np.arange(t.shape[1]), np.diff(t.indptr))
-    data[t.indices == cols] *= -1.0
-    return sp.csc_matrix((data, t.indices, t.indptr), shape=t.shape)
+def _population_gap(lu: spla.SuperLU, Lc: sp.csr_matrix) -> float:
+    """|lambda_1| of the population block Lc, from the LU of its trace-row
+    system M: the largest |mu| of M^-1 P is 1/|lambda_1| (see steady_state)."""
+    m = Lc.shape[0]
+    if m <= 400:
+        return float(np.sort(np.abs(sla.eigvals(Lc.toarray())))[1])
+
+    def apply(v):
+        v = v.copy()
+        v[0] = 0.0
+        return lu.solve(v)
+
+    try:
+        # k = 2: the spectrum comes in conjugate pairs of equal magnitude
+        w = spla.eigs(spla.LinearOperator((m, m), matvec=apply, dtype=complex), k=2,
+                      which="LM", return_eigenvectors=False, maxiter=5000,
+                      v0=_start_vector(m))
+    except (spla.ArpackNoConvergence, RuntimeError) as exc:
+        raise SolverError(f"null-space gap estimation failed: {exc}") from exc
+    return float(1.0 / np.abs(w).max())
 
 
-def _coherence_gap(L: sp.csr_matrix, n: int, floor: float) -> float:
+def _disc_bounds(L: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
+    """Gershgorin lower bound on min |lambda| of each connected block of L:
+    the larger of min_i (|L_ii| - sum_{j != i} |L_ij|) over its rows and
+    over its columns."""
+    a = abs(L)
+    twice = 2.0 * a.diagonal()
+    rows = np.full(labels.max() + 1, np.inf)
+    cols = rows.copy()
+    np.minimum.at(rows, labels, twice - np.asarray(a.sum(axis=1)).ravel())
+    np.minimum.at(cols, labels, twice - np.asarray(a.sum(axis=0)).ravel())
+    return np.maximum(rows, cols)
+
+
+def _coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
     """Proven lower bound on min |lambda| over the blocks of L outside the
-    population sector; inf when there are none. A block whose cheap bound
+    population sector; inf when there are none. A block whose disc bound
     falls below floor gets the exact ||B^-1||_1 instead. See steady_state."""
-    labels = _component_labels(L)
     first = np.unique(labels, return_index=True)[1]
     row, col = np.divmod(first, n)
     partner = labels[col * n + row]   # the component of the transposed entries
+    discs = _disc_bounds(L, labels)
     bound = np.inf
     for c in np.flatnonzero(np.arange(first.size) <= partner):
         if c == labels[0]:
             continue
-        idx = np.flatnonzero(labels == c)
-        try:
-            # a minimum-degree order on B + B^T fills about 40% less than
-            # the default COLAMD on these blocks (rwa a4/s4/m6)
-            lu = spla.splu(L[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                           options={"SymmetricMode": True})
-        except RuntimeError:   # an exactly singular factor: lambda = 0
-            return 0.0
-        # |B^-1| <= M(U_B)^-1 M(L_B)^-1 entrywise, so ||B^-1||_1 is at most the
-        # largest entry of e^T M(U_B)^-1 M(L_B)^-1: two transposed triangular solves
-        y = spla.spsolve_triangular(_comparison(lu.U).T, np.ones(idx.size), lower=True,
-                                    overwrite_A=True, overwrite_b=True)
-        z = spla.spsolve_triangular(_comparison(lu.L).T, y, lower=False, unit_diagonal=True,
-                                    overwrite_A=True, overwrite_b=True)
-        block = 1.0 / z.max()
+        block = discs[c]
         if block < floor:
+            idx = np.flatnonzero(labels == c)
+            try:
+                # a minimum-degree order on B + B^T fills about 40% less than
+                # the default COLAMD on these blocks (rwa a4/s4/m6)
+                lu = spla.splu(L[idx][:, idx].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               options={"SymmetricMode": True})
+            except RuntimeError:   # an exactly singular factor: lambda = 0
+                return 0.0
             block = 1.0 / np.abs(lu.solve(np.eye(idx.size, dtype=complex))).sum(axis=0).max()
         bound = min(bound, block)
     return bound
@@ -237,6 +264,9 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     the Hilbert-space dimension, so cond(M) <= sqrt(n) cond(A). The normal
     equations of A have cond(A)^2, so they are better conditioned only when
     cond(A) < sqrt(n), where the LU of M is already accurate to about 1e-14.
+    M is singular exactly when 0 is not a simple eigenvalue of L_CC (a
+    second null vector, or a Jordan chain, is traceless and lies in ker M),
+    so an exactly singular LU raises SolverError.
 
     check_unique verifies, block by block, that |lambda_1| of the full L
     exceeds 1e-8; a degenerate null space (dark state or disconnected
@@ -246,50 +276,64 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     a qubit keeps sigma_x stationary in the {01, 10} block, and a cyclic
     jump |k+1><k| on three levels keeps c and c^2 in the blocks of charge
     difference 1 and 2, while the population block of both has a gap.
-    - The population block's |lambda_1| is measured by null_space_gap.
+    - The population block's |lambda_1| is measured with the LU of M, so
+      the check makes no factorization of its own. With P = I - e_0 e_0^T,
+      let L_CC v = lambda v with lambda != 0. Then t_C^T v = 0, since
+      t_C^T L_CC = 0, so M v = lambda P v and M^-1 P v = v / lambda; with
+      M^-1 P e_0 = 0 the spectrum of M^-1 P is {0} and the 1/lambda. Its
+      largest |mu| is 1/|lambda_1|, which ARPACK finds from products
+      v -> M^-1 P v alone (k = 2, as the block's spectrum comes in
+      conjugate pairs), from the seeded start vector. A block of at most
+      400 entries takes a dense eigvals instead.
     - Every other block B gets a proven bound. Since L(X^dag) = L(X)^dag
       for Hermitian H, the transpose (i,j) -> (j,i) maps each block onto a
       block with the complex-conjugate spectrum, so one block of each such
-      pair is checked. With P B Q = L_B U_B its sparse LU,
-      min |lambda(B)| = 1/rho(B^-1) >= 1/||B^-1||_1. The comparison matrix
-      M(T) (|t_ii| on the diagonal, -|t_ij| off it) of a triangular T
-      bounds |T^-1| <= M(T)^-1 entrywise (Higham, Accuracy and Stability of
-      Numerical Algorithms, ch. 8), so ||B^-1||_1 <= ||M(U_B)^-1 M(L_B)^-1||_1,
-      which two triangular solves give. Where the factors cancel, this
-      bound is loose (build_displaced at (4, 3, 5): 1.3e-9 against a true
-      0.036); a block whose bound falls below the population block's
-      |lambda_1| gets the exact ||B^-1||_1, one solve per column, instead. An
-      exactly singular factor counts as lambda = 0.
-    Both bounds hold up to the rounding of the LU. For the g2scan model
-    (rwa a4/s4/m6) the cheap bound on every other block is 80 or more, far
-    above the population |lambda_1| of about 0.01, so the reported gap is
-    the full-space |lambda_1|. Populations split over several sectors
-    raise SolverError even with check_unique=False, since each such sector
-    carries its own steady state.
+      pair is checked. By Gershgorin's theorem every eigenvalue of B lies
+      in a disc |z - B_ii| <= sum_{j != i} |B_ij| for some i, so
+      min |lambda(B)| >= min_i (|B_ii| - sum_{j != i} |B_ij|), and the same
+      holds with column sums, as B^T has the spectrum of B. One pass over
+      |L| gives both for every block. Where the discs reach the origin the
+      bound is useless (build_displaced at (4, 3, 5), where the true block
+      gaps are 0.036 or more); a block whose bound falls below the
+      population block's |lambda_1| gets the exact
+      min |lambda(B)| = 1/rho(B^-1) >= 1/||B^-1||_1 from its sparse LU,
+      one solve per column, instead. An exactly singular factor counts as
+      lambda = 0.
+    The disc bound is exact arithmetic on the entries of L; the measured
+    gap and the exact fallback hold up to the rounding of the LU. For the
+    g2scan model (rwa a4/s4/m6) the disc bound on every other block is 72
+    or more, far above the population |lambda_1| of about 0.01, so no
+    block is factored and the reported gap is the full-space |lambda_1|.
+    Populations split over several sectors raise SolverError even with
+    check_unique=False, since each such sector carries its own steady
+    state.
     """
     L = liouvillian(model)
     n = model.space.total_dim
-    idx = population_sector(L, n)
+    labels = _component_labels(L)
+    idx = _sector(labels, n)
     m = idx.size
     Lc = L if m == n * n else L[idx][:, idx]
+    M = sp.vstack([sp.csr_matrix(_trace_vec(n)[idx]), Lc[1:]]).tocsc()
+    try:
+        lu = spla.splu(M)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"degenerate Liouvillian null space: the trace-row system is singular ({exc})"
+        ) from exc
     gap = None
     if check_unique:
-        lam1 = null_space_gap(Lc)[1]
-        gap = min(lam1, _coherence_gap(L, n, lam1))
+        lam1 = _population_gap(lu, Lc)
+        gap = min(lam1, _coherence_gap(L, labels, n, lam1))
         if not gap > NULL_GAP_ATOL:
             raise SolverError(
                 f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
                 "the model has a dark state or disconnected sector")
 
-    tvec = _trace_vec(n)[idx]
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
-    M = sp.vstack([sp.csr_matrix(tvec), Lc[1:]])
     x = np.zeros(n * n, dtype=complex)
-    try:
-        x[idx] = spla.spsolve(M.tocsc(), rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"sparse solve failed: {exc}") from exc
+    x[idx] = lu.solve(rhs)
     resid = float(np.linalg.norm(L @ x))
     if not np.isfinite(resid) or resid > STEADY_RESIDUAL_ATOL:
         raise SolverError(f"steady-state residual {resid:.2e} exceeds tolerance")

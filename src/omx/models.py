@@ -46,6 +46,9 @@ def _resolve_truncations(params, labels, truncations) -> ModeSpace:
     if truncations is None:
         dims = default_truncations(params, labels)
     elif isinstance(truncations, dict):
+        unknown = sorted(set(truncations) - set(labels))
+        if unknown:
+            raise ValueError(f"unknown truncation labels {unknown}; modes are {labels}")
         dims = dict(default_truncations(params, labels))
         dims.update(truncations)
     else:

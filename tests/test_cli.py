@@ -452,6 +452,27 @@ truncation = a:4, s:4, m:20
     assert not (tmp_path / "g2scan.csv").exists()
 
 
+@pytest.mark.parametrize("scenario, truncations", [("g2scan", "a:4, s:4, mm:20"),
+                                                    ("transistor", "s:4, ap:4, m:3")])
+def test_unknown_truncation_label_exits_2(tmp_path, capsys, scenario, truncations):
+    cfg_path = write(tmp_path / "scan.cfg", f"""
+[params]
+g0 = 2
+
+[grid.Delta_a]
+values = 0.5
+
+[grid.Delta]
+values = 0.5
+
+[run]
+truncations = {truncations}
+""")
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+    assert "unknown truncation labels" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 SHIPPED_SCENARIOS = {
     "antibunching_spectrum": "spectrum", "antibunching_g2scan": "g2scan",
     "g2scan_reduced": "g2scan", "min_g2_vs_coupling": "ming2",

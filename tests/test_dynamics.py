@@ -220,20 +220,74 @@ def test_sector_solve_dimension():
     assert steady_state(_driven_transistor()).solved_dim == 16 * 16
 
 
-def test_steady_state_failed_solve_raises_after_one_spsolve(monkeypatch):
+def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
     # one solve path: a bad LU result is reported, never retried
     import omx.dynamics
-    real = omx.dynamics.spla.spsolve
+    real = omx.dynamics.spla.splu
     calls = []
 
-    def nan_solve(A, b):
-        calls.append(A.shape)
-        return np.full_like(real(A, b), np.nan)
+    class NanLU:
+        def __init__(self, lu):
+            self.lu = lu
 
-    monkeypatch.setattr(omx.dynamics.spla, "spsolve", nan_solve)
+        def solve(self, b):
+            return np.full_like(self.lu.solve(b), np.nan)
+
+    def nan_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return NanLU(real(A, *args, **kwargs))
+
+    monkeypatch.setattr(omx.dynamics.spla, "splu", nan_splu)
     with pytest.raises(SolverError, match="steady-state residual nan exceeds"):
         steady_state(_rwa(0.3), check_unique=False)
     assert len(calls) == 1
+
+
+def _g2scan_point(n_th, dims):
+    # the shipped g2scan operating point (configs/antibunching_g2scan.cfg)
+    p = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=-8.0,
+                     Omega_a=0.01, gamma=0.01, N_th=n_th)
+    return build_rwa(p, dims)
+
+
+@pytest.mark.parametrize("n_th, dims", [(0.0, (4, 4, 6)), (0.3, (3, 3, 4))],
+                         ids=["a4s4m6", "a3s3m4-Nth0.3"])
+def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
+    # the uniqueness check reuses the solve's LU, and at the g2scan operating
+    # point the disc bound clears every coherence block, so nothing else is
+    # factored and the full-space oracle is never called
+    import omx.dynamics
+    real = omx.dynamics.spla.splu
+    calls = []
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    def oracle(L):
+        raise AssertionError("steady_state called null_space_gap")
+
+    monkeypatch.setattr(omx.dynamics.spla, "splu", counting_splu)
+    monkeypatch.setattr(omx.dynamics, "null_space_gap", oracle)
+    rep = steady_state(_g2scan_point(n_th, dims))
+    assert calls == [(rep.solved_dim, rep.solved_dim)]
+    assert rep.null_gap > 1e-8
+
+
+@pytest.mark.parametrize("make", [lambda: _rwa(0.3), lambda: _displaced((3, 2, 7)),
+                                  lambda: _g2scan_point(0.3, (3, 3, 4))],
+                         ids=["rwa-Nth0.3", "displaced-327", "g2scan-a3s3m4-Nth0.3"])
+def test_disc_bound_is_a_lower_bound(make):
+    from omx.dynamics import _component_labels, _disc_bounds
+    model = make()
+    L = liouvillian(model)
+    labels = _component_labels(L)
+    discs = _disc_bounds(L, labels)
+    others = [c for c in np.unique(labels) if c != labels[0]]
+    assert others
+    for c in others:
+        idx = np.flatnonzero(labels == c)
+        assert discs[c] <= np.abs(sla.eigvals(L[idx][:, idx].toarray())).min()
 
 
 def test_steady_state_long_time_agrees():

@@ -85,6 +85,16 @@ def test_rwa_coupling_matrix_element():
     assert model.meta["resonant"]
 
 
+def test_truncations_reject_unknown_label():
+    # a typo such as "mm" for "m" must not fall back to the default m6
+    p = SystemParams(g0=3.0, omega_m=60.0, J=30.0, Delta_a=0.0)
+    assert build_rwa(p, {"a": 3, "m": 5}).space.dims == (3, 4, 5)
+    with pytest.raises(ValueError, match="'mm'"):
+        build_rwa(p, {"a": 4, "s": 4, "mm": 20})
+    with pytest.raises(ValueError, match="'m'"):
+        build_transistor(p, 1, {"s": 4, "m": 4})
+
+
 def test_rwa_transition_amplitude_scaling():
     p = SystemParams(g0=2.0, omega_m=60.0, J=30.0, Delta_a=0.0)
     model = build_rwa(p, (5, 5, 5))
