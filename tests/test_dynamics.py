@@ -243,9 +243,9 @@ def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
     assert len(calls) == 1
 
 
-def _g2scan_point(n_th, dims):
+def _g2scan_point(n_th, dims, delta_a=-8.0):
     # the shipped g2scan operating point (configs/antibunching_g2scan.cfg)
-    p = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=-8.0,
+    p = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=delta_a,
                      Omega_a=0.01, gamma=0.01, N_th=n_th)
     return build_rwa(p, dims)
 
@@ -272,6 +272,49 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
     rep = steady_state(_g2scan_point(n_th, dims))
     assert calls == [(rep.solved_dim, rep.solved_dim)]
     assert rep.null_gap > 1e-8
+
+
+def _trace_row_system(model):
+    # M of steady_state: the population sector of L with its first row
+    # replaced by the trace condition
+    L = liouvillian(model)
+    n = model.space.total_dim
+    idx = population_sector(L, n)
+    trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
+    return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
+
+
+@pytest.mark.parametrize("delta_a", [3.3, 0.5])
+def test_g2_does_not_depend_on_lu_order(delta_a):
+    # oracle: another column order (MMD on A^T A, full partial pivoting)
+    # plus three refinement steps. At N_th = 1, m10, an un-refined COLAMD
+    # solve is 5.9e-6 and 6.9e-6 off at these two points; after the one
+    # refinement step of steady_state the orders agree to 6e-15.
+    import scipy.sparse.linalg as spla
+    model = _g2scan_point(1.0, (4, 4, 10), delta_a)
+    M, idx = _trace_row_system(model)
+    lu = spla.splu(M, permc_spec="MMD_ATA")
+    rhs = np.zeros(M.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    y = lu.solve(rhs)
+    for _ in range(3):
+        y += lu.solve(rhs - M @ y)
+    n = model.space.total_dim
+    x = np.zeros(n * n, dtype=complex)
+    x[idx] = y
+    rho = x.reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    oracle = DensityMatrix(model.space, rho / np.trace(rho).real)
+    g2 = g2_zero(steady_state(model, check_unique=False).state, "a")
+    assert g2 == pytest.approx(g2_zero(oracle, "a"), rel=1e-10, abs=0.0)
+
+
+def test_lu_fill_below_colamd():
+    import scipy.sparse.linalg as spla
+    model = _g2scan_point(0.0, (4, 4, 6))
+    M, _ = _trace_row_system(model)
+    rep = steady_state(model, check_unique=False)
+    assert rep.lu_nnz < spla.splu(M).nnz
 
 
 @pytest.mark.parametrize("make", [lambda: _rwa(0.3), lambda: _displaced((3, 2, 7)),
@@ -358,6 +401,15 @@ def test_g2_fock_one_is_zero():
     space = ModeSpace([("a", 3)])
     rho = fock_density(FockState(space, (1,)))
     assert g2_zero(rho, "a") == pytest.approx(0.0, abs=1e-12)
+
+
+def test_g2_negative_raises():
+    # a valid state (eigenvalue -5e-9 is within rounding) with a negative
+    # two-photon population: g2 is about -1e4, not 0
+    space = ModeSpace([("a", 3)])
+    rho = DensityMatrix(space, np.diag([1 - 1e-6 + 5e-9, 1e-6, -5e-9]).astype(complex))
+    with pytest.raises(ValueError, match="not physical"):
+        g2_zero(rho, "a")
 
 
 def test_g2_vanishing_denominator_raises():
