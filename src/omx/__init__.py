@@ -17,7 +17,6 @@ from .hilbert import (  # noqa: F401
     ModeSpace,
     Operator,
     annihilator,
-    coherent_dim,
     fock_density,
     identity,
     number_op,

@@ -36,6 +36,7 @@ NULL_GAP_ATOL = 1e-8
 HERMITIAN_RTOL = 1e-12
 G2_NEGATIVE_ATOL = 1e-12
 DENSE_EIG_LIMIT = 2500
+GAP_DENSE_LIMIT = 64
 
 
 class SolverError(RuntimeError):
@@ -138,10 +139,11 @@ class SteadyStateReport:
     """Steady state with the evidence that it is the right one.
 
     residual: |L x|_2 of the solution on the full Liouvillian.
-    null_gap: with check_unique, a lower bound on |lambda_1| of the full
-        Liouvillian: the smaller of the population sector's |lambda_1|,
-        measured with the solve's own LU, and the proven bounds on the
-        other blocks (see steady_state). None without the check.
+    null_gap: with check_unique, |lambda_1| of the full Liouvillian: the
+        smaller of the population sector's |lambda_1|, measured with the
+        solve's own LU, and the smallest |lambda| of the blocks whose disc
+        bound falls below it, each measured too (see steady_state). None
+        without the check.
     solved_dim: size of the linear system actually solved.
     lu_nnz: entries SuperLU stores in the L and U factors of that system,
         the fill-in of the one factorization.
@@ -181,21 +183,38 @@ def _sector(labels: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def _population_gap(lu: spla.SuperLU, Lc: sp.csr_matrix) -> float:
-    """|lambda_1| of the population block Lc, from the LU of its trace-row
-    system M: the largest |mu| of M^-1 P is 1/|lambda_1| (see steady_state)."""
-    m = Lc.shape[0]
-    if m <= 400:
-        return float(np.sort(np.abs(sla.eigvals(Lc.toarray())))[1])
+def _block_gap(B: sp.csr_matrix, lu: spla.SuperLU | None) -> float:
+    """Smallest |lambda| of a block B of L, measured.
 
-    def apply(v):
-        v = v.copy()
-        v[0] = 0.0
-        return lu.solve(v)
+    Given lu, the LU of the trace-row system M of the population block B,
+    it is |lambda_1| instead: the largest |mu| of M^-1 P is 1/|lambda_1|
+    (see steady_state). Given None, B is factored (_factor) and the largest
+    |mu| of B^-1 is 1/min |lambda|; an exactly singular factor gives 0.
+    ARPACK finds that |mu| from solves alone (k = 2, since a population
+    block's spectrum comes in conjugate pairs), from the seeded start
+    vector. A block of at most GAP_DENSE_LIMIT entries takes a dense
+    eigvals and is not factored: with one BLAS thread that takes 1 ms at
+    40 entries, 4 ms at 72 and 11 ms at 108, against 1 to 5 ms for the LU
+    and ARPACK of such a coherence block, and 1 ms for ARPACK alone on a
+    population block (displaced (3, 2, 7) and (2, 3, 3)).
+    """
+    m = B.shape[0]
+    if m <= GAP_DENSE_LIMIT:
+        w = np.sort(np.abs(sla.eigvals(B.toarray())))
+        return float(w[0] if lu is None else w[1])
+    if lu is None:
+        try:
+            solve = _factor(B.tocsc()).solve
+        except RuntimeError:   # an exactly singular factor: lambda = 0
+            return 0.0
+    else:
+        def solve(v):
+            v = v.copy()
+            v[0] = 0.0
+            return lu.solve(v)
 
     try:
-        # k = 2: the spectrum comes in conjugate pairs of equal magnitude
-        w = spla.eigs(spla.LinearOperator((m, m), matvec=apply, dtype=complex), k=2,
+        w = spla.eigs(spla.LinearOperator((m, m), matvec=solve, dtype=complex), k=2,
                       which="LM", return_eigenvectors=False, maxiter=5000,
                       v0=_start_vector(m))
     except (spla.ArpackNoConvergence, RuntimeError) as exc:
@@ -229,20 +248,22 @@ def _factor(A: sp.csc_matrix) -> spla.SuperLU:
     | system | this | COLAMD | this order, threshold 1.0 |
     |---|---|---|---|
     | g2scan sector, rwa a4/s4/m6 | 218,844 | 355,080 | 629,477 |
+    | 4 coherence blocks, displaced (4, 3, 5) | 92,238 | 161,734 | 114,126 |
     | 7 coherence blocks, displaced (4, 3, 8) | 457,671 | 763,991 | 682,691 |
 
     steady_state repays the weaker pivoting with one refinement step. The
-    bound of _coherence_gap moves by less than 1e-14 relative from the old
-    threshold-1.0 factor at displaced (4, 3, 5) and (4, 3, 8).
+    gap of _coherence_gap moves by less than 5e-15 relative between the
+    three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
     """
     return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                      options={"SymmetricMode": True})
 
 
 def _coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
-    """Proven lower bound on min |lambda| over the blocks of L outside the
-    population sector; inf when there are none. A block whose disc bound
-    falls below floor gets the exact ||B^-1||_1 instead. See steady_state."""
+    """min |lambda| over the blocks of L outside the population sector, or a
+    proven lower bound on it of at least floor; inf when there are none. A
+    block whose disc bound falls below floor is measured (_block_gap). See
+    steady_state."""
     first = np.unique(labels, return_index=True)[1]
     row, col = np.divmod(first, n)
     partner = labels[col * n + row]   # the component of the transposed entries
@@ -254,11 +275,7 @@ def _coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) -
         block = discs[c]
         if block < floor:
             idx = np.flatnonzero(labels == c)
-            try:
-                lu = _factor(L[idx][:, idx].tocsc())
-            except RuntimeError:   # an exactly singular factor: lambda = 0
-                return 0.0
-            block = 1.0 / np.abs(lu.solve(np.eye(idx.size, dtype=complex))).sum(axis=0).max()
+            block = _block_gap(L[idx][:, idx], None)
         bound = min(bound, block)
     return bound
 
@@ -306,22 +323,22 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
 
     check_unique verifies, block by block, that |lambda_1| of the full L
     exceeds 1e-8; a degenerate null space (dark state or disconnected
-    sector) raises SolverError. report.null_gap is a lower bound on that
-    |lambda_1|. The spectrum of L is the union of its blocks' spectra, and a
-    second steady state may sit in any block: a Hermitian jump c + c^dag on
-    a qubit keeps sigma_x stationary in the {01, 10} block, and a cyclic
-    jump |k+1><k| on three levels keeps c and c^2 in the blocks of charge
-    difference 1 and 2, while the population block of both has a gap.
+    sector) raises SolverError. report.null_gap is that |lambda_1|. The
+    spectrum of L is the union of its blocks' spectra, and a second steady
+    state may sit in any block: a Hermitian jump c + c^dag on a qubit keeps
+    sigma_x stationary in the {01, 10} block, and a cyclic jump |k+1><k| on
+    three levels keeps c and c^2 in the blocks of charge difference 1 and 2,
+    while the population block of both has a gap. One routine (_block_gap)
+    measures a block's gap: ARPACK finds the largest |mu| of the block's
+    inverse from solves alone, or a dense eigvals does for a small block.
     - The population block's |lambda_1| is measured with the LU of M, so
       the check makes no factorization of its own. With P = I - e_0 e_0^T,
       let L_CC v = lambda v with lambda != 0. Then t_C^T v = 0, since
       t_C^T L_CC = 0, so M v = lambda P v and M^-1 P v = v / lambda; with
       M^-1 P e_0 = 0 the spectrum of M^-1 P is {0} and the 1/lambda. Its
-      largest |mu| is 1/|lambda_1|, which ARPACK finds from products
-      v -> M^-1 P v alone (k = 2, as the block's spectrum comes in
-      conjugate pairs), from the seeded start vector. A block of at most
-      400 entries takes a dense eigvals instead.
-    - Every other block B gets a proven bound. Since L(X^dag) = L(X)^dag
+      largest |mu| is 1/|lambda_1|.
+    - Every other block B would need a factor of its own, so it is measured
+      only where a proven bound falls short. Since L(X^dag) = L(X)^dag
       for Hermitian H, the transpose (i,j) -> (j,i) maps each block onto a
       block with the complex-conjugate spectrum, so one block of each such
       pair is checked. By Gershgorin's theorem every eigenvalue of B lies
@@ -331,15 +348,15 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
       |L| gives both for every block. Where the discs reach the origin the
       bound is useless (build_displaced at (4, 3, 5), where the true block
       gaps are 0.036 or more); a block whose bound falls below the
-      population block's |lambda_1| gets the exact
-      min |lambda(B)| = 1/rho(B^-1) >= 1/||B^-1||_1 from its sparse LU,
-      one solve per column, instead. An exactly singular factor counts as
-      lambda = 0.
-    The disc bound is exact arithmetic on the entries of L; the measured
-    gap and the exact fallback hold up to the rounding of the LU. For the
-    g2scan model (rwa a4/s4/m6) the disc bound on every other block is 72
-    or more, far above the population |lambda_1| of about 0.01, so no
-    block is factored and the reported gap is the full-space |lambda_1|.
+      population block's |lambda_1| is measured instead,
+      min |lambda(B)| = 1/rho(B^-1), from its sparse LU. An exactly
+      singular factor counts as lambda = 0.
+    A block whose disc bound clears the population |lambda_1| cannot hold
+    the full-space |lambda_1|, so null_gap is measured, not bounded. The
+    disc bound is exact arithmetic on the entries of L; the measured gaps
+    hold up to the rounding of the LU. For the g2scan model (rwa a4/s4/m6)
+    the disc bound on every other block is 72 or more, far above the
+    population |lambda_1| of about 0.01, so no block is factored.
     Populations split over several sectors raise SolverError even with
     check_unique=False, since each such sector carries its own steady
     state.
@@ -359,7 +376,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
         ) from exc
     gap = None
     if check_unique:
-        lam1 = _population_gap(lu, Lc)
+        lam1 = _block_gap(Lc, lu)
         gap = min(lam1, _coherence_gap(L, labels, n, lam1))
         if not gap > NULL_GAP_ATOL:
             raise SolverError(

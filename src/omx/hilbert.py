@@ -238,21 +238,6 @@ def thermal_dim(n_th: float) -> int:
     return max(2, int(np.ceil(np.log(TAIL_MASS) / np.log(q))))
 
 
-def coherent_dim(alpha: complex) -> int:
-    """Smallest truncation with Poissonian tail mass < 1e-6 for amplitude alpha."""
-    nbar = abs(alpha) ** 2
-    if nbar == 0:
-        return 2
-    dim = max(2, int(np.ceil(nbar)))
-    # Poisson tail by direct summation; nbar is O(1) in every use here
-    while True:
-        n = np.arange(dim)
-        logp = n * np.log(nbar) - nbar - np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, dim))]))
-        if 1.0 - np.exp(logp).sum() < TAIL_MASS:
-            return dim
-        dim += 1
-
-
 def thermal_weights(n_th: float, dim: int) -> np.ndarray:
     """Renormalized geometric weights zeta_n over a truncated ladder.
 

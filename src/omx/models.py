@@ -324,13 +324,16 @@ def build_effective_phonon(params: SystemParams, truncations=None,
     corrected=True replaces the flat Lambda, Gamma_phi with occupation-
     resolved values Lambda(n), Gamma_phi(n) from the cavity response
     evaluated at the shifted frequency -n Delta_B, applied on the
-    eigenprojectors of the coupling operator.
+    eigenprojectors of the coupling operator. It exists for the single
+    mode only; with two_resonators it raises ValueError.
 
     Validity requires |alpha| = O(1) and g0^2 |alpha| / (4 delta) small
     against |Delta_s + i kappa|; a warning is issued otherwise.
     """
     if params.Delta_s is None:
         raise ValueError("build_effective_phonon needs Delta_s")
+    if corrected and two_resonators:
+        raise ValueError("corrected=True is defined for a single resonator only")
     frame = hybridize(params, two_resonators)
     alpha = _alpha(params)
     drive_scale = params.g0**2 * abs(alpha) / (4 * abs(frame.delta))
@@ -367,8 +370,7 @@ def build_effective_phonon(params: SystemParams, truncations=None,
         for k in sorted(set(dvals.tolist())):
             if k == 0:
                 continue
-            sk = (coupling_spectrum(params, -k * fock_shift(params)) if not two_resonators
-                  else _two_res_spectrum(params, -k * fock_shift(params)))
+            sk = coupling_spectrum(params, -k * fock_shift(params))
             proj = sp.diags((dvals == k).astype(complex)).tocsr()
             h = h + (k**2 * sk.imag) * Operator(space, proj)
             if sk.real > 0:

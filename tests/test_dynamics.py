@@ -195,14 +195,53 @@ def _displaced(dims):
 def test_null_gap_matches_full_space_oracle(make):
     # oracle: shift-invert ARPACK on the full L. Its start vector moves
     # |lambda_1| by up to 2.2e-8 relative (rwa-Nth0.3, 200 random draws),
-    # hence rel 1e-6. The population block sets the gap of all five models:
-    # on the displaced ones only after the loose comparison bound on the
-    # coherence blocks (1.3e-9 at (4, 3, 5)) is replaced by the exact one.
+    # hence rel 1e-6. The population block sets the gap of all five models.
+    # On the displaced ones some coherence blocks have disc bounds below it;
+    # they are measured, and their gaps (0.036 or more) lie well above it.
     model = make()
     oracle = null_space_gap(liouvillian(model))[1]
     gap = steady_state(model).null_gap
     assert gap <= oracle * (1 + 1e-6)
     assert gap == pytest.approx(oracle, rel=1e-6)
+
+
+def test_coherence_block_gap_is_measured():
+    # at displaced (4, 3, 5) the disc bounds of the coherence blocks of 180
+    # to 504 entries fall below the population gap. Each such block's gap
+    # must be its exact min |lambda|, not a lower bound such as
+    # 1/||B^-1||_1 (0.0152 on the block whose gap is 0.0359)
+    from omx.dynamics import (GAP_DENSE_LIMIT, _block_gap, _coherence_gap,
+                              _component_labels, _disc_bounds)
+    model = _displaced((4, 3, 5))
+    L = liouvillian(model)
+    n = model.space.total_dim
+    labels = _component_labels(L)
+    discs = _disc_bounds(L, labels)
+    floor = steady_state(model).null_gap
+    exact = {}
+    for c in np.unique(labels):
+        if c != labels[0] and discs[c] < floor:
+            idx = np.flatnonzero(labels == c)
+            B = L[idx][:, idx]
+            exact[c] = np.abs(sla.eigvals(B.toarray())).min()
+            assert _block_gap(B, None) == pytest.approx(exact[c], rel=1e-8)
+    assert max(np.count_nonzero(labels == c) for c in exact) > GAP_DENSE_LIMIT
+    assert _coherence_gap(L, labels, n, floor) == pytest.approx(min(exact.values()), rel=1e-8)
+
+
+def test_checked_solve_allocates_no_dense_block():
+    # no n^2 scratch: the peak stays below one dense complex square of the
+    # largest factored block (the population block, 972 entries)
+    import tracemalloc
+    model = _displaced((4, 3, 8))
+    tracemalloc.start()
+    try:
+        rep = steady_state(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.solved_dim == 972
+    assert peak < 16 * rep.solved_dim**2
 
 
 def test_null_space_gap_is_reproducible():

@@ -8,7 +8,6 @@ from omx.hilbert import (
     ModeSpace,
     Operator,
     annihilator,
-    coherent_dim,
     fock_density,
     number_op,
     tensor_embed,
@@ -145,13 +144,6 @@ def test_dim_helpers_control_tail():
         q = n_th / (n_th + 1.0)
         assert q**dim < 1e-6
         assert q ** (dim - 1) >= 1e-6
-    for alpha in (0.1, 1.0, 2.0):
-        dim = coherent_dim(alpha)
-        nbar = alpha**2
-        n = np.arange(dim)
-        logfact = np.cumsum(np.concatenate([[0.0], np.log(np.arange(1, dim))]))
-        mass = np.exp(n * np.log(nbar) - nbar - logfact).sum()
-        assert 1 - mass < 1e-6
 
 
 def test_fock_density_trace_one():

@@ -341,6 +341,13 @@ def test_effective_phonon_cross_term():
     assert abs(cross) == pytest.approx(2 * abs(lam), rel=1e-12)
 
 
+def test_corrected_two_resonator_model_raises():
+    # the occupation-resolved rates use the single-resonator Fock shift
+    p = SystemParams(alpha=1.0, **SM_PARAMS)
+    with pytest.raises(ValueError, match="single resonator"):
+        build_effective_phonon(p, (4, 4), corrected=True, two_resonators=True)
+
+
 def test_corrected_rates_reduce_to_flat_in_dispersive_limit():
     # tiny mixing and huge detuning ratio: occupation-resolved rates
     # collapse onto the flat expressions to 1e-4 relative
