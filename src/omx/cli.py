@@ -44,7 +44,6 @@ import numpy as np
 from . import __version__, analytics, models
 from .analytics import WEAK_DRIVE_DEFAULT
 from .dynamics import SolverError, g2_zero, nonhermitian_eigs, reflection_spectrum, steady_state
-from .hilbert import annihilator
 from .params import SystemParams, parse_quantity
 from .scan import CompareReport, ScanResult
 
@@ -238,8 +237,9 @@ def _g2_point(args):
     p, da, truncations, check = args
     model = models.build_rwa(p.replace(Delta_a=float(da)), truncations)
     rep = steady_state(model, check_unique=check)
-    n_op = annihilator(model.space, "a")
-    nbar = float(np.real(rep.state.expect(n_op.dag() @ n_op)))
+    # <a^dag a> off the populations, as g2_zero reads it
+    space = model.space
+    nbar = float(rep.state.matrix.diagonal().real @ space.occupations[space.index("a")])
     return nbar, g2_zero(rep.state, "a"), rep.residual
 
 

@@ -15,7 +15,20 @@ at rate kappa and the energy at 2*kappa. Mechanical thermal contact enters
 as (gamma/2)(N_th+1) D[b] + (gamma/2) N_th D[b^dag].
 
 Superoperators act on row-major vectorized density matrices:
-vec(A rho B) = (A kron B^T) vec(rho).
+vec(A rho B) = (A kron B^T) vec(rho). Collecting the terms that act on rho
+from the left and from the right, the generator is
+
+    L = K_L kron I + I kron K_R + sum_k 2 rate_k c_k kron conj(c_k),
+    K_L = -iH - sum_k rate_k c_k^dag c_k,
+    K_R = (iH - sum_k rate_k c_k^dag c_k)^T,
+
+which liouvillian assembles in one pass from coordinate lists. K_R is a
+transpose, not conj(K_L), so the identity does not assume H Hermitian.
+
+Observables diagonal in the Fock basis (<a^dag a>, <a^dag^2 a^2>, the
+top-Fock-level population of SteadyStateReport.fock_tail) are read off the
+populations rho_ii, weighted by the integer occupations of
+ModeSpace.occupations; no operator product is formed.
 """
 
 from __future__ import annotations
@@ -74,23 +87,40 @@ class LindbladModel:
 def liouvillian(model: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix of the generator acting on vec(rho) (row-major).
 
+    Assembled from K_L, K_R and the jump terms (see the module docstring)
+    as one coordinate list and one CSR conversion, with no kron products.
     The trace functional is verified to annihilate the generator:
     |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
     """
     h = model.hamiltonian.matrix
     n = h.shape[0]
-    eye = sp.identity(n, dtype=complex, format="csr")
-    L = -1j * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))
+    k_l, k_r = -1j * h, 1j * h
+    jumps = []
     for op, rate in model.collapses:
         if rate == 0.0:
             continue
         c = op.matrix
-        cdc = (c.conj().T @ c).tocsr()
-        L = L + rate * (2.0 * sp.kron(c, c.conj(), format="csr")
-                        - sp.kron(cdc, eye, format="csr")
-                        - sp.kron(eye, cdc.T, format="csr"))
-    L = L.tocsr()
-    L.sort_indices()
+        decay = rate * (c.conj().T @ c)
+        k_l, k_r = k_l - decay, k_r - decay
+        jumps.append((c.tocoo(), rate))
+    k_l, k_r = k_l.tocoo(), k_r.T.tocoo()
+    # 32-bit indices while n^2 fits: they halve the index traffic of the
+    # assembly and need no conversion in the CSR step
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    n, eye = index(n), np.arange(n, dtype=index)
+    terms = [((k_l.row[:, None] * n + eye).ravel(), (k_l.col[:, None] * n + eye).ravel(),
+              np.repeat(k_l.data, n)),
+             ((eye[:, None] * n + k_r.row).ravel(), (eye[:, None] * n + k_r.col).ravel(),
+              np.tile(k_r.data, n))]
+    for c, rate in jumps:
+        terms.append(((c.row[:, None] * n + c.row).ravel(), (c.col[:, None] * n + c.col).ravel(),
+                      (np.multiply.outer(c.data, c.data.conj()) * rate * 2.0).ravel()))
+    rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
+    # the CSR conversion sums duplicates (for ladder collapses only on the
+    # diagonal, where K_L and K_R meet); entries that cancel exactly are
+    # dropped, as an operator sum drops them
+    L = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    L.eliminate_zeros()
     worst = np.abs(_trace_vec(n) @ L).max()
     scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
     if worst > TRACE_PRESERVATION_ATOL * scale:
@@ -147,6 +177,8 @@ class SteadyStateReport:
     solved_dim: size of the linear system actually solved.
     lu_nnz: entries SuperLU stores in the L and U factors of that system,
         the fill-in of the one factorization.
+    fock_tail: population of the top Fock level of each mode, by label,
+        read off the diagonal of the state: the truncation's evidence.
     """
 
     state: DensityMatrix
@@ -154,6 +186,7 @@ class SteadyStateReport:
     null_gap: float | None = None
     solved_dim: int | None = None
     lu_nnz: int | None = None
+    fock_tail: dict[str, float] | None = None
 
 
 def _component_labels(L: sp.csr_matrix) -> np.ndarray:
@@ -395,7 +428,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
-    return SteadyStateReport(DensityMatrix(model.space, rho), resid, gap, m, lu.nnz)
+    space = model.space
+    p, occ = rho.diagonal().real, space.occupations
+    tail = {lbl: float(p[occ[k] == dim - 1].sum()) for k, (lbl, dim) in enumerate(space.modes)}
+    return SteadyStateReport(DensityMatrix(space, rho), resid, gap, m, lu.nnz, tail)
 
 
 def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMatrix]:
@@ -436,15 +472,20 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMat
 def g2_zero(state: DensityMatrix, label: str) -> float:
     """Equal-time two-photon correlation <a+a+aa>/<a+a>^2 of one mode.
 
+    a^dag a and a^dag^2 a^2 are diagonal in the Fock basis, so both means
+    are read off the populations, weighted by the integer occupations n
+    and n(n - 1).
+
     Raises ValueError when <a+a> <= 1e-12, or when g2 < -1e-12, which only
     a wrong state can give; a negative g2 of rounding size reads 0.
     """
-    a = annihilator(state.space, label)
-    ad = a.dag()
-    nbar = np.real(state.expect(ad @ a))
+    space = state.space
+    n = space.occupations[space.index(label)]
+    p = state.matrix.diagonal().real
+    nbar = p @ n
     if nbar <= 1e-12:
         raise ValueError(f"mode {label!r} occupation {nbar:.2e} too small for g2")
-    g2 = np.real(state.expect(ad @ ad @ a @ a)) / nbar**2
+    g2 = (p @ (n * (n - 1))) / nbar**2
     if g2 < -G2_NEGATIVE_ATOL:
         raise ValueError(f"g2 of mode {label!r} is {g2:.3e} < 0: the state is not physical")
     return float(max(g2, 0.0))
@@ -493,9 +534,8 @@ def reflection_spectrum(model: LindbladModel, drive_label: str, delta_grid,
     kappa = _collapse_rate(model, drive_label)
     if omega > 0.05 * kappa:
         raise ValueError(f"probe amplitude {omega} exceeds weak-drive bound 0.05*kappa")
-    # total excitation number of each basis state, as integers (row-major
-    # product basis, as in ModeSpace.basis_index)
-    n_tot = np.indices(space.dims).reshape(len(space.dims), -1).sum(axis=0)
+    # total excitation number of each basis state, as integers
+    n_tot = space.occupations.sum(axis=0)
     h = model.hamiltonian.matrix.tocoo()
     if np.any(n_tot[h.row] != n_tot[h.col]):
         raise ValueError("H does not conserve the excitation number "

@@ -68,6 +68,12 @@ class ModeSpace:
     def dim(self, label: str) -> int:
         return self.dims[self.index(label)]
 
+    @property
+    def occupations(self) -> np.ndarray:
+        """Integer occupation of each mode in each basis state: row k holds
+        n_k of every basis index, shape (modes, total_dim)."""
+        return np.indices(self.dims).reshape(len(self.modes), -1)
+
     def basis_index(self, occupations) -> int:
         """Flat index of the product Fock state with the given occupations."""
         occs = tuple(int(n) for n in occupations)
@@ -210,8 +216,19 @@ def tensor_embed(op, space: ModeSpace, label: str) -> Operator:
 
 
 def annihilator(space: ModeSpace, label: str) -> Operator:
-    """Lowering operator of one mode, embedded in the full space."""
-    return tensor_embed(destroy_matrix(space.dim(label)), space, label)
+    """Lowering operator of one mode, embedded in the full space.
+
+    Built from the integer occupations n of the mode: sqrt(n) at
+    (i - stride, i), stride being the index step of one quantum. These are
+    the bits of tensor_embed(destroy_matrix(dim), space, label), without
+    its kron chain.
+    """
+    k = space.index(label)
+    n = space.occupations[k]
+    stride = int(np.prod(space.dims[k + 1:]))
+    cols = np.flatnonzero(n)
+    a = sp.csr_matrix((np.sqrt(n[cols]), (cols - stride, cols)), shape=(n.size, n.size))
+    return Operator(space, a)
 
 
 def number_op(space: ModeSpace, label: str) -> Operator:

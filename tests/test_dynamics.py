@@ -12,6 +12,7 @@ from omx import (
     SystemParams,
     annihilator,
     build_displaced,
+    build_full,
     build_rwa,
     build_transistor,
     evolve,
@@ -26,7 +27,7 @@ from omx import (
     steady_state,
     thermal_state,
 )
-from omx.hilbert import Operator, identity
+from omx.hilbert import Operator, destroy_matrix, identity, tensor_embed
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -68,6 +69,89 @@ def test_liouvillian_trace_preservation_functional():
     tvec = np.zeros(n * n)
     tvec[:: n + 1] = 1.0
     assert np.abs(tvec @ L).max() < 1e-10 * np.abs(L.data).max()
+
+
+def _kron_liouvillian(model):
+    # oracle: the generator as a sum of kron products, term by term
+    h = model.hamiltonian.matrix
+    eye = sp.identity(h.shape[0], dtype=complex, format="csr")
+    L = -1j * (sp.kron(h, eye, format="csr") - sp.kron(eye, h.T, format="csr"))
+    for op, rate in model.collapses:
+        if rate == 0.0:
+            continue
+        c = op.matrix
+        cdc = (c.conj().T @ c).tocsr()
+        L = L + rate * (2.0 * sp.kron(c, c.conj(), format="csr")
+                        - sp.kron(cdc, eye, format="csr") - sp.kron(eye, cdc.T, format="csr"))
+    L = L.tocsr()
+    L.sort_indices()
+    return L
+
+
+def _decay_pair(rates):
+    space = ModeSpace([("c", 3), ("d", 2)])
+    c, d = annihilator(space, "c"), annihilator(space, "d")
+    h = Operator(space, (0.7 * (c.dag() @ c) + 0.3 * (c.dag() @ d + d.dag() @ c)
+                         + 0.1 * (c + c.dag())).matrix, hermitian_hint=True)
+    return LindbladModel(h, [(op, r) for op, r in zip((c, d), rates)], space)
+
+
+_RWA_G2SCAN = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
+                           Omega_a=0.01, gamma=0.01)
+_LIOUVILLIAN_CASES = {
+    "rwa-Nth0": lambda: build_rwa(_RWA_G2SCAN, (3, 3, 4)),
+    "rwa-Nth1": lambda: build_rwa(_RWA_G2SCAN.replace(N_th=1.0), (3, 3, 5)),
+    "displaced": lambda: _displaced((3, 2, 4)),
+    "full": lambda: build_full(SystemParams(g0=2.0, kappa=1.0, omega_m=8.0, J=4.0,
+                                            Delta_a=1.0, Omega_a=0.05, gamma=0.2, N_th=0.5),
+                               (3, 3, 4)),
+    "transistor": lambda: _transistor(1),
+    "zero-rate-collapse": lambda: _decay_pair((0.0, 0.4)),
+    "no-collapses": lambda: _decay_pair(()),
+    # Delta_a = -1 with omega_m = 2J = 2 makes H_ii = n_a - n_s + 2 n_m
+    # degenerate, so the imaginary parts of many diagonal entries cancel,
+    # and gamma = 0 leaves the photon-free populations undamped
+    "cancelling-diagonal": lambda: build_rwa(
+        SystemParams(g0=1.0, kappa=1.0, omega_m=2.0, J=1.0, Delta_a=-1.0, Omega_a=0.1),
+        (3, 3, 4)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_LIOUVILLIAN_CASES))
+def test_liouvillian_matches_kron_oracle(name):
+    # the sector search reads the sparsity pattern, so it must be the
+    # oracle's exactly; the diagonal sums its terms in another order
+    model = _LIOUVILLIAN_CASES[name]()
+    L, oracle = liouvillian(model), _kron_liouvillian(model)
+    assert np.array_equal(L.indptr, oracle.indptr)
+    assert np.array_equal(L.indices, oracle.indices)
+    assert np.abs(L.data - oracle.data).max() <= 1e-14 * np.abs(oracle.data).max()
+    if name == "cancelling-diagonal":
+        # K_L_ii + K_R_ii = -i H_ii + i H_ii cancels at each photon-free
+        # population; those entries are absent, as in the oracle
+        assert np.count_nonzero(oracle.diagonal() == 0) == model.space.dim("m")
+
+
+def test_liouvillian_and_annihilator_make_no_kron(monkeypatch):
+    # both are assembled from coordinate lists; a kron chain here is the
+    # slow path coming back
+    import scipy.sparse
+    real = scipy.sparse.kron
+    calls = []
+
+    def counting_kron(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    model = build_rwa(_RWA_G2SCAN.replace(N_th=1.0), (3, 3, 4))
+    monkeypatch.setattr(scipy.sparse, "kron", counting_kron)
+    _kron_liouvillian(model)
+    assert calls, "the counter does not see kron calls"
+    calls.clear()
+    liouvillian(model)
+    for label in model.space.labels:
+        annihilator(model.space, label)
+    assert calls == []
 
 
 def test_driven_cavity_linear_response_oracle():
@@ -259,6 +343,25 @@ def test_sector_solve_dimension():
     assert steady_state(_driven_transistor()).solved_dim == 16 * 16
 
 
+@pytest.mark.parametrize("make", [lambda: _rwa(1.0, (3, 3, 5)), lambda: _displaced((3, 2, 4))],
+                         ids=["rwa-Nth1", "displaced"])
+def test_fock_tail_is_top_level_population(make):
+    rep = steady_state(make(), check_unique=False)
+    for label, dim in rep.state.space.modes:
+        expected = rep.state.ptrace_population(label, dim - 1)
+        assert rep.fock_tail[label] == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def test_fock_tail_falls_with_mechanical_truncation():
+    # g2scan operating point at N_th = 1: the default m6 leaves 1.6e-2 of
+    # the population in the top mechanical level, m10 9.8e-4 (the thermal
+    # ladder's q^(d-1)(1-q)/(1-q^d) at q = 1/2)
+    tails = [steady_state(_g2scan_point(1.0, (4, 4, m), delta_a=3.3),
+                          check_unique=False).fock_tail["m"] for m in (6, 10)]
+    assert tails[0] > 1e-2
+    assert tails[1] < 0.1 * tails[0]
+
+
 def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
     # one solve path: a bad LU result is reported, never retried
     import omx.dynamics
@@ -440,6 +543,31 @@ def test_g2_fock_one_is_zero():
     space = ModeSpace([("a", 3)])
     rho = fock_density(FockState(space, (1,)))
     assert g2_zero(rho, "a") == pytest.approx(0.0, abs=1e-12)
+
+
+def _random_state(space, seed):
+    # a dense valid state whose coherences are as large as its populations
+    rng = np.random.default_rng(seed)
+    n = space.total_dim
+    g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = g @ g.conj().T
+    return DensityMatrix(space, rho / np.trace(rho).real)
+
+
+@pytest.mark.parametrize("modes, label", [((("a", 5),), "a"),
+                                          ((("a", 4), ("s", 3), ("m", 2)), "a"),
+                                          ((("m", 3), ("x", 2), ("a", 5)), "a"),
+                                          ((("a", 4), ("s", 3), ("m", 2)), "m")])
+def test_g2_matches_operator_formula(modes, label):
+    # oracle: <a+a+aa>/<a+a>^2 from the kron-embedded ladder operator
+    space = ModeSpace(modes)
+    a = tensor_embed(destroy_matrix(space.dim(label)), space, label).to_dense()
+    ad = a.conj().T
+    for seed in range(3):
+        rho = _random_state(space, seed)
+        nbar = np.trace(ad @ a @ rho.matrix).real
+        expected = np.trace(ad @ ad @ a @ a @ rho.matrix).real / nbar**2
+        assert g2_zero(rho, label) == pytest.approx(expected, rel=1e-13, abs=0.0)
 
 
 def test_g2_negative_raises():

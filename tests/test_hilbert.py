@@ -8,6 +8,7 @@ from omx.hilbert import (
     ModeSpace,
     Operator,
     annihilator,
+    destroy_matrix,
     fock_density,
     number_op,
     tensor_embed,
@@ -74,6 +75,27 @@ def test_tensor_embed_commutes_distinct_modes():
     assert comm.nnz == 0
     comm2 = (a @ b.dag() - b.dag() @ a).matrix
     assert comm2.nnz == 0
+
+
+@pytest.mark.parametrize("modes", [(("a", 4), ("s", 2), ("m", 6)),
+                                   (("x", 2), ("y", 3), ("z", 2), ("w", 5))])
+def test_annihilator_is_the_kron_embedding_bit_for_bit(modes):
+    space = ModeSpace(modes)
+    for label, dim in modes:
+        a = annihilator(space, label).matrix
+        oracle = tensor_embed(destroy_matrix(dim), space, label).matrix
+        assert a.dtype == oracle.dtype
+        for x, y in ((a.data, oracle.data), (a.indices, oracle.indices), (a.indptr, oracle.indptr)):
+            assert np.array_equal(x, y)
+
+
+def test_occupations_match_basis_index():
+    space = ModeSpace([("a", 3), ("s", 2), ("m", 4)])
+    occ = space.occupations
+    assert occ.shape == (3, space.total_dim)
+    assert occ.dtype.kind == "i"
+    for i in range(space.total_dim):
+        assert space.basis_index(occ[:, i]) == i
 
 
 def test_tensor_embed_dimension_check():
