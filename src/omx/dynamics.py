@@ -94,28 +94,32 @@ def liouvillian(model: LindbladModel) -> sp.csr_matrix:
     """
     h = model.hamiltonian.matrix
     n = h.shape[0]
-    k_l, k_r = -1j * h, 1j * h
+    decay = sp.csr_matrix((n, n), dtype=complex)   # sum_k rate_k c_k^dag c_k
     jumps = []
     for op, rate in model.collapses:
         if rate == 0.0:
             continue
         c = op.matrix
-        decay = rate * (c.conj().T @ c)
-        k_l, k_r = k_l - decay, k_r - decay
-        jumps.append((c.tocoo(), rate))
-    k_l, k_r = k_l.tocoo(), k_r.T.tocoo()
-    # 32-bit indices while n^2 fits: they halve the index traffic of the
-    # assembly and need no conversion in the CSR step
+        decay = decay + rate * (c.conj().T @ c)
+        c = c.tocoo()
+        jumps.append(((c.row, c.col, (2.0 * rate) * c.data), (c.row, c.col, c.data.conj())))
+    k_l, k_r = (-1j * h - decay).tocoo(), (1j * h - decay).T.tocoo()
+    # each term A kron B writes its entries straight into one preallocated
+    # coordinate list, with 32-bit indices while n^2 fits
     index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    n, eye = index(n), np.arange(n, dtype=index)
-    terms = [((k_l.row[:, None] * n + eye).ravel(), (k_l.col[:, None] * n + eye).ravel(),
-              np.repeat(k_l.data, n)),
-             ((eye[:, None] * n + k_r.row).ravel(), (eye[:, None] * n + k_r.col).ravel(),
-              np.tile(k_r.data, n))]
-    for c, rate in jumps:
-        terms.append(((c.row[:, None] * n + c.row).ravel(), (c.col[:, None] * n + c.col).ravel(),
-                      (np.multiply.outer(c.data, c.data.conj()) * rate * 2.0).ravel()))
-    rows, cols, vals = (np.concatenate(t) for t in zip(*terms))
+    eye = (np.arange(n, dtype=index), np.arange(n, dtype=index), np.ones(n))
+    terms = [((k_l.row, k_l.col, k_l.data), eye), (eye, (k_r.row, k_r.col, k_r.data))] + jumps
+    size = sum(a[0].size * b[0].size for a, b in terms)
+    rows, cols = np.empty(size, index), np.empty(size, index)
+    vals = np.empty(size, complex)
+    start, n = 0, index(n)
+    for (a_row, a_col, a_val), (b_row, b_col, b_val) in terms:
+        shape = (a_row.size, b_row.size)
+        end = start + a_row.size * b_row.size
+        np.add(a_row[:, None] * n, b_row, out=rows[start:end].reshape(shape))
+        np.add(a_col[:, None] * n, b_col, out=cols[start:end].reshape(shape))
+        np.multiply(a_val[:, None], b_val, out=vals[start:end].reshape(shape))
+        start = end
     # the CSR conversion sums duplicates (for ladder collapses only on the
     # diagonal, where K_L and K_R meet); entries that cancel exactly are
     # dropped, as an operator sum drops them
