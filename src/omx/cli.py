@@ -178,6 +178,16 @@ def _floats(text) -> list[float]:
     return [float(v) for v in str(text).split(",") if str(v).strip()]
 
 
+_BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _n_max(cfg: Config, least: int) -> int:
+    text = str(cfg.opt("n_max", 3))
+    if not text.removeprefix("-").isdecimal() or int(text) < least:
+        raise ConfigError(f"n_max must be an integer >= {least}; got {text!r}")
+    return int(text)
+
+
 def _provenance(cfg: Config, scenario: str, **extra) -> dict:
     meta = {
         "omx_version": __version__,
@@ -320,7 +330,9 @@ def run_gate_error(cfg: Config) -> ScanResult:
     p = cfg.params
     kappas = cfg.grid("kappa")
     gammas_m = cfg.grid("Gamma_m")
-    exact = str(cfg.opt("exact", "false")).lower() in ("1", "true", "yes")
+    exact = _BOOLEANS.get(str(cfg.opt("exact", "false")).lower())
+    if exact is None:
+        raise ConfigError(f"exact must be true, false, yes, no, 1 or 0; got {cfg.opt('exact')!r}")
     eps, ds_opt, tg = [], [], []
     for kap in kappas:
         for gm in gammas_m:
@@ -347,7 +359,9 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
     """
     p = cfg.params
     alphas = np.array(_floats(cfg.opt("alphas", "0.5, 1.0")))
-    n_max = int(cfg.opt("n_max", 3))
+    if not alphas.size:
+        raise ConfigError("alphas must list at least one value")
+    n_max = _n_max(cfg, 0)
     truncations = _truncations(cfg, {"a": 5, "s": 3, "m": 9})
     lam0 = analytics.phonon_nonlinearity(p.replace(alpha=1.0)).Lambda0
     re_num, im_num, re_pred, im_pred, ovl = [], [], [], [], []
@@ -382,6 +396,7 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
     rates for all n). The command exits 4 when any report is out of
     tolerance.
     """
+    _n_max(cfg, 1)  # the real-part comparison skips n = 0
     res = run_phonon_eigen(cfg)
     tol_re = float(cfg.opt("tolerance_re", 0.15))
     tol_im = float(cfg.opt("tolerance_im", 0.20))

@@ -83,6 +83,17 @@ class LindbladModel:
     def with_hamiltonian(self, h: Operator) -> "LindbladModel":
         return LindbladModel(h, self.collapses, self.space, dict(self.meta))
 
+    def decay(self) -> sp.csr_matrix:
+        """sum_k rate_k c_k^dag c_k over the collapses of nonzero rate, as CSR:
+        the one place it is formed, read by liouvillian, reflection_spectrum
+        and models.build_nonhermitian."""
+        n = self.space.total_dim
+        out = sp.csr_matrix((n, n), dtype=complex)
+        for op, rate in self.collapses:
+            if rate != 0.0:
+                out = out + rate * (op.matrix.conj().T @ op.matrix)
+        return out
+
 
 def liouvillian(model: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix of the generator acting on vec(rho) (row-major).
@@ -92,16 +103,13 @@ def liouvillian(model: LindbladModel) -> sp.csr_matrix:
     The trace functional is verified to annihilate the generator:
     |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
     """
-    h = model.hamiltonian.matrix
+    h, decay = model.hamiltonian.matrix, model.decay()
     n = h.shape[0]
-    decay = sp.csr_matrix((n, n), dtype=complex)   # sum_k rate_k c_k^dag c_k
     jumps = []
     for op, rate in model.collapses:
         if rate == 0.0:
             continue
-        c = op.matrix
-        decay = decay + rate * (c.conj().T @ c)
-        c = c.tocoo()
+        c = op.matrix.tocoo()
         jumps.append(((c.row, c.col, (2.0 * rate) * c.data), (c.row, c.col, c.data.conj())))
     k_l, k_r = (-1j * h - decay).tocoo(), (1j * h - decay).T.tocoo()
     # each term A kron B writes its entries straight into one preallocated
@@ -544,14 +552,11 @@ def reflection_spectrum(model: LindbladModel, drive_label: str, delta_grid,
     if np.any(n_tot[h.row] != n_tot[h.col]):
         raise ValueError("H does not conserve the excitation number "
                          "(drive term left in the Hamiltonian?)")
-    h_eff = model.hamiltonian.matrix
     for op, rate in model.collapses:
-        if rate == 0.0:
-            continue
         m = op.matrix.tocoo()
-        if np.any(n_tot[m.row] != n_tot[m.col] - 1):
+        if rate != 0.0 and np.any(n_tot[m.row] != n_tot[m.col] - 1):
             raise ValueError("a collapse operator does not lower the excitation number by one")
-        h_eff = h_eff - 1j * rate * (op.matrix.conj().T @ op.matrix)
+    h_eff = model.hamiltonian.matrix - 1j * model.decay()
     # the vacuum is left out: with it the matrix is singular at Delta = 0
     one = np.flatnonzero(n_tot == 1)
     s = int(np.searchsorted(one, space.basis_index(

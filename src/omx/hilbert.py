@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-HERMITIAN_ATOL = 1e-12
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-8
 TAIL_MASS = 1e-6
@@ -89,14 +88,10 @@ class ModeSpace:
 
 @dataclass
 class Operator:
-    """Sparse operator on a ModeSpace, optionally tagged Hermitian.
-
-    With hermitian_hint=True, construction verifies max|A - A^dag| <= 1e-12.
-    """
+    """Sparse operator on a ModeSpace."""
 
     space: ModeSpace
     matrix: sp.csr_matrix
-    hermitian_hint: bool = False
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
@@ -104,19 +99,14 @@ class Operator:
         n = self.space.total_dim
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match total_dim {n}")
-        if self.hermitian_hint:
-            dev = self.matrix - self.matrix.conj().T
-            err = np.abs(dev.data).max() if dev.nnz else 0.0
-            if err > HERMITIAN_ATOL:
-                raise ValueError(f"hermitian_hint set but max|A - A^dag| = {err:.2e}")
 
     def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T, self.hermitian_hint)
+        return Operator(self.space, self.matrix.conj().T)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()
 
-    # minimal algebra; results never inherit the hermitian tag
+    # minimal algebra
     def __add__(self, other):
         return Operator(self.space, self.matrix + _mat(other, self.space))
 
@@ -232,15 +222,13 @@ def annihilator(space: ModeSpace, label: str) -> Operator:
 
 
 def number_op(space: ModeSpace, label: str) -> Operator:
-    # built directly so the integer spectrum is exact
-    dim = space.dim(label)
-    n = sp.diags(np.arange(dim, dtype=float), format="csr")
-    return Operator(space, tensor_embed(n, space, label).matrix, hermitian_hint=True)
+    """Occupation of one mode: the diagonal of its integer occupations, so
+    the spectrum is exact."""
+    return Operator(space, sp.diags(space.occupations[space.index(label)], dtype=complex))
 
 
 def identity(space: ModeSpace) -> Operator:
-    return Operator(space, sp.identity(space.total_dim, dtype=complex, format="csr"),
-                    hermitian_hint=True)
+    return Operator(space, sp.identity(space.total_dim, dtype=complex, format="csr"))
 
 
 def thermal_dim(n_th: float) -> int:

@@ -95,8 +95,7 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
     h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
     cols = [(c1, params.kappa), (c2, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    ham = Operator(space, h.matrix, hermitian_hint=True)
-    return LindbladModel(ham, cols, space, meta={"frame": "full"})
+    return LindbladModel(h, cols, space, meta={"frame": "full"})
 
 
 def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
@@ -125,8 +124,7 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
     resonant = abs(params.Delta_s - params.Delta_a - params.omega_m) < RESONANCE_ATOL
-    ham = Operator(space, h.matrix, hermitian_hint=True)
-    return LindbladModel(ham, cols, space, meta={"frame": "rwa", "resonant": resonant})
+    return LindbladModel(h, cols, space, meta={"frame": "rwa", "resonant": resonant})
 
 
 def _alpha(params: SystemParams) -> complex:
@@ -154,8 +152,7 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
          + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    ham = Operator(space, h.matrix, hermitian_hint=True)
-    return LindbladModel(ham, cols, space, meta={"frame": "displaced", "alpha": alpha})
+    return LindbladModel(h, cols, space, meta={"frame": "displaced", "alpha": alpha})
 
 
 @dataclass
@@ -378,10 +375,9 @@ def build_effective_phonon(params: SystemParams, truncations=None,
     else:
         h = h + lam * (coupling_op @ coupling_op)
         if gph > 0:
-            cols.append((Operator(space, coupling_op.matrix, hermitian_hint=True), gph))
+            cols.append((coupling_op, gph))
 
-    ham = Operator(space, h.matrix, hermitian_hint=True)
-    return LindbladModel(ham, cols, space, meta={
+    return LindbladModel(h, cols, space, meta={
         "frame": "effective-phonon", "Lambda": lam, "Gamma_phi": gph,
         "gamma_prime": gamma_p, "corrected": corrected,
         "two_resonators": two_resonators})
@@ -402,19 +398,9 @@ def build_nonhermitian(params: SystemParams, truncations=None) -> Operator:
     mode; meta carries the B lowering operator for eigenvector matching.
     """
     model = build_displaced(params, truncations)
-    space = model.space
-    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
-    gamma = params.gamma or 0.0
-    h = (model.hamiltonian
-         - 1j * params.kappa * ((s.dag() @ s) + (a.dag() @ a))
-         - 1j * 0.5 * gamma * (params.N_th + 1) * (b.dag() @ b)
-         - 1j * 0.5 * gamma * params.N_th * (b @ b.dag()))
-    frame = hybridize(params)
-    b_mode = math.cos(frame.theta) * b + math.sin(frame.theta) * a
-    out = Operator(space, h.matrix)
-    out.meta["b_mode"] = b_mode
-    out.meta["frame"] = frame
-    return out
+    space, theta = model.space, hybridize(params).theta
+    b_mode = math.cos(theta) * annihilator(space, "m") + math.sin(theta) * annihilator(space, "a")
+    return Operator(space, model.hamiltonian.matrix - 1j * model.decay(), {"b_mode": b_mode})
 
 
 def build_transistor(params: SystemParams, n_m: int, truncations=(4, 4)) -> LindbladModel:
@@ -437,9 +423,8 @@ def build_transistor(params: SystemParams, n_m: int, truncations=(4, 4)) -> Lind
     s, ap = annihilator(space, "s"), annihilator(space, "ap")
     geff = 0.5 * params.g0 * math.sqrt(n_m)
     h = delta * (ap.dag() @ ap) + geff * ((s @ ap.dag()) + (s.dag() @ ap))
-    ham = Operator(space, h.matrix, hermitian_hint=True)
     cols = [(s, params.kappa), (ap, params.kappa)]
-    return LindbladModel(ham, cols, space, meta={
+    return LindbladModel(h, cols, space, meta={
         "frame": "transistor-pinned", "n_m": n_m, "kappa": params.kappa,
         "g_eff": geff})
 

@@ -244,6 +244,38 @@ truncations = a:4, s:3, m:7
                  "--out", str(tmp_path / "tight")]) == 4
 
 
+PHONON_EIGEN_CFG = """
+[params]
+g0 = 1
+kappa = 0.025
+gamma = 2.5e-4
+N_th = 1
+Delta_s = -1
+omega_m = 0.5
+Delta_a = -5.5
+
+[run]
+truncations = a:4, s:3, m:7
+{run}
+"""
+
+
+@pytest.mark.parametrize("scenario, run, key", [
+    ("phonon-eigen", "alphas = 1.0\nn_max = -2", "n_max"),
+    ("phonon-eigen", "alphas = 1.0\nn_max = 1.5", "n_max"),
+    ("phonon-eigen", "alphas =\nn_max = 2", "alphas"),
+    ("compare-effective", "alphas = 1.0\nn_max = 0", "n_max"),
+    ("compare-effective", "alphas = ,\nn_max = 2", "alphas"),
+], ids=["negative-n_max", "fractional-n_max", "no-alphas", "compare-n_max-0",
+        "compare-no-alphas"])
+def test_phonon_eigen_rejects_empty_ladders(tmp_path, capsys, scenario, run, key):
+    # each of these once wrote a 0-row CSV with exit 0, or failed inside numpy
+    cfg_path = write(tmp_path / "pe.cfg", PHONON_EIGEN_CFG.format(run=run))
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_g2scan_full_vs_analytic_within_tolerance(tmp_path):
     from omx.cli import run_g2scan
     from omx.scan import ScanResult as SR
@@ -302,6 +334,36 @@ values = 1e-5, 1e-3
     surface = res.columns["eps_g"].reshape(2, 2)
     assert np.all(np.diff(surface, axis=0) > 0)  # larger kappa hurts
     assert np.all(np.diff(surface, axis=1) > 0)  # larger Gamma_m hurts
+
+
+GATE_ERROR_CFG = """
+[params]
+g0 = 1
+gamma = 8e-5
+delta = 3
+alpha = 1
+
+[grid.kappa]
+values = 0.01
+
+[grid.Gamma_m]
+values = 1e-4
+
+[run]
+exact = {exact}
+"""
+
+
+def test_gate_error_exact_flag_is_strict(tmp_path, capsys):
+    from omx.cli import run_gate_error
+    for text in ("No", "FALSE", "0"):
+        cfg = load_config(write(tmp_path / "ge.cfg", GATE_ERROR_CFG.format(exact=text)))
+        assert run_gate_error(cfg).metadata["exact"] is False
+    # a misspelt true once ran the estimate silently
+    cfg_path = write(tmp_path / "ge.cfg", GATE_ERROR_CFG.format(exact="ture"))
+    assert main(["gate-error", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: exact " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_ming2_scenario(tmp_path):
@@ -489,6 +551,26 @@ SHIPPED_SCENARIOS = {
 def test_shipped_run_keys_are_known(path):
     from omx.cli import _RUN_KEYS
     assert set(load_config(path).run) <= _RUN_KEYS[SHIPPED_SCENARIOS[path.stem]]
+
+
+def test_benchmark_trace_binds_every_name():
+    # perfbench/spans.py wraps omx functions by name; a renamed one must
+    # fail here rather than in a traced benchmark run
+    import importlib.util
+
+    from omx import dynamics, hilbert
+    path = Path(__file__).parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = dynamics.null_space_gap, hilbert.DensityMatrix.__post_init__
+    rec = spans.SpanRecorder("test")
+    try:
+        spans.instrument(rec)
+        assert dynamics.null_space_gap is not originals[0]
+    finally:
+        rec.unpatch()
+    assert (dynamics.null_space_gap, hilbert.DensityMatrix.__post_init__) == originals
 
 
 def test_unwritable_output_is_config_error(tmp_path):

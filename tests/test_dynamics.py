@@ -36,7 +36,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def decay_model(kappa=1.0, dim=4):
     space = ModeSpace([("c", dim)])
-    h = Operator(space, 0.0 * identity(space).matrix, hermitian_hint=True)
+    h = Operator(space, 0.0 * identity(space).matrix)
     return LindbladModel(h, [(annihilator(space, "c"), kappa)], space)
 
 
@@ -54,7 +54,7 @@ def test_pure_decay_rate_convention():
 
 def test_number_conserving_hamiltonian_keeps_populations():
     space = ModeSpace([("c", 4)])
-    h = Operator(space, 1.3 * number_op(space, "c").matrix, hermitian_hint=True)
+    h = Operator(space, 1.3 * number_op(space, "c").matrix)
     model = LindbladModel(h, [], space)
     rho0 = fock_density(FockState(space, (2,)))
     traj = evolve(model, rho0, np.linspace(0, 5, 6))
@@ -92,7 +92,7 @@ def _decay_pair(rates):
     space = ModeSpace([("c", 3), ("d", 2)])
     c, d = annihilator(space, "c"), annihilator(space, "d")
     h = Operator(space, (0.7 * (c.dag() @ c) + 0.3 * (c.dag() @ d + d.dag() @ c)
-                         + 0.1 * (c + c.dag())).matrix, hermitian_hint=True)
+                         + 0.1 * (c + c.dag())).matrix)
     return LindbladModel(h, [(op, r) for op, r in zip((c, d), rates)], space)
 
 
@@ -115,6 +115,19 @@ _LIOUVILLIAN_CASES = {
         SystemParams(g0=1.0, kappa=1.0, omega_m=2.0, J=1.0, Delta_a=-1.0, Omega_a=0.1),
         (3, 3, 4)),
 }
+
+
+@pytest.mark.parametrize("name", ["rwa-Nth0.3", "transistor", "zero-rate-collapse"])
+def test_decay_is_the_sum_of_rate_cdag_c(name):
+    model = {"rwa-Nth0.3": lambda: build_rwa(_RWA_G2SCAN.replace(N_th=0.3), (3, 3, 4)),
+             **_LIOUVILLIAN_CASES}[name]()
+    oracle = sum(rate * (op.to_dense().conj().T @ op.to_dense())
+                 for op, rate in model.collapses)
+    decay = model.decay()
+    assert decay.format == "csr"
+    assert np.abs(decay.toarray() - oracle).max() <= 1e-15 * np.abs(oracle).max()
+    # and stores no zeros
+    assert decay.nnz == np.count_nonzero(oracle)
 
 
 @pytest.mark.parametrize("name", sorted(_LIOUVILLIAN_CASES))
@@ -173,7 +186,7 @@ def test_driven_cavity_linear_response_oracle():
 def test_steady_state_thermal_fixed_point():
     from omx import thermal_dim
     space = ModeSpace([("m", thermal_dim(0.8))])
-    h = Operator(space, 2.0 * number_op(space, "m").matrix, hermitian_hint=True)
+    h = Operator(space, 2.0 * number_op(space, "m").matrix)
     n_th = 0.8
     b = annihilator(space, "m")
     model = LindbladModel(h, [(b, 0.05 * (n_th + 1)), (b.dag(), 0.05 * n_th)], space)
@@ -184,7 +197,7 @@ def test_steady_state_thermal_fixed_point():
 def test_steady_state_degenerate_sector_raises():
     # no dissipation at all: every diagonal state is stationary
     space = ModeSpace([("c", 3)])
-    h = Operator(space, number_op(space, "c").matrix, hermitian_hint=True)
+    h = Operator(space, number_op(space, "c").matrix)
     model = LindbladModel(h, [], space)
     with pytest.raises(SolverError, match="degenerate"):
         steady_state(model)
@@ -194,7 +207,7 @@ def test_steady_state_split_populations_raise_typed():
     # same dissipationless model: each population |i><i| is its own sector,
     # so the sector solve must refuse even without the eigenvalue check
     space = ModeSpace([("c", 3)])
-    h = Operator(space, number_op(space, "c").matrix, hermitian_hint=True)
+    h = Operator(space, number_op(space, "c").matrix)
     model = LindbladModel(h, [], space)
     with pytest.raises(SolverError, match="degenerate"):
         steady_state(model, check_unique=False)
@@ -697,6 +710,10 @@ def test_model_rejects_non_hermitian_hamiltonian():
         model.with_hamiltonian(Operator(model.space, h + 1.5j * n_s))
     # the tolerance is relative: a deviation of 2e-7 on max|H| = 1.5e7 passes
     model.with_hamiltonian(Operator(model.space, 1e6 * h + 1e-7j * n_s))
+    # an annihilator is no Hamiltonian
+    space = ModeSpace([("a", 2)])
+    with pytest.raises(ValueError, match="not Hermitian"):
+        LindbladModel(annihilator(space, "a"), [], space)
 
 
 # ------------------------------------------------------- nonhermitian eigs ---

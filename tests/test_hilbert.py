@@ -6,7 +6,6 @@ from omx.hilbert import (
     DensityMatrix,
     FockState,
     ModeSpace,
-    Operator,
     annihilator,
     destroy_matrix,
     fock_density,
@@ -80,13 +79,17 @@ def test_tensor_embed_commutes_distinct_modes():
 @pytest.mark.parametrize("modes", [(("a", 4), ("s", 2), ("m", 6)),
                                    (("x", 2), ("y", 3), ("z", 2), ("w", 5))])
 def test_annihilator_is_the_kron_embedding_bit_for_bit(modes):
+    # number_op too: both are built from the occupations, not a kron chain
     space = ModeSpace(modes)
     for label, dim in modes:
-        a = annihilator(space, label).matrix
-        oracle = tensor_embed(destroy_matrix(dim), space, label).matrix
-        assert a.dtype == oracle.dtype
-        for x, y in ((a.data, oracle.data), (a.indices, oracle.indices), (a.indptr, oracle.indptr)):
-            assert np.array_equal(x, y)
+        for op, single in ((annihilator, destroy_matrix(dim)),
+                           (number_op, sp.diags(np.arange(dim, dtype=float)))):
+            a = op(space, label).matrix
+            oracle = tensor_embed(single, space, label).matrix
+            assert a.dtype == oracle.dtype
+            for x, y in ((a.data, oracle.data), (a.indices, oracle.indices),
+                         (a.indptr, oracle.indptr)):
+                assert np.array_equal(x, y)
 
 
 def test_occupations_match_basis_index():
@@ -111,13 +114,6 @@ def test_deterministic_sparse_layout():
     assert np.array_equal(m1.data, m2.data)
     assert np.array_equal(m1.indices, m2.indices)
     assert np.array_equal(m1.indptr, m2.indptr)
-
-
-def test_hermitian_hint_enforced():
-    space = ModeSpace([("a", 2)])
-    with pytest.raises(ValueError):
-        Operator(space, annihilator(space, "a").matrix, hermitian_hint=True)
-    number_op(space, "a")  # hint accepted
 
 
 def test_thermal_state_zero_temperature():

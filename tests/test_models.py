@@ -379,6 +379,19 @@ def test_nonhermitian_all_rates_zero_is_hermitian():
     assert "b_mode" in h.meta
 
 
+def test_nonhermitian_matches_its_docstring_formula():
+    # H - i kappa (n_s + n_a) - i (gamma/2)(N_th + 1) b'b - i (gamma/2) N_th b b'
+    p = SystemParams(g0=1.0, kappa=0.025, gamma=2.5e-4, N_th=0.3, omega_m=2.0,
+                     Delta_s=-1.0, Delta_a=-7.0, alpha=0.5)
+    h = build_nonhermitian(p, (3, 3, 4))
+    ham = build_displaced(p, (3, 3, 4)).hamiltonian.to_dense()
+    a, s, b = (annihilator(h.space, l).to_dense() for l in ("a", "s", "m"))
+    formula = (ham - 1j * p.kappa * (s.conj().T @ s + a.conj().T @ a)
+               - 0.5j * p.gamma * (p.N_th + 1) * (b.conj().T @ b)
+               - 0.5j * p.gamma * p.N_th * (b @ b.conj().T))
+    assert np.abs(h.to_dense() - formula).max() <= 1e-15 * np.abs(ham).max()
+
+
 # -------------------------------------------------------------- transistor ---
 
 def test_transistor_effective_coupling():
