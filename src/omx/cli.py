@@ -1,6 +1,6 @@
 """Scenario runner: config-driven sweeps with deterministic CSV/JSON output.
 
-Subcommands:
+Usage (one positional scenario and two required flags):
     omx spectrum|g2scan|ming2|transistor|gate-error|phonon-eigen|
         compare-effective|sweep --config FILE --out DIR
 
@@ -174,8 +174,12 @@ def _truncations(cfg: Config, default):
     return out
 
 
-def _floats(text) -> list[float]:
-    return [float(v) for v in str(text).split(",") if str(v).strip()]
+def _floats(cfg: Config, key: str, default: str) -> list[float]:
+    text = str(cfg.opt(key, default))
+    try:
+        return [float(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise ConfigError(f"{key} must list numbers; got {text!r}") from None
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -186,6 +190,17 @@ def _n_max(cfg: Config, least: int) -> int:
     if not text.removeprefix("-").isdecimal() or int(text) < least:
         raise ConfigError(f"n_max must be an integer >= {least}; got {text!r}")
     return int(text)
+
+
+def _tolerance(cfg: Config, key: str, default: float) -> float:
+    text = str(cfg.opt(key, default))
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = np.nan
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"{key} must be a finite number >= 0; got {text!r}")
+    return tol
 
 
 def _provenance(cfg: Config, scenario: str, **extra) -> dict:
@@ -298,7 +313,7 @@ def _g2scan_result(cfg: Config, p: SystemParams, grid, rows, truncations,
 
 def run_ming2(cfg: Config) -> ScanResult:
     g0_grid = cfg.grid("g0")
-    nth = np.array(_floats(cfg.opt("nth_list", "0")))
+    nth = np.array(_floats(cfg, "nth_list", "0"))
     res = analytics.min_g2_scan(cfg.params, g0_grid, nth)
     res.metadata.update(_provenance(cfg, "ming2"))
     return res
@@ -307,7 +322,7 @@ def run_ming2(cfg: Config) -> ScanResult:
 def run_transistor(cfg: Config) -> ScanResult:
     p = cfg.params
     grid = cfg.grid("Delta")
-    n_ms = _floats(cfg.opt("n_m", "0, 1"))
+    n_ms = _floats(cfg, "n_m", "0, 1")
     if not all(v >= 0 and v.is_integer() for v in n_ms):
         raise ConfigError(f"n_m must be non-negative integers; got {cfg.opt('n_m')!r}")
     n_ms = [int(v) for v in n_ms]
@@ -358,7 +373,7 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
     the analytic prediction.
     """
     p = cfg.params
-    alphas = np.array(_floats(cfg.opt("alphas", "0.5, 1.0")))
+    alphas = np.array(_floats(cfg, "alphas", "0.5, 1.0"))
     if not alphas.size:
         raise ConfigError("alphas must list at least one value")
     n_max = _n_max(cfg, 0)
@@ -397,9 +412,9 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
     tolerance.
     """
     _n_max(cfg, 1)  # the real-part comparison skips n = 0
+    tol_re = _tolerance(cfg, "tolerance_re", 0.15)
+    tol_im = _tolerance(cfg, "tolerance_im", 0.20)
     res = run_phonon_eigen(cfg)
-    tol_re = float(cfg.opt("tolerance_re", 0.15))
-    tol_im = float(cfg.opt("tolerance_im", 0.20))
     n_col = res.axis_grid()[1]
     nonzero = n_col > 0
     rel_re = np.zeros(res.n_rows)
@@ -489,11 +504,9 @@ def main(argv=None) -> int:
         prog="omx",
         description="Multimode optomechanics scenario runner (data output only; "
                     "plotting is external)")
-    sub = parser.add_subparsers(dest="scenario", required=True)
-    for name in list(_SCENARIOS) + ["compare-effective"]:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="scenario config file")
-        p.add_argument("--out", required=True, help="output directory")
+    parser.add_argument("scenario", choices=_RUN_KEYS)
+    parser.add_argument("--config", required=True, help="scenario config file")
+    parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
     try:

@@ -595,6 +595,20 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     h_eff.meta["b_mode"]) is matched to the eigenvector of
     largest overlap with (B^dag)^n |vac>; ties resolve toward lower n by
     assigning labels in ascending order with exclusion.
+
+    One dense eig runs, on the blocks of H_eff that hold the targets
+    (B^dag)^n |vac>, n < k: the weakly connected components of H_eff's
+    sparsity graph (as steady_state finds the blocks of L) that meet a
+    target's support. This is exact. H_eff is block diagonal over its
+    components, so its spectrum is the union of the blocks' spectra, and
+    every eigenvector of another block is zero on the kept coordinates, so
+    its overlap with every target is zero. Two blocks that share an exact
+    eigenvalue cannot mix their vectors either. When a charge Q is
+    conserved (build_nonhermitian conserves n_a + n_m, and B^dag raises it
+    by one), the targets sit in the blocks of Q = 0..k-1: 28 of the 135
+    states at a5/s3/m9 for k = 4. A model without a conservation law is one
+    block, decomposed whole. DENSE_EIG_LIMIT caps the kept size, and a
+    target that the truncation cuts to zero raises ValueError.
     """
     dim = h_eff.space.total_dim
     if k > dim:
@@ -602,23 +616,29 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     b_mode = h_eff.meta.get("b_mode")
     if b_mode is None:
         raise ValueError("no B-mode operator available for Fock matching")
-    if dim > DENSE_EIG_LIMIT:
+    bd = b_mode.matrix.conj().T.tocsr()
+    targets = np.zeros((k, dim), dtype=complex)
+    targets[0, 0] = 1.0
+    for n in range(1, k):
+        targets[n] = bd @ targets[n - 1] / np.sqrt(n)
+    support = targets != 0
+    if not support[-1].any():
+        raise ValueError(f"(B^dag)^{k - 1}|vac> vanishes in this truncation: "
+                         f"the ladder holds fewer than {k} levels")
+    labels = _component_labels(h_eff.matrix)
+    keep = np.flatnonzero(np.isin(labels, labels[support.any(axis=0)]))
+    if keep.size > DENSE_EIG_LIMIT:
         raise SolverError(
-            f"dimension {dim} too large for the dense eigensolver; reduce truncations")
+            f"{keep.size} states too many for the dense eigensolver; reduce truncations")
     try:
-        w, v = sla.eig(h_eff.to_dense())
+        w, v = sla.eig(h_eff.matrix[keep][:, keep].toarray())
     except sla.LinAlgError as exc:  # pragma: no cover
         raise SolverError(f"eigensolver failed: {exc}") from exc
     norms = np.linalg.norm(v, axis=0)
 
-    bd = b_mode.matrix.conj().T.tocsr()
-    target = np.zeros(dim, dtype=complex)
-    target[0] = 1.0
     assigned: list[LabeledEigenvalue] = []
     used: set[int] = set()
-    for n in range(k):
-        if n > 0:
-            target = bd @ target / np.sqrt(n)
+    for n, target in enumerate(targets[:, keep]):
         ov = np.abs(target.conj() @ v) ** 2 / norms**2
         order = np.argsort(-ov)
         idx = next(int(i) for i in order if int(i) not in used)

@@ -276,6 +276,53 @@ def test_phonon_eigen_rejects_empty_ladders(tmp_path, capsys, scenario, run, key
     assert not (tmp_path / "out").exists()
 
 
+COMPARE_CFG = PHONON_EIGEN_CFG.format(run="alphas = 1.0\nn_max = 2\n{tol}")
+
+
+@pytest.mark.parametrize("key", ["tolerance_re", "tolerance_im"])
+@pytest.mark.parametrize("value", ["nan", "-1", "abc"])
+def test_compare_effective_rejects_bad_tolerance(tmp_path, capsys, key, value):
+    # nan and -1 once printed "-> FAIL" and exited 4, a comparison failure
+    cfg_path = write(tmp_path / "ce.cfg", COMPARE_CFG.format(tol=f"{key} = {value}"))
+    out = tmp_path / "out"
+    assert main(["compare-effective", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert f"config error: {key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scenario, key, text", [
+    ("phonon-eigen", "alphas", PHONON_EIGEN_CFG.format(run="alphas = 1.0, abc")),
+    ("transistor", "n_m", "[params]\ng0 = 1\n[grid.Delta]\nvalues = 0\n[run]\nn_m = 0, abc\n"),
+    ("ming2", "nth_list", "[params]\ng0 = 8\n[grid.g0]\nvalues = 8\n[run]\nnth_list = 0, abc\n"),
+], ids=["alphas", "n_m", "nth_list"])
+def test_number_lists_name_their_key(tmp_path, capsys, scenario, key, text):
+    cfg_path = write(tmp_path / "bad.cfg", text)
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} " in capsys.readouterr().err
+
+
+SCENARIOS = ["spectrum", "g2scan", "ming2", "transistor", "gate-error", "phonon-eigen",
+             "compare-effective", "sweep"]
+
+
+@pytest.mark.parametrize("argv", [["bogus", "--config", "c.cfg", "--out", "o"],
+                                  ["spectrum", "--config", "c.cfg"]],
+                         ids=["unknown-scenario", "missing-out"])
+def test_bad_command_line_exits_2(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_help_lists_every_scenario(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert all(name in out for name in SCENARIOS)
+    assert "--config" in out and "--out" in out
+
+
 def test_g2scan_full_vs_analytic_within_tolerance(tmp_path):
     from omx.cli import run_g2scan
     from omx.scan import ScanResult as SR

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -15,6 +17,7 @@ from omx import (
     build_full,
     build_rwa,
     build_transistor,
+    dynamics,
     evolve,
     fock_density,
     g2_zero,
@@ -754,3 +757,91 @@ def test_nonhermitian_eigs_k_bound():
     h = build_nonhermitian(p, (2, 2, 3))
     with pytest.raises(ValueError):
         nonhermitian_eigs(h, 100)
+
+
+def _full_space_eigs(h_eff, k):
+    """Oracle: one dense eig of the whole H_eff, matched to (B^dag)^n|vac>
+    with exclusion, as (n, value, overlap) in ascending Re."""
+    w, v = sla.eig(h_eff.to_dense())
+    norms = np.linalg.norm(v, axis=0)
+    bd = h_eff.meta["b_mode"].matrix.conj().T
+    target = np.zeros(h_eff.space.total_dim, dtype=complex)
+    target[0] = 1.0
+    out, used = [], set()
+    for n in range(k):
+        if n > 0:
+            target = bd @ target / np.sqrt(n)
+        ov = np.abs(target.conj() @ v) ** 2 / norms**2
+        idx = next(int(i) for i in np.argsort(-ov) if int(i) not in used)
+        used.add(idx)
+        out.append((n, complex(w[idx]), float(ov[idx])))
+    return sorted(out, key=lambda e: e[1].real)
+
+
+def _assert_matches_oracle(h_eff, k):
+    eigs = nonhermitian_eigs(h_eff, k)
+    oracle = _full_space_eigs(h_eff, k)
+    assert [e.n for e in eigs] == [n for n, _, _ in oracle]
+    for e, (_, value, overlap) in zip(eigs, oracle):
+        assert abs(e.value - value) <= 1e-12
+        assert abs(e.overlap - overlap) <= 1e-12
+
+
+def _benchmark_h_eff(alpha):
+    from omx import build_nonhermitian
+    from omx.cli import _truncations, load_config
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "phonon_eigen_benchmark.cfg")
+    return build_nonhermitian(cfg.params.replace(alpha=complex(alpha)), _truncations(cfg, None))
+
+
+def _record_eig_shapes(monkeypatch):
+    shapes, eig = [], sla.eig
+    monkeypatch.setattr(dynamics.sla, "eig",
+                        lambda a, *args, **kw: shapes.append(a.shape) or eig(a, *args, **kw))
+    return shapes
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_nonhermitian_block_solve_matches_full_space_oracle(alpha):
+    _assert_matches_oracle(_benchmark_h_eff(alpha), 4)
+
+
+def test_nonhermitian_eigs_decomposes_only_the_ladder_blocks(monkeypatch):
+    h = _benchmark_h_eff(1.0)
+    shapes = _record_eig_shapes(monkeypatch)
+    nonhermitian_eigs(h, 4)
+    assert h.space.total_dim == 135
+    assert shapes == [(28, 28)]
+
+
+def test_nonhermitian_eigs_without_blocks_keeps_the_whole_space(monkeypatch):
+    space = ModeSpace([("a", 3), ("m", 4)])
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    b_mode = annihilator(space, "m") + 0.5 * annihilator(space, "a")
+    h = Operator(space, sp.csr_matrix(m), {"b_mode": b_mode})
+    shapes = _record_eig_shapes(monkeypatch)
+    _assert_matches_oracle(h, 4)
+    assert shapes == [(12, 12), (12, 12)]  # the block solve, then the oracle
+
+
+@pytest.mark.parametrize("limit, raises", [(27, True), (28, False), (134, False)])
+def test_dense_eig_limit_judges_the_kept_blocks(monkeypatch, limit, raises):
+    h = _benchmark_h_eff(1.0)
+    monkeypatch.setattr(dynamics, "DENSE_EIG_LIMIT", limit)
+    if raises:
+        with pytest.raises(SolverError, match="28 states"):
+            nonhermitian_eigs(h, 4)
+    else:
+        assert len(nonhermitian_eigs(h, 4)) == 4
+
+
+def test_nonhermitian_eigs_rejects_a_cut_ladder():
+    # a2/m2 hold n_a + n_m <= 2, so (B^dag)^3|vac> is zero
+    from omx import build_nonhermitian
+    p = SystemParams(g0=1.0, kappa=0.025, omega_m=2.0, Delta_s=-1.0,
+                     Delta_a=-7.0, alpha=0.5, gamma=1e-4)
+    h = build_nonhermitian(p, (2, 2, 2))
+    assert len(nonhermitian_eigs(h, 3)) == 3
+    with pytest.raises(ValueError, match="vanishes"):
+        nonhermitian_eigs(h, 4)
