@@ -50,6 +50,7 @@ HERMITIAN_RTOL = 1e-12
 G2_NEGATIVE_ATOL = 1e-12
 DENSE_EIG_LIMIT = 2500
 GAP_DENSE_LIMIT = 64
+OVERLAP_FLOOR = 0.5
 
 
 class SolverError(RuntimeError):
@@ -86,12 +87,32 @@ class LindbladModel:
     def decay(self) -> sp.csr_matrix:
         """sum_k rate_k c_k^dag c_k over the collapses of nonzero rate, as CSR:
         the one place it is formed, read by liouvillian, reflection_spectrum
-        and models.build_nonhermitian."""
+        and models.build_nonhermitian.
+
+        Formed in one pass as one coordinate list: (c^dag c)_ij sums
+        conj(c_li) c_lj over the rows l of c, so each pair of stored
+        entries (p, q) that share a row of c adds rate conj(c_p) c_q at
+        (col_p, col_q). The CSR conversion sums the pairs that meet, and
+        sums that cancel exactly are dropped.
+        """
         n = self.space.total_dim
-        out = sp.csr_matrix((n, n), dtype=complex)
+        rows, cols, vals = [np.zeros(0, int)], [np.zeros(0, int)], [np.zeros(0, complex)]
         for op, rate in self.collapses:
-            if rate != 0.0:
-                out = out + rate * (op.matrix.conj().T @ op.matrix)
+            if rate == 0.0:
+                continue
+            c = op.matrix
+            per_row = np.diff(c.indptr)
+            # for each stored entry: the first entry of its row, and the row's size
+            first, width = np.repeat(c.indptr[:-1], per_row), np.repeat(per_row, per_row)
+            # p runs over the entries, each once per entry q of its row
+            p = np.repeat(np.arange(c.nnz), width)
+            q = np.repeat(first, width) + np.arange(p.size) - np.repeat(np.cumsum(width) - width, width)
+            rows.append(c.indices[p])
+            cols.append(c.indices[q])
+            vals.append(rate * (c.data[p].conj() * c.data[q]))
+        out = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+                            shape=(n, n))
+        out.eliminate_zeros()
         return out
 
 
@@ -609,6 +630,21 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     states at a5/s3/m9 for k = 4. A model without a conservation law is one
     block, decomposed whole. DENSE_EIG_LIMIT caps the kept size, and a
     target that the truncation cuts to zero raises ValueError.
+
+    A level whose best overlap is at most OVERLAP_FLOOR = 1/2 raises
+    ValueError naming n and the overlap: no eigenvector holds that level.
+    The 1/2 is where a label becomes unambiguous. The targets are
+    orthogonal, each in its own sector of n_a + n_m, with norm at most 1
+    (B = cos(theta) b + sin(theta) c_a is a unit mode, so (B^dag)^n|vac> /
+    sqrt(n!) is its Fock state, cut by the truncation to a projection).
+    For a unit eigenvector v, Bessel's inequality then gives
+    sum_n |<target_n|v>|^2 <= 1, so no v holds more than 1/2 of two
+    levels. When every level's best overlap exceeds 1/2 the levels take
+    distinct eigenvectors, each its own target's best match whatever the
+    order of assignment; at 1/2 or below one eigenvector may be the best
+    match of two levels, and the label is a guess. The shipped
+    configs/phonon_eigen_benchmark.cfg gives 0.970 or more; a2/s2/m2 gives
+    0.005 (alpha = 0.5) and 0.019 (alpha = 1) at n = 2.
     """
     dim = h_eff.space.total_dim
     if k > dim:
@@ -642,6 +678,10 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
         ov = np.abs(target.conj() @ v) ** 2 / norms**2
         order = np.argsort(-ov)
         idx = next(int(i) for i in order if int(i) not in used)
+        if not ov[idx] > OVERLAP_FLOOR:
+            raise ValueError(
+                f"level n={n} has best overlap {ov[idx]:.3g} <= {OVERLAP_FLOOR} with "
+                f"(B^dag)^{n}|vac>: no eigenvector holds it; enlarge the truncations")
         used.add(idx)
         assigned.append(LabeledEigenvalue(n, complex(w[idx]), float(ov[idx])))
     assigned.sort(key=lambda e: e.value.real)

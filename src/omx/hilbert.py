@@ -12,7 +12,9 @@ pruned, so repeated builds are bit-stable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,7 +58,7 @@ class ModeSpace:
 
     @property
     def total_dim(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
     def index(self, label: str) -> int:
         try:
@@ -67,11 +69,15 @@ class ModeSpace:
     def dim(self, label: str) -> int:
         return self.dims[self.index(label)]
 
-    @property
+    @cached_property
     def occupations(self) -> np.ndarray:
         """Integer occupation of each mode in each basis state: row k holds
-        n_k of every basis index, shape (modes, total_dim)."""
-        return np.indices(self.dims).reshape(len(self.modes), -1)
+        n_k of every basis index, shape (modes, total_dim). Formed once per
+        space and read-only, so every reader shares one table; the cache is
+        no dataclass field, so equality and hashing still see only modes."""
+        occ = np.indices(self.dims).reshape(len(self.modes), -1)
+        occ.flags.writeable = False
+        return occ
 
     def basis_index(self, occupations) -> int:
         """Flat index of the product Fock state with the given occupations."""
@@ -205,20 +211,51 @@ def tensor_embed(op, space: ModeSpace, label: str) -> Operator:
     return Operator(space, out)
 
 
-def annihilator(space: ModeSpace, label: str) -> Operator:
-    """Lowering operator of one mode, embedded in the full space.
+def ladder_product(space: ModeSpace, steps: dict[str, int]):
+    """Coordinate triplets (rows, cols, amplitudes) of a product of ladder
+    operators on distinct modes, steps mapping each mode's label to -1 (its
+    lowering operator) or +1 (its raising operator): a s^dag b^dag is
+    {"a": -1, "s": 1, "m": 1}.
 
-    Built from the integer occupations n of the mode: sqrt(n) at
-    (i - stride, i), stride being the index step of one quantum. These are
-    the bits of tensor_embed(destroy_matrix(dim), space, label), without
-    its kron chain.
+    Read off the integer occupations: the product maps basis state i to
+    i + sum_k step_k stride_k, stride_k being the index step of one quantum
+    of mode k, with amplitude sqrt of the integer prod_k n_k (lowered) or
+    n_k + 1 (raised), and zero where a lowered mode is empty or a raised
+    one full. Operators on distinct modes commute, so the order of the
+    product does not matter. The adjoint's triplets are (cols, rows,
+    amplitudes).
     """
-    k = space.index(label)
-    n = space.occupations[k]
-    stride = int(np.prod(space.dims[k + 1:]))
-    cols = np.flatnonzero(n)
-    a = sp.csr_matrix((np.sqrt(n[cols]), (cols - stride, cols)), shape=(n.size, n.size))
-    return Operator(space, a)
+    occ, dims = space.occupations, space.dims
+    allowed = np.ones(space.total_dim, dtype=bool)
+    weight = np.ones(space.total_dim, dtype=np.int64)
+    shift = 0
+    for label, step in steps.items():
+        k = space.index(label)
+        if step == -1:
+            allowed &= occ[k] > 0
+            weight *= occ[k]
+        elif step == 1:
+            allowed &= occ[k] < dims[k] - 1
+            weight *= occ[k] + 1
+        else:
+            raise ValueError(f"step of mode {label!r} must be -1 or +1, got {step}")
+        shift += step * math.prod(dims[k + 1:])
+    cols = np.flatnonzero(allowed)
+    return cols + shift, cols, np.sqrt(weight[cols])
+
+
+def annihilator(space: ModeSpace, label: str) -> Operator:
+    """Lowering operator of one mode, embedded in the full space: the
+    one-mode ladder_product, sqrt(n) at (i - stride, i). These are the bits
+    of tensor_embed(destroy_matrix(dim), space, label), without its kron
+    chain.
+    """
+    rows, cols, amps = ladder_product(space, {label: -1})
+    n = space.total_dim
+    # at most one entry per row, rows ascending: the CSR arrays directly
+    indptr = np.zeros(n + 1, dtype=cols.dtype)
+    indptr[rows + 1] = 1
+    return Operator(space, sp.csr_matrix((amps, cols, np.cumsum(indptr)), shape=(n, n)))
 
 
 def number_op(space: ModeSpace, label: str) -> Operator:

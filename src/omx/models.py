@@ -14,6 +14,15 @@ Mode label conventions:
 
 All builders are pure functions of a SystemParams record; outputs are
 immutable and safe to share across threads.
+
+The builders the scenarios call (build_rwa, build_displaced and with it
+build_nonhermitian, build_transistor) take one construction path,
+_hamiltonian: H is written as one coordinate list and one CSR, its diagonal
+straight from the integer ModeSpace.occupations (so it is exact) and each
+three-wave, beam-splitter, hopping and drive term with its Hermitian
+partner from hilbert.ladder_product. build_full, build_hybrid_decomposition
+and build_effective_phonon stay on the Operator algebra: they are oracles
+for the scenario frames, and no scenario's speed hangs on them.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dynamics import LindbladModel
-from .hilbert import ModeSpace, Operator, annihilator
+from .hilbert import ModeSpace, Operator, annihilator, ladder_product
 from .params import SystemParams
 
 RESONANCE_ATOL = 1e-9
@@ -56,6 +65,25 @@ def _resolve_truncations(params, labels, truncations) -> ModeSpace:
             raise ValueError(f"need {len(labels)} truncations for modes {labels}")
         dims = dict(zip(labels, truncations))
     return ModeSpace([(lbl, dims[lbl]) for lbl in labels])
+
+
+def _hamiltonian(space: ModeSpace, diagonal: np.ndarray, couplings) -> Operator:
+    """H = diag(diagonal) + sum_k (g_k P_k + conj(g_k) P_k^dag) as one
+    coordinate list and one CSR, each P_k the ladder_product of the steps
+    in couplings = [(g_k, steps_k), ...]. The diagonal comes from the
+    integer occupations, so it is exact; a coupling with g_k = 0 writes
+    nothing."""
+    n = space.total_dim
+    diag = np.arange(n)
+    rows, cols, vals = [diag], [diag], [np.asarray(diagonal, dtype=complex)]
+    for g, steps in couplings:
+        if g:
+            r, c, amp = ladder_product(space, steps)
+            rows += [r, c]
+            cols += [c, r]
+            vals += [g * amp, np.conj(g) * amp]
+    return Operator(space, sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)))
 
 
 def _thermal_collapses(b: Operator, gamma: float, n_th: float):
@@ -111,16 +139,13 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
     params.require("omega_m")
     if params.Delta_s is None or params.Delta_a is None:
         raise ValueError("build_rwa needs Delta_s and Delta_a")
-    labels = ["a", "s", "m"]
-    space = _resolve_truncations(params, labels, truncations)
-    a, s, b = (annihilator(space, l) for l in labels)
-    h = (-params.Delta_s * (s.dag() @ s) - params.Delta_a * (a.dag() @ a)
-         + params.omega_m * (b.dag() @ b)
-         + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
-    if params.Omega_a:
-        h = h + params.Omega_a * (a + a.dag())
-    if params.Omega_s:
-        h = h + params.Omega_s * (s + s.dag())
+    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
+    n_a, n_s, n_m = space.occupations
+    h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m, [
+        (0.5 * params.g0, {"a": -1, "s": 1, "m": 1}),   # c_a c_s' b'
+        (params.Omega_a, {"a": -1}),
+        (params.Omega_s, {"s": -1})])
+    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
     resonant = abs(params.Delta_s - params.Delta_a - params.omega_m) < RESONANCE_ATOL
@@ -145,11 +170,11 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     alpha = _alpha(params)
     g = 0.5 * params.g0 * alpha
     space = _resolve_truncations(params, ["a", "s", "m"], truncations)
+    n_a, n_s, n_m = space.occupations
+    h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m, [
+        (g, {"a": -1, "m": 1}),                         # c_a b'
+        (0.5 * params.g0, {"a": -1, "s": 1, "m": 1})])  # c_a c_s' b'
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
-    h = (-params.Delta_s * (s.dag() @ s) - params.Delta_a * (a.dag() @ a)
-         + params.omega_m * (b.dag() @ b)
-         + (g * (a @ b.dag()) + np.conj(g) * (a.dag() @ b))
-         + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
     return LindbladModel(h, cols, space, meta={"frame": "displaced", "alpha": alpha})
@@ -420,10 +445,10 @@ def build_transistor(params: SystemParams, n_m: int, truncations=(4, 4)) -> Lind
         raise ValueError("n_m must be a non-negative integer")
     delta = params.delta if params.delta is not None else 0.0
     space = _resolve_truncations(params, ["s", "ap"], truncations)
-    s, ap = annihilator(space, "s"), annihilator(space, "ap")
     geff = 0.5 * params.g0 * math.sqrt(n_m)
-    h = delta * (ap.dag() @ ap) + geff * ((s @ ap.dag()) + (s.dag() @ ap))
-    cols = [(s, params.kappa), (ap, params.kappa)]
+    _, n_ap = space.occupations
+    h = _hamiltonian(space, delta * n_ap, [(geff, {"s": -1, "ap": 1})])   # c_s c_ap'
+    cols = [(annihilator(space, "s"), params.kappa), (annihilator(space, "ap"), params.kappa)]
     return LindbladModel(h, cols, space, meta={
         "frame": "transistor-pinned", "n_m": n_m, "kappa": params.kappa,
         "g_eff": geff})

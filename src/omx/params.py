@@ -176,7 +176,7 @@ class SystemParams:
     def replace(self, **kwargs) -> "SystemParams":
         """Copy with fields overridden; stale derived siblings are cleared
         and recomputed whenever their sources remain available."""
-        data = {f.name: getattr(self, f.name) for f in fields(self)}
+        data = {name: getattr(self, name) for name in _FIELD_NAMES}
         data.update(kwargs)
 
         def drop(name, *sources):
@@ -196,3 +196,7 @@ class SystemParams:
         if "N_th" in kwargs and "T" not in kwargs:
             data["T"] = None
         return SystemParams(**data)
+
+
+# read once: dataclasses.fields() rebuilds its tuple on every call
+_FIELD_NAMES = tuple(f.name for f in fields(SystemParams))

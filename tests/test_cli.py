@@ -276,6 +276,18 @@ def test_phonon_eigen_rejects_empty_ladders(tmp_path, capsys, scenario, run, key
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario", ["phonon-eigen", "compare-effective"])
+def test_phonon_eigen_exits_2_below_the_overlap_floor(tmp_path, capsys, scenario):
+    # a2/s2/m2 once wrote the n = 2 row with overlap 0.005 and exit 0
+    text = (Path(__file__).parents[1] / "configs" / "phonon_eigen_benchmark.cfg").read_text()
+    text = text.replace("n_max = 3", "n_max = 2").replace(
+        "truncations = a:5, s:3, m:9", "truncations = a:2, s:2, m:2")
+    cfg_path = write(tmp_path / "pe.cfg", text)
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert "config error: level n=2 has best overlap 0.00495 <= 0.5" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 COMPARE_CFG = PHONON_EIGEN_CFG.format(run="alphas = 1.0\nn_max = 2\n{tol}")
 
 

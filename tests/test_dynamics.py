@@ -133,6 +133,28 @@ def test_decay_is_the_sum_of_rate_cdag_c(name):
     assert decay.nnz == np.count_nonzero(oracle)
 
 
+def test_decay_pairs_the_entries_of_each_row():
+    # ladder collapses hold one entry per row; these hold up to four, and
+    # one row none, so every pair (p, q) of a row must meet
+    space = ModeSpace([("a", 2), ("m", 3)])
+    rng = np.random.default_rng(11)
+    mats = []
+    for density in (0.6, 0.3):
+        m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        m[rng.random((6, 6)) > density] = 0.0
+        m[2] = 0.0
+        mats.append(m)
+    model = LindbladModel(Operator(space, sp.csr_matrix((6, 6))),
+                          [(Operator(space, sp.csr_matrix(m)), r)
+                           for m, r in zip(mats, (0.7, 1.3))], space)
+    oracle = sum(r * (m.conj().T @ m) for m, r in zip(mats, (0.7, 1.3)))
+    decay = model.decay()
+    assert max(np.diff(model.collapses[0][0].matrix.indptr)) >= 4
+    # sums of up to ten products, added in another order than the dense oracle
+    assert np.abs(decay.toarray() - oracle).max() <= 1e-14 * np.abs(oracle).max()
+    assert decay.nnz == np.count_nonzero(oracle)
+
+
 @pytest.mark.parametrize("name", sorted(_LIOUVILLIAN_CASES))
 def test_liouvillian_matches_kron_oracle(name):
     # the sector search reads the sparsity pattern, so it must be the
@@ -787,11 +809,12 @@ def _assert_matches_oracle(h_eff, k):
         assert abs(e.overlap - overlap) <= 1e-12
 
 
-def _benchmark_h_eff(alpha):
+def _benchmark_h_eff(alpha, truncations=None):
     from omx import build_nonhermitian
     from omx.cli import _truncations, load_config
     cfg = load_config(Path(__file__).parents[1] / "configs" / "phonon_eigen_benchmark.cfg")
-    return build_nonhermitian(cfg.params.replace(alpha=complex(alpha)), _truncations(cfg, None))
+    return build_nonhermitian(cfg.params.replace(alpha=complex(alpha)),
+                              truncations or _truncations(cfg, None))
 
 
 def _record_eig_shapes(monkeypatch):
@@ -815,6 +838,8 @@ def test_nonhermitian_eigs_decomposes_only_the_ladder_blocks(monkeypatch):
 
 
 def test_nonhermitian_eigs_without_blocks_keeps_the_whole_space(monkeypatch):
+    # a random matrix holds no ladder, so its overlaps fall below the floor
+    monkeypatch.setattr(dynamics, "OVERLAP_FLOOR", 0.0)
     space = ModeSpace([("a", 3), ("m", 4)])
     rng = np.random.default_rng(7)
     m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
@@ -836,8 +861,10 @@ def test_dense_eig_limit_judges_the_kept_blocks(monkeypatch, limit, raises):
         assert len(nonhermitian_eigs(h, 4)) == 4
 
 
-def test_nonhermitian_eigs_rejects_a_cut_ladder():
-    # a2/m2 hold n_a + n_m <= 2, so (B^dag)^3|vac> is zero
+def test_nonhermitian_eigs_rejects_a_cut_ladder(monkeypatch):
+    # a2/m2 hold n_a + n_m <= 2, so (B^dag)^3|vac> is zero; the n = 2 level
+    # that survives the cut fails the overlap floor (see the next test)
+    monkeypatch.setattr(dynamics, "OVERLAP_FLOOR", 0.0)
     from omx import build_nonhermitian
     p = SystemParams(g0=1.0, kappa=0.025, omega_m=2.0, Delta_s=-1.0,
                      Delta_a=-7.0, alpha=0.5, gamma=1e-4)
@@ -845,3 +872,15 @@ def test_nonhermitian_eigs_rejects_a_cut_ladder():
     assert len(nonhermitian_eigs(h, 3)) == 3
     with pytest.raises(ValueError, match="vanishes"):
         nonhermitian_eigs(h, 4)
+
+
+@pytest.mark.parametrize("alpha, overlap", [(0.5, "0.00495"), (1.0, "0.0192")])
+def test_nonhermitian_eigs_rejects_a_level_below_the_overlap_floor(alpha, overlap):
+    # a2/s2/m2 keeps only the a'b'|vac> part of (B^dag)^2|vac>: no
+    # eigenvector holds the n = 2 level, whose best overlap was once
+    # written out as if it were the level
+    assert min(e.overlap for e in nonhermitian_eigs(_benchmark_h_eff(alpha), 4)) >= 0.97
+    small = _benchmark_h_eff(alpha, (2, 2, 2))
+    assert min(e.overlap for e in nonhermitian_eigs(small, 2)) > 0.99
+    with pytest.raises(ValueError, match=f"level n=2 has best overlap {overlap} <= 0.5"):
+        nonhermitian_eigs(small, 3)

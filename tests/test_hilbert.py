@@ -9,6 +9,7 @@ from omx.hilbert import (
     annihilator,
     destroy_matrix,
     fock_density,
+    ladder_product,
     number_op,
     tensor_embed,
     thermal_dim,
@@ -99,6 +100,45 @@ def test_occupations_match_basis_index():
     assert occ.dtype.kind == "i"
     for i in range(space.total_dim):
         assert space.basis_index(occ[:, i]) == i
+
+
+def test_occupations_are_one_read_only_table():
+    space = ModeSpace([("a", 3), ("s", 2), ("m", 4)])
+    occ = space.occupations
+    assert space.occupations is occ
+    assert not occ.flags.writeable
+    with pytest.raises(ValueError):
+        occ[0, 0] = 7
+    # the cache is no field: a space with it equals and hashes as one without
+    twin = ModeSpace([("a", 3), ("s", 2), ("m", 4)])
+    assert twin == space and hash(twin) == hash(space)
+    assert twin.occupations is not occ
+    assert np.array_equal(twin.occupations, occ)
+    assert twin == space and hash(twin) == hash(space)
+    assert ModeSpace([("a", 3), ("s", 2), ("m", 5)]) != space
+
+
+@pytest.mark.parametrize("steps", [{"a": -1}, {"m": 1}, {"a": -1, "m": 1},
+                                   {"a": -1, "s": 1, "m": 1}, {"m": -1, "a": 1, "s": -1}])
+def test_ladder_product_matches_the_operator_product(steps):
+    space = ModeSpace([("a", 4), ("s", 3), ("m", 5)])
+    oracle = np.eye(space.total_dim)
+    for label, step in steps.items():
+        a = tensor_embed(destroy_matrix(space.dim(label)), space, label).to_dense()
+        oracle = oracle @ (a if step == -1 else a.conj().T)
+    rows, cols, amps = ladder_product(space, steps)
+    got = np.zeros_like(oracle)
+    got[rows, cols] = amps
+    assert np.array_equal(got != 0, oracle != 0)
+    assert np.abs(got - oracle).max() <= 1e-15 * np.abs(oracle).max()
+    # no two entries share a row or a column
+    assert np.unique(rows).size == np.unique(cols).size == rows.size
+
+
+def test_ladder_product_rejects_a_step_of_two():
+    space = ModeSpace([("a", 4), ("m", 5)])
+    with pytest.raises(ValueError, match="'m'"):
+        ladder_product(space, {"a": -1, "m": 2})
 
 
 def test_tensor_embed_dimension_check():

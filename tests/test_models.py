@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from omx import (
+    LindbladModel,
     ModeSpace,
     SystemParams,
     annihilator,
@@ -17,6 +21,8 @@ from omx import (
     hybridize,
     number_op,
 )
+from omx.hilbert import Operator
+from omx.models import RESONANCE_ATOL, _alpha, _resolve_truncations, _thermal_collapses
 from omx.params import thermal_occupation
 
 
@@ -112,6 +118,120 @@ def test_rwa_transition_amplitude_scaling():
 def test_rwa_off_resonance_flag():
     p = SystemParams(g0=1.0, omega_m=60.0, J=31.0, Delta_a=0.0)
     assert not build_rwa(p, (2, 2, 2)).meta["resonant"]
+
+
+# ------------------------------------------ builders vs operator algebra ---
+# The three scenario builders write H straight from the occupation table.
+# These oracles build the same models from Operator products, as the
+# builders once did.
+
+def _oracle_rwa(params, truncations=None):
+    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
+    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
+    h = (-params.Delta_s * (s.dag() @ s) - params.Delta_a * (a.dag() @ a)
+         + params.omega_m * (b.dag() @ b)
+         + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
+    if params.Omega_a:
+        h = h + params.Omega_a * (a + a.dag())
+    if params.Omega_s:
+        h = h + params.Omega_s * (s + s.dag())
+    cols = [(a, params.kappa), (s, params.kappa)]
+    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    resonant = abs(params.Delta_s - params.Delta_a - params.omega_m) < RESONANCE_ATOL
+    return LindbladModel(h, cols, space, meta={"frame": "rwa", "resonant": resonant})
+
+
+def _oracle_displaced(params, truncations=None):
+    alpha = _alpha(params)
+    g = 0.5 * params.g0 * alpha
+    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
+    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
+    h = (-params.Delta_s * (s.dag() @ s) - params.Delta_a * (a.dag() @ a)
+         + params.omega_m * (b.dag() @ b)
+         + (g * (a @ b.dag()) + np.conj(g) * (a.dag() @ b))
+         + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
+    cols = [(a, params.kappa), (s, params.kappa)]
+    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    return LindbladModel(h, cols, space, meta={"frame": "displaced", "alpha": alpha})
+
+
+def _oracle_transistor(params, n_m, truncations=(4, 4)):
+    delta = params.delta if params.delta is not None else 0.0
+    space = _resolve_truncations(params, ["s", "ap"], truncations)
+    s, ap = annihilator(space, "s"), annihilator(space, "ap")
+    geff = 0.5 * params.g0 * math.sqrt(n_m)
+    h = delta * (ap.dag() @ ap) + geff * ((s @ ap.dag()) + (s.dag() @ ap))
+    cols = [(s, params.kappa), (ap, params.kappa)]
+    return LindbladModel(h, cols, space, meta={
+        "frame": "transistor-pinned", "n_m": n_m, "kappa": params.kappa,
+        "g_eff": geff})
+
+
+_G2SCAN = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Omega_a=0.01,
+                       Omega_s=0.004, gamma=0.01, Delta_a=3.3)
+_PINNED = SystemParams(g0=10.0, kappa=1.0, omega_m=100.0, J=50.7)
+_BUILDER_CASES = {
+    "rwa-Nth0": (build_rwa, _oracle_rwa, (_G2SCAN, (4, 4, 6))),
+    "rwa-Nth1": (build_rwa, _oracle_rwa, (_G2SCAN.replace(N_th=1.0), (3, 4, 10))),
+    # Delta_a = -1 with omega_m = 2J = 2 makes H_ii = n_a - n_s + 2 n_m
+    # vanish on many states
+    "cancelling-diagonal": (build_rwa, _oracle_rwa, (SystemParams(
+        g0=1.0, kappa=1.0, omega_m=2.0, J=1.0, Delta_a=-1.0, Omega_a=0.1), (3, 3, 4))),
+    "displaced-complex-alpha": (build_displaced, _oracle_displaced, (SystemParams(
+        g0=1.0, kappa=0.025, gamma=2.5e-4, N_th=1.0, Delta_s=-1.0, omega_m=2.0,
+        Delta_a=-7.0, alpha=0.8 - 0.6j), (5, 3, 9))),
+    "transistor-nm0": (build_transistor, _oracle_transistor, (_PINNED, 0)),
+    "transistor-nm1": (build_transistor, _oracle_transistor, (_PINNED, 1)),
+    "transistor-nm4": (build_transistor, _oracle_transistor, (_PINNED, 4, (5, 4))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BUILDER_CASES))
+def test_builders_match_operator_algebra(name):
+    build, oracle_build, args = _BUILDER_CASES[name]
+    model, oracle = build(*args), oracle_build(*args)
+    h, ref = model.hamiltonian.matrix, oracle.hamiltonian.matrix
+    scale = abs(ref).max()
+    assert abs(h - ref).max() <= 1e-14 * scale
+    # the oracle's s'(s) diagonal is sqrt(n)^2, which rounds; where the
+    # exact terms cancel, it keeps a residue that the occupation diagonal
+    # does not. Everywhere else the patterns are identical.
+    diag = ref.diagonal()
+    residue = (diag != 0) & (np.abs(diag) <= 1e-14 * scale)
+    assert residue.any() == (name == "cancelling-diagonal")
+    expected = (ref - sp.diags(np.where(residue, diag, 0))).tocsr()
+    expected.eliminate_zeros()
+    assert np.array_equal(h.indptr, expected.indptr)
+    assert np.array_equal(h.indices, expected.indices)
+    assert model.space == oracle.space
+    assert model.meta == oracle.meta
+    assert len(model.collapses) == len(oracle.collapses)
+    for (op, rate), (op_ref, rate_ref) in zip(model.collapses, oracle.collapses):
+        assert rate == rate_ref
+        for x, y in ((op.matrix.data, op_ref.matrix.data),
+                     (op.matrix.indices, op_ref.matrix.indices),
+                     (op.matrix.indptr, op_ref.matrix.indptr)):
+            assert np.array_equal(x, y)
+
+
+def test_scenario_builders_make_no_operator_product(monkeypatch):
+    # H comes from one coordinate list; an Operator product here is the
+    # per-term CSR churn coming back
+    real = Operator.__matmul__
+    calls = []
+
+    def counting_matmul(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(Operator, "__matmul__", counting_matmul)
+    _oracle_rwa(*_BUILDER_CASES["rwa-Nth1"][2])
+    assert calls, "the counter does not see Operator products"
+    calls.clear()
+    for name, (build, _, args) in _BUILDER_CASES.items():
+        build(*args)
+    build_nonhermitian(*_BUILDER_CASES["displaced-complex-alpha"][2])
+    assert calls == []
 
 
 # ------------------------------------------------------------------ full ---
