@@ -35,6 +35,9 @@ from .scan import ScanResult
 
 POLE_ATOL = 1e-12
 WEAK_DRIVE_DEFAULT = 0.01  # in units of kappa; used wherever a probe is implied
+# the range in which min_g2_scan's screen bound holds (see its docstring)
+_TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max / 4
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
 
 @dataclass
@@ -43,6 +46,48 @@ class SixStateResult:
 
     mean_na: float
     g2_zero: float
+
+
+def _ladder(params: SystemParams, grid: np.ndarray):
+    """(zeta, p1, p2): the thermal weights and p_{1,0,n}, p_{2,0,n} as
+    arrays over grid x ladder, after the pole check on the whole grid. The
+    prologue keeps the first rule of six_state_spectrum; a real factor
+    scales both parts of a complex one.
+    """
+    g0, kappa, nth = params.g0, params.kappa, params.N_th
+    omega = params.Omega_a if params.Omega_a else WEAK_DRIVE_DEFAULT * kappa
+    ns = np.arange(thermal_dim(nth))
+    zeta = thermal_weights(nth, ns.size)
+    dr, di = grid, -kappa  # d = Delta_a - i kappa
+    four_d2 = _complex(4 * dr * dr - 4 * di * di, 4 * dr * di + 4 * di * dr)[:, None]
+    x = four_d2 - g0**2 * (ns + 1)
+    two_x = 2 * x - g0**2
+    pole = (np.abs(x) < POLE_ATOL).any(axis=1) | (np.abs(two_x) < POLE_ATOL).any(axis=1)
+    if pole.any():
+        raise ZeroDivisionError(
+            f"dressed-resonance pole at Delta_a = {float(grid[pole.argmax()])} (kappa = 0)")
+    amp1 = _complex(4 * omega * dr, 4 * omega * di)[:, None]
+    w2 = omega**2
+    amp2 = _complex(w2 * (8 * dr * dr - 8 * di * di - g0**2),
+                    w2 * (8 * dr * di + 8 * di * dr))[:, None]
+    p1 = np.abs(amp1 / x) ** 2
+    p2 = 8 * np.abs(amp2 / (x * two_x)) ** 2
+    return zeta, p1, p2
+
+
+def _complex(re, im) -> np.ndarray:
+    """Complex array holding re and im as they are, with no arithmetic."""
+    out = np.empty(np.broadcast(re, im).shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _exact_sums(zeta: np.ndarray, p1: np.ndarray, p2: np.ndarray):
+    """(<n_a>, g2) per row of p1, p2: each ladder sum its own
+    float(zeta @ row), and 2 s2 / s1**2 on Python floats."""
+    s1 = [float(zeta @ row) for row in p1]
+    g2 = [2 * float(zeta @ row) / s**2 for row, s in zip(p2, s1)]
+    return s1, g2
 
 
 def six_state_spectrum(params: SystemParams, delta_a) -> tuple[np.ndarray, np.ndarray]:
@@ -58,32 +103,22 @@ def six_state_spectrum(params: SystemParams, delta_a) -> tuple[np.ndarray, np.nd
     kappa = 0 poles of X_n or 2 X_n - g0^2.
 
     Each point equals, bit for bit, the same formula evaluated at that point
-    alone, which takes three rules: d, 4 d^2, 4 Omega d and
-    Omega^2 (8 d^2 - g0^2) are Python complex scalars (numpy complex
-    arithmetic rounds differently); each ladder sum is its own
-    float(zeta @ row) (one matrix-vector product sums in another order);
-    and 2 s2 / s1**2 is taken on Python floats (float ** calls pow, an
-    ndarray ** 2 multiplies).
+    alone on Python complex scalars, which takes three rules:
+
+    - d, 4 d^2, 4 Omega d and Omega^2 (8 d^2 - g0^2) are formed on real and
+      imaginary float64 arrays in the operation order of CPython's complex
+      product, (a.r b.r - a.i b.i, a.r b.i + a.i b.r), each operation
+      rounded once (numpy's complex multiply orders them otherwise). This
+      matches the scalars where CPython does not contract that product
+      into a fused multiply-add, as on x86-64, whose baseline has no FMA; a
+      build that fuses it differs in the last bit.
+    - each ladder sum is its own float(zeta @ row): one matrix-vector
+      product sums in another order;
+    - 2 s2 / s1**2 is taken on Python floats: float ** calls pow, an
+      ndarray ** 2 multiplies.
     """
-    g0, kappa, nth = params.g0, params.kappa, params.N_th
-    omega = params.Omega_a if params.Omega_a else WEAK_DRIVE_DEFAULT * kappa
-    ns = np.arange(thermal_dim(nth))
-    zeta = thermal_weights(nth, ns.size)
-    grid = np.asarray(delta_a, dtype=float)
-    ds = [da - 1j * kappa for da in grid.tolist()]
-    four_d2 = np.array([4 * d * d for d in ds])[:, None]
-    x = four_d2 - g0**2 * (ns + 1)
-    two_x = 2 * x - g0**2
-    pole = (np.abs(x) < POLE_ATOL).any(axis=1) | (np.abs(two_x) < POLE_ATOL).any(axis=1)
-    if pole.any():
-        raise ZeroDivisionError(
-            f"dressed-resonance pole at Delta_a = {float(grid[pole.argmax()])} (kappa = 0)")
-    amp1 = np.array([4 * omega * d for d in ds])[:, None]
-    amp2 = np.array([omega**2 * (8 * d * d - g0**2) for d in ds])[:, None]
-    p1 = np.abs(amp1 / x) ** 2
-    p2 = 8 * np.abs(amp2 / (x * two_x)) ** 2
-    s1 = [float(zeta @ row) for row in p1]
-    g2 = [2 * float(zeta @ row) / s**2 for row, s in zip(p2, s1)]
+    zeta, p1, p2 = _ladder(params, np.asarray(delta_a, dtype=float))
+    s1, g2 = _exact_sums(zeta, p1, p2)
     return np.array(s1), np.array(g2)
 
 
@@ -101,9 +136,31 @@ def min_g2_scan(params: SystemParams, g0_grid, nth_list) -> ScanResult:
     Per coupling g0 the detuning grid runs from 0 to g0 + kappa in steps of
     kappa/20; ties in the minimum go to the smaller |Delta_a|. g2 is even in
     Delta_a, so only the non-negative half axis is scanned and the reported
-    argmin is >= 0. Each (g0, N_th) pair is one six_state_spectrum call over
-    its whole grid, whose values are bit-identical to per-point
-    six_state_g2 calls (see six_state_spectrum for the three rules).
+    argmin is >= 0. The reported minimum and argmin are those of the exact
+    per-point values of six_state_spectrum, first occurrence.
+
+    Each (g0, N_th) pair builds p1 and p2 over its whole grid once
+    (six_state_spectrum's prologue and pole check) and screens every row at
+    once: g = 2 (p2 @ zeta) / (p1 @ zeta)**2. The exact reduction runs only
+    on the rows whose screened g lies within a relative band tau of the
+    screened minimum m, that is g <= m (1 + tau).
+
+    tau is derived, not tuned. Every sum adds n = thermal_dim(N_th)
+    non-negative products zeta_k p_k, so in any summation order its
+    relative error is at most gamma_n = n u / (1 - n u), u the unit
+    roundoff (Higham, Accuracy and Stability of Numerical Algorithms, 4.2;
+    a fused multiply-add only removes roundings). With the square (pow is
+    within one ulp, two roundings) and the division, each of the screened
+    and the exact g2 carries at most 3n + 3 roundings, so the two differ
+    relatively by at most gamma_{6n+6}; the band edge m (1 + tau) takes two
+    more. With eps = gamma_{6n+8}, a row whose exact g2 is at most the
+    exact value at the screen's argmin has screened g <= m (1 + eps) /
+    (1 - eps) = m (1 + tau), tau = 2 eps / (1 - eps): every row that can
+    hold the exact minimum, ties included, is in the band. The bound needs
+    every operation away from underflow and overflow: the screen is
+    trusted only when every nonzero product zeta_k p_k is normal and every
+    screened s1**2, s2 and g lies in [2 tiny, max/4]; otherwise, NaN
+    included, every row goes to the exact reduction.
     """
     g0_grid = np.asarray(g0_grid, dtype=float)
     nth_list = np.asarray(nth_list, dtype=float)
@@ -114,15 +171,33 @@ def min_g2_scan(params: SystemParams, g0_grid, nth_list) -> ScanResult:
         grid = np.arange(0.0, g0 + params.kappa, params.kappa / 20)
         for nth in nth_list:
             p = params.replace(g0=float(g0), N_th=float(nth), T=None)
-            _, vals = six_state_spectrum(p, grid)
+            zeta, p1, p2 = _ladder(p, grid)
+            rows = _screen(zeta, p1, p2)
+            _, vals = _exact_sums(zeta, p1[rows], p2[rows])
             k = int(np.argmin(vals))
             min_g2[row] = vals[k]
-            argmin[row] = grid[k]
+            argmin[row] = grid[rows[k]]
             row += 1
     return ScanResult(
         axes=[("g0", g0_grid), ("N_th", nth_list)],
         columns={"min_g2": min_g2, "argmin_delta_a": argmin},
         metadata={"kappa": params.kappa, "grid_step": params.kappa / 20})
+
+
+def _screen(zeta: np.ndarray, p1: np.ndarray, p2: np.ndarray) -> np.ndarray:
+    """Ascending indices of the rows of p1, p2 that can hold the exact
+    minimum of g2; every row when the screen is not trusted (see
+    min_g2_scan for the band and the trust rule)."""
+    with np.errstate(all="ignore"):
+        s1_sq, s2 = (p1 @ zeta) ** 2, p2 @ zeta
+        g = 2 * s2 / s1_sq
+        trusted = (zeta[zeta > 0].min() * min(p1.min(), p2.min()) >= _TINY
+                   and all(((a >= 2 * _TINY) & (a <= _HUGE)).all() for a in (s1_sq, s2, g)))
+    if not trusted:
+        return np.arange(g.size)
+    k = 6 * zeta.size + 8
+    eps = k * _UNIT_ROUNDOFF / (1 - k * _UNIT_ROUNDOFF)
+    return np.flatnonzero(g <= g.min() * (1 + 2 * eps / (1 - eps)))
 
 
 @dataclass

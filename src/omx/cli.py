@@ -177,9 +177,12 @@ def _truncations(cfg: Config, default):
 def _floats(cfg: Config, key: str, default: str) -> list[float]:
     text = str(cfg.opt(key, default))
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
-        raise ConfigError(f"{key} must list numbers; got {text!r}") from None
+        vals = []
+    if not vals or not np.isfinite(vals).all():
+        raise ConfigError(f"{key} must list one or more finite numbers; got {text!r}")
+    return vals
 
 
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
@@ -192,15 +195,17 @@ def _n_max(cfg: Config, least: int) -> int:
     return int(text)
 
 
-def _tolerance(cfg: Config, key: str, default: float) -> float:
+def _number(cfg: Config, key: str, default: float, accept, rule: str) -> float:
+    """[run] number key, or default; ConfigError naming the key unless
+    accept(value) holds (a text that is not a number reads as NaN)."""
     text = str(cfg.opt(key, default))
     try:
-        tol = float(text)
+        value = float(text)
     except ValueError:
-        tol = np.nan
-    if not 0.0 <= tol < np.inf:
-        raise ConfigError(f"{key} must be a finite number >= 0; got {text!r}")
-    return tol
+        value = np.nan
+    if not accept(value):
+        raise ConfigError(f"{key} must be {rule}; got {text!r}")
+    return value
 
 
 def _provenance(cfg: Config, scenario: str, **extra) -> dict:
@@ -326,7 +331,9 @@ def run_transistor(cfg: Config) -> ScanResult:
     if not all(v >= 0 and v.is_integer() for v in n_ms):
         raise ConfigError(f"n_m must be non-negative integers; got {cfg.opt('n_m')!r}")
     n_ms = [int(v) for v in n_ms]
-    omega = float(cfg.opt("omega", WEAK_DRIVE_DEFAULT * p.kappa))
+    # reflection_spectrum's weak-drive bound
+    omega = _number(cfg, "omega", WEAK_DRIVE_DEFAULT * p.kappa,
+                    lambda w: 0.0 < w <= 0.05 * p.kappa, "a finite number in (0, 0.05 kappa]")
     truncations = _truncations(cfg, {"s": 4, "ap": 4})
     r_all = []
     for n_m in n_ms:
@@ -374,8 +381,6 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
     """
     p = cfg.params
     alphas = np.array(_floats(cfg, "alphas", "0.5, 1.0"))
-    if not alphas.size:
-        raise ConfigError("alphas must list at least one value")
     n_max = _n_max(cfg, 0)
     truncations = _truncations(cfg, {"a": 5, "s": 3, "m": 9})
     lam0 = analytics.phonon_nonlinearity(p.replace(alpha=1.0)).Lambda0
@@ -412,8 +417,9 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
     tolerance.
     """
     _n_max(cfg, 1)  # the real-part comparison skips n = 0
-    tol_re = _tolerance(cfg, "tolerance_re", 0.15)
-    tol_im = _tolerance(cfg, "tolerance_im", 0.20)
+    tol_re, tol_im = (_number(cfg, key, default, lambda t: 0.0 <= t < np.inf,
+                              "a finite number >= 0")
+                      for key, default in (("tolerance_re", 0.15), ("tolerance_im", 0.20)))
     res = run_phonon_eigen(cfg)
     n_col = res.axis_grid()[1]
     nonzero = n_col > 0

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .hilbert import DensityMatrix, ModeSpace, Operator, annihilator
+from .hilbert import DensityMatrix, ModeSpace, Operator, ladder_product
 
 TRACE_PRESERVATION_ATOL = 1e-10
 STEADY_RESIDUAL_ATOL = 1e-9
@@ -72,8 +72,8 @@ class LindbladModel:
         if self.hamiltonian.space != self.space:
             raise ValueError("hamiltonian acts on a different space")
         h = self.hamiltonian.matrix
-        dev = abs(h - h.conj().T).max()
-        if dev > HERMITIAN_RTOL * abs(h).max():
+        dev = _hermitian_deviation(h)
+        if dev > HERMITIAN_RTOL * np.abs(h.data).max(initial=0.0):
             raise ValueError(f"hamiltonian is not Hermitian: max|H - H^dag| = {dev:.2e}")
         for op, rate in self.collapses:
             if op.space != self.space:
@@ -114,6 +114,21 @@ class LindbladModel:
                             shape=(n, n))
         out.eliminate_zeros()
         return out
+
+
+def _hermitian_deviation(h: sp.csr_matrix) -> float:
+    """max|H - H^dag| of a canonical CSR H. Where the pattern of H is
+    symmetric, H^dag has the same CSR pattern, and its data is conj(H.data)
+    in the order that sorts the transposed positions, so the two compare
+    entry by entry; otherwise the general sparse difference is taken."""
+    n = h.shape[0]
+    rows = np.repeat(np.arange(n), np.diff(h.indptr))
+    cols = h.indices.astype(np.int64)
+    key_t = cols * n + rows
+    order = np.argsort(key_t)
+    if np.array_equal(key_t[order], rows * n + cols):
+        return float(np.abs(h.data - h.data[order].conj()).max(initial=0.0))
+    return float(abs(h - h.conj().T).max())
 
 
 def liouvillian(model: LindbladModel) -> sp.csr_matrix:
@@ -592,9 +607,17 @@ def reflection_spectrum(model: LindbladModel, drive_label: str, delta_grid,
 
 
 def _collapse_rate(model: LindbladModel, label: str) -> float:
-    target = annihilator(model.space, label).matrix
+    """Rate of the collapse operator that is exactly the annihilator of
+    mode label. The annihilator's canonical CSR holds the ladder_product
+    triplets in row order, one entry a row (see hilbert.annihilator), so a
+    collapse matches when its row counts, indices and data equal them; no
+    annihilator is built and no difference is formed."""
+    rows, cols, amps = ladder_product(model.space, {label: -1})
+    per_row = np.bincount(rows, minlength=model.space.total_dim)
     for op, rate in model.collapses:
-        if (op.matrix - target).nnz == 0:
+        c = op.matrix
+        if (np.array_equal(np.diff(c.indptr), per_row) and np.array_equal(c.indices, cols)
+                and np.array_equal(c.data, amps)):
             return rate
     raise ValueError(f"no collapse operator found for mode {label!r}")
 

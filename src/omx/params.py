@@ -120,8 +120,8 @@ class SystemParams:
                 raise ValueError(f"inconsistent N_th={self.N_th} vs thermal_occupation(T)={n_T}")
         if self.N_th is None:
             self.N_th = 0.0
-        if self.N_th < 0:
-            raise ValueError("N_th must be >= 0")
+        if not self.N_th >= 0:  # NaN fails too
+            raise ValueError(f"N_th must be >= 0; got {self.N_th}")
 
     @classmethod
     def from_physical(cls, kappa_hz: float, **kwargs) -> "SystemParams":

@@ -14,10 +14,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (int, np.integer)):
-        return str(int(x))
-    return repr(float(x))  # shortest exact round-trip
+def _cells(col: np.ndarray) -> list[str]:
+    """One column's CSV cells, formatted in one pass: integers as str, all
+    else (bool included) as the repr of its float, the shortest exact
+    round-trip."""
+    if np.issubdtype(col.dtype, np.integer):
+        return [str(v) for v in col.tolist()]
+    return [repr(v) for v in col.astype(float).tolist()]
 
 
 @dataclass
@@ -70,8 +73,7 @@ class ScanResult:
         for key in sorted(self.metadata):
             lines.append(f"# {key} = {json.dumps(self.metadata[key], sort_keys=True, default=str)}")
         lines.append(",".join(name for name, _ in cols))
-        for i in range(self.n_rows):
-            lines.append(",".join(_fmt(col[i]) for _, col in cols))
+        lines.extend(map(",".join, zip(*(_cells(col) for _, col in cols))))
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write("\n".join(lines) + "\n")
 

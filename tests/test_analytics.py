@@ -6,6 +6,7 @@ from scipy.optimize import minimize_scalar
 
 from omx import (
     SystemParams,
+    analytics,
     build_rwa,
     eigenvalue_prediction,
     g2_zero,
@@ -116,6 +117,107 @@ def test_min_g2_scan_matches_per_point_argmin():
             want_arg.append(grid[k])
     assert np.array_equal(res.columns["min_g2"], want_min)
     assert np.array_equal(res.columns["argmin_delta_a"], want_arg)
+
+
+def _random_six_state_params(rng):
+    kappa = rng.uniform(0.2, 4.0)
+    return SystemParams(g0=rng.uniform(0.0, 30.0), kappa=kappa,
+                        Omega_a=kappa * 10 ** rng.uniform(-3.0, 0.0),
+                        N_th=rng.choice([0.0, rng.uniform(0.0, 5.0)]))
+
+
+def test_six_state_spectrum_matches_the_scalar_oracle_on_random_draws():
+    # the array prologue must round as the Python complex scalars do:
+    # negative detunings, kappa != 1, Omega_a != 0.01, N_th up to 5
+    rng = np.random.default_rng(18)
+    for _ in range(25):
+        p = _random_six_state_params(rng)
+        span = 1.5 * (p.g0 + p.kappa)
+        grid = rng.uniform(-span, span, 30)
+        mean_na, g2 = six_state_spectrum(p, grid)
+        ref = np.array([_six_state_point(p, float(da)) for da in grid])
+        assert np.array_equal(mean_na, ref[:, 0])
+        assert np.array_equal(g2, ref[:, 1])
+
+
+def _exhaustive_min_g2(params, g0_grid, nth_list):
+    """(min_g2, argmin) from the exact value at every grid point, first
+    occurrence: the scan that min_g2_scan's screen must reproduce."""
+    want_min, want_arg = [], []
+    for g0 in g0_grid:
+        grid = _ming2_grid(g0, params.kappa)
+        for nth in nth_list:
+            _, vals = six_state_spectrum(params.replace(g0=g0, N_th=nth, T=None), grid)
+            k = int(np.argmin(vals))
+            want_min.append(vals[k])
+            want_arg.append(grid[k])
+    return want_min, want_arg
+
+
+def _assert_min_g2_exhaustive(params, g0_grid, nth_list):
+    res = min_g2_scan(params, g0_grid, nth_list)
+    want_min, want_arg = _exhaustive_min_g2(params, g0_grid, nth_list)
+    assert np.array_equal(res.columns["min_g2"], want_min)
+    assert np.array_equal(res.columns["argmin_delta_a"], want_arg)
+
+
+def test_min_g2_scan_equals_the_exhaustive_argmin_on_random_draws():
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        p = _random_six_state_params(rng)
+        _assert_min_g2_exhaustive(p, [p.g0, 0.5 * p.g0], [0.0, p.N_th])
+
+
+@pytest.mark.parametrize("kappa", [1.0, 3.0, 0.25])
+def test_min_g2_scan_equals_the_exhaustive_argmin_flat_and_rescaled(kappa):
+    # g0 = 1e-6 leaves g2 flat to rounding, so ties and near-ties fill the band
+    p = SystemParams(g0=8.0 * kappa, kappa=kappa, Omega_a=0.01 * kappa)
+    _assert_min_g2_exhaustive(p, [1e-6 * kappa, 8.0 * kappa, 16.0 * kappa], [0.0, 0.5, 2.0])
+
+
+def _count_exact_rows(monkeypatch):
+    rows = []
+    exact = analytics._exact_sums
+
+    def counted(zeta, p1, p2):
+        rows.append(len(p1))
+        return exact(zeta, p1, p2)
+
+    monkeypatch.setattr(analytics, "_exact_sums", counted)
+    return rows
+
+
+def test_min_g2_scan_sends_every_row_to_the_exact_sums_when_the_screen_is_not_finite(
+        monkeypatch):
+    p = SystemParams(g0=8.0, kappa=1.0, Omega_a=0.01, N_th=0.5)
+    ladder = analytics._ladder
+
+    def poisoned(params, grid):
+        zeta, p1, p2 = ladder(params, grid)
+        p1[3] = np.inf  # the screened s1**2 of row 3 overflows
+        return zeta, p1, p2
+
+    monkeypatch.setattr(analytics, "_ladder", poisoned)
+    want_min, want_arg = _exhaustive_min_g2(p, [8.0], [0.5])
+    rows = _count_exact_rows(monkeypatch)
+    res = min_g2_scan(p, [8.0], [0.5])
+    assert rows == [_ming2_grid(8.0).size]
+    assert np.array_equal(res.columns["min_g2"], want_min)
+    assert np.array_equal(res.columns["argmin_delta_a"], want_arg)
+    zeta, p1, p2 = ladder(p, _ming2_grid(8.0))
+    p2[5] = np.nan
+    assert np.array_equal(analytics._screen(zeta, p1, p2), np.arange(p1.shape[0]))
+
+
+def test_min_g2_scan_runs_the_exact_sums_on_a_few_rows(monkeypatch):
+    # the screen leaves at most a few rows per (g0, N_th) of the shipped
+    # config to the exact sums; a return to the exhaustive scan fails here
+    cfg = load_config(Path(__file__).parents[1] / "configs" / "min_g2_vs_coupling.cfg")
+    nth_list = [float(v) for v in cfg.opt("nth_list").split(",")]
+    rows = _count_exact_rows(monkeypatch)
+    min_g2_scan(cfg.params, cfg.grid("g0"), nth_list)
+    assert len(rows) == cfg.grid("g0").size * len(nth_list)
+    assert max(rows) <= 3
 
 
 def test_antibunching_near_single_photon_resonances():

@@ -313,6 +313,35 @@ def test_number_lists_name_their_key(tmp_path, capsys, scenario, key, text):
     assert f"config error: {key} " in capsys.readouterr().err
 
 
+MING2_RUN = "[params]\ng0 = 8\n[grid.g0]\nvalues = 8\n[run]\n"
+TRANSISTOR_RUN = ("[params]\ng0 = 10\nkappa = 1\nomega_m = 100\nJ = 50\n"
+                  "[grid.Delta]\nvalues = 0\n[run]\nn_m = 0\n")
+
+
+@pytest.mark.parametrize("scenario, key, text", [
+    ("ming2", "nth_list", MING2_RUN + "nth_list ="),
+    ("ming2", "nth_list", MING2_RUN + "nth_list = 0, nan"),
+    ("transistor", "n_m", TRANSISTOR_RUN.replace("n_m = 0", "n_m =")),
+    ("transistor", "omega", TRANSISTOR_RUN + "omega = nan"),
+    ("transistor", "omega", TRANSISTOR_RUN + "omega = -0.01"),
+    ("transistor", "omega", TRANSISTOR_RUN + "omega = 0"),
+    ("transistor", "omega", TRANSISTOR_RUN + "omega = 0.06"),
+    ("transistor", "omega", TRANSISTOR_RUN + "omega = abc"),
+], ids=["ming2-empty", "ming2-nan", "transistor-empty-n_m", "omega-nan", "omega-negative",
+        "omega-zero", "omega-strong", "omega-text"])
+def test_bad_run_values_exit_2_naming_the_key(tmp_path, capsys, scenario, key, text):
+    # the empty lists and omega = nan or -0.01 once wrote a CSV with exit 0
+    cfg_path = write(tmp_path / "bad.cfg", text)
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_transistor_takes_the_weak_drive_bound(tmp_path):
+    cfg_path = write(tmp_path / "t.cfg", TRANSISTOR_RUN + "omega = 0.05")
+    assert main(["transistor", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+
+
 SCENARIOS = ["spectrum", "g2scan", "ming2", "transistor", "gate-error", "phonon-eigen",
              "compare-effective", "sweep"]
 
@@ -361,6 +390,33 @@ jobs = 2
     rep = compare(analytic, numeric, tolerance=0.10)
     assert rep.ok, f"max rel deviation {rep.max_rel:.3f}"
     assert np.all(res.columns["residual"] < 1e-9)
+
+
+def _fmt(x) -> str:
+    """The per-cell CSV formatter that ScanResult.write_csv once called."""
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))  # shortest exact round-trip
+
+
+def test_csv_cells_match_the_per_cell_formatter(tmp_path):
+    axes = [("n", np.array([0, 1], dtype=np.int64)), ("x", np.array([-0.0, 0.1, np.inf]))]
+    cols = {
+        "int": np.array([0, -1, 2**40, 7, -(2**31), 3]),
+        "uint": np.arange(6, dtype=np.uint8),
+        "float": np.array([0.1, -0.0, np.inf, -np.inf, 5e-324, 1 / 3]),
+        "single": np.array([0.1, -0.0, np.inf, 1e-40, 3.5, 1 / 3], dtype=np.float32),
+        "bool": np.array([True, False, True, True, False, False]),
+        "complex": np.array([1 + 2j, -0.0 - 0.0j, complex(np.inf, -np.inf), 0.1j,
+                             -1e300 + 1e-300j, 2.0]),
+    }
+    res = ScanResult(axes, cols, {"note": "cells"})
+    res.write_csv(tmp_path / "r.csv")
+    flat = res._flat_columns()
+    want = [",".join(_fmt(col[i]) for _, col in flat) for i in range(res.n_rows)]
+    lines = (tmp_path / "r.csv").read_text(encoding="utf-8").split("\n")
+    assert lines[:2] == ['# note = "cells"', ",".join(name for name, _ in flat)]
+    assert lines[2:] == want + [""]
 
 
 def test_json_roundtrip(tmp_path):

@@ -741,6 +741,52 @@ def test_model_rejects_non_hermitian_hamiltonian():
         LindbladModel(annihilator(space, "a"), [], space)
 
 
+def test_hermitian_deviation_matches_the_sparse_difference():
+    # symmetric patterns compare entry by entry, the rest take the sparse
+    # difference; both must give max|H - H^dag| bit for bit
+    rng = np.random.default_rng(7)
+    for trial in range(40):
+        n = int(rng.integers(2, 12))
+        mask = rng.random((n, n)) < rng.uniform(0.0, 0.6)
+        a = np.where(mask, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)), 0.0)
+        if trial % 2:
+            a = a + a.conj().T
+            if trial % 4 == 1:
+                a = a + 1e-3j * (a != 0)  # symmetric pattern, a non-Hermitian part
+        h = Operator(ModeSpace([("x", n)]), sp.csr_matrix(a)).matrix
+        assert dynamics._hermitian_deviation(h) == abs(h - h.conj().T).max()
+
+
+def test_model_rejects_a_one_way_hamiltonian_entry():
+    # H_02 without H_20: H and H^dag differ in pattern
+    space = ModeSpace([("a", 3)])
+
+    def one_way(value):
+        return Operator(space, sp.csr_matrix(
+            ([1.0, 2.0, 3.0, value], ([0, 1, 2, 0], [0, 1, 2, 2])), shape=(3, 3)))
+
+    with pytest.raises(ValueError, match=r"not Hermitian: max\|H - H\^dag\| = 1\.00e-10"):
+        LindbladModel(one_way(1e-10), [], space)
+    LindbladModel(one_way(1e-12), [], space)  # within 1e-12 max|H| = 3e-12
+
+
+def test_collapse_rate_needs_the_annihilator_exactly():
+    model = _transistor(1)
+    space = model.space
+    a_s, a_ap = annihilator(space, "s"), annihilator(space, "ap")
+    h = model.hamiltonian
+    nudged = Operator(space, a_s.matrix.copy())
+    nudged.matrix.data[0] = np.nextafter(nudged.matrix.data[0].real, 2.0)
+    # 2 a_s and the nudged a_s have the annihilator's pattern, not its values
+    for impostor in (2 * a_s, nudged):
+        model = LindbladModel(h, [(impostor, 0.3), (a_ap, 0.7)], space)
+        with pytest.raises(ValueError, match="no collapse operator found for mode 's'"):
+            reflection_spectrum(model, "s", [0.0], 0.01)
+        assert dynamics._collapse_rate(model, "ap") == 0.7
+    model = LindbladModel(h, [(2 * a_s, 0.3), (a_s, 0.6), (a_ap, 0.7)], space)
+    assert dynamics._collapse_rate(model, "s") == 0.6
+
+
 # ------------------------------------------------------- nonhermitian eigs ---
 
 def test_nonhermitian_eigs_free_ladder():

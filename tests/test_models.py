@@ -56,6 +56,13 @@ def test_thermal_occupation_from_temperature():
     assert p.Gamma_m == pytest.approx(0.5 * p.gamma * (3 * n + 0.5))
 
 
+def test_system_params_rejects_a_nan_occupation():
+    with pytest.raises(ValueError, match="N_th must be >= 0; got nan"):
+        SystemParams(g0=8.0, N_th=float("nan"))
+    with pytest.raises(ValueError, match="N_th must be >= 0; got -1"):
+        SystemParams(g0=8.0).replace(N_th=-1.0)
+
+
 def test_replace_rederives_downstream():
     p = SystemParams(g0=1.0, omega_m=160.0, J=80.0, Delta_a=4.0)
     q = p.replace(Delta_a=6.0)
