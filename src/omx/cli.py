@@ -22,12 +22,13 @@ Config grammar (INI-style, '#' comments):
     # or instead:  values = -8, -4, 0, 4, 8
 
     [run]               # scenario options; a key the scenario does not
-    truncations = a:4, s:4, m:6   # read (see _RUN_KEYS) is a config error
+    truncations = m:10  # read (see _RUN_KEYS) is a config error
     jobs = 1
     check_unique = first  # g2scan: null-space check at first | all | none points
 
-Every output embeds the resolved parameters, grids, and options, enough to
-reproduce the run; repeated runs of one config are byte identical.
+Every output embeds the resolved parameters, grids, options and Fock dims
+(models.default_truncations fills in a mode truncations leaves out), enough
+to reproduce the run; repeated runs of one config are byte identical.
 """
 
 from __future__ import annotations
@@ -86,27 +87,21 @@ class Config:
     def grid(self, name: str) -> np.ndarray:
         if name not in self.grids:
             raise ConfigError(f"missing [grid.{name}] section")
-        g = self.grids[name]
-        if len(g) == 0:
-            raise ConfigError(f"grid {name!r} is empty")
-        return g
+        return self.grids[name]
 
     def opt(self, key: str, default=None):
         return self.run.get(key, default)
 
 
 def _parse_grid(section) -> np.ndarray:
-    try:
-        if "values" in section:
-            return np.array([float(v) for v in section["values"].split(",") if v.strip()])
-        start, stop = float(section["start"]), float(section["stop"])
-        points = int(section["points"])
-    except KeyError as exc:
-        raise ConfigError(f"grid needs start/stop/points or values (missing {exc})") from exc
-    except ValueError as exc:
-        raise ConfigError(f"bad grid entry: {exc}") from exc
-    if points < 1:
-        raise ConfigError("grid points must be >= 1")
+    if "values" in section:
+        return np.array(_floats(section, "values", None))
+    missing = sorted({"start", "stop", "points"} - set(section))
+    if missing:
+        raise ConfigError(f"needs values, or start, stop and points (missing {missing})")
+    start, stop = (_number(section, key, None, np.isfinite, "a finite number")
+                   for key in ("start", "stop"))
+    points = _integer(section, "points", None, 1)
     scale = section.get("scale", "lin").strip().lower()
     if scale == "lin":
         return np.linspace(start, stop, points)
@@ -153,29 +148,32 @@ def load_config(path) -> Config:
     grids = {}
     for section in cp.sections():
         if section.startswith("grid."):
-            grids[section[5:]] = _parse_grid(cp[section])
+            try:
+                grids[section[5:]] = _parse_grid(cp[section])
+            except ConfigError as exc:
+                raise ConfigError(f"[{section}] {exc}") from None
     run = dict(cp["run"]) if cp.has_section("run") else {}
     return Config(params, grids, run)
 
 
-def _truncations(cfg: Config, default):
+def _truncations(cfg: Config) -> dict[str, int] | None:
+    """[run] truncations as {label: dim}, or None without the key; a builder
+    fills in each label left out (models.default_truncations)."""
     text = cfg.opt("truncations")
     if text is None:
-        return default
-    out = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        label, _, dim = item.partition(":")
-        if not dim:
-            raise ConfigError(f"truncation entry {item!r} is not label:dim")
-        out[label.strip()] = int(dim)
-    return out
+        return None
+    entries = [[part.strip() for part in item.split(":")]
+               for item in text.split(",") if item.strip()]
+    dims = {e[0]: int(e[1]) for e in entries if len(e) == 2 and e[1].isdecimal()}
+    if not entries or len(dims) != len(entries):
+        raise ConfigError("truncations must list label:dim entries with distinct labels "
+                          f"and integer dims; got {text!r}")
+    return dims
 
 
-def _floats(cfg: Config, key: str, default: str) -> list[float]:
-    text = str(cfg.opt(key, default))
+# readers of a [run] or [grid.*] key: a bad value is a ConfigError naming it
+def _floats(options, key: str, default: str | None) -> list[float]:
+    text = str(options.get(key, default))
     try:
         vals = [float(v) for v in text.split(",") if v.strip()]
     except ValueError:
@@ -188,17 +186,17 @@ def _floats(cfg: Config, key: str, default: str) -> list[float]:
 _BOOLEANS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 
 
-def _n_max(cfg: Config, least: int) -> int:
-    text = str(cfg.opt("n_max", 3))
+def _integer(options, key: str, default: int | None, least: int) -> int:
+    text = str(options.get(key, default))
     if not text.removeprefix("-").isdecimal() or int(text) < least:
-        raise ConfigError(f"n_max must be an integer >= {least}; got {text!r}")
+        raise ConfigError(f"{key} must be an integer >= {least}; got {text!r}")
     return int(text)
 
 
-def _number(cfg: Config, key: str, default: float, accept, rule: str) -> float:
-    """[run] number key, or default; ConfigError naming the key unless
-    accept(value) holds (a text that is not a number reads as NaN)."""
-    text = str(cfg.opt(key, default))
+def _number(options, key: str, default: float | None, accept, rule: str) -> float:
+    """A number, unless accept(value) fails (a text that is not a number
+    reads as NaN)."""
+    text = str(options.get(key, default))
     try:
         value = float(text)
     except ValueError:
@@ -270,7 +268,7 @@ def _g2_point(args):
     # <a^dag a> off the populations, as g2_zero reads it
     space = model.space
     nbar = float(rep.state.matrix.diagonal().real @ space.occupations[space.index("a")])
-    return nbar, g2_zero(rep.state, "a"), rep.residual
+    return nbar, g2_zero(rep.state, "a"), rep.residual, space.modes
 
 
 def run_g2scan(cfg: Config) -> ScanResult:
@@ -283,7 +281,7 @@ def run_g2scan(cfg: Config) -> ScanResult:
     if p.gamma is None:
         p = p.replace(gamma=0.01 * p.kappa, Q=None)
     grid = cfg.grid("Delta_a")
-    truncations = _truncations(cfg, {"a": 4, "s": 4, "m": 6})
+    truncations = _truncations(cfg)
     check = cfg.opt("check_unique", "first")
     if check not in ("first", "all", "none"):
         raise ConfigError(f"check_unique must be first, all or none; got {check!r}")
@@ -291,20 +289,19 @@ def run_g2scan(cfg: Config) -> ScanResult:
              for i, da in enumerate(grid)]
     rows = []
     try:
-        for row in _map(_g2_point, tasks, int(cfg.opt("jobs", 1))):
+        for row in _map(_g2_point, tasks, _integer(cfg.run, "jobs", 1, 1)):
             rows.append(row)
     except SolverError as exc:
-        partial = _g2scan_result(cfg, p, grid, rows, truncations,
-                                 aborted_at=float(grid[len(rows)]))
+        partial = _g2scan_result(cfg, p, grid, rows, aborted_at=float(grid[len(rows)]))
         raise ScanAborted(
             f"solver failed at Delta_a = {grid[len(rows)]}: {exc}", partial) from exc
-    return _g2scan_result(cfg, p, grid, rows, truncations)
+    return _g2scan_result(cfg, p, grid, rows)
 
 
-def _g2scan_result(cfg: Config, p: SystemParams, grid, rows, truncations,
-                   **extra) -> ScanResult:
+def _g2scan_result(cfg: Config, p: SystemParams, grid, rows, **extra) -> ScanResult:
     """The g2scan table over the first len(rows) grid points: the same
-    columns for a finished and for an aborted scan."""
+    columns for a finished and for an aborted scan, with the dims of the
+    solved models (none before the first point is solved)."""
     done = grid[: len(rows)]
     n0 = (p.Omega_a / p.kappa) ** 2
     return ScanResult(
@@ -313,12 +310,13 @@ def _g2scan_result(cfg: Config, p: SystemParams, grid, rows, truncations,
          "g2_numeric": np.array([r[1] for r in rows]),
          **_six_state_columns(p, done, n0),
          "residual": np.array([r[2] for r in rows])},
-        _provenance(cfg, "g2scan", truncations=truncations, n0=n0, **extra))
+        _provenance(cfg, "g2scan", truncations=dict(rows[0][3]) if rows else None, n0=n0,
+                    **extra))
 
 
 def run_ming2(cfg: Config) -> ScanResult:
     g0_grid = cfg.grid("g0")
-    nth = np.array(_floats(cfg, "nth_list", "0"))
+    nth = np.array(_floats(cfg.run, "nth_list", "0"))
     res = analytics.min_g2_scan(cfg.params, g0_grid, nth)
     res.metadata.update(_provenance(cfg, "ming2"))
     return res
@@ -327,14 +325,14 @@ def run_ming2(cfg: Config) -> ScanResult:
 def run_transistor(cfg: Config) -> ScanResult:
     p = cfg.params
     grid = cfg.grid("Delta")
-    n_ms = _floats(cfg, "n_m", "0, 1")
+    n_ms = _floats(cfg.run, "n_m", "0, 1")
     if not all(v >= 0 and v.is_integer() for v in n_ms):
         raise ConfigError(f"n_m must be non-negative integers; got {cfg.opt('n_m')!r}")
     n_ms = [int(v) for v in n_ms]
     # reflection_spectrum's weak-drive bound
-    omega = _number(cfg, "omega", WEAK_DRIVE_DEFAULT * p.kappa,
+    omega = _number(cfg.run, "omega", WEAK_DRIVE_DEFAULT * p.kappa,
                     lambda w: 0.0 < w <= 0.05 * p.kappa, "a finite number in (0, 0.05 kappa]")
-    truncations = _truncations(cfg, {"s": 4, "ap": 4})
+    truncations = _truncations(cfg)
     r_all = []
     for n_m in n_ms:
         model = models.build_transistor(p, n_m, truncations)
@@ -344,7 +342,7 @@ def run_transistor(cfg: Config) -> ScanResult:
     return ScanResult(
         [("n_m", np.array(n_ms)), ("Delta", grid)],
         {"r": r_all, "r_abs": np.abs(r_all), "r_phase": np.angle(r_all)},
-        _provenance(cfg, "transistor", omega=omega, truncations=truncations))
+        _provenance(cfg, "transistor", omega=omega, truncations=dict(model.space.modes)))
 
 
 def run_gate_error(cfg: Config) -> ScanResult:
@@ -380,9 +378,9 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
     the analytic prediction.
     """
     p = cfg.params
-    alphas = np.array(_floats(cfg, "alphas", "0.5, 1.0"))
-    n_max = _n_max(cfg, 0)
-    truncations = _truncations(cfg, {"a": 5, "s": 3, "m": 9})
+    alphas = np.array(_floats(cfg.run, "alphas", "0.5, 1.0"))
+    n_max = _integer(cfg.run, "n_max", 3, 0)
+    truncations = _truncations(cfg)
     lam0 = analytics.phonon_nonlinearity(p.replace(alpha=1.0)).Lambda0
     re_num, im_num, re_pred, im_pred, ovl = [], [], [], [], []
     for alpha in alphas:
@@ -405,7 +403,7 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
          "re_dev_over_L0_analytic": np.array(re_pred),
          "im_over_L0_analytic": np.array(im_pred),
          "overlap": np.array(ovl)},
-        _provenance(cfg, "phonon-eigen", truncations=truncations, Lambda0=lam0))
+        _provenance(cfg, "phonon-eigen", truncations=dict(h.space.modes), Lambda0=lam0))
 
 
 def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]:
@@ -416,8 +414,8 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
     rates for all n). The command exits 4 when any report is out of
     tolerance.
     """
-    _n_max(cfg, 1)  # the real-part comparison skips n = 0
-    tol_re, tol_im = (_number(cfg, key, default, lambda t: 0.0 <= t < np.inf,
+    _integer(cfg.run, "n_max", 3, 1)  # the real-part comparison skips n = 0
+    tol_re, tol_im = (_number(cfg.run, key, default, lambda t: 0.0 <= t < np.inf,
                               "a finite number >= 0")
                       for key, default in (("tolerance_re", 0.15), ("tolerance_im", 0.20)))
     res = run_phonon_eigen(cfg)
@@ -477,7 +475,7 @@ def run_sweep(cfg: Config) -> ScanResult:
     mesh = np.meshgrid(*[v for _, v in axes], indexing="ij")
     points = np.stack([m.reshape(-1) for m in mesh], axis=-1)
     tasks = [(cfg.params, names, pt, obs_name) for pt in points]
-    rows = list(_map(_sweep_point, tasks, int(cfg.opt("jobs", 1))))
+    rows = list(_map(_sweep_point, tasks, _integer(cfg.run, "jobs", 1, 1)))
     columns = {k: np.array([r[k] for r in rows]) for k in rows[0]}
     return ScanResult(axes, columns, _provenance(cfg, "sweep", observable=obs_name))
 

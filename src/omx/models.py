@@ -20,9 +20,14 @@ build_nonhermitian, build_transistor) take one construction path,
 _hamiltonian: H is written as one coordinate list and one CSR, its diagonal
 straight from the integer ModeSpace.occupations (so it is exact) and each
 three-wave, beam-splitter, hopping and drive term with its Hermitian
-partner from hilbert.ladder_product. build_full, build_hybrid_decomposition
-and build_effective_phonon stay on the Operator algebra: they are oracles
-for the scenario frames, and no scenario's speed hangs on them.
+partner from hilbert.ladder_product. build_full and
+build_hybrid_decomposition stay on the Operator algebra as oracles for the
+scenario frames. build_effective_phonon stays on it too, but it is no
+oracle: it is the model that gate-error with exact = true evolves
+(analytics.phase_gate_error), at 4 levels per mode, where one dense expm
+and not the build sets the cost.
+
+Every builder takes a truncation it is not given from default_truncations.
 """
 
 from __future__ import annotations
@@ -36,31 +41,33 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .dynamics import LindbladModel
-from .hilbert import ModeSpace, Operator, annihilator, ladder_product
+from .hilbert import ModeSpace, Operator, annihilator, ladder_product, thermal_dim
 from .params import SystemParams
 
 RESONANCE_ATOL = 1e-9
 
 
 def default_truncations(params: SystemParams, labels) -> dict[str, int]:
-    """Default Fock truncations: optical dims 4, mechanical max(6, 6 N_th)."""
-    mech = max(6, int(math.ceil(6 * params.N_th)))
-    out = {}
-    for lbl in labels:
-        out[lbl] = mech if lbl.startswith(("b", "m", "B")) else 4
-    return out
+    """The Fock truncation of every mode a builder is not given one for:
+    optical modes 4; mechanical modes (labels b..., m..., B...)
+    max(6, thermal_dim(N_th)), so that the bath's thermal ladder loses
+    less than hilbert.TAIL_MASS of its weight, the cut analytics applies to
+    the closed form's ladder."""
+    mech = max(6, thermal_dim(params.N_th))
+    return {lbl: mech if lbl.startswith(("b", "m", "B")) else 4 for lbl in labels}
 
 
 def _resolve_truncations(params, labels, truncations) -> ModeSpace:
-    if truncations is None:
-        dims = default_truncations(params, labels)
-    elif isinstance(truncations, dict):
+    """The ModeSpace of labels: truncations is None (every dim from
+    default_truncations), a dict of some labels' dims (the rest from
+    default_truncations) or one dim per label in order."""
+    dims = default_truncations(params, labels)
+    if isinstance(truncations, dict):
         unknown = sorted(set(truncations) - set(labels))
         if unknown:
             raise ValueError(f"unknown truncation labels {unknown}; modes are {labels}")
-        dims = dict(default_truncations(params, labels))
         dims.update(truncations)
-    else:
+    elif truncations is not None:
         if len(truncations) != len(labels):
             raise ValueError(f"need {len(labels)} truncations for modes {labels}")
         dims = dict(zip(labels, truncations))
@@ -428,7 +435,7 @@ def build_nonhermitian(params: SystemParams, truncations=None) -> Operator:
     return Operator(space, model.hamiltonian.matrix - 1j * model.decay(), {"b_mode": b_mode})
 
 
-def build_transistor(params: SystemParams, n_m: int, truncations=(4, 4)) -> LindbladModel:
+def build_transistor(params: SystemParams, n_m: int, truncations=None) -> LindbladModel:
     """Probe-facing model with the mechanical mode pinned to Fock state n_m.
 
     Within the weak-probe single-photon manifold the mechanical occupation

@@ -135,6 +135,7 @@ n_m = 0, 1
 """))
     res = run_transistor(cfg)
     assert res.n_rows == 2 * 65
+    assert res.metadata["truncations"] == {"s": 4, "ap": 4}
     absr = res.columns["r_abs"].reshape(2, 65)
     assert absr[0].min() > 1 - 1e-6          # empty ladder: no dip
     assert absr[1].min() < 0.2               # split ladder: deep dips
@@ -316,6 +317,8 @@ def test_number_lists_name_their_key(tmp_path, capsys, scenario, key, text):
 MING2_RUN = "[params]\ng0 = 8\n[grid.g0]\nvalues = 8\n[run]\n"
 TRANSISTOR_RUN = ("[params]\ng0 = 10\nkappa = 1\nomega_m = 100\nJ = 50\n"
                   "[grid.Delta]\nvalues = 0\n[run]\nn_m = 0\n")
+G2SCAN_RUN = "[params]\ng0 = 2\n[grid.Delta_a]\nvalues = 0.5\n[run]\n"
+SWEEP_RUN = "[params]\ng0 = 8\n[grid.Delta_a]\nvalues = 1\n[run]\nobservable = six_state_g2\n"
 
 
 @pytest.mark.parametrize("scenario, key, text", [
@@ -327,10 +330,21 @@ TRANSISTOR_RUN = ("[params]\ng0 = 10\nkappa = 1\nomega_m = 100\nJ = 50\n"
     ("transistor", "omega", TRANSISTOR_RUN + "omega = 0"),
     ("transistor", "omega", TRANSISTOR_RUN + "omega = 0.06"),
     ("transistor", "omega", TRANSISTOR_RUN + "omega = abc"),
+    ("g2scan", "jobs", G2SCAN_RUN + "jobs = abc"),
+    ("g2scan", "jobs", G2SCAN_RUN + "jobs = 0"),
+    ("sweep", "jobs", SWEEP_RUN + "jobs = -2"),
+    ("g2scan", "truncations", G2SCAN_RUN + "truncations = a:4, a:5"),
+    ("g2scan", "truncations", G2SCAN_RUN + "truncations = a:x"),
+    ("transistor", "truncations", TRANSISTOR_RUN + "truncations = s:4.5"),
+    ("transistor", "truncations", TRANSISTOR_RUN + "truncations ="),
 ], ids=["ming2-empty", "ming2-nan", "transistor-empty-n_m", "omega-nan", "omega-negative",
-        "omega-zero", "omega-strong", "omega-text"])
+        "omega-zero", "omega-strong", "omega-text", "jobs-text", "jobs-zero", "sweep-jobs-negative",
+        "truncations-repeated-label", "truncations-text-dim", "truncations-fractional-dim",
+        "truncations-empty"])
 def test_bad_run_values_exit_2_naming_the_key(tmp_path, capsys, scenario, key, text):
-    # the empty lists and omega = nan or -0.01 once wrote a CSV with exit 0
+    # the empty lists, omega = nan or -0.01, jobs = 0 or -2 (run serially),
+    # a repeated truncation label (the last won) and an empty truncations
+    # once wrote a CSV with exit 0
     cfg_path = write(tmp_path / "bad.cfg", text)
     assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert f"config error: {key} " in capsys.readouterr().err
@@ -510,6 +524,57 @@ g0 = 2
 values = 1.0, nofail
 """)
     assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("scenario, grid, text", [
+    ("spectrum", "Delta_a", "values = 1, nan"),
+    ("spectrum", "Delta_a", "values = 1, inf"),
+    ("spectrum", "Delta_a", "start = nan\nstop = 1\npoints = 3"),
+    ("spectrum", "Delta_a", "start = 0\nstop = 1\npoints = 2.5"),
+    ("ming2", "g0", "values = 4, inf"),
+], ids=["values-nan", "values-inf", "start-nan", "fractional-points", "ming2-values-inf"])
+def test_grids_are_finite_and_named(tmp_path, capsys, scenario, grid, text):
+    # NaN once failed only as a NaN output column, and ming2's inf inside numpy
+    cfg_path = write(tmp_path / "bad.cfg", f"[params]\ng0 = 8\n[grid.{grid}]\n{text}\n")
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: [grid.{grid}] " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+G2SCAN_THERMAL_CFG = """
+[params]
+g0 = 8
+kappa = 1
+omega_m = 160
+J = 80
+Omega_a = 0.01
+gamma = 0.01
+N_th = 0.5
+
+[grid.Delta_a]
+values = 3.3
+"""
+
+
+def test_g2scan_default_dims_follow_the_occupation(tmp_path):
+    # without truncations this point once ran at m6 and came out 1.2% high
+    from omx.cli import run_g2scan
+    res = run_g2scan(load_config(write(tmp_path / "g.cfg", G2SCAN_THERMAL_CFG)))
+    assert res.metadata["truncations"] == {"a": 4, "m": 13, "s": 4}
+    pinned = write(tmp_path / "m20.cfg",
+                   G2SCAN_THERMAL_CFG + "[run]\ntruncations = m:20\ncheck_unique = none\n")
+    ref = run_g2scan(load_config(pinned))
+    assert ref.metadata["truncations"] == {"a": 4, "m": 20, "s": 4}
+    assert res.columns["g2_numeric"][0] == pytest.approx(ref.columns["g2_numeric"][0], rel=1e-4)
+
+
+def test_phonon_eigen_records_every_dim_it_ran(tmp_path):
+    # a partial truncations once recorded only its own entries
+    from omx.cli import run_phonon_eigen
+    text = (Path(__file__).parents[1] / "configs" / "phonon_eigen_benchmark.cfg").read_text()
+    cfg = load_config(write(tmp_path / "pe.cfg", text.replace(
+        "truncations = a:5, s:3, m:9", "truncations = m:9")))
+    assert run_phonon_eigen(cfg).metadata["truncations"] == {"a": 4, "s": 4, "m": 9}
 
 
 def test_g2scan_solver_failure_flushes_partial(tmp_path, monkeypatch):

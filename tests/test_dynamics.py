@@ -860,7 +860,7 @@ def _benchmark_h_eff(alpha, truncations=None):
     from omx.cli import _truncations, load_config
     cfg = load_config(Path(__file__).parents[1] / "configs" / "phonon_eigen_benchmark.cfg")
     return build_nonhermitian(cfg.params.replace(alpha=complex(alpha)),
-                              truncations or _truncations(cfg, None))
+                              truncations or _truncations(cfg))
 
 
 def _record_eig_shapes(monkeypatch):

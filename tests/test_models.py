@@ -17,11 +17,12 @@ from omx import (
     build_nonhermitian,
     build_rwa,
     build_transistor,
+    default_truncations,
     hybrid_rotation,
     hybridize,
     number_op,
 )
-from omx.hilbert import Operator
+from omx.hilbert import Operator, thermal_dim
 from omx.models import RESONANCE_ATOL, _alpha, _resolve_truncations, _thermal_collapses
 from omx.params import thermal_occupation
 
@@ -106,6 +107,18 @@ def test_truncations_reject_unknown_label():
         build_rwa(p, {"a": 4, "s": 4, "mm": 20})
     with pytest.raises(ValueError, match="'m'"):
         build_transistor(p, 1, {"s": 4, "m": 4})
+
+
+@pytest.mark.parametrize("n_th, mech", [(0.0, 6), (0.1, 6), (0.25, 9), (0.5, 13), (1.0, 20),
+                                        (2.0, 35)])
+def test_default_truncations_keep_the_thermal_tail(n_th, mech):
+    # one rule for every builder; the mechanical dim was 6 up to N_th = 1
+    p = SystemParams(g0=3.0, omega_m=60.0, J=30.0, Delta_a=0.0, N_th=n_th)
+    assert mech == max(6, thermal_dim(n_th))
+    assert default_truncations(p, ["a", "s", "ap", "c1", "m", "b1", "B2"]) == {
+        "a": 4, "s": 4, "ap": 4, "c1": 4, "m": mech, "b1": mech, "B2": mech}
+    assert build_rwa(p, {"a": 3}).space.dims == (3, 4, mech)
+    assert build_transistor(p, 1).space.dims == (4, 4)
 
 
 def test_rwa_transition_amplitude_scaling():
