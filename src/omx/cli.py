@@ -22,7 +22,7 @@ Config grammar (INI-style, '#' comments):
     # or instead:  values = -8, -4, 0, 4, 8
 
     [run]               # scenario options; a key the scenario does not
-    truncations = m:10  # read (see _RUN_KEYS) is a config error
+    truncations = m:10  # read (see _SCENARIOS) is a config error
     jobs = 1
     check_unique = first  # g2scan: null-space check at first | all | none points
 
@@ -45,7 +45,7 @@ import numpy as np
 from . import __version__, analytics, models
 from .analytics import WEAK_DRIVE_DEFAULT
 from .dynamics import SolverError, g2_zero, nonhermitian_eigs, reflection_spectrum, steady_state
-from .params import SystemParams, parse_quantity
+from .params import FREQ_UNITS, SystemParams, parse_quantity
 from .scan import CompareReport, ScanResult
 
 
@@ -64,18 +64,6 @@ class ScanAborted(RuntimeError):
 # ---------------------------------------------------------------- config ---
 
 _PARAM_FIELDS = {f.name for f in dc_fields(SystemParams)} - {"kappa_hz"}
-
-# the [run] keys each scenario reads
-_RUN_KEYS = {
-    "spectrum": set(),
-    "g2scan": {"truncations", "jobs", "check_unique"},
-    "ming2": {"nth_list"},
-    "transistor": {"n_m", "omega", "truncations"},
-    "gate-error": {"exact"},
-    "phonon-eigen": {"alphas", "n_max", "truncations"},
-    "compare-effective": {"alphas", "n_max", "truncations", "tolerance_re", "tolerance_im"},
-    "sweep": {"observable", "jobs"},
-}
 
 
 class Config:
@@ -128,7 +116,7 @@ def load_config(path) -> Config:
     if "kappa" in raw_params:
         text = raw_params["kappa"].strip()
         parts = text.split()
-        if len(parts) == 2 and parts[1].lower() in ("hz", "khz", "mhz", "ghz", "thz"):
+        if len(parts) == 2 and parts[1].lower() in FREQ_UNITS:
             kappa_hz = parse_quantity(parts[0] + " " + parts[1], kappa_hz=1.0)  # value in Hz
             raw_params["kappa"] = "1.0"
     kw = {}
@@ -206,13 +194,14 @@ def _number(options, key: str, default: float | None, accept, rule: str) -> floa
     return value
 
 
-def _provenance(cfg: Config, scenario: str, **extra) -> dict:
+def _provenance(cfg: Config, params: SystemParams, scenario: str, **extra) -> dict:
+    """Output metadata: the params that ran (defaults filled in), grids and [run] options."""
     meta = {
         "omx_version": __version__,
         "scenario": scenario,
         "deterministic": True,
         "params": {k: v for k, v in (
-            (f.name, getattr(cfg.params, f.name)) for f in dc_fields(cfg.params))
+            (f.name, getattr(params, f.name)) for f in dc_fields(params))
             if v is not None},
         "grids": {name: [float(v) for v in vals] for name, vals in cfg.grids.items()},
         "run": dict(cfg.run),
@@ -233,16 +222,23 @@ def _map(fn, tasks, jobs: int):
 
 # ------------------------------------------------------------- scenarios ---
 
-def _weak_params(cfg: Config) -> SystemParams:
-    p = cfg.params
-    if not p.Omega_a:
-        p = p.replace(Omega_a=WEAK_DRIVE_DEFAULT * p.kappa)
+def _weak_drive(p: SystemParams) -> SystemParams:
+    """p with the probe drive Omega_a at its weak default where unset."""
+    return p if p.Omega_a else p.replace(Omega_a=WEAK_DRIVE_DEFAULT * p.kappa)
+
+
+def _g2scan_params(p: SystemParams) -> SystemParams:
+    """g2scan's operating point: p with the weak drive Omega_a, a resonant
+    omega_m = 2J and gamma = 0.01 kappa wherever p leaves them unset."""
+    p = _weak_drive(p)
     if p.omega_m is None:
         # resonant operating point, large compared to g0 and kappa
         om = 20.0 * max(p.g0, p.kappa)
         p = p.replace(omega_m=om, J=om / 2)
     elif p.J is None:
         p = p.replace(J=p.omega_m / 2)  # resonant tunnel splitting
+    if p.gamma is None:
+        p = p.replace(gamma=0.01 * p.kappa, Q=None)
     return p
 
 
@@ -254,11 +250,11 @@ def _six_state_columns(p: SystemParams, grid, n0: float) -> dict:
 
 def run_spectrum(cfg: Config) -> ScanResult:
     """Weak-drive excitation spectrum and g2 versus Delta_a (closed form)."""
-    p = _weak_params(cfg)
+    p = _weak_drive(cfg.params)
     grid = cfg.grid("Delta_a")
     n0 = (p.Omega_a / p.kappa) ** 2
     return ScanResult([("Delta_a", grid)], _six_state_columns(p, grid, n0),
-                      _provenance(cfg, "spectrum", n0=n0))
+                      _provenance(cfg, p, "spectrum", n0=n0))
 
 
 def _g2_point(args):
@@ -277,9 +273,7 @@ def run_g2scan(cfg: Config) -> ScanResult:
     A solver failure raises ScanAborted naming the grid point, carrying the
     points solved so far.
     """
-    p = _weak_params(cfg)
-    if p.gamma is None:
-        p = p.replace(gamma=0.01 * p.kappa, Q=None)
+    p = _g2scan_params(cfg.params)
     grid = cfg.grid("Delta_a")
     truncations = _truncations(cfg)
     check = cfg.opt("check_unique", "first")
@@ -310,7 +304,7 @@ def _g2scan_result(cfg: Config, p: SystemParams, grid, rows, **extra) -> ScanRes
          "g2_numeric": np.array([r[1] for r in rows]),
          **_six_state_columns(p, done, n0),
          "residual": np.array([r[2] for r in rows])},
-        _provenance(cfg, "g2scan", truncations=dict(rows[0][3]) if rows else None, n0=n0,
+        _provenance(cfg, p, "g2scan", truncations=dict(rows[0][3]) if rows else None, n0=n0,
                     **extra))
 
 
@@ -318,7 +312,7 @@ def run_ming2(cfg: Config) -> ScanResult:
     g0_grid = cfg.grid("g0")
     nth = np.array(_floats(cfg.run, "nth_list", "0"))
     res = analytics.min_g2_scan(cfg.params, g0_grid, nth)
-    res.metadata.update(_provenance(cfg, "ming2"))
+    res.metadata.update(_provenance(cfg, cfg.params, "ming2"))
     return res
 
 
@@ -342,7 +336,7 @@ def run_transistor(cfg: Config) -> ScanResult:
     return ScanResult(
         [("n_m", np.array(n_ms)), ("Delta", grid)],
         {"r": r_all, "r_abs": np.abs(r_all), "r_phase": np.angle(r_all)},
-        _provenance(cfg, "transistor", omega=omega, truncations=dict(model.space.modes)))
+        _provenance(cfg, p, "transistor", omega=omega, truncations=dict(model.space.modes)))
 
 
 def run_gate_error(cfg: Config) -> ScanResult:
@@ -367,7 +361,7 @@ def run_gate_error(cfg: Config) -> ScanResult:
         [("kappa", kappas), ("Gamma_m", gammas_m)],
         {"eps_g": np.array(eps), "delta_s_opt": np.array(ds_opt),
          "t_g": np.array(tg)},
-        _provenance(cfg, "gate-error", exact=exact))
+        _provenance(cfg, p, "gate-error", exact=exact))
 
 
 def run_phonon_eigen(cfg: Config) -> ScanResult:
@@ -403,7 +397,7 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
          "re_dev_over_L0_analytic": np.array(re_pred),
          "im_over_L0_analytic": np.array(im_pred),
          "overlap": np.array(ovl)},
-        _provenance(cfg, "phonon-eigen", truncations=dict(h.space.modes), Lambda0=lam0))
+        _provenance(cfg, p, "phonon-eigen", truncations=dict(h.space.modes), Lambda0=lam0))
 
 
 def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]:
@@ -477,17 +471,20 @@ def run_sweep(cfg: Config) -> ScanResult:
     tasks = [(cfg.params, names, pt, obs_name) for pt in points]
     rows = list(_map(_sweep_point, tasks, _integer(cfg.run, "jobs", 1, 1)))
     columns = {k: np.array([r[k] for r in rows]) for k in rows[0]}
-    return ScanResult(axes, columns, _provenance(cfg, "sweep", observable=obs_name))
+    return ScanResult(axes, columns, _provenance(cfg, cfg.params, "sweep", observable=obs_name))
 
 
+# scenario -> (runner, the [run] keys it reads)
 _SCENARIOS = {
-    "spectrum": run_spectrum,
-    "g2scan": run_g2scan,
-    "ming2": run_ming2,
-    "transistor": run_transistor,
-    "gate-error": run_gate_error,
-    "phonon-eigen": run_phonon_eigen,
-    "sweep": run_sweep,
+    "spectrum": (run_spectrum, set()),
+    "g2scan": (run_g2scan, {"truncations", "jobs", "check_unique"}),
+    "ming2": (run_ming2, {"nth_list"}),
+    "transistor": (run_transistor, {"n_m", "omega", "truncations"}),
+    "gate-error": (run_gate_error, {"exact"}),
+    "phonon-eigen": (run_phonon_eigen, {"alphas", "n_max", "truncations"}),
+    "compare-effective": (run_compare_effective,
+                          {"alphas", "n_max", "truncations", "tolerance_re", "tolerance_im"}),
+    "sweep": (run_sweep, {"observable", "jobs"}),
 }
 
 
@@ -508,31 +505,32 @@ def main(argv=None) -> int:
         prog="omx",
         description="Multimode optomechanics scenario runner (data output only; "
                     "plotting is external)")
-    parser.add_argument("scenario", choices=_RUN_KEYS)
+    parser.add_argument("scenario", choices=_SCENARIOS)
     parser.add_argument("--config", required=True, help="scenario config file")
     parser.add_argument("--out", required=True, help="output directory")
     args = parser.parse_args(argv)
 
+    runner, run_keys = _SCENARIOS[args.scenario]
     try:
         cfg = load_config(args.config)
-        unknown = sorted(set(cfg.run) - _RUN_KEYS[args.scenario])
+        unknown = sorted(set(cfg.run) - run_keys)
         if unknown:
             raise ConfigError(f"unknown [run] keys {unknown} for {args.scenario}; "
-                              f"known: {sorted(_RUN_KEYS[args.scenario])}")
+                              f"known: {sorted(run_keys)}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out)
     try:
         if args.scenario == "compare-effective":
-            result, reports = run_compare_effective(cfg)
+            result, reports = runner(cfg)
             _emit(result, out_dir, "compare-effective")
             for rep in reports:
                 print(f"{rep.compared[0]}: max rel dev {rep.max_rel:.4f}, "
                       f"median {rep.median_rel:.4f}, tolerance {rep.tolerance:.4f} "
                       f"-> {'ok' if rep.ok else 'FAIL'}")
             return 0 if all(r.ok for r in reports) else 4
-        result = _SCENARIOS[args.scenario](cfg)
+        result = runner(cfg)
         _emit(result, out_dir, args.scenario)
         return 0
     except ConfigError as exc:

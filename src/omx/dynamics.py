@@ -33,7 +33,7 @@ ModeSpace.occupations; no operator product is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -64,7 +64,6 @@ class LindbladModel:
     hamiltonian: Operator
     collapses: list[tuple[Operator, float]]
     space: ModeSpace = None
-    meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.space is None:
@@ -80,9 +79,6 @@ class LindbladModel:
                 raise ValueError("collapse operator acts on a different space")
             if rate < 0:
                 raise ValueError(f"negative collapse rate {rate}")
-
-    def with_hamiltonian(self, h: Operator) -> "LindbladModel":
-        return LindbladModel(h, self.collapses, self.space, dict(self.meta))
 
     def decay(self) -> sp.csr_matrix:
         """sum_k rate_k c_k^dag c_k over the collapses of nonzero rate, as CSR:

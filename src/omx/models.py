@@ -15,17 +15,15 @@ Mode label conventions:
 All builders are pure functions of a SystemParams record; outputs are
 immutable and safe to share across threads.
 
-The builders the scenarios call (build_rwa, build_displaced and with it
-build_nonhermitian, build_transistor) take one construction path,
-_hamiltonian: H is written as one coordinate list and one CSR, its diagonal
-straight from the integer ModeSpace.occupations (so it is exact) and each
-three-wave, beam-splitter, hopping and drive term with its Hermitian
-partner from hilbert.ladder_product. build_full and
-build_hybrid_decomposition stay on the Operator algebra as oracles for the
-scenario frames. build_effective_phonon stays on it too, but it is no
-oracle: it is the model that gate-error with exact = true evolves
-(analytics.phase_gate_error), at 4 levels per mode, where one dense expm
-and not the build sets the cost.
+Every scenario builder (build_rwa, build_displaced and with it
+build_nonhermitian, build_transistor, build_effective_phonon) takes one
+construction path, _hamiltonian: H is written as one coordinate list and
+one CSR, its diagonal straight from the integer ModeSpace.occupations (so
+it is exact) and each three-wave, beam-splitter, hopping and drive term
+with its Hermitian partner from hilbert.ladder_product; a diagonal
+collapse (the phonon dephasing) is read off the same table.
+build_full and build_hybrid_decomposition stay on the Operator algebra as
+the oracles for the scenario frames.
 
 Every builder takes a truncation it is not given from default_truncations.
 """
@@ -130,7 +128,7 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
     h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
     cols = [(c1, params.kappa), (c2, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space, meta={"frame": "full"})
+    return LindbladModel(h, cols, space)
 
 
 def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
@@ -141,7 +139,6 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
         + Omega_s (c_s + c_s').
     The matrix element <0_a 1_s 1_m|H|1_a 0_s 0_m> equals g0/2, and the
     general transition amplitude scales as (g0/2) sqrt(n_a (n_s+1)(n_m+1)).
-    meta["resonant"] flags Delta_s - Delta_a - omega_m = 0.
     """
     params.require("omega_m")
     if params.Delta_s is None or params.Delta_a is None:
@@ -155,8 +152,7 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    resonant = abs(params.Delta_s - params.Delta_a - params.omega_m) < RESONANCE_ATOL
-    return LindbladModel(h, cols, space, meta={"frame": "rwa", "resonant": resonant})
+    return LindbladModel(h, cols, space)
 
 
 def _alpha(params: SystemParams) -> complex:
@@ -184,7 +180,7 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space, meta={"frame": "displaced", "alpha": alpha})
+    return LindbladModel(h, cols, space)
 
 
 @dataclass
@@ -373,46 +369,32 @@ def build_effective_phonon(params: SystemParams, truncations=None,
     s0 = coupling_spectrum(params, 0.0) if not two_resonators else _two_res_spectrum(params, 0.0)
     lam, gph = s0.imag, s0.real
     gamma_p = frame.gamma_prime
-    omega_m = params.omega_m if params.omega_m is not None else 0.0
 
     labels = ["B1", "B2"] if two_resonators else ["B"]
     space = _resolve_truncations(params, labels, truncations)
-    if two_resonators:
-        b1, b2 = annihilator(space, "B1"), annihilator(space, "B2")
-        om1 = frame.tilde_omega_m if frame.tilde_omega_m is not None else 0.0
-        om2 = frame.tilde_omega_m2 if frame.tilde_omega_m2 is not None else 0.0
-        coupling_op = (b1.dag() @ b1) - (b2.dag() @ b2)
-        h = om1 * (b1.dag() @ b1) + om2 * (b2.dag() @ b2)
-        cols = [(b1, gamma_p / 2), (b2, gamma_p / 2)]
-        for b in (b1, b2):
-            cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    else:
-        b = annihilator(space, "B")
-        om1 = frame.tilde_omega_m if frame.tilde_omega_m is not None else omega_m
-        coupling_op = b.dag() @ b
-        h = om1 * coupling_op
-        cols = [(b, gamma_p / 2)]
+    occ = space.occupations
+    # the hybrid frequencies are unset only without omega_m
+    freqs = [frame.tilde_omega_m, frame.tilde_omega_m2][:len(labels)]
+    diagonal = sum((om if om is not None else 0.0) * n for om, n in zip(freqs, occ))
+    d = occ[0] - occ[1] if two_resonators else occ[0]   # the coupling operator's diagonal
+    modes = [annihilator(space, lbl) for lbl in labels]
+    cols = [(b, gamma_p / 2) for b in modes]
+    for b in modes:
         cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
 
     if corrected:
-        dvals = np.rint(np.real(coupling_op.matrix.diagonal())).astype(int)
-        for k in sorted(set(dvals.tolist())):
-            if k == 0:
-                continue
-            sk = coupling_spectrum(params, -k * fock_shift(params))
-            proj = sp.diags((dvals == k).astype(complex)).tocsr()
-            h = h + (k**2 * sk.imag) * Operator(space, proj)
+        shift, delta_b = np.zeros(space.total_dim), fock_shift(params)
+        for k in range(1, space.dims[0]):
+            sk = coupling_spectrum(params, -k * delta_b)
+            shift[d == k] = k**2 * sk.imag
             if sk.real > 0:
-                cols.append((Operator(space, proj), k**2 * sk.real))
+                cols.append((Operator(space, sp.diags((d == k).astype(complex))), k**2 * sk.real))
+        diagonal = diagonal + shift
     else:
-        h = h + lam * (coupling_op @ coupling_op)
+        diagonal = diagonal + lam * d**2
         if gph > 0:
-            cols.append((coupling_op, gph))
-
-    return LindbladModel(h, cols, space, meta={
-        "frame": "effective-phonon", "Lambda": lam, "Gamma_phi": gph,
-        "gamma_prime": gamma_p, "corrected": corrected,
-        "two_resonators": two_resonators})
+            cols.append((Operator(space, sp.diags(d.astype(complex))), gph))
+    return LindbladModel(_hamiltonian(space, diagonal, []), cols, space)
 
 
 def _two_res_spectrum(params: SystemParams, omega: float) -> complex:
@@ -456,7 +438,5 @@ def build_transistor(params: SystemParams, n_m: int, truncations=None) -> Lindbl
     _, n_ap = space.occupations
     h = _hamiltonian(space, delta * n_ap, [(geff, {"s": -1, "ap": 1})])   # c_s c_ap'
     cols = [(annihilator(space, "s"), params.kappa), (annihilator(space, "ap"), params.kappa)]
-    return LindbladModel(h, cols, space, meta={
-        "frame": "transistor-pinned", "n_m": n_m, "kappa": params.kappa,
-        "g_eff": geff})
+    return LindbladModel(h, cols, space)
 

@@ -577,6 +577,29 @@ def test_phonon_eigen_records_every_dim_it_ran(tmp_path):
     assert run_phonon_eigen(cfg).metadata["truncations"] == {"a": 4, "s": 4, "m": 9}
 
 
+def test_g2scan_records_the_operating_point_it_ran(tmp_path):
+    # the config's params were recorded, not the omega_m, J and gamma filled in
+    from omx.cli import run_g2scan
+    cfg = load_config(write(tmp_path / "g.cfg", """
+[params]
+g0 = 8
+kappa = 1
+Omega_a = 0.01
+
+[grid.Delta_a]
+values = 3.3
+"""))
+    params = run_g2scan(cfg).metadata["params"]
+    assert (params["omega_m"], params["J"], params["gamma"]) == (160.0, 80.0, 0.01)
+
+
+def test_spectrum_records_only_the_drive_it_fills_in(tmp_path):
+    cfg = load_config(write(tmp_path / "s.cfg", SPECTRUM_CFG.replace("Omega_a = 0.01\n", "")))
+    params = run_spectrum(cfg).metadata["params"]
+    assert params["Omega_a"] == 0.01
+    assert "omega_m" not in params and "J" not in params
+
+
 def test_g2scan_solver_failure_flushes_partial(tmp_path, monkeypatch):
     import omx.cli as climod
     from omx.dynamics import SolverError
@@ -729,8 +752,8 @@ SHIPPED_SCENARIOS = {
     for p in (Path(__file__).parents[1] / d).glob("*.cfg")),
     ids=lambda p: p.relative_to(Path(__file__).parents[1]).as_posix())
 def test_shipped_run_keys_are_known(path):
-    from omx.cli import _RUN_KEYS
-    assert set(load_config(path).run) <= _RUN_KEYS[SHIPPED_SCENARIOS[path.stem]]
+    from omx.cli import _SCENARIOS
+    assert set(load_config(path).run) <= _SCENARIOS[SHIPPED_SCENARIOS[path.stem]][1]
 
 
 def test_benchmark_trace_binds_every_name():
@@ -751,6 +774,23 @@ def test_benchmark_trace_binds_every_name():
     finally:
         rec.unpatch()
     assert (dynamics.null_space_gap, hilbert.DensityMatrix.__post_init__) == originals
+
+
+def test_settable_values_are_counted():
+    # defaulted positional and keyword-only arguments of every function plus
+    # annotated class-body fields over src/omx: a change that adds or removes
+    # a knob edits this number in its own diff
+    import ast
+
+    count = 0
+    for path in sorted((Path(__file__).parents[1] / "src" / "omx").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef):
+                count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
+    assert count == 86
 
 
 def test_unwritable_output_is_config_error(tmp_path):

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -292,7 +293,7 @@ def _driven_transistor(n_m=1, delta=0.7, omega=0.01):
     s = annihilator(model.space, "s")
     h = (model.hamiltonian.matrix - delta * (s.dag() @ s).matrix
          + 1j * omega * (s.matrix - s.matrix.conj().T))
-    return model.with_hamiltonian(Operator(model.space, h))
+    return replace(model, hamiltonian=Operator(model.space, h))
 
 
 @pytest.mark.parametrize("make", [lambda: _rwa(0.0), lambda: _rwa(0.3), _driven_transistor],
@@ -680,7 +681,7 @@ def test_reflection_matches_lindblad_steady_state(n_m):
     for delta, r in reflection_spectrum(model, "s", grid, omega):
         h = Operator(space, model.hamiltonian.matrix - delta * n_tot + drive)
         # both modes are damped, so the steady state is unique; skip the check
-        state = steady_state(model.with_hamiltonian(h), check_unique=False).state
+        state = steady_state(replace(model, hamiltonian=h), check_unique=False).state
         r_oracle = 1.0 + 2.0 * kappa * state.expect(s) / omega
         assert abs(r - r_oracle) < 1e-10
 
@@ -732,9 +733,9 @@ def test_model_rejects_non_hermitian_hamiltonian():
     n_s = (annihilator(model.space, "s").dag() @ annihilator(model.space, "s")).matrix
     h = model.hamiltonian.matrix
     with pytest.raises(ValueError, match="not Hermitian"):
-        model.with_hamiltonian(Operator(model.space, h + 1.5j * n_s))
+        replace(model, hamiltonian=Operator(model.space, h + 1.5j * n_s))
     # the tolerance is relative: a deviation of 2e-7 on max|H| = 1.5e7 passes
-    model.with_hamiltonian(Operator(model.space, 1e6 * h + 1e-7j * n_s))
+    replace(model, hamiltonian=Operator(model.space, 1e6 * h + 1e-7j * n_s))
     # an annihilator is no Hamiltonian
     space = ModeSpace([("a", 2)])
     with pytest.raises(ValueError, match="not Hermitian"):

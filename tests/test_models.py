@@ -23,7 +23,14 @@ from omx import (
     number_op,
 )
 from omx.hilbert import Operator, thermal_dim
-from omx.models import RESONANCE_ATOL, _alpha, _resolve_truncations, _thermal_collapses
+from omx.models import (
+    _alpha,
+    _resolve_truncations,
+    _thermal_collapses,
+    _two_res_spectrum,
+    coupling_spectrum,
+    fock_shift,
+)
 from omx.params import thermal_occupation
 
 
@@ -96,7 +103,6 @@ def test_rwa_coupling_matrix_element():
     bra = space.basis_index((0, 1, 1))
     ket = space.basis_index((1, 0, 0))
     assert h[bra, ket] == pytest.approx(p.g0 / 2)
-    assert model.meta["resonant"]
 
 
 def test_truncations_reject_unknown_label():
@@ -135,13 +141,8 @@ def test_rwa_transition_amplitude_scaling():
                 assert h[bra, ket] == pytest.approx(expected, rel=1e-12)
 
 
-def test_rwa_off_resonance_flag():
-    p = SystemParams(g0=1.0, omega_m=60.0, J=31.0, Delta_a=0.0)
-    assert not build_rwa(p, (2, 2, 2)).meta["resonant"]
-
-
 # ------------------------------------------ builders vs operator algebra ---
-# The three scenario builders write H straight from the occupation table.
+# The scenario builders write H straight from the occupation table.
 # These oracles build the same models from Operator products, as the
 # builders once did.
 
@@ -157,8 +158,7 @@ def _oracle_rwa(params, truncations=None):
         h = h + params.Omega_s * (s + s.dag())
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    resonant = abs(params.Delta_s - params.Delta_a - params.omega_m) < RESONANCE_ATOL
-    return LindbladModel(h, cols, space, meta={"frame": "rwa", "resonant": resonant})
+    return LindbladModel(h, cols, space)
 
 
 def _oracle_displaced(params, truncations=None):
@@ -172,7 +172,7 @@ def _oracle_displaced(params, truncations=None):
          + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space, meta={"frame": "displaced", "alpha": alpha})
+    return LindbladModel(h, cols, space)
 
 
 def _oracle_transistor(params, n_m, truncations=(4, 4)):
@@ -182,14 +182,56 @@ def _oracle_transistor(params, n_m, truncations=(4, 4)):
     geff = 0.5 * params.g0 * math.sqrt(n_m)
     h = delta * (ap.dag() @ ap) + geff * ((s @ ap.dag()) + (s.dag() @ ap))
     cols = [(s, params.kappa), (ap, params.kappa)]
-    return LindbladModel(h, cols, space, meta={
-        "frame": "transistor-pinned", "n_m": n_m, "kappa": params.kappa,
-        "g_eff": geff})
+    return LindbladModel(h, cols, space)
+
+
+def _oracle_effective_phonon(params, truncations=None, corrected=False, two_resonators=False):
+    frame = hybridize(params, two_resonators)
+    s0 = coupling_spectrum(params, 0.0) if not two_resonators else _two_res_spectrum(params, 0.0)
+    lam, gph = s0.imag, s0.real
+    gamma_p = frame.gamma_prime
+    omega_m = params.omega_m if params.omega_m is not None else 0.0
+    labels = ["B1", "B2"] if two_resonators else ["B"]
+    space = _resolve_truncations(params, labels, truncations)
+    if two_resonators:
+        b1, b2 = annihilator(space, "B1"), annihilator(space, "B2")
+        om1 = frame.tilde_omega_m if frame.tilde_omega_m is not None else 0.0
+        om2 = frame.tilde_omega_m2 if frame.tilde_omega_m2 is not None else 0.0
+        coupling_op = (b1.dag() @ b1) - (b2.dag() @ b2)
+        h = om1 * (b1.dag() @ b1) + om2 * (b2.dag() @ b2)
+        cols = [(b1, gamma_p / 2), (b2, gamma_p / 2)]
+        for b in (b1, b2):
+            cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    else:
+        b = annihilator(space, "B")
+        om1 = frame.tilde_omega_m if frame.tilde_omega_m is not None else omega_m
+        coupling_op = b.dag() @ b
+        h = om1 * coupling_op
+        cols = [(b, gamma_p / 2)]
+        cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    if corrected:
+        dvals = np.rint(np.real(coupling_op.matrix.diagonal())).astype(int)
+        for k in sorted(set(dvals.tolist())):
+            if k == 0:
+                continue
+            sk = coupling_spectrum(params, -k * fock_shift(params))
+            proj = sp.diags((dvals == k).astype(complex)).tocsr()
+            h = h + (k**2 * sk.imag) * Operator(space, proj)
+            if sk.real > 0:
+                cols.append((Operator(space, proj), k**2 * sk.real))
+    else:
+        h = h + lam * (coupling_op @ coupling_op)
+        if gph > 0:
+            cols.append((coupling_op, gph))
+    return LindbladModel(h, cols, space)
 
 
 _G2SCAN = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Omega_a=0.01,
                        Omega_s=0.004, gamma=0.01, Delta_a=3.3)
 _PINNED = SystemParams(g0=10.0, kappa=1.0, omega_m=100.0, J=50.7)
+SM_PARAMS = dict(g0=1.0, kappa=0.025, gamma=2.5e-4, N_th=1.0,
+                 Delta_s=-1.0, omega_m=2.0, Delta_a=-7.0)
+_KERR = SystemParams(alpha=1.0, **SM_PARAMS)
 _BUILDER_CASES = {
     "rwa-Nth0": (build_rwa, _oracle_rwa, (_G2SCAN, (4, 4, 6))),
     "rwa-Nth1": (build_rwa, _oracle_rwa, (_G2SCAN.replace(N_th=1.0), (3, 4, 10))),
@@ -203,6 +245,11 @@ _BUILDER_CASES = {
     "transistor-nm0": (build_transistor, _oracle_transistor, (_PINNED, 0)),
     "transistor-nm1": (build_transistor, _oracle_transistor, (_PINNED, 1)),
     "transistor-nm4": (build_transistor, _oracle_transistor, (_PINNED, 4, (5, 4))),
+    "effective-phonon": (build_effective_phonon, _oracle_effective_phonon, (_KERR, (6,))),
+    "effective-phonon-corrected": (build_effective_phonon, _oracle_effective_phonon,
+                                   (_KERR, (7,), True)),
+    "effective-phonon-two-resonators": (build_effective_phonon, _oracle_effective_phonon,
+                                        (_KERR, (4, 4), False, True)),
 }
 
 
@@ -224,14 +271,16 @@ def test_builders_match_operator_algebra(name):
     assert np.array_equal(h.indptr, expected.indptr)
     assert np.array_equal(h.indices, expected.indices)
     assert model.space == oracle.space
-    assert model.meta == oracle.meta
     assert len(model.collapses) == len(oracle.collapses)
+    # the oracle's dephasing collapse B'B holds sqrt(n)^2, which rounds;
+    # the builder's holds the integer n
+    rtol = 1e-14 if name.startswith("effective-phonon") else 0.0
     for (op, rate), (op_ref, rate_ref) in zip(model.collapses, oracle.collapses):
         assert rate == rate_ref
-        for x, y in ((op.matrix.data, op_ref.matrix.data),
-                     (op.matrix.indices, op_ref.matrix.indices),
-                     (op.matrix.indptr, op_ref.matrix.indptr)):
-            assert np.array_equal(x, y)
+        assert np.all(np.abs(op.matrix.data - op_ref.matrix.data)
+                      <= rtol * np.abs(op_ref.matrix.data))
+        assert np.array_equal(op.matrix.indices, op_ref.matrix.indices)
+        assert np.array_equal(op.matrix.indptr, op_ref.matrix.indptr)
 
 
 def test_scenario_builders_make_no_operator_product(monkeypatch):
@@ -319,9 +368,6 @@ def test_displaced_beam_splitter_element():
 
 
 # ------------------------------------------------------------- hybridize ---
-
-SM_PARAMS = dict(g0=1.0, kappa=0.025, gamma=2.5e-4, N_th=1.0,
-                 Delta_s=-1.0, omega_m=2.0, Delta_a=-7.0)
 
 
 def test_hybridize_angle_and_decay():
@@ -453,9 +499,12 @@ def test_decomposition_leading_term_structure():
 def test_effective_phonon_zero_drive_is_thermal():
     p = SystemParams(alpha=0.0, **SM_PARAMS)
     model = build_effective_phonon(p, (8,))
-    assert model.meta["Lambda"] == 0.0
-    assert model.meta["Gamma_phi"] == 0.0
-    assert model.meta["gamma_prime"] == 0.0
+    # Lambda = 0: H is tilde_omega_m n alone
+    n = model.space.occupations[0]
+    assert np.array_equal(model.hamiltonian.matrix.diagonal(), hybridize(p).tilde_omega_m * n)
+    # gamma' = 0 on the leakage collapse, and no dephasing collapse (Gamma_phi = 0)
+    assert [rate for _, rate in model.collapses] == [
+        0.0, 0.5 * p.gamma * (p.N_th + 1), 0.5 * p.gamma * p.N_th]
     rates = sorted(rate for _, rate in model.collapses if rate > 0)
     gamma = p.gamma
     assert rates == pytest.approx([0.5 * gamma * p.N_th, 0.5 * gamma * (p.N_th + 1)])
@@ -464,7 +513,10 @@ def test_effective_phonon_zero_drive_is_thermal():
 def test_effective_phonon_kerr_over_dephasing_ratio():
     p = SystemParams(alpha=1.0, **SM_PARAMS)
     model = build_effective_phonon(p, (6,))
-    assert model.meta["Lambda"] / model.meta["Gamma_phi"] == pytest.approx(
+    # the dephasing collapse B'B comes last, at rate Gamma_phi
+    op, gamma_phi = model.collapses[-1]
+    assert np.array_equal(op.matrix.diagonal(), model.space.occupations[0])
+    assert coupling_spectrum(p, 0.0).imag / gamma_phi == pytest.approx(
         p.Delta_s / p.kappa, rel=1e-12)
 
 
@@ -472,7 +524,7 @@ def test_effective_phonon_cross_term():
     # two-mode Kerr expansion carries the conditional-phase cross term
     p = SystemParams(alpha=1.0, **SM_PARAMS)
     model = build_effective_phonon(p, (4, 4), two_resonators=True)
-    lam = model.meta["Lambda"]
+    lam = _two_res_spectrum(p, 0.0).imag
     h = model.hamiltonian.to_dense()
     space = model.space
     e = {occ: h[space.basis_index(occ), space.basis_index(occ)].real
@@ -538,7 +590,9 @@ def test_transistor_effective_coupling():
     p = SystemParams(g0=10.0, kappa=1.0, omega_m=100.0, J=50.0)
     for n_m in (0, 1, 2, 4):
         model = build_transistor(p, n_m)
-        assert model.meta["g_eff"] == pytest.approx(5.0 * np.sqrt(n_m))
+        space = model.space
+        g_eff = model.hamiltonian.to_dense()[space.basis_index((1, 0)), space.basis_index((0, 1))]
+        assert g_eff == pytest.approx(5.0 * np.sqrt(n_m))
     with pytest.raises(ValueError):
         build_transistor(p, -1)
 
