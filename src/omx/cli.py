@@ -36,6 +36,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dc_fields
 from pathlib import Path
@@ -118,6 +119,8 @@ def load_config(path) -> Config:
         parts = text.split()
         if len(parts) == 2 and parts[1].lower() in FREQ_UNITS:
             kappa_hz = parse_quantity(parts[0] + " " + parts[1], kappa_hz=1.0)  # value in Hz
+            if not 0 < kappa_hz < np.inf:  # NaN fails too
+                raise ConfigError(f"kappa must be a positive finite frequency; got {text!r}")
             raw_params["kappa"] = "1.0"
     kw = {}
     for key, text in raw_params.items():
@@ -127,6 +130,9 @@ def load_config(path) -> Config:
             kw[key] = parse_quantity(text, kappa_hz)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
+        # tau_p = inf is the pulse without bandwidth or decoherence terms
+        if not (np.isfinite(kw[key]) or (key == "tau_p" and kw[key] == np.inf)):
+            raise ConfigError(f"{key} must be a finite number; got {text.strip()!r}")
     kw["kappa_hz"] = kappa_hz
     try:
         params = SystemParams(**kw)
@@ -340,7 +346,8 @@ def run_transistor(cfg: Config) -> ScanResult:
 
 
 def run_gate_error(cfg: Config) -> ScanResult:
-    """Conditional-phase gate error over (kappa, Gamma_m), optimized in Delta_s."""
+    """Conditional-phase gate error over (kappa, Gamma_m), optimized in Delta_s;
+    stderr gets one line counting the points where the elimination is marginal."""
     p = cfg.params
     kappas = cfg.grid("kappa")
     gammas_m = cfg.grid("Gamma_m")
@@ -348,15 +355,27 @@ def run_gate_error(cfg: Config) -> ScanResult:
     if exact is None:
         raise ConfigError(f"exact must be true, false, yes, no, 1 or 0; got {cfg.opt('exact')!r}")
     eps, ds_opt, tg = [], [], []
+    marginal = 0
     for kap in kappas:
         for gm in gammas_m:
             # Gamma_m = gamma/4 at N_th = 0
             pp = p.replace(kappa=float(kap), gamma=4.0 * float(gm), N_th=0.0,
                            T=None, Q=None)
-            budget = analytics.phase_gate_error(pp, exact=exact)
+            # count the points the exact path's builder warns at; pass on the rest
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                budget = analytics.phase_gate_error(pp, exact=exact)
+            rest = [w for w in caught
+                    if not str(w.message).startswith(models.MARGINAL_ELIMINATION)]
+            marginal += len(rest) < len(caught)
+            for w in rest:
+                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
             eps.append(budget.epsilon_g)
             ds_opt.append(budget.delta_s_opt)
             tg.append(budget.t_g)
+    if marginal:
+        print(f"warning: {models.MARGINAL_ELIMINATION} at {marginal} of {len(eps)} grid points "
+              "(see models.build_effective_phonon)", file=sys.stderr)
     return ScanResult(
         [("kappa", kappas), ("Gamma_m", gammas_m)],
         {"eps_g": np.array(eps), "delta_s_opt": np.array(ds_opt),
@@ -544,7 +563,8 @@ def main(argv=None) -> int:
                 print(f"could not flush partial results: {io_exc}", file=sys.stderr)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        # a ZeroDivisionError is a closed form's pole, set by the parameters
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except SolverError as exc:

@@ -1,5 +1,7 @@
-"""Lindblad engine: Liouvillian assembly, steady states, time evolution,
-weak-drive reflection spectra, and non-Hermitian eigenvalues.
+"""Lindblad engine: Liouvillian assembly, steady states, weak-drive
+reflection spectra, and non-Hermitian eigenvalues.
+
+Nothing here integrates in time; tests/oracles.py holds that oracle (evolve).
 
 Reflection spectra solve no master equation: they come from the resolvent
 of the non-Hermitian Hamiltonian on the one-excitation states (see
@@ -59,17 +61,13 @@ class SolverError(RuntimeError):
 
 @dataclass
 class LindbladModel:
-    """Hamiltonian plus weighted collapse operators on one ModeSpace."""
+    """Hamiltonian plus weighted collapse operators; the model's space is
+    the Hamiltonian's."""
 
     hamiltonian: Operator
     collapses: list[tuple[Operator, float]]
-    space: ModeSpace = None
 
     def __post_init__(self):
-        if self.space is None:
-            self.space = self.hamiltonian.space
-        if self.hamiltonian.space != self.space:
-            raise ValueError("hamiltonian acts on a different space")
         h = self.hamiltonian.matrix
         dev = _hermitian_deviation(h)
         if dev > HERMITIAN_RTOL * np.abs(h.data).max(initial=0.0):
@@ -77,8 +75,12 @@ class LindbladModel:
         for op, rate in self.collapses:
             if op.space != self.space:
                 raise ValueError("collapse operator acts on a different space")
-            if rate < 0:
-                raise ValueError(f"negative collapse rate {rate}")
+            if not rate >= 0:  # NaN fails too
+                raise ValueError(f"collapse rate must be >= 0; got {rate}")
+
+    @property
+    def space(self) -> ModeSpace:
+        return self.hamiltonian.space
 
     def decay(self) -> sp.csr_matrix:
         """sum_k rate_k c_k^dag c_k over the collapses of nonzero rate, as CSR:
@@ -241,18 +243,9 @@ def _component_labels(L: sp.csr_matrix) -> np.ndarray:
     return connected_components(pattern, directed=True, connection="weak")[1]
 
 
-def population_sector(L: sp.csr_matrix, n: int) -> np.ndarray:
-    """Sorted indices of the block of L that holds the populations.
-
-    The block is the connected component of entry (0,0) in the graph of
-    L's sparsity pattern, for n the Hilbert-space dimension. Raises
-    SolverError if the diagonal entries vec(|i><i|) fall in more than one
-    component.
-    """
-    return _sector(_component_labels(L), n)
-
-
 def _sector(labels: np.ndarray, n: int) -> np.ndarray:
+    """Sorted indices of the population block of L, the component of entry
+    (0,0) in its labels; SolverError if the populations split over several."""
     if np.any(labels[:: n + 1] != labels[0]):
         raise SolverError(
             "degenerate Liouvillian null space: the populations split into "
@@ -478,41 +471,6 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     return SteadyStateReport(DensityMatrix(space, rho), resid, gap, m, lu.nnz, tail)
 
 
-def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMatrix]:
-    """Trajectory of the master equation at the requested times.
-
-    Uses an adaptive DOP853 integration of the vectorized generator with
-    rtol = 1e-9 and atol = 1e-12; the trace drift is monitored at every
-    output time and must stay below 1e-8.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 1:
-        raise ValueError("t_grid must be a 1-d array of times")
-    if rho0.space != model.space:
-        raise ValueError("initial state lives on a different space")
-    L = liouvillian(model).tocsc()
-    n = model.space.total_dim
-    y0 = rho0.matrix.reshape(-1)
-    if t_grid[0] != 0.0:
-        raise ValueError("t_grid must start at 0")
-    # imported here, so that importing omx does not load scipy.integrate
-    from scipy.integrate import solve_ivp
-    sol = solve_ivp(lambda t, y: L @ y, (0.0, float(t_grid[-1])), y0,
-                    t_eval=t_grid, method="DOP853", rtol=1e-9, atol=1e-12)
-    if not sol.success:
-        raise SolverError(f"time evolution failed: {sol.message}")
-    out = []
-    for k in range(t_grid.size):
-        rho = sol.y[:, k].reshape(n, n)
-        drift = abs(np.trace(rho) - 1.0)
-        if drift > 1e-8:
-            raise SolverError(f"trace drift {drift:.2e} at t={t_grid[k]} (step control failed)")
-        rho = 0.5 * (rho + rho.conj().T)
-        rho /= np.trace(rho).real
-        out.append(DensityMatrix(model.space, rho))
-    return out
-
-
 def g2_zero(state: DensityMatrix, label: str) -> float:
     """Equal-time two-photon correlation <a+a+aa>/<a+a>^2 of one mode.
 
@@ -630,7 +588,8 @@ class LabeledEigenvalue:
 def nonhermitian_eigs(h_eff: Operator, k: int):
     """Lowest-lying complex eigenvalues of a non-Hermitian Hamiltonian.
 
-    Returns k LabeledEigenvalue entries sorted by ascending real part.
+    Returns k LabeledEigenvalue entries sorted by ascending real part; k
+    outside [1, dim] raises ValueError.
     Each Fock level n = 0..k-1 of the hybridized B mode (taken from
     h_eff.meta["b_mode"]) is matched to the eigenvector of
     largest overlap with (B^dag)^n |vac>; ties resolve toward lower n by
@@ -666,8 +625,8 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     0.005 (alpha = 0.5) and 0.019 (alpha = 1) at n = 2.
     """
     dim = h_eff.space.total_dim
-    if k > dim:
-        raise ValueError(f"k={k} exceeds space dimension {dim}")
+    if not 1 <= k <= dim:
+        raise ValueError(f"k={k} must lie in [1, {dim}], the space dimension")
     b_mode = h_eff.meta.get("b_mode")
     if b_mode is None:
         raise ValueError("no B-mode operator available for Fock matching")

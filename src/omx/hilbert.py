@@ -1,5 +1,8 @@
 """Truncated bosonic Fock-space algebra: modes, operators, states.
 
+The kron-embedding, Fock- and thermal-state oracles that tests compare
+these primitives against live in tests/oracles.py.
+
 All operators live on a fixed tensor-product space described by a ModeSpace.
 The basis ordering is row major: for modes (m0, m1, ...) with dims
 (d0, d1, ...), the basis index of occupations (n0, n1, ...) is
@@ -65,9 +68,6 @@ class ModeSpace:
             return self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown mode label {label!r}; have {self.labels}") from None
-
-    def dim(self, label: str) -> int:
-        return self.dims[self.index(label)]
 
     @cached_property
     def occupations(self) -> np.ndarray:
@@ -142,23 +142,6 @@ def _mat(op, space: ModeSpace) -> sp.csr_matrix:
 
 
 @dataclass
-class FockState:
-    """Product Fock state |n0, n1, ...> with per-mode occupations."""
-
-    space: ModeSpace
-    occupations: tuple[int, ...]
-
-    def __post_init__(self):
-        self.occupations = tuple(int(n) for n in self.occupations)
-        self.space.basis_index(self.occupations)  # validates range
-
-    def vector(self) -> np.ndarray:
-        v = np.zeros(self.space.total_dim, dtype=complex)
-        v[self.space.basis_index(self.occupations)] = 1.0
-        return v
-
-
-@dataclass
 class DensityMatrix:
     """Dense density matrix with trace/Hermiticity/positivity validation."""
 
@@ -179,36 +162,6 @@ class DensityMatrix:
         wmin = float(np.linalg.eigvalsh(0.5 * (self.matrix + self.matrix.conj().T)).min())
         if wmin < -POSITIVITY_ATOL:
             raise ValueError(f"negative eigenvalue {wmin:.2e}")
-
-    def expect(self, op) -> complex:
-        m = op.matrix if isinstance(op, Operator) else op
-        return complex(np.sum(m.multiply(self.matrix.T)) if sp.issparse(m)
-                       else np.trace(m @ self.matrix))
-
-    def ptrace_population(self, label: str, n: int) -> float:
-        """Population of Fock level n of one mode (diagonal partial trace)."""
-        space = self.space
-        k = space.index(label)
-        diag = np.real(np.diag(self.matrix)).reshape(space.dims)
-        return float(diag.sum(axis=tuple(i for i in range(len(space.dims)) if i != k))[n])
-
-
-def destroy_matrix(dim: int) -> sp.csr_matrix:
-    """Single-mode lowering operator, <n-1|a|n> = sqrt(n)."""
-    return _canonical(sp.diags(np.sqrt(np.arange(1, dim)), 1, shape=(dim, dim), format="csr"))
-
-
-def tensor_embed(op, space: ModeSpace, label: str) -> Operator:
-    """Embed a single-mode operator into the full tensor space at `label`."""
-    k = space.index(label)
-    m = op.matrix if isinstance(op, Operator) else sp.csr_matrix(op)
-    if m.shape != (space.dims[k], space.dims[k]):
-        raise ValueError(f"operator dim {m.shape} does not match mode {label!r} dim {space.dims[k]}")
-    out = None
-    for i, d in enumerate(space.dims):
-        f = m if i == k else sp.identity(d, dtype=complex, format="csr")
-        out = f if out is None else sp.kron(out, f, format="csr")
-    return Operator(space, out)
 
 
 def ladder_product(space: ModeSpace, steps: dict[str, int]):
@@ -247,8 +200,8 @@ def ladder_product(space: ModeSpace, steps: dict[str, int]):
 def annihilator(space: ModeSpace, label: str) -> Operator:
     """Lowering operator of one mode, embedded in the full space: the
     one-mode ladder_product, sqrt(n) at (i - stride, i). These are the bits
-    of tensor_embed(destroy_matrix(dim), space, label), without its kron
-    chain.
+    of the kron embedding of the single-mode lowering operator (the
+    tensor_embed oracle of tests/oracles.py), without its kron chain.
     """
     rows, cols, amps = ladder_product(space, {label: -1})
     n = space.total_dim
@@ -262,10 +215,6 @@ def number_op(space: ModeSpace, label: str) -> Operator:
     """Occupation of one mode: the diagonal of its integer occupations, so
     the spectrum is exact."""
     return Operator(space, sp.diags(space.occupations[space.index(label)], dtype=complex))
-
-
-def identity(space: ModeSpace) -> Operator:
-    return Operator(space, sp.identity(space.total_dim, dtype=complex, format="csr"))
 
 
 def thermal_dim(n_th: float) -> int:
@@ -298,20 +247,3 @@ def thermal_weights(n_th: float, dim: int) -> np.ndarray:
             f"distribution for n_th={n_th}; need dim >= {thermal_dim(n_th)}")
     w = (1 - q) * q ** np.arange(dim)
     return w / w.sum()
-
-
-def thermal_state(space: ModeSpace, n_th) -> DensityMatrix:
-    """Product thermal state; n_th is a scalar or a {label: n_th} mapping."""
-    if not isinstance(n_th, dict):
-        n_th = {lbl: n_th for lbl in space.labels}
-    rho = None
-    for lbl, dim in space.modes:
-        w = thermal_weights(float(n_th.get(lbl, 0.0)), dim)
-        block = np.diag(w.astype(complex))
-        rho = block if rho is None else np.kron(rho, block)
-    return DensityMatrix(space, rho)
-
-
-def fock_density(state: FockState) -> DensityMatrix:
-    v = state.vector()
-    return DensityMatrix(state.space, np.outer(v, v.conj()))

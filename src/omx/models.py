@@ -43,6 +43,8 @@ from .hilbert import ModeSpace, Operator, annihilator, ladder_product, thermal_d
 from .params import SystemParams
 
 RESONANCE_ATOL = 1e-9
+# the start of build_effective_phonon's warning, which omx.cli counts
+MARGINAL_ELIMINATION = "adiabatic elimination marginal"
 
 
 def default_truncations(params: SystemParams, labels) -> dict[str, int]:
@@ -128,7 +130,7 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
     h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
     cols = [(c1, params.kappa), (c2, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
@@ -152,7 +154,7 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 def _alpha(params: SystemParams) -> complex:
@@ -180,7 +182,7 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 @dataclass
@@ -364,7 +366,7 @@ def build_effective_phonon(params: SystemParams, truncations=None,
     drive_scale = params.g0**2 * abs(alpha) / (4 * abs(frame.delta))
     if drive_scale > 0.1 * abs(params.Delta_s + 1j * params.kappa):
         warnings.warn(
-            f"adiabatic elimination marginal: g0^2|alpha|/(4 delta) = {drive_scale:.3g} "
+            f"{MARGINAL_ELIMINATION}: g0^2|alpha|/(4 delta) = {drive_scale:.3g} "
             f"vs |Delta_s + i kappa| = {abs(params.Delta_s + 1j * params.kappa):.3g}")
     s0 = coupling_spectrum(params, 0.0) if not two_resonators else _two_res_spectrum(params, 0.0)
     lam, gph = s0.imag, s0.real
@@ -394,7 +396,7 @@ def build_effective_phonon(params: SystemParams, truncations=None,
         diagonal = diagonal + lam * d**2
         if gph > 0:
             cols.append((Operator(space, sp.diags(d.astype(complex))), gph))
-    return LindbladModel(_hamiltonian(space, diagonal, []), cols, space)
+    return LindbladModel(_hamiltonian(space, diagonal, []), cols)
 
 
 def _two_res_spectrum(params: SystemParams, omega: float) -> complex:
@@ -438,5 +440,5 @@ def build_transistor(params: SystemParams, n_m: int, truncations=None) -> Lindbl
     _, n_ap = space.occupations
     h = _hamiltonian(space, delta * n_ap, [(geff, {"s": -1, "ap": 1})])   # c_s c_ap'
     cols = [(annihilator(space, "s"), params.kappa), (annihilator(space, "ap"), params.kappa)]
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 

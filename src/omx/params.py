@@ -79,10 +79,10 @@ class SystemParams:
     kappa_hz: float | None = None         # physical kappa/2pi, anchors unit conversion
 
     def __post_init__(self):
-        if self.kappa <= 0:
-            raise ValueError("kappa must be positive")
-        if self.g0 < 0:
-            raise ValueError("g0 must be >= 0")
+        if not 0 < self.kappa < math.inf:  # NaN fails too
+            raise ValueError(f"kappa must be positive and finite; got {self.kappa}")
+        if not 0 <= self.g0 < math.inf:
+            raise ValueError(f"g0 must be >= 0 and finite; got {self.g0}")
 
         if self.Q is not None and self.omega_m is not None:
             gamma_q = self.omega_m / self.Q

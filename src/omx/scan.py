@@ -95,22 +95,12 @@ class ScanResult:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
 
-    @classmethod
-    def read_json(cls, path) -> "ScanResult":
-        with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
-        axes = [(ax["name"], np.asarray(ax["values"])) for ax in payload["axes"]]
-        cols = {}
-        for name, col in payload["columns"].items():
-            if isinstance(col, dict):
-                cols[name] = np.asarray(col["re"]) + 1j * np.asarray(col["im"])
-            else:
-                cols[name] = np.asarray(col)
-        return cls(axes, cols, payload.get("metadata", {}))
-
 
 @dataclass
 class CompareReport:
+    """One tolerance check of compare-effective: the largest and median
+    relative deviation of the named observables against the tolerance."""
+
     max_rel: float
     median_rel: float
     tolerance: float
@@ -119,25 +109,3 @@ class CompareReport:
     @property
     def ok(self) -> bool:
         return self.max_rel <= self.tolerance
-
-
-def compare(reference: ScanResult, other: ScanResult, tolerance: float) -> CompareReport:
-    """Per-point relative deviation between the shared columns of two results.
-
-    Axes must match exactly (names and values); mismatch raises ValueError.
-    Relative deviation uses the reference magnitude, floored at 1e-30.
-    """
-    if len(reference.axes) != len(other.axes):
-        raise ValueError("axis count mismatch")
-    for (na, va), (nb, vb) in zip(reference.axes, other.axes):
-        if na != nb or va.shape != vb.shape or not np.allclose(va, vb, rtol=0, atol=0):
-            raise ValueError(f"axis mismatch: {na!r} vs {nb!r}")
-    names = sorted(set(reference.columns) & set(other.columns))
-    if not names:
-        raise ValueError("no common columns to compare")
-    rels = []
-    for name in names:
-        a, b = reference.columns[name], other.columns[name]
-        rels.append(np.abs(a - b) / np.maximum(np.abs(a), 1e-30))
-    rel = np.concatenate(rels)
-    return CompareReport(float(rel.max()), float(np.median(rel)), tolerance, names)

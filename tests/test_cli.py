@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from omx.cli import ConfigError, load_config, main, run_spectrum, run_sweep, run_transistor
-from omx.scan import ScanResult, compare
+from omx.scan import ScanResult
 
 
 def write(path, text):
@@ -196,20 +196,6 @@ observable = nope
         run_sweep(cfg)
 
 
-def test_compare_reports_and_axis_mismatch():
-    axes = [("x", np.array([1.0, 2.0]))]
-    a = ScanResult(axes, {"v": np.array([1.0, 2.0])})
-    b = ScanResult(axes, {"v": np.array([1.0, 2.0])})
-    rep = compare(a, b, tolerance=1e-12)
-    assert rep.max_rel == 0.0 and rep.ok
-    c = ScanResult([("x", np.array([1.0, 3.0]))], {"v": np.array([1.0, 2.0])})
-    with pytest.raises(ValueError, match="axis mismatch"):
-        compare(a, c, tolerance=0.1)
-    d = ScanResult(axes, {"v": np.array([1.1, 2.0])})
-    rep = compare(a, d, tolerance=0.05)
-    assert not rep.ok and rep.max_rel == pytest.approx(0.1, rel=1e-9)
-
-
 def test_scan_result_rejects_nan_and_bad_shape():
     with pytest.raises(ValueError, match="NaN"):
         ScanResult([("x", np.array([1.0]))], {"v": np.array([np.nan])})
@@ -351,6 +337,43 @@ def test_bad_run_values_exit_2_naming_the_key(tmp_path, capsys, scenario, key, t
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("scenario, key, text", [
+    ("spectrum", "g0", SPECTRUM_CFG.replace("g0 = 8", "g0 = inf")),
+    ("g2scan", "kappa", G2SCAN_RUN.replace("[params]\n", "[params]\nkappa = nan\n")),
+    ("transistor", "kappa", TRANSISTOR_RUN.replace("kappa = 1", "kappa = nan")),
+    ("transistor", "omega_m", TRANSISTOR_RUN.replace("omega_m = 100", "omega_m = -inf")),
+    ("spectrum", "kappa", SPECTRUM_CFG.replace("kappa = 1", "kappa = nan MHz")),
+    ("spectrum", "kappa", SPECTRUM_CFG.replace("kappa = 1", "kappa = 0 MHz")
+     .replace("g0 = 8", "g0 = 40 MHz")),
+], ids=["g0-inf", "g2scan-kappa-nan", "transistor-kappa-nan", "omega_m-minus-inf",
+        "kappa-nan-MHz", "kappa-zero-MHz"])
+def test_params_that_are_not_finite_exit_2_naming_the_key(tmp_path, capsys, scenario, key,
+                                                          text):
+    # g0 = inf once exited 1 with a ZeroDivisionError traceback, kappa = nan
+    # exited 3 as a singular solve (g2scan) or 2 blaming omega (transistor)
+    cfg_path = write(tmp_path / "bad.cfg", text)
+    assert main([scenario, "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert f"config error: {key} " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_tau_p_may_be_infinite(tmp_path):
+    # an infinite pulse drops the bandwidth and decoherence terms
+    cfg = load_config(write(tmp_path / "t.cfg", "[params]\ng0 = 10\ntau_p = inf\n"))
+    assert cfg.params.tau_p == np.inf
+
+
+def test_closed_form_pole_exits_2(tmp_path, capsys):
+    # at kappa = 1e-14 the six-state closed form hits its dressed-resonance
+    # pole; this once exited 1 with a ZeroDivisionError traceback
+    cfg_path = write(tmp_path / "p.cfg", "[params]\ng0 = 8\nkappa = 1e-14\n"
+                                         "[grid.Delta_a]\nvalues = -4\n")
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert ("config error: dressed-resonance pole at Delta_a = -4.0"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
 def test_transistor_takes_the_weak_drive_bound(tmp_path):
     cfg_path = write(tmp_path / "t.cfg", TRANSISTOR_RUN + "omega = 0.05")
     assert main(["transistor", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
@@ -380,7 +403,6 @@ def test_help_lists_every_scenario(capsys):
 
 def test_g2scan_full_vs_analytic_within_tolerance(tmp_path):
     from omx.cli import run_g2scan
-    from omx.scan import ScanResult as SR
     cfg = load_config(write(tmp_path / "g.cfg", """
 [params]
 g0 = 8
@@ -398,11 +420,9 @@ truncations = a:4, s:4, m:6
 jobs = 2
 """))
     res = run_g2scan(cfg)
-    axes = res.axes
-    numeric = SR(axes, {"g2": res.columns["g2_numeric"]})
-    analytic = SR(axes, {"g2": res.columns["g2_analytic"]})
-    rep = compare(analytic, numeric, tolerance=0.10)
-    assert rep.ok, f"max rel deviation {rep.max_rel:.3f}"
+    analytic = res.columns["g2_analytic"]
+    rel = np.abs(res.columns["g2_numeric"] - analytic) / np.abs(analytic)
+    assert rel.max() <= 0.10, f"max rel deviation {rel.max():.3f}"
     assert np.all(res.columns["residual"] < 1e-9)
 
 
@@ -438,10 +458,12 @@ def test_json_roundtrip(tmp_path):
     cols = {"z": np.arange(6.0), "w": np.arange(6) * (1 + 2j)}
     res = ScanResult(axes, cols, {"note": "roundtrip"})
     res.write_json(tmp_path / "r.json")
-    back = ScanResult.read_json(tmp_path / "r.json")
-    assert [n for n, _ in back.axes] == ["x", "y"]
-    assert np.allclose(back.columns["w"], cols["w"])
-    assert back.metadata["note"] == "roundtrip"
+    with open(tmp_path / "r.json", encoding="utf-8") as fh:
+        back = json.load(fh)
+    assert [ax["name"] for ax in back["axes"]] == ["x", "y"]
+    w = back["columns"]["w"]
+    assert np.allclose(np.asarray(w["re"]) + 1j * np.asarray(w["im"]), cols["w"])
+    assert back["metadata"]["note"] == "roundtrip"
 
 
 def test_gate_error_surface_monotone(tmp_path):
@@ -493,6 +515,17 @@ def test_gate_error_exact_flag_is_strict(tmp_path, capsys):
     assert main(["gate-error", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
     assert "config error: exact " in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_gate_error_counts_the_marginal_points_in_one_line(tmp_path, capsys):
+    # exact = true once printed one raw UserWarning block per optimal Delta_s
+    text = GATE_ERROR_CFG.replace("values = 1e-4", "values = 1e-4, 1e-3")
+    for exact, err in (("true", "warning: adiabatic elimination marginal at 2 of 2 grid "
+                                "points (see models.build_effective_phonon)\n"),
+                       ("false", "")):
+        cfg_path = write(tmp_path / "ge.cfg", text.format(exact=exact))
+        assert main(["gate-error", "--config", str(cfg_path), "--out", str(tmp_path)]) == 0
+        assert capsys.readouterr().err == err
 
 
 def test_ming2_scenario(tmp_path):
@@ -790,7 +823,44 @@ def test_settable_values_are_counted():
                 count += sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef):
                 count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-    assert count == 86
+    assert count == 83
+
+
+def test_every_export_has_a_caller():
+    # a name omx exports must be used in src/omx outside its own definition
+    # (annotations aside) or by the acceptance suite; a helper only other
+    # tests call belongs in tests/oracles.py
+    import ast
+
+    root = Path(__file__).parents[1]
+    src = root / "src" / "omx"
+    modules = {"omx"} | {path.stem for path in src.glob("*.py")}
+    used = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inside = inside | {node.name}
+        if isinstance(node, ast.Name) and node.id not in inside:
+            used.add(node.id)
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in modules and node.attr not in inside):
+            used.add(node.attr)
+        for name, value in ast.iter_fields(node):
+            if name not in ("annotation", "returns"):
+                for child in value if isinstance(value, list) else [value]:
+                    if isinstance(child, ast.AST):
+                        visit(child, inside)
+
+    for path in sorted(src.glob("*.py")):
+        if path.name != "__init__.py":
+            visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    visit(ast.parse((root / "tests" / "test_acceptance.py").read_text(encoding="utf-8")),
+          frozenset())
+    init = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+    exported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(set(exported) - used) == []
+    assert len(exported) == 43
 
 
 def test_unwritable_output_is_config_error(tmp_path):
@@ -802,7 +872,8 @@ def test_unwritable_output_is_config_error(tmp_path):
 
 
 def test_import_cli_leaves_scipy_integrate_unloaded():
-    # only dynamics.evolve integrates in time, and no scenario calls it
+    # no module of omx integrates in time: the time-domain oracle, evolve,
+    # lives in tests/oracles.py
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = (f"import sys; sys.path.insert(0, {src!r}); import omx.cli; "
             "print('scipy.integrate' in sys.modules)")

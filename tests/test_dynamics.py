@@ -8,7 +8,6 @@ import scipy.sparse as sp
 
 from omx import (
     DensityMatrix,
-    FockState,
     LindbladModel,
     ModeSpace,
     SolverError,
@@ -19,19 +18,24 @@ from omx import (
     build_rwa,
     build_transistor,
     dynamics,
-    evolve,
-    fock_density,
     g2_zero,
     liouvillian,
     nonhermitian_eigs,
-    null_space_gap,
     number_op,
-    population_sector,
     reflection_spectrum,
     steady_state,
+)
+from omx.dynamics import _component_labels, _sector, null_space_gap
+from omx.hilbert import Operator
+from oracles import (
+    destroy_matrix,
+    evolve,
+    expect,
+    fock_density,
+    ptrace_population,
+    tensor_embed,
     thermal_state,
 )
-from omx.hilbert import Operator, destroy_matrix, identity, tensor_embed
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
@@ -40,27 +44,27 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
 
 def decay_model(kappa=1.0, dim=4):
     space = ModeSpace([("c", dim)])
-    h = Operator(space, 0.0 * identity(space).matrix)
-    return LindbladModel(h, [(annihilator(space, "c"), kappa)], space)
+    h = Operator(space, sp.csr_matrix((dim, dim)))
+    return LindbladModel(h, [(annihilator(space, "c"), kappa)])
 
 
 def test_pure_decay_rate_convention():
     # D[c] at rate kappa decays the energy at 2*kappa
     kappa = 0.7
     model = decay_model(kappa, dim=3)
-    rho0 = fock_density(FockState(model.space, (2,)))
+    rho0 = fock_density(model.space, (2,))
     ts = np.linspace(0.0, 2.0, 9)
     traj = evolve(model, rho0, ts)
     n_op = number_op(model.space, "c")
     for t, rho in zip(ts, traj):
-        assert np.real(rho.expect(n_op)) == pytest.approx(2 * np.exp(-2 * kappa * t), abs=1e-7)
+        assert np.real(expect(rho, n_op)) == pytest.approx(2 * np.exp(-2 * kappa * t), abs=1e-7)
 
 
 def test_number_conserving_hamiltonian_keeps_populations():
     space = ModeSpace([("c", 4)])
     h = Operator(space, 1.3 * number_op(space, "c").matrix)
-    model = LindbladModel(h, [], space)
-    rho0 = fock_density(FockState(space, (2,)))
+    model = LindbladModel(h, [])
+    rho0 = fock_density(space, (2,))
     traj = evolve(model, rho0, np.linspace(0, 5, 6))
     for rho in traj:
         assert np.real(np.diag(rho.matrix)) == pytest.approx([0, 0, 1, 0], abs=1e-9)
@@ -97,7 +101,7 @@ def _decay_pair(rates):
     c, d = annihilator(space, "c"), annihilator(space, "d")
     h = Operator(space, (0.7 * (c.dag() @ c) + 0.3 * (c.dag() @ d + d.dag() @ c)
                          + 0.1 * (c + c.dag())).matrix)
-    return LindbladModel(h, [(op, r) for op, r in zip((c, d), rates)], space)
+    return LindbladModel(h, [(op, r) for op, r in zip((c, d), rates)])
 
 
 _RWA_G2SCAN = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
@@ -147,7 +151,7 @@ def test_decay_pairs_the_entries_of_each_row():
         mats.append(m)
     model = LindbladModel(Operator(space, sp.csr_matrix((6, 6))),
                           [(Operator(space, sp.csr_matrix(m)), r)
-                           for m, r in zip(mats, (0.7, 1.3))], space)
+                           for m, r in zip(mats, (0.7, 1.3))])
     oracle = sum(r * (m.conj().T @ m) for m, r in zip(mats, (0.7, 1.3)))
     decay = model.decay()
     assert max(np.diff(model.collapses[0][0].matrix.indptr)) >= 4
@@ -168,7 +172,7 @@ def test_liouvillian_matches_kron_oracle(name):
     if name == "cancelling-diagonal":
         # K_L_ii + K_R_ii = -i H_ii + i H_ii cancels at each photon-free
         # population; those entries are absent, as in the oracle
-        assert np.count_nonzero(oracle.diagonal() == 0) == model.space.dim("m")
+        assert np.count_nonzero(oracle.diagonal() == 0) == model.space.dims[model.space.index("m")]
 
 
 def test_liouvillian_and_annihilator_make_no_kron(monkeypatch):
@@ -201,7 +205,7 @@ def test_driven_cavity_linear_response_oracle():
                      Omega_a=omega, gamma=0.05)
     model = build_rwa(p, (5, 2, 2))
     rep = steady_state(model)
-    n_num = np.real(rep.state.expect(number_op(model.space, "a")))
+    n_num = np.real(expect(rep.state, number_op(model.space, "a")))
     # (i delta - kappa) c = i omega  (drive H = Omega (c + c^dag))
     mat = np.array([[-kappa, -delta_a], [delta_a, -kappa]])
     re, im = np.linalg.solve(mat, [0.0, -omega])
@@ -215,7 +219,7 @@ def test_steady_state_thermal_fixed_point():
     h = Operator(space, 2.0 * number_op(space, "m").matrix)
     n_th = 0.8
     b = annihilator(space, "m")
-    model = LindbladModel(h, [(b, 0.05 * (n_th + 1)), (b.dag(), 0.05 * n_th)], space)
+    model = LindbladModel(h, [(b, 0.05 * (n_th + 1)), (b.dag(), 0.05 * n_th)])
     rep = steady_state(model)
     assert trace_distance(rep.state, thermal_state(space, n_th)) < 1e-8
 
@@ -224,7 +228,7 @@ def test_steady_state_degenerate_sector_raises():
     # no dissipation at all: every diagonal state is stationary
     space = ModeSpace([("c", 3)])
     h = Operator(space, number_op(space, "c").matrix)
-    model = LindbladModel(h, [], space)
+    model = LindbladModel(h, [])
     with pytest.raises(SolverError, match="degenerate"):
         steady_state(model)
 
@@ -234,7 +238,7 @@ def test_steady_state_split_populations_raise_typed():
     # so the sector solve must refuse even without the eigenvalue check
     space = ModeSpace([("c", 3)])
     h = Operator(space, number_op(space, "c").matrix)
-    model = LindbladModel(h, [], space)
+    model = LindbladModel(h, [])
     with pytest.raises(SolverError, match="degenerate"):
         steady_state(model, check_unique=False)
 
@@ -243,14 +247,14 @@ def _hermitian_jump():
     # H = 0 and one jump c + c^dag on a qubit: sigma_x is stationary too
     space = ModeSpace([("c", 2)])
     c = annihilator(space, "c")
-    return LindbladModel(Operator(space, 0.0 * identity(space).matrix), [(c + c.dag(), 0.5)])
+    return LindbladModel(Operator(space, sp.csr_matrix((2, 2))), [(c + c.dag(), 0.5)])
 
 
 def _cyclic_jump():
     # H = 0 and one jump |k+1><k| (mod 3): c and c^2 are stationary too
     space = ModeSpace([("c", 3)])
     shift = Operator(space, sp.csr_matrix(np.roll(np.eye(3), 1, axis=0)))
-    return LindbladModel(Operator(space, 0.0 * identity(space).matrix), [(shift, 0.5)])
+    return LindbladModel(Operator(space, sp.csr_matrix((3, 3))), [(shift, 0.5)])
 
 
 @pytest.mark.parametrize("make, population_gap", [(_hermitian_jump, 2.0),
@@ -261,7 +265,7 @@ def test_steady_state_degenerate_coherence_block_raises(make, population_gap):
     # in a block of coherences, which the check must cover as well
     model = make()
     L = liouvillian(model)
-    sector = population_sector(L, model.space.total_dim)
+    sector = _sector(_component_labels(L), model.space.total_dim)
     assert null_space_gap(L[sector][:, sector])[1] == pytest.approx(population_gap)
     assert null_space_gap(L)[1] < 1e-12
     with pytest.raises(SolverError, match="degenerate"):
@@ -387,7 +391,7 @@ def test_sector_solve_dimension():
 def test_fock_tail_is_top_level_population(make):
     rep = steady_state(make(), check_unique=False)
     for label, dim in rep.state.space.modes:
-        expected = rep.state.ptrace_population(label, dim - 1)
+        expected = ptrace_population(rep.state, label, dim - 1)
         assert rep.fock_tail[label] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -460,7 +464,7 @@ def _trace_row_system(model):
     # replaced by the trace condition
     L = liouvillian(model)
     n = model.space.total_dim
-    idx = population_sector(L, n)
+    idx = _sector(_component_labels(L), n)
     trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
     return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
 
@@ -532,13 +536,13 @@ def test_evolve_rabi_oracle():
     g0 = 1.0
     p = SystemParams(g0=g0, kappa=1.0, omega_m=6.0, J=3.0, Delta_a=0.0, gamma=0.0)
     model = build_rwa(p, (2, 2, 2))
-    model = LindbladModel(model.hamiltonian, [], model.space)  # drop kappa decay
-    rho0 = fock_density(FockState(model.space, (1, 0, 0)))
+    model = LindbladModel(model.hamiltonian, [])  # drop kappa decay
+    rho0 = fock_density(model.space, (1, 0, 0))
     ts = np.linspace(0, 2 * np.pi / g0, 25)
     traj = evolve(model, rho0, ts)
     n_a = number_op(model.space, "a")
     for t, rho in zip(ts, traj):
-        assert np.real(rho.expect(n_a)) == pytest.approx(np.cos(0.5 * g0 * t) ** 2, abs=1e-8)
+        assert np.real(expect(rho, n_a)) == pytest.approx(np.cos(0.5 * g0 * t) ** 2, abs=1e-8)
 
 
 def test_evolve_trace_drift_bound():
@@ -555,7 +559,7 @@ def test_evolve_converges_to_steady_state():
                      Omega_a=0.01, gamma=0.2, N_th=0.3)
     model = build_rwa(p, (3, 3, 4))
     rep = steady_state(model)
-    rho0 = fock_density(FockState(model.space, (0, 0, 0)))
+    rho0 = fock_density(model.space, (0, 0, 0))
     traj = evolve(model, rho0, np.linspace(0, 120.0, 7))
     assert trace_distance(traj[-1], rep.state) < 1e-6
 
@@ -580,7 +584,7 @@ def test_g2_coherent_state_is_one():
 
 def test_g2_fock_one_is_zero():
     space = ModeSpace([("a", 3)])
-    rho = fock_density(FockState(space, (1,)))
+    rho = fock_density(space, (1,))
     assert g2_zero(rho, "a") == pytest.approx(0.0, abs=1e-12)
 
 
@@ -600,7 +604,7 @@ def _random_state(space, seed):
 def test_g2_matches_operator_formula(modes, label):
     # oracle: <a+a+aa>/<a+a>^2 from the kron-embedded ladder operator
     space = ModeSpace(modes)
-    a = tensor_embed(destroy_matrix(space.dim(label)), space, label).to_dense()
+    a = tensor_embed(destroy_matrix(space.dims[space.index(label)]), space, label).to_dense()
     ad = a.conj().T
     for seed in range(3):
         rho = _random_state(space, seed)
@@ -620,7 +624,7 @@ def test_g2_negative_raises():
 
 def test_g2_vanishing_denominator_raises():
     space = ModeSpace([("a", 3)])
-    rho = fock_density(FockState(space, (0,)))
+    rho = fock_density(space, (0,))
     with pytest.raises(ValueError, match="too small"):
         g2_zero(rho, "a")
 
@@ -682,7 +686,7 @@ def test_reflection_matches_lindblad_steady_state(n_m):
         h = Operator(space, model.hamiltonian.matrix - delta * n_tot + drive)
         # both modes are damped, so the steady state is unique; skip the check
         state = steady_state(replace(model, hamiltonian=h), check_unique=False).state
-        r_oracle = 1.0 + 2.0 * kappa * state.expect(s) / omega
+        r_oracle = 1.0 + 2.0 * kappa * expect(state, s) / omega
         assert abs(r - r_oracle) < 1e-10
 
 
@@ -707,7 +711,7 @@ def test_reflection_is_passive():
     # the two modes decaying at unequal rates
     base = models[-1]
     s, ap = annihilator(base.space, "s"), annihilator(base.space, "ap")
-    models += [LindbladModel(base.hamiltonian, [(s, 1.0), (ap, rate)], base.space)
+    models += [LindbladModel(base.hamiltonian, [(s, 1.0), (ap, rate)])
                for rate in (0.1, 5.0)]
     for model in models:
         r = np.array([r for _, r in reflection_spectrum(model, "s", grid, 0.05)])
@@ -722,7 +726,7 @@ def test_reflection_rejects_drive_in_hamiltonian():
 def test_reflection_rejects_raising_collapse():
     model = _transistor(1)
     heating = (annihilator(model.space, "ap").dag(), 0.1)
-    model = LindbladModel(model.hamiltonian, model.collapses + [heating], model.space)
+    model = LindbladModel(model.hamiltonian, model.collapses + [heating])
     with pytest.raises(ValueError, match="collapse operator"):
         reflection_spectrum(model, "s", [0.0], 0.01)
 
@@ -739,7 +743,17 @@ def test_model_rejects_non_hermitian_hamiltonian():
     # an annihilator is no Hamiltonian
     space = ModeSpace([("a", 2)])
     with pytest.raises(ValueError, match="not Hermitian"):
-        LindbladModel(annihilator(space, "a"), [], space)
+        LindbladModel(annihilator(space, "a"), [])
+
+
+@pytest.mark.parametrize("rate", [np.nan, -0.1])
+def test_model_rejects_a_rate_below_zero_or_nan(rate):
+    # a NaN rate once passed: reflection_spectrum then returned nan+nanj,
+    # and steady_state reported a degenerate null space
+    model = _transistor(1)
+    s, ap = annihilator(model.space, "s"), annihilator(model.space, "ap")
+    with pytest.raises(ValueError, match=f"collapse rate must be >= 0; got {rate}"):
+        LindbladModel(model.hamiltonian, [(s, 1.0), (ap, rate)])
 
 
 def test_hermitian_deviation_matches_the_sparse_difference():
@@ -767,8 +781,8 @@ def test_model_rejects_a_one_way_hamiltonian_entry():
             ([1.0, 2.0, 3.0, value], ([0, 1, 2, 0], [0, 1, 2, 2])), shape=(3, 3)))
 
     with pytest.raises(ValueError, match=r"not Hermitian: max\|H - H\^dag\| = 1\.00e-10"):
-        LindbladModel(one_way(1e-10), [], space)
-    LindbladModel(one_way(1e-12), [], space)  # within 1e-12 max|H| = 3e-12
+        LindbladModel(one_way(1e-10), [])
+    LindbladModel(one_way(1e-12), [])  # within 1e-12 max|H| = 3e-12
 
 
 def test_collapse_rate_needs_the_annihilator_exactly():
@@ -780,11 +794,11 @@ def test_collapse_rate_needs_the_annihilator_exactly():
     nudged.matrix.data[0] = np.nextafter(nudged.matrix.data[0].real, 2.0)
     # 2 a_s and the nudged a_s have the annihilator's pattern, not its values
     for impostor in (2 * a_s, nudged):
-        model = LindbladModel(h, [(impostor, 0.3), (a_ap, 0.7)], space)
+        model = LindbladModel(h, [(impostor, 0.3), (a_ap, 0.7)])
         with pytest.raises(ValueError, match="no collapse operator found for mode 's'"):
             reflection_spectrum(model, "s", [0.0], 0.01)
         assert dynamics._collapse_rate(model, "ap") == 0.7
-    model = LindbladModel(h, [(2 * a_s, 0.3), (a_s, 0.6), (a_ap, 0.7)], space)
+    model = LindbladModel(h, [(2 * a_s, 0.3), (a_s, 0.6), (a_ap, 0.7)])
     assert dynamics._collapse_rate(model, "s") == 0.6
 
 
@@ -826,6 +840,16 @@ def test_nonhermitian_eigs_k_bound():
     h = build_nonhermitian(p, (2, 2, 3))
     with pytest.raises(ValueError):
         nonhermitian_eigs(h, 100)
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_nonhermitian_eigs_rejects_k_below_one(k):
+    # k = 0 once raised a bare IndexError
+    from omx import build_nonhermitian
+    p = SystemParams(g0=1.0, kappa=0.025, omega_m=2.0, Delta_s=-1.0,
+                     Delta_a=-7.0, alpha=0.5, gamma=1e-4)
+    with pytest.raises(ValueError, match=rf"k={k} must lie in \[1, 12\]"):
+        nonhermitian_eigs(build_nonhermitian(p, (2, 2, 3)), k)
 
 
 def _full_space_eigs(h_eff, k):

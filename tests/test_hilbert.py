@@ -4,17 +4,20 @@ import scipy.sparse as sp
 
 from omx.hilbert import (
     DensityMatrix,
-    FockState,
     ModeSpace,
     annihilator,
-    destroy_matrix,
-    fock_density,
     ladder_product,
     number_op,
-    tensor_embed,
     thermal_dim,
-    thermal_state,
     thermal_weights,
+)
+from oracles import (
+    destroy_matrix,
+    expect,
+    fock_density,
+    ptrace_population,
+    tensor_embed,
+    thermal_state,
 )
 
 
@@ -124,7 +127,7 @@ def test_ladder_product_matches_the_operator_product(steps):
     space = ModeSpace([("a", 4), ("s", 3), ("m", 5)])
     oracle = np.eye(space.total_dim)
     for label, step in steps.items():
-        a = tensor_embed(destroy_matrix(space.dim(label)), space, label).to_dense()
+        a = tensor_embed(destroy_matrix(space.dims[space.index(label)]), space, label).to_dense()
         oracle = oracle @ (a if step == -1 else a.conj().T)
     rows, cols, amps = ladder_product(space, steps)
     got = np.zeros_like(oracle)
@@ -206,11 +209,11 @@ def test_dim_helpers_control_tail():
 
 def test_fock_density_trace_one():
     space = ModeSpace([("a", 3), ("m", 4)])
-    rho = fock_density(FockState(space, (1, 2)))
+    rho = fock_density(space, (1, 2))
     assert np.trace(rho.matrix) == pytest.approx(1.0)
-    assert rho.ptrace_population("m", 2) == pytest.approx(1.0)
+    assert ptrace_population(rho, "m", 2) == pytest.approx(1.0)
     with pytest.raises(ValueError):
-        FockState(space, (3, 0))
+        fock_density(space, (3, 0))
 
 
 def test_density_matrix_validation():
@@ -228,5 +231,5 @@ def test_thermal_state_per_mode_occupations():
     rho = thermal_state(space, {"m": 0.5})  # unspecified modes default to 0
     n_a = number_op(space, "a")
     n_m = number_op(space, "m")
-    assert np.real(rho.expect(n_a)) == pytest.approx(0.0, abs=1e-12)
-    assert np.real(rho.expect(n_m)) == pytest.approx(0.5, abs=1e-4)
+    assert np.real(expect(rho, n_a)) == pytest.approx(0.0, abs=1e-12)
+    assert np.real(expect(rho, n_m)) == pytest.approx(0.5, abs=1e-4)

@@ -158,7 +158,7 @@ def _oracle_rwa(params, truncations=None):
         h = h + params.Omega_s * (s + s.dag())
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 def _oracle_displaced(params, truncations=None):
@@ -172,7 +172,7 @@ def _oracle_displaced(params, truncations=None):
          + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
     cols = [(a, params.kappa), (s, params.kappa)]
     cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 def _oracle_transistor(params, n_m, truncations=(4, 4)):
@@ -182,7 +182,7 @@ def _oracle_transistor(params, n_m, truncations=(4, 4)):
     geff = 0.5 * params.g0 * math.sqrt(n_m)
     h = delta * (ap.dag() @ ap) + geff * ((s @ ap.dag()) + (s.dag() @ ap))
     cols = [(s, params.kappa), (ap, params.kappa)]
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 def _oracle_effective_phonon(params, truncations=None, corrected=False, two_resonators=False):
@@ -223,7 +223,7 @@ def _oracle_effective_phonon(params, truncations=None, corrected=False, two_reso
         h = h + lam * (coupling_op @ coupling_op)
         if gph > 0:
             cols.append((coupling_op, gph))
-    return LindbladModel(h, cols, space)
+    return LindbladModel(h, cols)
 
 
 _G2SCAN = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Omega_a=0.01,
@@ -605,7 +605,8 @@ def test_effective_phonon_tracks_displaced_dynamics():
     # over a full induced-dephasing time. The displaced generator is
     # diagonalised on its population sector only: the start state lies in
     # it, and L maps the sector onto itself.
-    from omx import build_displaced, liouvillian, phonon_nonlinearity, population_sector
+    from omx import build_displaced, liouvillian, phonon_nonlinearity
+    from omx.dynamics import _component_labels, _sector
 
     p = SystemParams(g0=1.0, kappa=2.5e-2, gamma=2.5e-4, N_th=1.0,
                      Delta_s=-1.0, omega_m=0.5, Delta_a=-5.5, alpha=1.0)
@@ -628,7 +629,7 @@ def test_effective_phonon_tracks_displaced_dynamics():
     start = np.outer(targets[2], targets[2].conj()).reshape(-1)
 
     L = liouvillian(full)
-    sector = population_sector(L, n_full)
+    sector = _sector(_component_labels(L), n_full)
     outside = np.ones(n_full * n_full, dtype=bool)
     outside[sector] = False
     assert not np.any(start[outside])
