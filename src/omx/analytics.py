@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from . import models
-from .dynamics import liouvillian
+from .dynamics import _component_labels, liouvillian
 from .hilbert import thermal_dim, thermal_weights
 from .params import SystemParams
 from .scan import ScanResult
@@ -38,6 +38,9 @@ WEAK_DRIVE_DEFAULT = 0.01  # in units of kappa; used wherever a probe is implied
 # the range in which min_g2_scan's screen bound holds (see its docstring)
 _TINY, _HUGE = np.finfo(float).tiny, np.finfo(float).max / 4
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
+# detunings x ladder levels of one min_g2_scan pair; its arrays peak near
+# 75 B an entry, so about 0.3 GB
+MAX_GRID_ENTRIES = 2**22
 
 
 @dataclass
@@ -161,9 +164,20 @@ def min_g2_scan(params: SystemParams, g0_grid, nth_list) -> ScanResult:
     trusted only when every nonzero product zeta_k p_k is normal and every
     screened s1**2, s2 and g lies in [2 tiny, max/4]; otherwise, NaN
     included, every row goes to the exact reduction.
+
+    ValueError, before anything is allocated, when the largest pair would
+    exceed MAX_GRID_ENTRIES grid x ladder entries.
     """
     g0_grid = np.asarray(g0_grid, dtype=float)
     nth_list = np.asarray(nth_list, dtype=float)
+    g0_max = g0_grid.max(initial=0.0)
+    points = (g0_max + params.kappa) / (params.kappa / 20)
+    levels = max(map(thermal_dim, nth_list), default=0)
+    if points * levels > MAX_GRID_ENTRIES:
+        raise ValueError(
+            f"ming2 grid too large: g0 = {g0_max:g} in steps of kappa/20 = "
+            f"{params.kappa / 20:g} is {points:.3g} detunings x {levels} ladder levels, "
+            f"over {MAX_GRID_ENTRIES} entries; raise kappa or lower g0")
     min_g2 = np.empty(len(g0_grid) * len(nth_list))
     argmin = np.empty_like(min_g2)
     row = 0
@@ -256,14 +270,11 @@ def phonon_nonlinearity(params: SystemParams, corrected: bool = False,
     angle, for n = 0..n_max.
     """
     params.require("Delta_s")
-    alpha2 = abs(models._alpha(params)) ** 2
     delta = params.hybrid_delta
-    ds, kap, g0 = params.Delta_s, params.kappa, params.g0
-    denom = 16 * delta**2 * (ds**2 + kap**2)
+    ds, g0 = params.Delta_s, params.g0
+    lam, gph, gp = _flat_rates(params, abs(params.alpha_at(ds)) ** 2, delta, ds)
     budget = GateBudget(
-        Lambda=g0**4 * alpha2 * ds / denom,
-        Gamma_phi=g0**4 * alpha2 * kap / denom,
-        gamma_prime=kap * alpha2 * g0**2 / (2 * delta**2),
+        Lambda=lam, Gamma_phi=gph, gamma_prime=gp,
         Lambda0=g0**4 / (16 * abs(ds) * delta**2),
         Gamma_m=params.Gamma_m if params.gamma is not None else None,
     )
@@ -277,6 +288,17 @@ def phonon_nonlinearity(params: SystemParams, corrected: bool = False,
         budget.Gamma_phi_n = s.real.copy()
         budget.gamma_prime = frame.gamma_prime
     return budget
+
+
+def _flat_rates(params: SystemParams, alpha2: float, delta: float,
+                Delta_s: float) -> tuple[float, float, float]:
+    """(Lambda, Gamma_phi, gamma') of phonon_nonlinearity's flat formulas at
+    |alpha|^2, delta and Delta_s; Python floats in, so every caller rounds
+    alike. delta = 0 raises ZeroDivisionError."""
+    g0, kap = params.g0, params.kappa
+    denom = 16 * delta**2 * (Delta_s**2 + kap**2)
+    return (g0**4 * alpha2 * Delta_s / denom, g0**4 * alpha2 * kap / denom,
+            kap * alpha2 * g0**2 / (2 * delta**2))
 
 
 def eigenvalue_prediction(params: SystemParams, n: int) -> complex:
@@ -310,47 +332,72 @@ def phase_gate_error(params: SystemParams, exact: bool = False) -> GateBudget:
     The Kerr cross term acts for t_g = pi/(2|Lambda|); during that time the
     state decoheres at Gamma_decoh = 2 Gamma_m + Gamma_phi + gamma'/2. The
     analytic estimate is eps_g ~= 1 - exp(-Gamma_decoh t_g), minimized over
-    Delta_s on 60 points from -0.025 g0 to -1.5 g0. With exact=True the
-    error at the optimum is recomputed by evolving the eliminated two-mode
-    master equation (4 Fock levels per mode) from (|0> + |1>)(|0> + |1>)/2
-    and projecting onto the coherently evolved target state, so that the
-    decoherence-free limit gives exactly zero error.
+    Delta_s on 60 points from -0.025 g0 to -1.5 g0; ties go to the first.
+    With exact=True the error at the optimum is recomputed by evolving the
+    eliminated two-mode master equation (4 Fock levels per mode) from
+    (|0> + |1>)(|0> + |1>)/2 and projecting onto the coherently evolved
+    target state, so that the decoherence-free limit gives exactly zero
+    error.
+
+    The scan is one pass over Python floats. Each detuning takes
+    _flat_rates, the formulas of phonon_nonlinearity in its operation
+    order, with alpha and delta moved with Delta_s as
+    params.replace(Delta_s=...) would move them (SystemParams.alpha_at and
+    hybrid_delta_at). So the optimum, its eps_g and Gamma_decoh are bit for
+    bit those of one phonon_nonlinearity call per detuning, and the budget
+    returned is phonon_nonlinearity's at the optimum. Floats, not arrays:
+    numpy squares by x * x where float ** calls pow, which can differ in
+    the last bit, and a zero delta must still raise ZeroDivisionError.
     """
     if params.g0 <= 0:
         raise ValueError("phase_gate_error needs g0 > 0")
     params.require("gamma")
+    gm = params.Gamma_m
     best = None
-    for ds in -np.linspace(0.025, 1.5, 60) * params.g0:
-        p = params.replace(Delta_s=float(ds))
-        b = phonon_nonlinearity(p)
-        if b.Lambda == 0:
+    for ds in (-np.linspace(0.025, 1.5, 60) * params.g0).tolist():
+        lam, gph, gp = _flat_rates(params, abs(params.alpha_at(ds)) ** 2,
+                                   params.hybrid_delta_at(ds), ds)
+        if lam == 0:
             continue
-        gdecoh = 2 * b.Gamma_m + b.Gamma_phi + 0.5 * b.gamma_prime
-        eps = 1.0 - math.exp(-gdecoh * b.t_g)
-        if best is None or eps < best.epsilon_g:
-            best = b
-            best.epsilon_g = eps
-            best.delta_s_opt = float(ds)
-            best.extras["Gamma_decoh"] = gdecoh
+        gdecoh = 2 * gm + gph + 0.5 * gp
+        eps = 1.0 - math.exp(-gdecoh * (math.pi / (2 * abs(lam))))
+        if best is None or eps < best[0]:
+            best = eps, ds, gdecoh
     if best is None:
         raise ValueError("no gate: Lambda vanishes on the whole grid")
+    eps, ds, gdecoh = best
+    p = params.replace(Delta_s=ds)
+    budget = phonon_nonlinearity(p)
+    budget.epsilon_g, budget.delta_s_opt = eps, ds
+    budget.extras["Gamma_decoh"] = gdecoh
     if exact:
-        p = params.replace(Delta_s=best.delta_s_opt)
-        best.extras["epsilon_g_estimate"] = best.epsilon_g
-        best.epsilon_g = _exact_gate_error(p, best.t_g)
-    best.clamped = best.epsilon_g > 1.0
-    best.epsilon_g = min(max(best.epsilon_g, 0.0), 1.0)
-    return best
+        budget.extras["epsilon_g_estimate"] = eps
+        budget.epsilon_g = _exact_gate_error(p, budget.t_g)
+    budget.clamped = budget.epsilon_g > 1.0
+    budget.epsilon_g = min(max(budget.epsilon_g, 0.0), 1.0)
+    return budget
 
 
 def _exact_gate_error(params: SystemParams, t_g: float) -> float:
+    """1 - <target|rho(t_g)|target> in the eliminated two-mode model.
+
+    L is block diagonal over the connected components of its sparsity
+    graph (the coherence orders n1 - n1', n2 - n2'), and so is exp(L t):
+    rho(t_g) takes one expm per block that rho0 touches, 9 of 49 blocks of
+    at most 16 entries each, in place of one dense expm of L (256^2).
+    """
     model = models.build_effective_phonon(params, truncations=(4, 4),
                                           two_resonators=True)
     n = model.space.total_dim
     psi0 = np.kron(_qubit_superposition(4), _qubit_superposition(4))
-    rho0 = np.outer(psi0, psi0.conj())
-    gen = liouvillian(model).toarray()
-    rho = (sla.expm(gen * t_g) @ rho0.reshape(-1)).reshape(n, n)
+    rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
+    gen = liouvillian(model)
+    labels = _component_labels(gen)
+    rho = np.zeros_like(rho0)
+    for label in np.unique(labels[rho0 != 0]):
+        idx = np.flatnonzero(labels == label)
+        rho[idx] = sla.expm(gen[idx][:, idx].toarray() * t_g) @ rho0[idx]
+    rho = rho.reshape(n, n)
     target = sla.expm(-1j * model.hamiltonian.to_dense() * t_g) @ psi0
     fidelity = float(np.real(target.conj() @ rho @ target))
     return 1.0 - fidelity

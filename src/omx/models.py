@@ -157,10 +157,6 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
     return LindbladModel(h, cols)
 
 
-def _alpha(params: SystemParams) -> complex:
-    return params.alpha if params.alpha is not None else params.steady_alpha()
-
-
 def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     """Frame with the classical drive removed by displacing c_s by alpha.
 
@@ -172,7 +168,7 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     params.require("omega_m")
     if params.Delta_s is None or params.Delta_a is None:
         raise ValueError("build_displaced needs Delta_s and Delta_a")
-    alpha = _alpha(params)
+    alpha = params.alpha_at(params.Delta_s)
     g = 0.5 * params.g0 * alpha
     space = _resolve_truncations(params, ["a", "s", "m"], truncations)
     n_a, n_s, n_m = space.occupations
@@ -219,7 +215,7 @@ def hybridize(params: SystemParams, two_resonators: bool = False) -> HybridFrame
     delta = params.hybrid_delta
     if abs(delta) < RESONANCE_ATOL:
         raise ValueError("resonant configuration (delta = 0): hybridization is singular")
-    g = abs(0.5 * params.g0 * _alpha(params))
+    g = abs(0.5 * params.g0 * params.alpha_at(params.Delta_s))
     if two_resonators:
         big_theta = 0.5 * math.atan2(-math.sqrt(2) * g, delta)
         root = math.sqrt(delta**2 + 2 * g**2)
@@ -362,7 +358,7 @@ def build_effective_phonon(params: SystemParams, truncations=None,
     if corrected and two_resonators:
         raise ValueError("corrected=True is defined for a single resonator only")
     frame = hybridize(params, two_resonators)
-    alpha = _alpha(params)
+    alpha = params.alpha_at(params.Delta_s)
     drive_scale = params.g0**2 * abs(alpha) / (4 * abs(frame.delta))
     if drive_scale > 0.1 * abs(params.Delta_s + 1j * params.kappa):
         warnings.warn(

@@ -156,17 +156,28 @@ class SystemParams:
         not specified it falls back to delta = 2J - omega_m, which is the
         same quantity for an undriven antisymmetric mode.
         """
-        if self.Delta_a is not None and self.omega_m is not None:
-            return -(self.Delta_a + self.omega_m)
+        return self._hybrid_delta(self.Delta_a)
+
+    def hybrid_delta_at(self, Delta_s: float) -> float:
+        """hybrid_delta of replace(Delta_s=Delta_s), without the copy: with J
+        given, Delta_a = Delta_s - 2J moves with Delta_s."""
+        return self._hybrid_delta(self.Delta_a if self.J is None else Delta_s - 2 * self.J)
+
+    def _hybrid_delta(self, Delta_a: float | None) -> float:
+        if Delta_a is not None and self.omega_m is not None:
+            return -(Delta_a + self.omega_m)
         if self.delta is not None:
             return self.delta
         raise ValueError("need (Delta_a, omega_m) or delta for the hybridization detuning")
 
-    def steady_alpha(self) -> complex:
-        """Classical cavity amplitude alpha = Omega_s/(kappa - i Delta_s)."""
-        if self.Delta_s is None:
+    def alpha_at(self, Delta_s: float | None) -> complex:
+        """Cavity amplitude at the detuning Delta_s: alpha when given, else
+        the classical steady state Omega_s/(kappa - i Delta_s)."""
+        if self.alpha is not None:
+            return self.alpha
+        if Delta_s is None:
             raise ValueError("Delta_s required for the steady displacement")
-        return self.Omega_s / (self.kappa - 1j * self.Delta_s)
+        return self.Omega_s / (self.kappa - 1j * Delta_s)
 
     def require(self, *names: str) -> None:
         missing = [n for n in names if getattr(self, n) is None]

@@ -4,16 +4,26 @@ Each is the direct, slow form of something omx computes another way: the
 kron embedding of a single-mode operator (hilbert.annihilator and
 hilbert.ladder_product read the occupation table instead), dense Fock and
 thermal states with their expectation values and diagonal partial trace
-(dynamics reads observables off the populations), and the time integration
-of the master equation (dynamics.steady_state solves the null space).
+(dynamics reads observables off the populations), the time integration
+of the master equation (dynamics.steady_state solves the null space), and
+the phase gate's scan with one SystemParams and one phonon_nonlinearity per
+detuning and its exact error from one dense expm of L
+(analytics.phase_gate_error scans on Python floats and takes the expm on
+L's blocks).
 """
 
+import math
+
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 from scipy.integrate import solve_ivp
 
+from omx import models
+from omx.analytics import GateBudget, _qubit_superposition, phonon_nonlinearity
 from omx.dynamics import LindbladModel, SolverError, liouvillian
 from omx.hilbert import DensityMatrix, ModeSpace, Operator, _canonical, thermal_weights
+from omx.params import SystemParams
 
 
 def destroy_matrix(dim: int) -> sp.csr_matrix:
@@ -101,3 +111,41 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMat
         rho /= np.trace(rho).real
         out.append(DensityMatrix(model.space, rho))
     return out
+
+
+def phase_gate_scan(params: SystemParams) -> GateBudget:
+    """phase_gate_error's estimate (exact=False): the budget at the Delta_s of
+    least 1 - exp(-Gamma_decoh t_g) over its 60 detunings, first of ties."""
+    if params.g0 <= 0:
+        raise ValueError("phase_gate_error needs g0 > 0")
+    params.require("gamma")
+    best = None
+    for ds in -np.linspace(0.025, 1.5, 60) * params.g0:
+        b = phonon_nonlinearity(params.replace(Delta_s=float(ds)))
+        if b.Lambda == 0:
+            continue
+        gdecoh = 2 * b.Gamma_m + b.Gamma_phi + 0.5 * b.gamma_prime
+        eps = 1.0 - math.exp(-gdecoh * b.t_g)
+        if best is None or eps < best.epsilon_g:
+            best = b
+            best.epsilon_g = eps
+            best.delta_s_opt = float(ds)
+            best.extras["Gamma_decoh"] = gdecoh
+    if best is None:
+        raise ValueError("no gate: Lambda vanishes on the whole grid")
+    best.clamped = best.epsilon_g > 1.0
+    best.epsilon_g = min(max(best.epsilon_g, 0.0), 1.0)
+    return best
+
+
+def dense_gate_error(params: SystemParams, t_g: float) -> float:
+    """The exact gate error at params.Delta_s from one expm of the dense L."""
+    model = models.build_effective_phonon(params, truncations=(4, 4),
+                                          two_resonators=True)
+    n = model.space.total_dim
+    psi0 = np.kron(_qubit_superposition(4), _qubit_superposition(4))
+    rho0 = np.outer(psi0, psi0.conj())
+    gen = liouvillian(model).toarray()
+    rho = (sla.expm(gen * t_g) @ rho0.reshape(-1)).reshape(n, n)
+    target = sla.expm(-1j * model.hamiltonian.to_dense() * t_g) @ psi0
+    return 1.0 - float(np.real(target.conj() @ rho @ target))

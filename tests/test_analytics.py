@@ -1,7 +1,9 @@
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import dense_gate_error, phase_gate_scan
 from scipy.optimize import minimize_scalar
 
 from omx import (
@@ -372,6 +374,67 @@ def test_phase_gate_optimum_near_half_coupling():
     p = SystemParams(g0=1.0, kappa=5e-3, gamma=8e-5, delta=3.0, alpha=1.0)
     b = phase_gate_error(p)
     assert abs(b.delta_s_opt) == pytest.approx(0.5, abs=0.125)
+
+
+def _gate_params(rng, alpha_from, delta_from, n_th):
+    g0 = rng.uniform(0.2, 5.0)
+    kw = dict(g0=g0, kappa=rng.uniform(1e-3, 0.3) * g0, gamma=rng.uniform(1e-6, 1e-3) * g0,
+              N_th=n_th)
+    if alpha_from == "alpha":
+        kw["alpha"] = complex(rng.uniform(0.1, 2.0), rng.uniform(-1.0, 1.0))
+    else:
+        kw["Omega_s"] = rng.uniform(0.01, 1.0) * g0
+    delta = rng.uniform(2.0, 6.0) * g0  # > 0 >= every Delta_s of the scan
+    if delta_from == "delta":
+        kw["delta"] = delta
+    elif delta_from == "J":  # hybrid delta -(Delta_s - 2J + omega_m) moves with Delta_s
+        kw["omega_m"] = rng.uniform(1.0, 40.0) * g0
+        kw["J"] = 0.5 * (delta + kw["omega_m"])
+    else:  # Delta_a and omega_m without J: a fixed hybrid delta
+        kw["omega_m"] = rng.uniform(1.0, 40.0) * g0
+        kw["Delta_a"] = -delta - kw["omega_m"]
+    return SystemParams(**kw)
+
+
+@pytest.mark.parametrize("alpha_from,delta_from,n_th",
+                         list(product(("alpha", "Omega_s"), ("delta", "J", "Delta_a"), (0.0, 1.3))))
+def test_phase_gate_scan_matches_the_per_detuning_oracle(alpha_from, delta_from, n_th):
+    rng = np.random.default_rng([len(alpha_from), len(delta_from), int(10 * n_th)])
+    for _ in range(10):
+        p = _gate_params(rng, alpha_from, delta_from, n_th)
+        # every field: epsilon_g, delta_s_opt, t_g, the rates, extras, clamped
+        assert vars(phase_gate_error(p)) == vars(phase_gate_scan(p))
+
+
+def test_phase_gate_scan_keeps_the_first_of_equal_errors():
+    # Gamma_m t_g > 40 at every detuning: eps_g rounds to 1.0 on the whole grid
+    p = SystemParams(g0=1.0, kappa=0.01, gamma=100.0, delta=3.0, alpha=1.0)
+    got, want = phase_gate_error(p), phase_gate_scan(p)
+    assert got.epsilon_g == 1.0 and got.delta_s_opt == -0.025
+    assert vars(got) == vars(want)
+
+
+def test_phase_gate_scan_fails_as_the_oracle_does():
+    base = dict(g0=1.0, kappa=0.01, gamma=8e-5)
+    for kw in (dict(alpha=0.0, delta=3.0), dict(Omega_s=0.0, delta=3.0)):
+        for scan in (phase_gate_error, phase_gate_scan):
+            with pytest.raises(ValueError, match="no gate"):
+                scan(SystemParams(**base, **kw))
+    for scan in (phase_gate_error, phase_gate_scan):
+        with pytest.raises(ZeroDivisionError):
+            scan(SystemParams(**base, alpha=1.0, delta=0.0))
+
+
+@pytest.mark.filterwarnings("ignore:adiabatic elimination marginal")
+def test_exact_gate_error_on_the_blocks_matches_the_dense_oracle():
+    # the seven kappa of configs/phonon_gate_error.cfg, at Gamma_m = 1e-4
+    for kap in np.geomspace(1e-3, 3e-2, 7):
+        p = SystemParams(g0=1.0, kappa=float(kap), gamma=4e-4, delta=3.0, alpha=1.0)
+        b = phase_gate_error(p)
+        at = p.replace(Delta_s=b.delta_s_opt)
+        got, want = analytics._exact_gate_error(at, b.t_g), dense_gate_error(at, b.t_g)
+        assert 0 < want < 1
+        assert abs(got - want) <= 1e-12 * want
 
 
 def test_min_g2_location_tracks_interference_zero():

@@ -528,6 +528,41 @@ def test_gate_error_counts_the_marginal_points_in_one_line(tmp_path, capsys):
         assert capsys.readouterr().err == err
 
 
+def test_gate_error_exact_over_the_shipped_grid(tmp_path, capsys):
+    shipped = Path(__file__).parents[1] / "configs" / "phonon_gate_error.cfg"
+    cfg_path = write(tmp_path / "ge.cfg",
+                     shipped.read_text().replace("exact = false", "exact = true"))
+    out = tmp_path / "out"
+    assert main(["gate-error", "--config", str(cfg_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ("warning: adiabatic elimination marginal at 49 of 49 "
+                                       "grid points (see models.build_effective_phonon)\n")
+    lines = [ln for ln in (out / "gate-error.csv").read_text().splitlines()
+             if not ln.startswith("#")]
+    assert lines[0] == "kappa,Gamma_m,eps_g,delta_s_opt,t_g"
+    eps = np.array([float(ln.split(",")[2]) for ln in lines[1:]])
+    assert eps.size == 49 and np.all((eps >= 0) & (eps <= 1))
+
+
+def test_ming2_refuses_an_oversized_grid_before_allocating(tmp_path, capsys, monkeypatch):
+    def allocate(*args, **kwargs):
+        raise AssertionError("the detuning grid was allocated")
+
+    monkeypatch.setattr(np, "arange", allocate)
+    cfg_path = write(tmp_path / "m.cfg", """
+[params]
+g0 = 8
+kappa = 1e-14
+Omega_a = 0.01
+
+[grid.g0]
+values = 8
+""")
+    assert main(["ming2", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ming2 grid too large: g0 = 8 in steps of kappa/20")
+    assert not (tmp_path / "out").exists()
+
+
 def test_ming2_scenario(tmp_path):
     cfg_path = write(tmp_path / "m.cfg", """
 [params]

@@ -24,7 +24,6 @@ from omx import (
 )
 from omx.hilbert import Operator, thermal_dim
 from omx.models import (
-    _alpha,
     _resolve_truncations,
     _thermal_collapses,
     _two_res_spectrum,
@@ -88,7 +87,7 @@ def test_hybrid_delta_sources():
 
 def test_steady_alpha_fixed_point():
     p = SystemParams(g0=1.0, kappa=1.0, Delta_s=-2.0, Omega_s=0.3)
-    alpha = p.steady_alpha()
+    alpha = p.alpha_at(p.Delta_s)
     # fixed point of alpha' = (i Delta_s - kappa) alpha + Omega_s
     assert (1j * p.Delta_s - p.kappa) * alpha + p.Omega_s == pytest.approx(0.0, abs=1e-15)
 
@@ -162,7 +161,7 @@ def _oracle_rwa(params, truncations=None):
 
 
 def _oracle_displaced(params, truncations=None):
-    alpha = _alpha(params)
+    alpha = params.alpha_at(params.Delta_s)
     g = 0.5 * params.g0 * alpha
     space = _resolve_truncations(params, ["a", "s", "m"], truncations)
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
