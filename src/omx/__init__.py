@@ -10,6 +10,10 @@ Layers:
 
 It exports what the CLI's scenarios and the acceptance suite call; the
 oracles that tests compare against are in tests/oracles.py.
+
+numpy is the only import-time dependency: no module imports a scipy
+submodule at the top, so scipy's sparse and linear-algebra stack loads at
+the first call that needs it, and the closed-form analytics never load it.
 """
 
 __version__ = "0.1.0"

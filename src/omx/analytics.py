@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
+import scipy
 
 from . import models
 from .dynamics import _component_labels, liouvillian
@@ -396,8 +396,8 @@ def _exact_gate_error(params: SystemParams, t_g: float) -> float:
     rho = np.zeros_like(rho0)
     for label in np.unique(labels[rho0 != 0]):
         idx = np.flatnonzero(labels == label)
-        rho[idx] = sla.expm(gen[idx][:, idx].toarray() * t_g) @ rho0[idx]
+        rho[idx] = scipy.linalg.expm(gen[idx][:, idx].toarray() * t_g) @ rho0[idx]
     rho = rho.reshape(n, n)
-    target = sla.expm(-1j * model.hamiltonian.to_dense() * t_g) @ psi0
+    target = scipy.linalg.expm(-1j * model.hamiltonian.to_dense() * t_g) @ psi0
     fidelity = float(np.real(target.conj() @ rho @ target))
     return 1.0 - fidelity

@@ -37,7 +37,6 @@ import argparse
 import configparser
 import sys
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import fields as dc_fields
 from pathlib import Path
 
@@ -220,6 +219,8 @@ def _map(fn, tasks, jobs: int):
     """Yield fn(task) for each task in order, over jobs worker processes
     when jobs > 1; rows yielded before a failure stay with the caller."""
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # loaded only when parallel
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(fn, tasks)
     else:

@@ -38,10 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.sparse.csgraph import connected_components
+import scipy
 
 from .hilbert import DensityMatrix, ModeSpace, Operator, ladder_product
 
@@ -82,7 +79,7 @@ class LindbladModel:
     def space(self) -> ModeSpace:
         return self.hamiltonian.space
 
-    def decay(self) -> sp.csr_matrix:
+    def decay(self) -> scipy.sparse.csr_matrix:
         """sum_k rate_k c_k^dag c_k over the collapses of nonzero rate, as CSR:
         the one place it is formed, read by liouvillian, reflection_spectrum
         and models.build_nonhermitian.
@@ -108,13 +105,13 @@ class LindbladModel:
             rows.append(c.indices[p])
             cols.append(c.indices[q])
             vals.append(rate * (c.data[p].conj() * c.data[q]))
-        out = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                            shape=(n, n))
+        out = scipy.sparse.csr_matrix(
+            (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
         out.eliminate_zeros()
         return out
 
 
-def _hermitian_deviation(h: sp.csr_matrix) -> float:
+def _hermitian_deviation(h: scipy.sparse.csr_matrix) -> float:
     """max|H - H^dag| of a canonical CSR H. Where the pattern of H is
     symmetric, H^dag has the same CSR pattern, and its data is conj(H.data)
     in the order that sorts the transposed positions, so the two compare
@@ -129,7 +126,7 @@ def _hermitian_deviation(h: sp.csr_matrix) -> float:
     return float(abs(h - h.conj().T).max())
 
 
-def liouvillian(model: LindbladModel) -> sp.csr_matrix:
+def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the generator acting on vec(rho) (row-major).
 
     Assembled from K_L, K_R and the jump terms (see the module docstring)
@@ -165,7 +162,7 @@ def liouvillian(model: LindbladModel) -> sp.csr_matrix:
     # the CSR conversion sums duplicates (for ladder collapses only on the
     # diagonal, where K_L and K_R meet); entries that cancel exactly are
     # dropped, as an operator sum drops them
-    L = sp.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    L = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
     L.eliminate_zeros()
     worst = np.abs(_trace_vec(n) @ L).max()
     scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
@@ -180,7 +177,7 @@ def _trace_vec(n: int) -> np.ndarray:
     return t
 
 
-def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
+def null_space_gap(L: scipy.sparse.csr_matrix) -> tuple[float, float]:
     """(|lambda_0|, |lambda_1|): the two smallest-magnitude eigenvalues of L.
 
     Both are measured, not bounded: by a dense eigvals for m <= 400, above
@@ -193,12 +190,13 @@ def null_space_gap(L: sp.csr_matrix) -> tuple[float, float]:
     """
     m = L.shape[0]
     if m <= 400:
-        w = np.sort(np.abs(sla.eigvals(L.toarray())))
+        w = np.sort(np.abs(scipy.linalg.eigvals(L.toarray())))
         return float(w[0]), float(w[1])
     try:
-        w = spla.eigs(L.tocsc(), k=2, sigma=1e-9, which="LM", return_eigenvectors=False,
-                      maxiter=5000, v0=_start_vector(m))
-    except (spla.ArpackNoConvergence, RuntimeError) as exc:
+        w = scipy.sparse.linalg.eigs(L.tocsc(), k=2, sigma=1e-9, which="LM",
+                                     return_eigenvectors=False, maxiter=5000,
+                                     v0=_start_vector(m))
+    except (scipy.sparse.linalg.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"null-space gap estimation failed: {exc}") from exc
     w = np.sort(np.abs(w))
     return float(w[0]), float(w[1])
@@ -235,12 +233,12 @@ class SteadyStateReport:
     fock_tail: dict[str, float] | None = None
 
 
-def _component_labels(L: sp.csr_matrix) -> np.ndarray:
+def _component_labels(L: scipy.sparse.csr_matrix) -> np.ndarray:
     """Label of each entry's connected component in L's sparsity graph."""
     # csgraph casts complex weights to real, which would drop the purely
     # imaginary -i[H, rho] entries: hand it a real pattern instead
-    pattern = sp.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
-    return connected_components(pattern, directed=True, connection="weak")[1]
+    pattern = scipy.sparse.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
+    return scipy.sparse.csgraph.connected_components(pattern, directed=True, connection="weak")[1]
 
 
 def _sector(labels: np.ndarray, n: int) -> np.ndarray:
@@ -253,7 +251,7 @@ def _sector(labels: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def _block_gap(B: sp.csr_matrix, lu: spla.SuperLU | None) -> float:
+def _block_gap(B: scipy.sparse.csr_matrix, lu: scipy.sparse.linalg.SuperLU | None) -> float:
     """Smallest |lambda| of a block B of L, measured.
 
     Given lu, the LU of the trace-row system M of the population block B,
@@ -270,7 +268,7 @@ def _block_gap(B: sp.csr_matrix, lu: spla.SuperLU | None) -> float:
     """
     m = B.shape[0]
     if m <= GAP_DENSE_LIMIT:
-        w = np.sort(np.abs(sla.eigvals(B.toarray())))
+        w = np.sort(np.abs(scipy.linalg.eigvals(B.toarray())))
         return float(w[0] if lu is None else w[1])
     if lu is None:
         try:
@@ -284,15 +282,15 @@ def _block_gap(B: sp.csr_matrix, lu: spla.SuperLU | None) -> float:
             return lu.solve(v)
 
     try:
-        w = spla.eigs(spla.LinearOperator((m, m), matvec=solve, dtype=complex), k=2,
-                      which="LM", return_eigenvectors=False, maxiter=5000,
-                      v0=_start_vector(m))
-    except (spla.ArpackNoConvergence, RuntimeError) as exc:
+        op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=complex)
+        w = scipy.sparse.linalg.eigs(op, k=2, which="LM", return_eigenvectors=False,
+                                     maxiter=5000, v0=_start_vector(m))
+    except (scipy.sparse.linalg.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"null-space gap estimation failed: {exc}") from exc
     return float(1.0 / np.abs(w).max())
 
 
-def _disc_bounds(L: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
+def _disc_bounds(L: scipy.sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
     """Gershgorin lower bound on min |lambda| of each connected block of L:
     the larger of min_i (|L_ii| - sum_{j != i} |L_ij|) over its rows and
     over its columns."""
@@ -305,7 +303,7 @@ def _disc_bounds(L: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
     return np.maximum(rows, cols)
 
 
-def _factor(A: sp.csc_matrix) -> spla.SuperLU:
+def _factor(A: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
     """Sparse LU of a block of L, or of its trace-row system.
 
     The column order is a minimum degree on the pattern of A + A^T: the
@@ -325,11 +323,11 @@ def _factor(A: sp.csc_matrix) -> spla.SuperLU:
     gap of _coherence_gap moves by less than 5e-15 relative between the
     three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
     """
-    return spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                     options={"SymmetricMode": True})
+    return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                                    options={"SymmetricMode": True})
 
 
-def _coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
+def _coherence_gap(L: scipy.sparse.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
     """min |lambda| over the blocks of L outside the population sector, or a
     proven lower bound on it of at least floor; inf when there are none. A
     block whose disc bound falls below floor is measured (_block_gap). See
@@ -437,7 +435,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     idx = _sector(labels, n)
     m = idx.size
     Lc = L if m == n * n else L[idx][:, idx]
-    M = sp.vstack([sp.csr_matrix(_trace_vec(n)[idx]), Lc[1:]]).tocsc()
+    M = scipy.sparse.vstack([scipy.sparse.csr_matrix(_trace_vec(n)[idx]), Lc[1:]]).tocsc()
     try:
         lu = _factor(M)
     except RuntimeError as exc:
@@ -645,8 +643,8 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
         raise SolverError(
             f"{keep.size} states too many for the dense eigensolver; reduce truncations")
     try:
-        w, v = sla.eig(h_eff.matrix[keep][:, keep].toarray())
-    except sla.LinAlgError as exc:  # pragma: no cover
+        w, v = scipy.linalg.eig(h_eff.matrix[keep][:, keep].toarray())
+    except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise SolverError(f"eigensolver failed: {exc}") from exc
     norms = np.linalg.norm(v, axis=0)
 

@@ -20,15 +20,25 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
+import scipy
 
 TRACE_ATOL = 1e-10
 POSITIVITY_ATOL = 1e-8
 TAIL_MASS = 1e-6
 
 
-def _canonical(m: sp.spmatrix) -> sp.csr_matrix:
-    out = sp.csr_matrix(m)
+def _canonical(m) -> scipy.sparse.csr_matrix:
+    """m as complex CSR with sorted indices, no duplicates and no stored
+    zeros. A complex csr_matrix whose arrays show it is one already passes
+    through uncopied (builders write most operators so); anything else is
+    copied and canonicalized."""
+    if isinstance(m, scipy.sparse.csr_matrix) and m.dtype == complex:
+        # sorted and distinct within each row: the entries' row-major
+        # positions strictly increase
+        rows = np.repeat(np.arange(m.shape[0]), np.diff(m.indptr))
+        if np.all(np.diff(rows * m.shape[1] + m.indices) > 0) and m.data.all():
+            return m
+    out = scipy.sparse.csr_matrix(m.astype(complex))
     out.sum_duplicates()
     out.eliminate_zeros()
     out.sort_indices()
@@ -97,11 +107,11 @@ class Operator:
     """Sparse operator on a ModeSpace."""
 
     space: ModeSpace
-    matrix: sp.csr_matrix
+    matrix: scipy.sparse.csr_matrix
     meta: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
-        self.matrix = _canonical(self.matrix.astype(complex))
+        self.matrix = _canonical(self.matrix)
         n = self.space.total_dim
         if self.matrix.shape != (n, n):
             raise ValueError(f"matrix shape {self.matrix.shape} does not match total_dim {n}")
@@ -133,7 +143,7 @@ class Operator:
         return Operator(self.space, self.matrix @ _mat(other, self.space))
 
 
-def _mat(op, space: ModeSpace) -> sp.csr_matrix:
+def _mat(op, space: ModeSpace) -> scipy.sparse.csr_matrix:
     if isinstance(op, Operator):
         if op.space is not space and op.space != space:
             raise ValueError("operators act on different spaces")
@@ -208,13 +218,14 @@ def annihilator(space: ModeSpace, label: str) -> Operator:
     # at most one entry per row, rows ascending: the CSR arrays directly
     indptr = np.zeros(n + 1, dtype=cols.dtype)
     indptr[rows + 1] = 1
-    return Operator(space, sp.csr_matrix((amps, cols, np.cumsum(indptr)), shape=(n, n)))
+    m = scipy.sparse.csr_matrix((amps.astype(complex), cols, np.cumsum(indptr)), shape=(n, n))
+    return Operator(space, m)
 
 
 def number_op(space: ModeSpace, label: str) -> Operator:
     """Occupation of one mode: the diagonal of its integer occupations, so
     the spectrum is exact."""
-    return Operator(space, sp.diags(space.occupations[space.index(label)], dtype=complex))
+    return Operator(space, scipy.sparse.diags(space.occupations[space.index(label)], dtype=complex))
 
 
 def thermal_dim(n_th: float) -> int:

@@ -35,8 +35,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+import scipy
 
 from .dynamics import LindbladModel
 from .hilbert import ModeSpace, Operator, annihilator, ladder_product, thermal_dim
@@ -89,8 +88,10 @@ def _hamiltonian(space: ModeSpace, diagonal: np.ndarray, couplings) -> Operator:
             rows += [r, c]
             cols += [c, r]
             vals += [g * amp, np.conj(g) * amp]
-    return Operator(space, sp.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)))
+    h = scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n))
+    h.eliminate_zeros()   # zero diagonal entries; Operator then takes h uncopied
+    return Operator(space, h)
 
 
 def _thermal_collapses(b: Operator, gamma: float, n_th: float):
@@ -267,7 +268,7 @@ def hybrid_rotation(params: SystemParams, space: ModeSpace,
     else:
         b = annihilator(space, "m").matrix
         gen = frame.theta * (a.conj().T @ b - b.conj().T @ a)
-    u = spla.expm(gen.tocsc())
+    u = scipy.sparse.linalg.expm(gen.tocsc())
     return Operator(space, u.tocsr())
 
 
@@ -293,7 +294,8 @@ def build_hybrid_decomposition(params: SystemParams, truncations=None,
         b1, b2 = annihilator(space, "m1"), annihilator(space, "m2")
         dn = (b1.dag() @ b1) - (b2.dag() @ b2)
         h1 = (g0 / math.sqrt(8)) * math.sin(th2) * (xs @ dn)
-        h2 = Operator(space, sp.csr_matrix((space.total_dim, space.total_dim), dtype=complex))
+        n = space.total_dim
+        h2 = Operator(space, scipy.sparse.csr_matrix((n, n), dtype=complex))
         bdiff = b1 - b2
         hres = (0.5 * g0 * math.cos(th2) * ((a @ s.dag() @ bdiff.dag())
                                             + (a.dag() @ s @ bdiff))
@@ -386,12 +388,13 @@ def build_effective_phonon(params: SystemParams, truncations=None,
             sk = coupling_spectrum(params, -k * delta_b)
             shift[d == k] = k**2 * sk.imag
             if sk.real > 0:
-                cols.append((Operator(space, sp.diags((d == k).astype(complex))), k**2 * sk.real))
+                proj = scipy.sparse.diags((d == k).astype(complex))
+                cols.append((Operator(space, proj), k**2 * sk.real))
         diagonal = diagonal + shift
     else:
         diagonal = diagonal + lam * d**2
         if gph > 0:
-            cols.append((Operator(space, sp.diags(d.astype(complex))), gph))
+            cols.append((Operator(space, scipy.sparse.diags(d.astype(complex))), gph))
     return LindbladModel(_hamiltonian(space, diagonal, []), cols)
 
 

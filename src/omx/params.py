@@ -13,7 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 
-from scipy.constants import h, k as k_B
+# the exact 2019 SI defining values, bit for bit scipy.constants.h and .k;
+# literals, so that importing omx loads no scipy.constants
+h = 6.62607015e-34      # Planck constant, J s
+k_B = 1.380649e-23      # Boltzmann constant, J/K
 
 FREQ_UNITS = {"hz": 1.0, "khz": 1e3, "mhz": 1e6, "ghz": 1e9, "thz": 1e12}
 TEMP_UNITS = {"k": 1.0, "mk": 1e-3, "uk": 1e-6}

@@ -906,12 +906,34 @@ def test_unwritable_output_is_config_error(tmp_path):
                  "--out", str(blocker / "sub")]) == 2
 
 
-def test_import_cli_leaves_scipy_integrate_unloaded():
-    # no module of omx integrates in time: the time-domain oracle, evolve,
-    # lives in tests/oracles.py
+# what importing omx must not load: no module of omx integrates in time (the
+# time-domain oracle, evolve, lives in tests/oracles.py); params writes the SI
+# constants as literals; scipy's sparse and dense linear algebra load at the
+# first call that needs them, and the process pool only when jobs > 1
+_LOADED_LATER = ("scipy.sparse", "scipy.linalg", "scipy.sparse.csgraph", "scipy.constants",
+                 "scipy.integrate", "concurrent.futures.process")
+
+
+def _loaded_after(statements: str) -> dict:
+    """Which of _LOADED_LATER a fresh interpreter holds after statements."""
     src = str(Path(__file__).resolve().parents[1] / "src")
-    code = (f"import sys; sys.path.insert(0, {src!r}); import omx.cli; "
-            "print('scipy.integrate' in sys.modules)")
+    code = (f"import json, sys; sys.path.insert(0, {src!r})\n{statements}\n"
+            f"print(json.dumps({{m: m in sys.modules for m in {_LOADED_LATER!r}}}))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_cli_leaves_scipy_integrate_unloaded():
+    for module in ("omx", "omx.cli"):
+        assert _loaded_after(f"import {module}") == dict.fromkeys(_LOADED_LATER, False)
+
+
+def test_closed_form_scenarios_never_load_the_sparse_engine(tmp_path):
+    # spectrum, ming2, sweep and gate-error (exact = false) need numpy only
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    for scenario, cfg in (("spectrum", "antibunching_spectrum"), ("ming2", "min_g2_vs_coupling"),
+                          ("sweep", "kerr_rates_sweep"), ("gate-error", "phonon_gate_error")):
+        argv = [scenario, "--config", str(configs / f"{cfg}.cfg"), "--out", str(tmp_path)]
+        loaded = _loaded_after(f"import omx.cli\nassert omx.cli.main({argv!r}) == 0")
+        assert not loaded["scipy.sparse"] and not loaded["scipy.linalg"], scenario

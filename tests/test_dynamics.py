@@ -407,8 +407,8 @@ def test_fock_tail_falls_with_mechanical_truncation():
 
 def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
     # one solve path: a bad LU result is reported, never retried
-    import omx.dynamics
-    real = omx.dynamics.spla.splu
+    import scipy.sparse.linalg
+    real = scipy.sparse.linalg.splu
     calls = []
 
     class NanLU:
@@ -422,7 +422,7 @@ def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
         calls.append(A.shape)
         return NanLU(real(A, *args, **kwargs))
 
-    monkeypatch.setattr(omx.dynamics.spla, "splu", nan_splu)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", nan_splu)
     with pytest.raises(SolverError, match="steady-state residual nan exceeds"):
         steady_state(_rwa(0.3), check_unique=False)
     assert len(calls) == 1
@@ -441,8 +441,8 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
     # the uniqueness check reuses the solve's LU, and at the g2scan operating
     # point the disc bound clears every coherence block, so nothing else is
     # factored and the full-space oracle is never called
-    import omx.dynamics
-    real = omx.dynamics.spla.splu
+    import scipy.sparse.linalg
+    real = scipy.sparse.linalg.splu
     calls = []
 
     def counting_splu(A, *args, **kwargs):
@@ -452,8 +452,8 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
     def oracle(L):
         raise AssertionError("steady_state called null_space_gap")
 
-    monkeypatch.setattr(omx.dynamics.spla, "splu", counting_splu)
-    monkeypatch.setattr(omx.dynamics, "null_space_gap", oracle)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    monkeypatch.setattr(dynamics, "null_space_gap", oracle)
     rep = steady_state(_g2scan_point(n_th, dims))
     assert calls == [(rep.solved_dim, rep.solved_dim)]
     assert rep.null_gap > 1e-8
@@ -890,7 +890,7 @@ def _benchmark_h_eff(alpha, truncations=None):
 
 def _record_eig_shapes(monkeypatch):
     shapes, eig = [], sla.eig
-    monkeypatch.setattr(dynamics.sla, "eig",
+    monkeypatch.setattr(sla, "eig",
                         lambda a, *args, **kw: shapes.append(a.shape) or eig(a, *args, **kw))
     return shapes
 

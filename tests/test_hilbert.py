@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from omx.hilbert import (
     DensityMatrix,
     ModeSpace,
+    Operator,
     annihilator,
     ladder_product,
     number_op,
@@ -157,6 +158,36 @@ def test_deterministic_sparse_layout():
     assert np.array_equal(m1.data, m2.data)
     assert np.array_equal(m1.indices, m2.indices)
     assert np.array_equal(m1.indptr, m2.indptr)
+
+
+# one operator on a 3-level mode, 2 at (0, 1), 3 at (0, 2) and 1 at (2, 0),
+# written as CSR (data, indices, indptr) in ways that are not canonical
+_CANONICAL = ([2, 3, 1], [1, 2, 0], [0, 2, 2, 3])
+_NOT_CANONICAL = {
+    "duplicates": ([1, 3, 1, 1], [1, 2, 1, 0], [0, 3, 3, 4]),
+    "unsorted": ([3, 2, 1], [2, 1, 0], [0, 2, 2, 3]),
+    "explicit-zero": ([2, 3, 0, 1], [1, 2, 1, 0], [0, 2, 3, 4]),
+}
+
+
+@pytest.mark.parametrize("case", [*_NOT_CANONICAL, "real"])
+def test_operator_makes_any_input_complex_canonical(case):
+    data, indices, indptr = _NOT_CANONICAL.get(case, _CANONICAL)
+    dtype = float if case == "real" else complex
+    m = sp.csr_matrix((np.array(data, dtype), indices, indptr), shape=(3, 3))
+    before = [a.copy() for a in (m.data, m.indices, m.indptr)]
+    out = Operator(ModeSpace([("a", 3)]), m).matrix
+    assert isinstance(out, sp.csr_matrix) and out.dtype == complex
+    for x, want in zip((out.data, out.indices, out.indptr), _CANONICAL):
+        assert np.array_equal(x, want)
+    # the input was copied, not canonicalized in place
+    for x, was in zip((m.data, m.indices, m.indptr), before):
+        assert np.array_equal(x, was)
+
+
+def test_operator_takes_a_canonical_matrix_uncopied():
+    m = sp.csr_matrix((np.array(_CANONICAL[0], complex), *_CANONICAL[1:]), shape=(3, 3))
+    assert Operator(ModeSpace([("a", 3)]), m).matrix is m
 
 
 def test_thermal_state_zero_temperature():

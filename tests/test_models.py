@@ -63,6 +63,16 @@ def test_thermal_occupation_from_temperature():
     assert p.Gamma_m == pytest.approx(0.5 * p.gamma * (3 * n + 0.5))
 
 
+def test_si_constants_are_scipys_bit_for_bit():
+    # params writes h and k_B as literals, so that importing omx loads no
+    # scipy.constants; they are the exact 2019 SI defining values
+    import scipy.constants
+
+    from omx import params
+    assert params.h == scipy.constants.h
+    assert params.k_B == scipy.constants.k
+
+
 def test_system_params_rejects_a_nan_occupation():
     with pytest.raises(ValueError, match="N_th must be >= 0; got nan"):
         SystemParams(g0=8.0, N_th=float("nan"))
