@@ -251,7 +251,7 @@ def _sector(labels: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def _block_gap(B: scipy.sparse.csr_matrix, lu: scipy.sparse.linalg.SuperLU | None) -> float:
+def _block_gap(B: scipy.sparse.csr_matrix, lu: _PermutedLU | None) -> float:
     """Smallest |lambda| of a block B of L, measured.
 
     Given lu, the LU of the trace-row system M of the population block B,
@@ -303,7 +303,60 @@ def _disc_bounds(L: scipy.sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
     return np.maximum(rows, cols)
 
 
-def _factor(A: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
+ORDER_CACHE_SIZE = 16
+_ORDERS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+
+
+class _PermutedLU:
+    """The LU of A[q][:, q] (SuperLU's), solving A x = b: b is permuted in
+    and the solution out."""
+
+    def __init__(self, lu, q: np.ndarray, perm_c: np.ndarray):
+        self.lu, self.q, self.perm_c = lu, q, perm_c
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self.lu.solve(b[self.q])[self.perm_c]
+
+    @property
+    def nnz(self) -> int:
+        return self.lu.nnz
+
+
+def _order(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(q, perm_c) for A: SuperLU's minimum-degree column order perm_c on
+    the pattern of A + A^T, and q = argsort(perm_c), so that A[q][:, q] is
+    A in that order. The order is a function of the pattern alone, so it is
+    computed once per pattern and kept, for the last ORDER_CACHE_SIZE
+    patterns, under the exact key (shape, indptr bytes, indices bytes).
+
+    scipy computes no order without a factorization, so on a miss it comes
+    from an incomplete LU of a proxy with A's pattern: unit entries plus m
+    on the diagonal, strictly diagonally dominant (a row holds at most
+    m - 1 off-diagonal entries), so nothing is singular and drop_tol = 1
+    keeps little more than the diagonal. The ILU orders as splu does (the
+    same minimum degree and elimination-tree postorder, from the pattern
+    only) at a fraction of its cost: 7.3 ms against 26.5 ms for the LU of
+    the g2scan sector (rwa a4/s4/m6), 18 ms against 130 ms at m10 with
+    N_th = 1. Its perm_c equals splu's own on both and on the largest
+    coherence block of displaced (4, 3, 5) (tier-1 test).
+    """
+    key = (A.shape, A.indptr.tobytes(), A.indices.tobytes())
+    hit = _ORDERS.get(key)
+    if hit is None:
+        m = A.shape[0]
+        proxy = (scipy.sparse.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+                 + m * scipy.sparse.identity(m, format="csc"))
+        ilu = scipy.sparse.linalg.spilu(
+            proxy, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+        perm_c = ilu.perm_c.copy()   # a view into ilu: the copy lets its factors go
+        if len(_ORDERS) >= ORDER_CACHE_SIZE:
+            del _ORDERS[next(iter(_ORDERS))]   # the oldest pattern
+        hit = _ORDERS[key] = (np.argsort(perm_c), perm_c)
+    return hit
+
+
+def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
     """Sparse LU of a block of L, or of its trace-row system.
 
     The column order is a minimum degree on the pattern of A + A^T: the
@@ -319,12 +372,26 @@ def _factor(A: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
     | 4 coherence blocks, displaced (4, 3, 5) | 92,238 | 161,734 | 114,126 |
     | 7 coherence blocks, displaced (4, 3, 8) | 457,671 | 763,991 | 682,691 |
 
+    The order comes from _order, cached per sparsity pattern, and every
+    system is factored on it, the first of a pattern included: SuperLU
+    factors A[q][:, q] in its natural order, with the same pivoting, and
+    never orders anything itself. A scan's points share one pattern (only
+    diagonal values such as Delta_a change), so they share one ordering
+    pass; at the g2scan sector the LU takes 20.9 ms against 26.5 ms when
+    SuperLU orders each point (medians of 135 interleaved pairs, one BLAS
+    thread, 2-vCPU host), and the fill is the same. Since the order is a
+    function of A's pattern, the factor of A is a function of A alone: its
+    bits cannot depend on which system came first, on the cache or on how
+    a scan is split over processes.
+
     steady_state repays the weaker pivoting with one refinement step. The
     gap of _coherence_gap moves by less than 5e-15 relative between the
     three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
     """
-    return scipy.sparse.linalg.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
-                                    options={"SymmetricMode": True})
+    q, perm_c = _order(A)
+    lu = scipy.sparse.linalg.splu(A[q][:, q], permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                                  options={"SymmetricMode": True})
+    return _PermutedLU(lu, q, perm_c)
 
 
 def _coherence_gap(L: scipy.sparse.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
@@ -364,11 +431,16 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     condition, and the square system M x = e_0 is solved by one sparse LU
     (see _factor): a minimum-degree column order on the nearly symmetric
     pattern of M + M^T, kept by threshold pivoting that takes a diagonal
-    pivot down to 0.1 of its column's largest entry. That pivoting gives up
-    some stability for far less fill, so the solution gets one step of
-    iterative refinement on the same factor, x += M^-1 (e_0 - M x) (Skeel,
-    Math. Comp. 35, 817 (1980)), after which it no longer depends on the
-    order. The residual cannot stand in for that step: it is a norm, set by
+    pivot down to 0.1 of its column's largest entry. The order is computed
+    from the pattern alone (_order) and cached per pattern, so the points
+    of a scan, which share M's pattern, are ordered once, and every M is
+    factored on its own pattern's order: the result is a function of the
+    model alone, whatever was solved before it in the process, and so the
+    same for any point order or number of jobs. The threshold pivoting
+    gives up some stability for far less fill, so the solution gets one
+    step of iterative refinement on the same factor, x += M^-1 (e_0 - M x)
+    (Skeel, Math. Comp. 35, 817 (1980)), after which it no longer depends
+    on the order. The residual cannot stand in for that step: it is a norm, set by
     the populations of order 1, while the two-photon entries behind g2 are
     of order 1e-9 at a weak drive, so errors far larger than rounding in
     them leave it untouched. At N_th = 1 with m10 (rwa a4/s4) an un-refined

@@ -117,7 +117,12 @@ class Operator:
             raise ValueError(f"matrix shape {self.matrix.shape} does not match total_dim {n}")
 
     def dag(self) -> "Operator":
-        return Operator(self.space, self.matrix.conj().T)
+        # the transpose's CSC -> CSR conversion writes fresh arrays with each
+        # row sorted, so the result is canonical and _canonical takes it
+        # uncopied; its data is conjugated in place
+        m = self.matrix.T.tocsr()
+        np.conjugate(m.data, out=m.data)
+        return Operator(self.space, m)
 
     def to_dense(self) -> np.ndarray:
         return self.matrix.toarray()

@@ -426,6 +426,25 @@ jobs = 2
     assert np.all(res.columns["residual"] < 1e-9)
 
 
+def test_g2scan_values_do_not_depend_on_jobs(tmp_path, monkeypatch):
+    # each worker orders the sector on its own, from whichever point it
+    # takes first; the values must still be those of the serial scan. The
+    # "# run" line records jobs, so the columns are compared, not the files
+    from omx import dynamics
+    from omx.cli import run_g2scan
+    text = (Path(__file__).parents[1] / "perfbench" / "configs" / "g2scan_reduced.cfg").read_text(
+        encoding="utf-8")
+    assert "jobs = 1" in text
+    runs = {}
+    for jobs in (2, 1):
+        monkeypatch.setattr(dynamics, "_ORDERS", {})   # the pool forks with no order cached
+        cfg = write(tmp_path / f"jobs{jobs}.cfg", text.replace("jobs = 1", f"jobs = {jobs}"))
+        runs[jobs] = run_g2scan(load_config(cfg))
+    assert runs[2].columns.keys() == runs[1].columns.keys()
+    for name, col in runs[1].columns.items():
+        assert np.array_equal(runs[2].columns[name], col), name
+
+
 def _fmt(x) -> str:
     """The per-cell CSV formatter that ScanResult.write_csv once called."""
     if isinstance(x, (int, np.integer)):

@@ -459,6 +459,62 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
     assert rep.null_gap > 1e-8
 
 
+def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
+    # every factor uses its own pattern's order, never an earlier point's:
+    # the scan forward and reversed, each from an empty order cache, gives
+    # the same bits. One pattern: one ordering pass and nine factors
+    import scipy.sparse.linalg
+    calls = []
+
+    def counting(name):
+        real = getattr(scipy.sparse.linalg, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapped
+
+    def scan(deltas):
+        monkeypatch.setattr(dynamics, "_ORDERS", {})
+        out = {}
+        for d in deltas:
+            rep = steady_state(_g2scan_point(0.0, (4, 4, 6), d), check_unique=False)
+            space, p = rep.state.space, rep.state.matrix.diagonal().real
+            n_a = p @ space.occupations[space.index("a")]
+            out[d] = (g2_zero(rep.state, "a"), n_a, rep.residual, rep.lu_nnz)
+        return out
+
+    for name in ("spilu", "splu"):
+        monkeypatch.setattr(scipy.sparse.linalg, name, counting(name))
+    deltas = np.linspace(-8.0, 8.0, 9)   # perfbench/configs/g2scan_reduced.cfg
+    forward = scan(deltas)
+    assert calls.count("spilu") == 1 and calls.count("splu") == 9
+    assert {v[3] for v in forward.values()} == {218_844}
+    assert scan(deltas[::-1]) == forward
+
+
+def test_cached_order_is_superlus_own():
+    # the ordering-only ILU gives the column order that splu computes for
+    # itself, on the g2scan sector, the thermal sector at m10, and a
+    # coherence block that the uniqueness check factors
+    import scipy.sparse.linalg as spla
+    from omx.dynamics import _disc_bounds, _order
+    systems = [_trace_row_system(_g2scan_point(0.0, (4, 4, 6)))[0],
+               _trace_row_system(_g2scan_point(1.0, (4, 4, 10)))[0]]
+    L = liouvillian(_displaced((4, 3, 5)))
+    labels = _component_labels(L)
+    sizes = np.bincount(labels)
+    sizes[labels[0]] = 0
+    idx = np.flatnonzero(labels == sizes.argmax())
+    # its discs reach the origin, so the check factors it (504 entries)
+    assert _disc_bounds(L, labels)[sizes.argmax()] < 0 and idx.size > 64
+    systems.append(L[idx][:, idx].tocsc())
+    for A in systems:
+        own = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
+                        options={"SymmetricMode": True}).perm_c
+        assert np.array_equal(_order(A)[1], own)
+
+
 def _trace_row_system(model):
     # M of steady_state: the population sector of L with its first row
     # replaced by the trace condition

@@ -190,6 +190,26 @@ def test_operator_takes_a_canonical_matrix_uncopied():
     assert Operator(ModeSpace([("a", 3)]), m).matrix is m
 
 
+@pytest.mark.parametrize("scale", [1.0, 0.5 - 2j])
+def test_dag_hands_operator_a_canonical_matrix(monkeypatch, scale):
+    from omx import hilbert
+    a = scale * annihilator(ModeSpace([("a", 4), ("s", 4), ("m", 20)]), "m")
+    oracle = hilbert._canonical(a.matrix.conj().T)   # a CSC input: the copying path
+    real, uncopied = hilbert._canonical, []
+
+    def spy(m):
+        out = real(m)
+        uncopied.append(out is m)
+        return out
+
+    monkeypatch.setattr(hilbert, "_canonical", spy)
+    d = a.dag().matrix
+    assert uncopied == [True]
+    assert np.array_equal(d.toarray(), a.matrix.toarray().conj().T)
+    for x, y in ((d.data, oracle.data), (d.indices, oracle.indices), (d.indptr, oracle.indptr)):
+        assert np.array_equal(x, y)
+
+
 def test_thermal_state_zero_temperature():
     space = ModeSpace([("m", 5)])
     rho = thermal_state(space, 0.0)
