@@ -65,4 +65,4 @@ from .analytics import (  # noqa: F401
     six_state_spectrum,
     transistor_error,
 )
-from .scan import CompareReport, ScanResult  # noqa: F401
+from .scan import ScanResult  # noqa: F401

@@ -166,7 +166,8 @@ def min_g2_scan(params: SystemParams, g0_grid, nth_list) -> ScanResult:
     included, every row goes to the exact reduction.
 
     ValueError, before anything is allocated, when the largest pair would
-    exceed MAX_GRID_ENTRIES grid x ladder entries.
+    exceed MAX_GRID_ENTRIES grid x ladder entries; it names nth_list when
+    the ladder alone is too long, and kappa and g0 otherwise.
     """
     g0_grid = np.asarray(g0_grid, dtype=float)
     nth_list = np.asarray(nth_list, dtype=float)
@@ -174,10 +175,13 @@ def min_g2_scan(params: SystemParams, g0_grid, nth_list) -> ScanResult:
     points = (g0_max + params.kappa) / (params.kappa / 20)
     levels = max(map(thermal_dim, nth_list), default=0)
     if points * levels > MAX_GRID_ENTRIES:
+        # a ladder too long for even the 20 detunings at g0 = 0 is set by N_th alone
+        remedy = ("lower the largest N_th in nth_list" if 20 * levels > MAX_GRID_ENTRIES
+                  else "raise kappa or lower g0")
         raise ValueError(
             f"ming2 grid too large: g0 = {g0_max:g} in steps of kappa/20 = "
             f"{params.kappa / 20:g} is {points:.3g} detunings x {levels} ladder levels, "
-            f"over {MAX_GRID_ENTRIES} entries; raise kappa or lower g0")
+            f"over {MAX_GRID_ENTRIES} entries; {remedy}")
     min_g2 = np.empty(len(g0_grid) * len(nth_list))
     argmin = np.empty_like(min_g2)
     row = 0

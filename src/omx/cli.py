@@ -4,8 +4,11 @@ Usage (one positional scenario and two required flags):
     omx spectrum|g2scan|ming2|transistor|gate-error|phonon-eigen|
         compare-effective|sweep --config FILE --out DIR
 
-Exit codes: 0 success, 2 config error, 3 solver failure, 4 tolerance
-failure (compare-effective).
+Every scenario takes one path: load the config, check its [run] keys,
+run, write <scenario>.csv and .json. Exit codes: 0 success, 2 config error
+(a bad config, or a closed form at its pole), 3 solver failure (a failed
+g2scan flushes the points solved before it to <scenario>.partial.csv), 4
+tolerance failure (compare-effective, after its outputs are written).
 
 Config grammar (INI-style, '#' comments):
 
@@ -46,7 +49,7 @@ from . import __version__, analytics, models
 from .analytics import WEAK_DRIVE_DEFAULT
 from .dynamics import SolverError, g2_zero, nonhermitian_eigs, reflection_spectrum, steady_state
 from .params import FREQ_UNITS, SystemParams, parse_quantity
-from .scan import CompareReport, ScanResult
+from .scan import ScanResult
 
 
 class ConfigError(ValueError):
@@ -76,9 +79,6 @@ class Config:
         if name not in self.grids:
             raise ConfigError(f"missing [grid.{name}] section")
         return self.grids[name]
-
-    def opt(self, key: str, default=None):
-        return self.run.get(key, default)
 
 
 def _parse_grid(section) -> np.ndarray:
@@ -152,7 +152,7 @@ def load_config(path) -> Config:
 def _truncations(cfg: Config) -> dict[str, int] | None:
     """[run] truncations as {label: dim}, or None without the key; a builder
     fills in each label left out (models.default_truncations)."""
-    text = cfg.opt("truncations")
+    text = cfg.run.get("truncations")
     if text is None:
         return None
     entries = [[part.strip() for part in item.split(":")]
@@ -283,7 +283,7 @@ def run_g2scan(cfg: Config) -> ScanResult:
     p = _g2scan_params(cfg.params)
     grid = cfg.grid("Delta_a")
     truncations = _truncations(cfg)
-    check = cfg.opt("check_unique", "first")
+    check = cfg.run.get("check_unique", "first")
     if check not in ("first", "all", "none"):
         raise ConfigError(f"check_unique must be first, all or none; got {check!r}")
     tasks = [(p, da, truncations, check == "all" or (check == "first" and i == 0))
@@ -328,7 +328,7 @@ def run_transistor(cfg: Config) -> ScanResult:
     grid = cfg.grid("Delta")
     n_ms = _floats(cfg.run, "n_m", "0, 1")
     if not all(v >= 0 and v.is_integer() for v in n_ms):
-        raise ConfigError(f"n_m must be non-negative integers; got {cfg.opt('n_m')!r}")
+        raise ConfigError(f"n_m must be non-negative integers; got {cfg.run['n_m']!r}")
     n_ms = [int(v) for v in n_ms]
     # reflection_spectrum's weak-drive bound
     omega = _number(cfg.run, "omega", WEAK_DRIVE_DEFAULT * p.kappa,
@@ -352,28 +352,27 @@ def run_gate_error(cfg: Config) -> ScanResult:
     p = cfg.params
     kappas = cfg.grid("kappa")
     gammas_m = cfg.grid("Gamma_m")
-    exact = _BOOLEANS.get(str(cfg.opt("exact", "false")).lower())
+    exact = _BOOLEANS.get(str(cfg.run.get("exact", "false")).lower())
     if exact is None:
-        raise ConfigError(f"exact must be true, false, yes, no, 1 or 0; got {cfg.opt('exact')!r}")
+        raise ConfigError(f"exact must be true, false, yes, no, 1 or 0; got {cfg.run['exact']!r}")
     eps, ds_opt, tg = [], [], []
-    marginal = 0
-    for kap in kappas:
-        for gm in gammas_m:
-            # Gamma_m = gamma/4 at N_th = 0
-            pp = p.replace(kappa=float(kap), gamma=4.0 * float(gm), N_th=0.0,
-                           T=None, Q=None)
-            # count the points the exact path's builder warns at; pass on the rest
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
+    # the exact path's builder warns at most once a point: count those
+    # warnings and pass on the rest
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for kap in kappas:
+            for gm in gammas_m:
+                # Gamma_m = gamma/4 at N_th = 0
+                pp = p.replace(kappa=float(kap), gamma=4.0 * float(gm), N_th=0.0,
+                               T=None, Q=None)
                 budget = analytics.phase_gate_error(pp, exact=exact)
-            rest = [w for w in caught
-                    if not str(w.message).startswith(models.MARGINAL_ELIMINATION)]
-            marginal += len(rest) < len(caught)
-            for w in rest:
-                warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
-            eps.append(budget.epsilon_g)
-            ds_opt.append(budget.delta_s_opt)
-            tg.append(budget.t_g)
+                eps.append(budget.epsilon_g)
+                ds_opt.append(budget.delta_s_opt)
+                tg.append(budget.t_g)
+    rest = [w for w in caught if not str(w.message).startswith(models.MARGINAL_ELIMINATION)]
+    marginal = len(caught) - len(rest)
+    for w in rest:
+        warnings.warn_explicit(w.message, w.category, w.filename, w.lineno)
     if marginal:
         print(f"warning: {models.MARGINAL_ELIMINATION} at {marginal} of {len(eps)} grid points "
               "(see models.build_effective_phonon)", file=sys.stderr)
@@ -420,13 +419,14 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
         _provenance(cfg, p, "phonon-eigen", truncations=dict(h.space.modes), Lambda0=lam0))
 
 
-def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]:
+def run_compare_effective(cfg: Config) -> ScanResult:
     """phonon-eigen scan plus per-point analytic-vs-numeric deviations.
 
-    Reports one comparison per observable (real-part deviation relative to
-    the predicted Kerr splitting, skipping n = 0 where both vanish; decay
-    rates for all n). The command exits 4 when any report is out of
-    tolerance.
+    rel_err_re is the real-part deviation relative to the predicted Kerr
+    splitting (0 at n = 0, where both vanish and nothing is compared),
+    rel_err_im that of the decay rates at every n; the metadata holds the
+    tolerances. The command exits 4 when either maximum exceeds its
+    tolerance (_verdict).
     """
     _integer(cfg.run, "n_max", 3, 1)  # the real-part comparison skips n = 0
     tol_re, tol_im = (_number(cfg.run, key, default, lambda t: 0.0 <= t < np.inf,
@@ -443,17 +443,11 @@ def run_compare_effective(cfg: Config) -> tuple[ScanResult, list[CompareReport]]
                     / res.columns["im_over_L0_analytic"] - 1.0)
     res.columns["rel_err_re"] = rel_re
     res.columns["rel_err_im"] = rel_im
-    reports = [
-        CompareReport(float(rel_re[nonzero].max()), float(np.median(rel_re[nonzero])),
-                      tol_re, ["re_dev_over_L0"]),
-        CompareReport(float(rel_im.max()), float(np.median(rel_im)),
-                      tol_im, ["im_over_L0"]),
-    ]
     res.metadata.update(scenario="compare-effective",
                         tolerance_re=tol_re, tolerance_im=tol_im,
-                        max_rel_err_re=reports[0].max_rel,
-                        max_rel_err_im=reports[1].max_rel)
-    return res, reports
+                        max_rel_err_re=float(rel_re[nonzero].max()),
+                        max_rel_err_im=float(rel_im.max()))
+    return res
 
 
 # observable -> {output column: attribute of the record the observable returns}
@@ -475,7 +469,7 @@ def _sweep_point(args):
 
 def run_sweep(cfg: Config) -> ScanResult:
     """Generic analytic sweep over any SystemParams fields."""
-    obs_name = cfg.opt("observable")
+    obs_name = cfg.run.get("observable")
     if obs_name not in _SWEEP_OBSERVABLES:
         raise ConfigError(
             f"observable must be one of {sorted(_SWEEP_OBSERVABLES)}; got {obs_name!r}")
@@ -520,6 +514,20 @@ def _emit(result: ScanResult, out_dir: Path, stem: str) -> None:
     print(f"wrote {out_dir / (stem + '.csv')} ({result.n_rows} rows)")
 
 
+def _verdict(result: ScanResult) -> int:
+    """compare-effective's two tolerance lines, read off its rel_err columns
+    (the real part skips n = 0); 4 when either maximum is over tolerance."""
+    passed = []
+    for part, name, rows in (("re", "re_dev_over_L0", result.axis_grid()[1] > 0),
+                             ("im", "im_over_L0", slice(None))):
+        rel = result.columns[f"rel_err_{part}"][rows]
+        tol = result.metadata[f"tolerance_{part}"]
+        passed.append(rel.max() <= tol)
+        print(f"{name}: max rel dev {rel.max():.4f}, median {np.median(rel):.4f}, "
+              f"tolerance {tol:.4f} -> {'ok' if passed[-1] else 'FAIL'}")
+    return 0 if all(passed) else 4
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="omx",
@@ -531,31 +539,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     runner, run_keys = _SCENARIOS[args.scenario]
+    out_dir = Path(args.out)
     try:
         cfg = load_config(args.config)
         unknown = sorted(set(cfg.run) - run_keys)
         if unknown:
             raise ConfigError(f"unknown [run] keys {unknown} for {args.scenario}; "
                               f"known: {sorted(run_keys)}")
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    out_dir = Path(args.out)
-    try:
-        if args.scenario == "compare-effective":
-            result, reports = runner(cfg)
-            _emit(result, out_dir, "compare-effective")
-            for rep in reports:
-                print(f"{rep.compared[0]}: max rel dev {rep.max_rel:.4f}, "
-                      f"median {rep.median_rel:.4f}, tolerance {rep.tolerance:.4f} "
-                      f"-> {'ok' if rep.ok else 'FAIL'}")
-            return 0 if all(r.ok for r in reports) else 4
         result = runner(cfg)
         _emit(result, out_dir, args.scenario)
-        return 0
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+        return _verdict(result) if args.scenario == "compare-effective" else 0
     except ScanAborted as exc:
         if exc.partial.n_rows:
             try:
@@ -564,13 +557,14 @@ def main(argv=None) -> int:
                 print(f"could not flush partial results: {io_exc}", file=sys.stderr)
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, ZeroDivisionError) as exc:
-        # a ZeroDivisionError is a closed form's pole, set by the parameters
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except SolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
+    except (ValueError, KeyError, ZeroDivisionError) as exc:
+        # ConfigError and an undecodable config are ValueErrors; a
+        # ZeroDivisionError is a closed form's pole, set by the parameters
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

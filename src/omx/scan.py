@@ -94,18 +94,3 @@ class ScanResult:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             json.dump(payload, fh, indent=1, sort_keys=True)
             fh.write("\n")
-
-
-@dataclass
-class CompareReport:
-    """One tolerance check of compare-effective: the largest and median
-    relative deviation of the named observables against the tolerance."""
-
-    max_rel: float
-    median_rel: float
-    tolerance: float
-    compared: list[str]
-
-    @property
-    def ok(self) -> bool:
-        return self.max_rel <= self.tolerance

@@ -105,7 +105,7 @@ def test_six_state_grids_hold_last_bit_sensitive_points():
 def test_min_g2_scan_matches_per_point_argmin():
     cfg = load_config(Path(__file__).parents[1] / "configs" / "min_g2_vs_coupling.cfg")
     g0_grid = cfg.grid("g0")
-    nth_list = [float(v) for v in cfg.opt("nth_list").split(",")]
+    nth_list = [float(v) for v in cfg.run["nth_list"].split(",")]
     res = min_g2_scan(cfg.params, g0_grid, nth_list)
     want_min, want_arg = [], []
     for g0 in g0_grid:
@@ -215,7 +215,7 @@ def test_min_g2_scan_runs_the_exact_sums_on_a_few_rows(monkeypatch):
     # the screen leaves at most a few rows per (g0, N_th) of the shipped
     # config to the exact sums; a return to the exhaustive scan fails here
     cfg = load_config(Path(__file__).parents[1] / "configs" / "min_g2_vs_coupling.cfg")
-    nth_list = [float(v) for v in cfg.opt("nth_list").split(",")]
+    nth_list = [float(v) for v in cfg.run["nth_list"].split(",")]
     rows = _count_exact_rows(monkeypatch)
     min_g2_scan(cfg.params, cfg.grid("g0"), nth_list)
     assert len(rows) == cfg.grid("g0").size * len(nth_list)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -104,6 +105,15 @@ def test_spectrum_antibunching_content(tmp_path):
 def test_missing_config_exits_2(tmp_path):
     assert main(["spectrum", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path)]) == 2
+
+
+def test_config_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # this once exited 1 with a UnicodeDecodeError traceback
+    cfg_path = tmp_path / "bad.cfg"
+    cfg_path.write_bytes(b"\xff\xfe")
+    assert main(["spectrum", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("config error: 'utf-8' codec can't decode")
+    assert not (tmp_path / "out").exists()
 
 
 def test_empty_grid_exits_2(tmp_path):
@@ -402,6 +412,7 @@ def test_help_lists_every_scenario(capsys):
 
 
 def test_g2scan_full_vs_analytic_within_tolerance(tmp_path):
+    # jobs = 1: independence of jobs has its own test
     from omx.cli import run_g2scan
     cfg = load_config(write(tmp_path / "g.cfg", """
 [params]
@@ -417,7 +428,7 @@ values = -4, -2, 2, 2.8, 4
 
 [run]
 truncations = a:4, s:4, m:6
-jobs = 2
+jobs = 1
 """))
     res = run_g2scan(cfg)
     analytic = res.columns["g2_analytic"]
@@ -426,23 +437,44 @@ jobs = 2
     assert np.all(res.columns["residual"] < 1e-9)
 
 
-def test_g2scan_values_do_not_depend_on_jobs(tmp_path, monkeypatch):
+G2SCAN_REDUCED = (Path(__file__).parents[1] / "perfbench" / "configs"
+                  / "g2scan_reduced.cfg").read_text(encoding="utf-8")
+
+
+def _g2scan_subprocess(cfg_path, out, threads: int) -> tuple[str, str]:
+    """CSV and JSON text of python -m omx.cli g2scan in a fresh process with
+    threads BLAS threads; a fresh process has no fill-reducing order cached."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "OMP_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, "-m", "omx.cli", "g2scan", "--config", str(cfg_path),
+                    "--out", str(out)], env=env, capture_output=True, check=True)
+    return tuple((out / f"g2scan.{ext}").read_text(encoding="utf-8") for ext in ("csv", "json"))
+
+
+def test_g2scan_values_do_not_depend_on_jobs(tmp_path):
     # each worker orders the sector on its own, from whichever point it
     # takes first; the values must still be those of the serial scan. The
-    # "# run" line records jobs, so the columns are compared, not the files
-    from omx import dynamics
-    from omx.cli import run_g2scan
-    text = (Path(__file__).parents[1] / "perfbench" / "configs" / "g2scan_reduced.cfg").read_text(
-        encoding="utf-8")
-    assert "jobs = 1" in text
-    runs = {}
-    for jobs in (2, 1):
-        monkeypatch.setattr(dynamics, "_ORDERS", {})   # the pool forks with no order cached
+    # "# run" line records jobs, so it alone may differ. Five of the nine
+    # points (Delta_a = 0 among them) keep the two processes near 0.7 s each
+    text = G2SCAN_REDUCED.replace("points = 9", "points = 5")
+    assert "jobs = 1" in text and "points = 5" in text
+    lines = {}
+    for jobs in (1, 2):
         cfg = write(tmp_path / f"jobs{jobs}.cfg", text.replace("jobs = 1", f"jobs = {jobs}"))
-        runs[jobs] = run_g2scan(load_config(cfg))
-    assert runs[2].columns.keys() == runs[1].columns.keys()
-    for name, col in runs[1].columns.items():
-        assert np.array_equal(runs[2].columns[name], col), name
+        csv, _ = _g2scan_subprocess(cfg, tmp_path / f"jobs{jobs}", threads=1)
+        lines[jobs] = [ln for ln in csv.splitlines() if not ln.startswith("# run = ")]
+    assert len(lines[1]) == len(lines[2]) > 5
+    assert lines[2] == lines[1]
+
+
+def test_g2scan_outputs_do_not_depend_on_blas_threads(tmp_path):
+    # byte-identical CSV and JSON, the residual diagnostic included
+    text = G2SCAN_REDUCED.replace("start = -8\nstop = 8\npoints = 9", "values = -4, 3.3, 6")
+    assert "values = -4, 3.3, 6" in text
+    cfg = write(tmp_path / "g.cfg", text)
+    one, two = (_g2scan_subprocess(cfg, tmp_path / f"threads{n}", threads=n) for n in (1, 2))
+    assert one == two
 
 
 def _fmt(x) -> str:
@@ -567,19 +599,24 @@ def test_ming2_refuses_an_oversized_grid_before_allocating(tmp_path, capsys, mon
         raise AssertionError("the detuning grid was allocated")
 
     monkeypatch.setattr(np, "arange", allocate)
-    cfg_path = write(tmp_path / "m.cfg", """
+    for params, run, remedy in (
+            ("kappa = 1e-14", "", "raise kappa or lower g0"),
+            # the ladder alone is too long: this once advised raising kappa or lowering g0
+            ("kappa = 1", "[run]\nnth_list = 0, 1e9\n", "lower the largest N_th in nth_list")):
+        cfg_path = write(tmp_path / "m.cfg", f"""
 [params]
 g0 = 8
-kappa = 1e-14
+{params}
 Omega_a = 0.01
 
 [grid.g0]
 values = 8
-""")
-    assert main(["ming2", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error: ming2 grid too large: g0 = 8 in steps of kappa/20")
-    assert not (tmp_path / "out").exists()
+{run}""")
+        assert main(["ming2", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ming2 grid too large: g0 = 8 in steps of kappa/20")
+        assert err.endswith(f"; {remedy}\n"), err
+        assert not (tmp_path / "out").exists()
 
 
 def test_ming2_scenario(tmp_path):
@@ -877,7 +914,7 @@ def test_settable_values_are_counted():
                 count += sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef):
                 count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-    assert count == 83
+    assert count == 78
 
 
 def test_every_export_has_a_caller():
@@ -914,7 +951,7 @@ def test_every_export_has_a_caller():
     exported = [alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(set(exported) - used) == []
-    assert len(exported) == 43
+    assert len(exported) == 42
 
 
 def test_unwritable_output_is_config_error(tmp_path):
