@@ -286,7 +286,8 @@ def phonon_nonlinearity(params: SystemParams, corrected: bool = False,
         budget.t_g = math.pi / (2 * abs(budget.Lambda))
     if corrected:
         frame = models.hybridize(params)
-        s = np.array([models.coupling_spectrum(params, -n * models.fock_shift(params))
+        delta_b = models.fock_shift(params, frame)
+        s = np.array([models.coupling_spectrum(params, frame, -n * delta_b)
                       for n in range(n_max + 1)])
         budget.Lambda_n = s.imag.copy()
         budget.Gamma_phi_n = s.real.copy()
@@ -315,7 +316,7 @@ def eigenvalue_prediction(params: SystemParams, n: int) -> complex:
     """
     params.require("omega_m", "Delta_s")
     frame = models.hybridize(params)
-    s_n = models.coupling_spectrum(params, -n * models.fock_shift(params))
+    s_n = models.coupling_spectrum(params, frame, -n * models.fock_shift(params, frame))
     gamma = params.gamma or 0.0
     re = n * frame.tilde_omega_m + n**2 * s_n.imag
     im = (0.5 * gamma * params.N_th

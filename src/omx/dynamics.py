@@ -112,18 +112,17 @@ class LindbladModel:
 
 
 def _hermitian_deviation(h: scipy.sparse.csr_matrix) -> float:
-    """max|H - H^dag| of a canonical CSR H. Where the pattern of H is
-    symmetric, H^dag has the same CSR pattern, and its data is conj(H.data)
-    in the order that sorts the transposed positions, so the two compare
-    entry by entry; otherwise the general sparse difference is taken."""
+    """max|H - H^dag| of a canonical CSR H. |H - H^dag| is symmetric, so
+    the stored entries of H cover every nonzero of it: each stored H_ij is
+    compared with conj(H_ji), its partner found by searchsorted on the
+    sorted row-major keys, or with 0 where H_ji is not stored."""
     n = h.shape[0]
     rows = np.repeat(np.arange(n), np.diff(h.indptr))
     cols = h.indices.astype(np.int64)
-    key_t = cols * n + rows
-    order = np.argsort(key_t)
-    if np.array_equal(key_t[order], rows * n + cols):
-        return float(np.abs(h.data - h.data[order].conj()).max(initial=0.0))
-    return float(abs(h - h.conj().T).max())
+    keys, key_t = rows * n + cols, cols * n + rows
+    pos = np.searchsorted(keys, key_t).clip(max=keys.size - 1)
+    partner = np.where(keys[pos] == key_t, h.data[pos], 0)
+    return float(np.abs(h.data - partner.conj()).max(initial=0.0))
 
 
 def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
@@ -662,8 +661,9 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     outside [1, dim] raises ValueError.
     Each Fock level n = 0..k-1 of the hybridized B mode (taken from
     h_eff.meta["b_mode"]) is matched to the eigenvector of
-    largest overlap with (B^dag)^n |vac>; ties resolve toward lower n by
-    assigning labels in ascending order with exclusion.
+    largest overlap with (B^dag)^n |vac> (the first on a tie), each level
+    on its own: a label that passes OVERLAP_FLOOR is the only one its
+    eigenvector can take (see below), so no exclusion is needed.
 
     One dense eig runs, on the blocks of H_eff that hold the targets
     (B^dag)^n |vac>, n < k: the weakly connected components of H_eff's
@@ -688,9 +688,8 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     For a unit eigenvector v, Bessel's inequality then gives
     sum_n |<target_n|v>|^2 <= 1, so no v holds more than 1/2 of two
     levels. When every level's best overlap exceeds 1/2 the levels take
-    distinct eigenvectors, each its own target's best match whatever the
-    order of assignment; at 1/2 or below one eigenvector may be the best
-    match of two levels, and the label is a guess. The shipped
+    distinct eigenvectors; at 1/2 or below one eigenvector may be the best
+    match of two levels, and the label would be a guess. The shipped
     configs/phonon_eigen_benchmark.cfg gives 0.970 or more; a2/s2/m2 gives
     0.005 (alpha = 0.5) and 0.019 (alpha = 1) at n = 2.
     """
@@ -721,16 +720,13 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     norms = np.linalg.norm(v, axis=0)
 
     assigned: list[LabeledEigenvalue] = []
-    used: set[int] = set()
     for n, target in enumerate(targets[:, keep]):
         ov = np.abs(target.conj() @ v) ** 2 / norms**2
-        order = np.argsort(-ov)
-        idx = next(int(i) for i in order if int(i) not in used)
+        idx = int(np.argmax(ov))
         if not ov[idx] > OVERLAP_FLOOR:
             raise ValueError(
                 f"level n={n} has best overlap {ov[idx]:.3g} <= {OVERLAP_FLOOR} with "
                 f"(B^dag)^{n}|vac>: no eigenvector holds it; enlarge the truncations")
-        used.add(idx)
         assigned.append(LabeledEigenvalue(n, complex(w[idx]), float(ov[idx])))
     assigned.sort(key=lambda e: e.value.real)
     return assigned

@@ -141,9 +141,6 @@ class Operator:
 
     __rmul__ = __mul__
 
-    def __neg__(self):
-        return Operator(self.space, -self.matrix)
-
     def __matmul__(self, other):
         return Operator(self.space, self.matrix @ _mat(other, self.space))
 

@@ -21,7 +21,9 @@ construction path, _hamiltonian: H is written as one coordinate list and
 one CSR, its diagonal straight from the integer ModeSpace.occupations (so
 it is exact) and each three-wave, beam-splitter, hopping and drive term
 with its Hermitian partner from hilbert.ladder_product; a diagonal
-collapse (the phonon dephasing) is read off the same table.
+collapse (the phonon dephasing) is read off the same table. build_rwa and
+build_displaced share one body, _three_mode, and differ only in their
+coupling terms.
 build_full and build_hybrid_decomposition stay on the Operator algebra as
 the oracles for the scenario frames.
 
@@ -94,9 +96,11 @@ def _hamiltonian(space: ModeSpace, diagonal: np.ndarray, couplings) -> Operator:
     return Operator(space, h)
 
 
-def _thermal_collapses(b: Operator, gamma: float, n_th: float):
+def _thermal_collapses(b: Operator, params: SystemParams):
+    """The bath contact of mode b at params.gamma (None reads as 0) and N_th."""
+    gamma, n_th = params.gamma or 0.0, params.N_th
     cols = []
-    if gamma and gamma > 0:
+    if gamma > 0:
         cols.append((b, 0.5 * gamma * (n_th + 1.0)))
         if n_th > 0:
             cols.append((b.dag(), 0.5 * gamma * n_th))
@@ -130,8 +134,25 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
             h = h + amp * (c + c.dag())
     h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
     cols = [(c1, params.kappa), (c2, params.kappa)]
-    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    cols += _thermal_collapses(b, params)
     return LindbladModel(h, cols)
+
+
+def _three_mode(name: str, params: SystemParams, truncations, couplings) -> LindbladModel:
+    """The (a, s, m) frame of build_rwa and build_displaced: the space, the
+    diagonal -Delta_s n_s - Delta_a n_a + omega_m n_m, kappa on both
+    cavities and m's thermal contact. couplings(params), the builder's
+    _hamiltonian terms, runs between the parameter checks and the space."""
+    params.require("omega_m")
+    if params.Delta_s is None or params.Delta_a is None:
+        raise ValueError(f"{name} needs Delta_s and Delta_a")
+    terms = couplings(params)
+    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
+    n_a, n_s, n_m = space.occupations
+    h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m,
+                     terms)
+    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
+    return LindbladModel(h, [(a, params.kappa), (s, params.kappa)] + _thermal_collapses(b, params))
 
 
 def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
@@ -143,19 +164,10 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
     The matrix element <0_a 1_s 1_m|H|1_a 0_s 0_m> equals g0/2, and the
     general transition amplitude scales as (g0/2) sqrt(n_a (n_s+1)(n_m+1)).
     """
-    params.require("omega_m")
-    if params.Delta_s is None or params.Delta_a is None:
-        raise ValueError("build_rwa needs Delta_s and Delta_a")
-    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
-    n_a, n_s, n_m = space.occupations
-    h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m, [
-        (0.5 * params.g0, {"a": -1, "s": 1, "m": 1}),   # c_a c_s' b'
-        (params.Omega_a, {"a": -1}),
-        (params.Omega_s, {"s": -1})])
-    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
-    cols = [(a, params.kappa), (s, params.kappa)]
-    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols)
+    return _three_mode("build_rwa", params, truncations, lambda p: [
+        (0.5 * p.g0, {"a": -1, "s": 1, "m": 1}),   # c_a c_s' b'
+        (p.Omega_a, {"a": -1}),
+        (p.Omega_s, {"s": -1})])
 
 
 def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
@@ -166,20 +178,9 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     the three-wave coupling is unchanged. alpha is taken from params or
     from the steady drive balance.
     """
-    params.require("omega_m")
-    if params.Delta_s is None or params.Delta_a is None:
-        raise ValueError("build_displaced needs Delta_s and Delta_a")
-    alpha = params.alpha_at(params.Delta_s)
-    g = 0.5 * params.g0 * alpha
-    space = _resolve_truncations(params, ["a", "s", "m"], truncations)
-    n_a, n_s, n_m = space.occupations
-    h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m, [
-        (g, {"a": -1, "m": 1}),                         # c_a b'
-        (0.5 * params.g0, {"a": -1, "s": 1, "m": 1})])  # c_a c_s' b'
-    a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
-    cols = [(a, params.kappa), (s, params.kappa)]
-    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
-    return LindbladModel(h, cols)
+    return _three_mode("build_displaced", params, truncations, lambda p: [
+        (0.5 * p.g0 * p.alpha_at(p.Delta_s), {"a": -1, "m": 1}),   # c_a b'
+        (0.5 * p.g0, {"a": -1, "s": 1, "m": 1})])                   # c_a c_s' b'
 
 
 @dataclass
@@ -311,25 +312,30 @@ def build_hybrid_decomposition(params: SystemParams, truncations=None,
     return h1, h2, hres
 
 
-def coupling_spectrum(params: SystemParams, omega: float) -> complex:
+def coupling_spectrum(params: SystemParams, frame: HybridFrame, omega: float) -> complex:
     """Cavity response S(omega) = g~^2 / (-i(Delta_s + omega) + kappa) of the
-    c_s quadrature coupled to the B occupation, with g~ = g0 sin(2 theta)/4.
+    c_s quadrature coupled to the B occupation, in frame, the caller's
+    hybridize(params) of either kind: g~ = g0 sin(2 theta)/4 for one
+    resonator, g~ = g0 sin(2 Theta)/sqrt(8) for two, where the coupled
+    operator is B1'B1 - B2'B2.
 
     Im S gives the induced Kerr strength, Re S the induced dephasing.
     """
-    frame = hybridize(params)
-    gt = 0.25 * params.g0 * math.sin(2 * frame.theta)
+    if frame.Theta is None:
+        gt = 0.25 * params.g0 * math.sin(2 * frame.theta)
+    else:
+        gt = params.g0 * math.sin(2 * frame.Theta) / math.sqrt(8)
     return gt**2 / (-1j * (params.Delta_s + omega) + params.kappa)
 
 
-def fock_shift(params: SystemParams) -> float:
-    """Occupation-dependent detuning shift of the driven mode,
+def fock_shift(params: SystemParams, frame: HybridFrame) -> float:
+    """Occupation-dependent detuning shift of the driven mode, in frame, the
+    caller's single-resonator hybridize(params):
     Delta_B = g0^2 cos^4(theta) / (4 (tilde_Delta_a + tilde_omega_m - Delta_s)).
 
     The denominator reduces to -(delta + sqrt(delta^2 + 4|G|^2)) - Delta_s,
     so no absolute mode frequencies are needed.
     """
-    frame = hybridize(params)
     g = abs(frame.G)
     denom = -(frame.delta + math.sqrt(frame.delta**2 + 4 * g**2)) - params.Delta_s
     return params.g0**2 * math.cos(frame.theta) ** 4 / (4 * denom)
@@ -366,7 +372,7 @@ def build_effective_phonon(params: SystemParams, truncations=None,
         warnings.warn(
             f"{MARGINAL_ELIMINATION}: g0^2|alpha|/(4 delta) = {drive_scale:.3g} "
             f"vs |Delta_s + i kappa| = {abs(params.Delta_s + 1j * params.kappa):.3g}")
-    s0 = coupling_spectrum(params, 0.0) if not two_resonators else _two_res_spectrum(params, 0.0)
+    s0 = coupling_spectrum(params, frame, 0.0)
     lam, gph = s0.imag, s0.real
     gamma_p = frame.gamma_prime
 
@@ -380,12 +386,12 @@ def build_effective_phonon(params: SystemParams, truncations=None,
     modes = [annihilator(space, lbl) for lbl in labels]
     cols = [(b, gamma_p / 2) for b in modes]
     for b in modes:
-        cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+        cols += _thermal_collapses(b, params)
 
     if corrected:
-        shift, delta_b = np.zeros(space.total_dim), fock_shift(params)
+        shift, delta_b = np.zeros(space.total_dim), fock_shift(params, frame)
         for k in range(1, space.dims[0]):
-            sk = coupling_spectrum(params, -k * delta_b)
+            sk = coupling_spectrum(params, frame, -k * delta_b)
             shift[d == k] = k**2 * sk.imag
             if sk.real > 0:
                 proj = scipy.sparse.diags((d == k).astype(complex))
@@ -396,12 +402,6 @@ def build_effective_phonon(params: SystemParams, truncations=None,
         if gph > 0:
             cols.append((Operator(space, scipy.sparse.diags(d.astype(complex))), gph))
     return LindbladModel(_hamiltonian(space, diagonal, []), cols)
-
-
-def _two_res_spectrum(params: SystemParams, omega: float) -> complex:
-    frame = hybridize(params, two_resonators=True)
-    gt = params.g0 * math.sin(2 * frame.Theta) / math.sqrt(8)
-    return gt**2 / (-1j * (params.Delta_s + omega) + params.kappa)
 
 
 def build_nonhermitian(params: SystemParams, truncations=None) -> Operator:

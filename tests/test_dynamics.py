@@ -813,8 +813,8 @@ def test_model_rejects_a_rate_below_zero_or_nan(rate):
 
 
 def test_hermitian_deviation_matches_the_sparse_difference():
-    # symmetric patterns compare entry by entry, the rest take the sparse
-    # difference; both must give max|H - H^dag| bit for bit
+    # each stored entry meets its transposed partner, or 0 where none is
+    # stored; symmetric and one-way patterns give max|H - H^dag| bit for bit
     rng = np.random.default_rng(7)
     for trial in range(40):
         n = int(rng.integers(2, 12))

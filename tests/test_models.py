@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,15 +19,16 @@ from omx import (
     build_rwa,
     build_transistor,
     default_truncations,
+    eigenvalue_prediction,
     hybrid_rotation,
     hybridize,
     number_op,
+    phonon_nonlinearity,
 )
 from omx.hilbert import Operator, thermal_dim
 from omx.models import (
     _resolve_truncations,
     _thermal_collapses,
-    _two_res_spectrum,
     coupling_spectrum,
     fock_shift,
 )
@@ -150,6 +152,16 @@ def test_rwa_transition_amplitude_scaling():
                 assert h[bra, ket] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize("builder", [build_rwa, build_displaced])
+def test_three_mode_builders_need_both_detunings(builder):
+    # omega_m is checked first, then the detunings
+    with pytest.raises(ValueError, match=r"missing parameters: \['omega_m'\]"):
+        builder(SystemParams(g0=1.0, kappa=1.0, Delta_s=-1.0), (2, 2, 2))
+    p = SystemParams(g0=1.0, kappa=1.0, omega_m=2.0, Delta_s=-1.0)
+    with pytest.raises(ValueError, match=f"{builder.__name__} needs Delta_s and Delta_a"):
+        builder(p, (2, 2, 2))
+
+
 # ------------------------------------------ builders vs operator algebra ---
 # The scenario builders write H straight from the occupation table.
 # These oracles build the same models from Operator products, as the
@@ -166,7 +178,7 @@ def _oracle_rwa(params, truncations=None):
     if params.Omega_s:
         h = h + params.Omega_s * (s + s.dag())
     cols = [(a, params.kappa), (s, params.kappa)]
-    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    cols += _thermal_collapses(b, params)
     return LindbladModel(h, cols)
 
 
@@ -180,7 +192,7 @@ def _oracle_displaced(params, truncations=None):
          + (g * (a @ b.dag()) + np.conj(g) * (a.dag() @ b))
          + 0.5 * params.g0 * ((a @ s.dag() @ b.dag()) + (a.dag() @ s @ b)))
     cols = [(a, params.kappa), (s, params.kappa)]
-    cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+    cols += _thermal_collapses(b, params)
     return LindbladModel(h, cols)
 
 
@@ -196,7 +208,7 @@ def _oracle_transistor(params, n_m, truncations=(4, 4)):
 
 def _oracle_effective_phonon(params, truncations=None, corrected=False, two_resonators=False):
     frame = hybridize(params, two_resonators)
-    s0 = coupling_spectrum(params, 0.0) if not two_resonators else _two_res_spectrum(params, 0.0)
+    s0 = coupling_spectrum(params, frame, 0.0)
     lam, gph = s0.imag, s0.real
     gamma_p = frame.gamma_prime
     omega_m = params.omega_m if params.omega_m is not None else 0.0
@@ -210,20 +222,20 @@ def _oracle_effective_phonon(params, truncations=None, corrected=False, two_reso
         h = om1 * (b1.dag() @ b1) + om2 * (b2.dag() @ b2)
         cols = [(b1, gamma_p / 2), (b2, gamma_p / 2)]
         for b in (b1, b2):
-            cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+            cols += _thermal_collapses(b, params)
     else:
         b = annihilator(space, "B")
         om1 = frame.tilde_omega_m if frame.tilde_omega_m is not None else omega_m
         coupling_op = b.dag() @ b
         h = om1 * coupling_op
         cols = [(b, gamma_p / 2)]
-        cols += _thermal_collapses(b, params.gamma or 0.0, params.N_th)
+        cols += _thermal_collapses(b, params)
     if corrected:
         dvals = np.rint(np.real(coupling_op.matrix.diagonal())).astype(int)
         for k in sorted(set(dvals.tolist())):
             if k == 0:
                 continue
-            sk = coupling_spectrum(params, -k * fock_shift(params))
+            sk = coupling_spectrum(params, frame, -k * fock_shift(params, frame))
             proj = sp.diags((dvals == k).astype(complex)).tocsr()
             h = h + (k**2 * sk.imag) * Operator(space, proj)
             if sk.real > 0:
@@ -525,7 +537,7 @@ def test_effective_phonon_kerr_over_dephasing_ratio():
     # the dephasing collapse B'B comes last, at rate Gamma_phi
     op, gamma_phi = model.collapses[-1]
     assert np.array_equal(op.matrix.diagonal(), model.space.occupations[0])
-    assert coupling_spectrum(p, 0.0).imag / gamma_phi == pytest.approx(
+    assert coupling_spectrum(p, hybridize(p), 0.0).imag / gamma_phi == pytest.approx(
         p.Delta_s / p.kappa, rel=1e-12)
 
 
@@ -533,7 +545,7 @@ def test_effective_phonon_cross_term():
     # two-mode Kerr expansion carries the conditional-phase cross term
     p = SystemParams(alpha=1.0, **SM_PARAMS)
     model = build_effective_phonon(p, (4, 4), two_resonators=True)
-    lam = _two_res_spectrum(p, 0.0).imag
+    lam = coupling_spectrum(p, hybridize(p, two_resonators=True), 0.0).imag
     h = model.hamiltonian.to_dense()
     space = model.space
     e = {occ: h[space.basis_index(occ), space.basis_index(occ)].real
@@ -567,6 +579,21 @@ def test_effective_phonon_warns_when_elimination_marginal():
                      gamma=0.0)
     with pytest.warns(UserWarning, match="marginal"):
         build_effective_phonon(p, (6,))
+
+
+@pytest.mark.parametrize("call", [
+    lambda p: phonon_nonlinearity(p, corrected=True),
+    lambda p: eigenvalue_prediction(p, 2),
+    lambda p: build_effective_phonon(p, corrected=True),
+], ids=["phonon_nonlinearity", "eigenvalue_prediction", "build_effective_phonon"])
+def test_each_call_derives_its_frame_once(call):
+    # kappa = 0.8 is not small against the hybrid-mode splitting, so each
+    # hybridize warns of the dropped cross-terms: one call, one warning
+    p = SystemParams(alpha=1.0, **{**SM_PARAMS, "kappa": 0.8})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        call(p)
+    assert sum("cross-terms" in str(w.message) for w in caught) == 1
 
 
 # ----------------------------------------------------------- nonhermitian ---
