@@ -306,8 +306,9 @@ def _flat_rates(params: SystemParams, alpha2: float, delta: float,
             kap * alpha2 * g0**2 / (2 * delta**2))
 
 
-def eigenvalue_prediction(params: SystemParams, n: int) -> complex:
-    """Predicted complex eigenvalue of the n-th hybridized-phonon level.
+def eigenvalue_prediction(params: SystemParams, frame: models.HybridFrame, n: int) -> complex:
+    """Predicted complex eigenvalue of the n-th hybridized-phonon level, in
+    frame, the caller's single-resonator hybridize(params).
 
     Re lambda_n = n tilde_omega_m + n^2 Lambda(n);
     |Im lambda_n| = (gamma/2) N_th + n [(gamma/2)(2 N_th + 1) + gamma'/2]
@@ -315,7 +316,6 @@ def eigenvalue_prediction(params: SystemParams, n: int) -> complex:
     Returned with the decaying sign convention (Im <= 0).
     """
     params.require("omega_m", "Delta_s")
-    frame = models.hybridize(params)
     s_n = models.coupling_spectrum(params, frame, -n * models.fock_shift(params, frame))
     gamma = params.gamma or 0.0
     re = n * frame.tilde_omega_m + n**2 * s_n.imag

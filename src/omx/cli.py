@@ -398,12 +398,12 @@ def run_phonon_eigen(cfg: Config) -> ScanResult:
     re_num, im_num, re_pred, im_pred, ovl = [], [], [], [], []
     for alpha in alphas:
         pa = p.replace(alpha=complex(alpha))
-        frame = models.hybridize(pa)
         h = models.build_nonhermitian(pa, truncations)
+        frame = h.meta["frame"]   # the one hybridize of this alpha
         eigs = {e.n: e for e in nonhermitian_eigs(h, n_max + 1)}
         for n in range(n_max + 1):
             lam = eigs[n].value
-            pred = analytics.eigenvalue_prediction(pa, n)
+            pred = analytics.eigenvalue_prediction(pa, frame, n)
             re_num.append((lam.real - n * frame.tilde_omega_m) / lam0)
             im_num.append(abs(lam.imag) / lam0)
             re_pred.append((pred.real - n * frame.tilde_omega_m) / lam0)

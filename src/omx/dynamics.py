@@ -50,6 +50,10 @@ G2_NEGATIVE_ATOL = 1e-12
 DENSE_EIG_LIMIT = 2500
 GAP_DENSE_LIMIT = 64
 OVERLAP_FLOOR = 0.5
+BACKWARD_ERROR_STOP = 1e-12
+REFINE_STEP_CAP = 8
+KRYLOV_RTOL = 1e-10
+KRYLOV_RESTART = 40
 
 
 class SolverError(RuntimeError):
@@ -142,11 +146,28 @@ def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
         c = op.matrix.tocoo()
         jumps.append(((c.row, c.col, (2.0 * rate) * c.data), (c.row, c.col, c.data.conj())))
     k_l, k_r = (-1j * h - decay).tocoo(), (1j * h - decay).T.tocoo()
-    # each term A kron B writes its entries straight into one preallocated
-    # coordinate list, with 32-bit indices while n^2 fits
+    rows, cols, vals = _kron_sum([((k_l.row, k_l.col, k_l.data), None),
+                                  (None, (k_r.row, k_r.col, k_r.data))] + jumps, n)
+    # the CSR conversion sums duplicates (for ladder collapses only on the
+    # diagonal, where K_L and K_R meet); entries that cancel exactly are
+    # dropped, as an operator sum drops them
+    L = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    L.eliminate_zeros()
+    worst = np.abs(_trace_vec(n) @ L).max()
+    scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
+    if worst > TRACE_PRESERVATION_ATOL * scale:
+        raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
+    return L
+
+
+def _kron_sum(terms, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coordinate list (rows, cols, vals) of sum_k A_k kron B_k on n^2
+    entries, each factor an n x n (row, col, val) triplet or None for the
+    identity. Each term writes its entries straight into one preallocated
+    list, with 32-bit indices while n^2 fits; duplicates are not summed."""
     index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     eye = (np.arange(n, dtype=index), np.arange(n, dtype=index), np.ones(n))
-    terms = [((k_l.row, k_l.col, k_l.data), eye), (eye, (k_r.row, k_r.col, k_r.data))] + jumps
+    terms = [(eye if a is None else a, eye if b is None else b) for a, b in terms]
     size = sum(a[0].size * b[0].size for a, b in terms)
     rows, cols = np.empty(size, index), np.empty(size, index)
     vals = np.empty(size, complex)
@@ -158,16 +179,7 @@ def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
         np.add(a_col[:, None] * n, b_col, out=cols[start:end].reshape(shape))
         np.multiply(a_val[:, None], b_val, out=vals[start:end].reshape(shape))
         start = end
-    # the CSR conversion sums duplicates (for ladder collapses only on the
-    # diagonal, where K_L and K_R meet); entries that cancel exactly are
-    # dropped, as an operator sum drops them
-    L = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
-    L.eliminate_zeros()
-    worst = np.abs(_trace_vec(n) @ L).max()
-    scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
-    if worst > TRACE_PRESERVATION_ATOL * scale:
-        raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
-    return L
+    return rows, cols, vals
 
 
 def _trace_vec(n: int) -> np.ndarray:
@@ -214,14 +226,20 @@ class SteadyStateReport:
     residual: |L x|_2 of the solution on the full Liouvillian.
     null_gap: with check_unique, |lambda_1| of the full Liouvillian: the
         smaller of the population sector's |lambda_1|, measured with the
-        solve's own LU, and the smallest |lambda| of the blocks whose disc
-        bound falls below it, each measured too (see steady_state). None
-        without the check.
+        LU of the trace-row system M, and the smallest |lambda| of the
+        blocks whose disc bound falls below it, each measured too (see
+        steady_state). None without the check.
     solved_dim: size of the linear system actually solved.
-    lu_nnz: entries SuperLU stores in the L and U factors of that system,
-        the fill-in of the one factorization.
+    lu_nnz: entries SuperLU stores in the L and U factors of the factor
+        the solution was computed with: M0's, or M's after the fallback.
     fock_tail: population of the top Fock level of each mode, by label,
         read off the diagonal of the state: the truncation's evidence.
+    krylov_iterations: GMRES iterations over all refinement steps; 0 for
+        a model without a drive, whose corrections need no Krylov step.
+    backward_error: componentwise backward error of the solution of M.
+    lu_fallback: whether the refinement missed BACKWARD_ERROR_STOP within
+        REFINE_STEP_CAP steps, or M0 was singular, so M was factored and
+        solved instead.
     """
 
     state: DensityMatrix
@@ -230,6 +248,9 @@ class SteadyStateReport:
     solved_dim: int | None = None
     lu_nnz: int | None = None
     fock_tail: dict[str, float] | None = None
+    krylov_iterations: int | None = None
+    backward_error: float | None = None
+    lu_fallback: bool | None = None
 
 
 def _component_labels(L: scipy.sparse.csr_matrix) -> np.ndarray:
@@ -383,7 +404,7 @@ def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
     bits cannot depend on which system came first, on the cache or on how
     a scan is split over processes.
 
-    steady_state repays the weaker pivoting with one refinement step. The
+    steady_state repays the weaker pivoting with refinement steps. The
     gap of _coherence_gap moves by less than 5e-15 relative between the
     three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
     """
@@ -427,29 +448,60 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     from the sparsity pattern alone, as the connected component of the
     (0,0) entry; for a model without such a symmetry it is the whole space.
     Within it the row of the (0,0) matrix element is replaced by the trace
-    condition, and the square system M x = e_0 is solved by one sparse LU
-    (see _factor): a minimum-degree column order on the nearly symmetric
-    pattern of M + M^T, kept by threshold pivoting that takes a diagonal
-    pivot down to 0.1 of its column's largest entry. The order is computed
-    from the pattern alone (_order) and cached per pattern, so the points
-    of a scan, which share M's pattern, are ordered once, and every M is
-    factored on its own pattern's order: the result is a function of the
-    model alone, whatever was solved before it in the process, and so the
-    same for any point order or number of jobs. The threshold pivoting
-    gives up some stability for far less fill, so the solution gets one
-    step of iterative refinement on the same factor, x += M^-1 (e_0 - M x)
-    (Skeel, Math. Comp. 35, 817 (1980)), after which it no longer depends
-    on the order. The residual cannot stand in for that step: it is a norm, set by
-    the populations of order 1, while the two-photon entries behind g2 are
-    of order 1e-9 at a weak drive, so errors far larger than rounding in
-    them leave it untouched. At N_th = 1 with m10 (rwa a4/s4) an un-refined
-    COLAMD solve puts g2 5.9e-6 to 6.9e-6 relative off at a residual of
-    1.4e-16; after the step, g2 agrees across column orders to 1e-14. The
-    residual is checked on the full L: above 1e-9, or not finite, it raises
-    SolverError.
+    condition, and the square system M x = e_0 is solved by iterative
+    refinement on the factor of a simpler system M0.
+    - M0 is M without the drive's commutator entries -i(D kron I -
+      I kron D^T), D = model.hamiltonian.meta["drive"] (handed over by
+      models.build_rwa and build_full), with the trace row kept. Without
+      the probe, H conserves the photon number and the collapses only
+      lower it, so M0 is block triangular and its factor is cheap: 19,846
+      stored entries on the g2scan sector (rwa a4/s4/m6, 1216 entries)
+      against 218,844 for M's. For a model without a drive M0 = M.
+    - Factors come from _factor: a minimum-degree column order on the
+      nearly symmetric pattern of A + A^T, kept by threshold pivoting that
+      takes a diagonal pivot down to 0.1 of its column's largest entry.
+      The order is computed from the pattern alone (_order) and cached per
+      pattern, so the points of a scan, which share one pattern, are
+      ordered once.
+    - From x = M0^-1 e_0, each refinement step takes r = e_0 - M x, solves
+      M d = r by one GMRES cycle (at most KRYLOV_RESTART iterations, to
+      KRYLOV_RTOL of |r|) preconditioned by M0's factor, and sets x += d:
+      GMRES-based iterative refinement on an exact factor of a nearby
+      system (Carson & Higham, SIAM J. Sci. Comput. 39, A2834 (2017)). With
+      M0 = M the factor is exact and the step is x += M^-1 r itself
+      (Skeel, Math. Comp. 35, 817 (1980)), with no Krylov iteration.
+    - The steps stop when the componentwise backward error
+      omega = max_i |r_i| / (|M||x| + |e_0|)_i (Oettli & Prager, Numer.
+      Math. 6, 405 (1964)) is at most BACKWARD_ERROR_STOP = 1e-12: x then
+      solves (M + dM) x = e_0 exactly for some |dM| <= 1e-12 |M|, entry by
+      entry. That holds each row to its own scale, which a residual norm
+      cannot do: the norm is set by the populations of order 1, while the
+      two-photon entries behind g2 are of order 1e-9 at a weak drive, so
+      errors far larger than rounding in them leave it untouched (at
+      N_th = 1 with m10, an un-refined COLAMD LU puts g2 5.9e-6 to 6.9e-6
+      relative off at a residual of 1.4e-16). Run on past the stop, omega
+      levels off between 2e-16 and 3e-13 at the nine g2scan points and
+      wanders there from step to step: a stop at 8 eps = 1.8e-15 falls
+      back at 7 of them. 1e-12 is the first decade above that floor.
+      At the stop, g2 agrees with the LU of M to 6.1e-15 relative over the
+      161 points of configs/antibunching_g2scan.cfg.
+    - Without the stop after REFINE_STEP_CAP = 8 steps, or with an exactly
+      singular M0, M is factored and solved with one refinement step on
+      its own factor, and report.lu_fallback says so. A solution that is
+      not finite raises SolverError at once, from either factor and
+      before any Krylov step: it is never retried.
+    - The iteration converges at strong drive too (Omega_a = 0.1 to 1
+      kappa on the g2scan point, g2 within 1e-12 of the LU), with more
+      Krylov iterations: about 25 at 0.01 kappa, 37 at 0.1 kappa and 60 at
+      kappa.
+    Every factor is a function of its own matrix and the iteration of M
+    and M0, so the result is a function of the model alone, whatever was
+    solved before it in the process: the same for any point order or
+    number of jobs. The residual is checked on the full L: above 1e-9, or
+    not finite, it raises SolverError.
 
-    No second solve path could do better. Let A = [L_CC; t_C] be the
-    trace-augmented system on the sector C. Trace preservation makes the
+    The trace-augmented system could not do better. Let A = [L_CC; t_C]
+    be that system on the sector C. Trace preservation makes the
     population rows of L sum to zero, so the replaced (0,0) row is minus
     the sum of the other population rows. Hence ker M = ker A: the two are
     singular together. The same identity gives |A x|^2 <= n |M x|^2, with n
@@ -458,7 +510,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     cond(A) < sqrt(n), where the LU of M is already accurate to about 1e-14.
     M is singular exactly when 0 is not a simple eigenvalue of L_CC (a
     second null vector, or a Jordan chain, is traceless and lies in ker M),
-    so an exactly singular LU raises SolverError.
+    so an exactly singular LU of M raises SolverError.
 
     check_unique verifies, block by block, that |lambda_1| of the full L
     exceeds 1e-8; a degenerate null space (dark state or disconnected
@@ -470,8 +522,9 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     while the population block of both has a gap. One routine (_block_gap)
     measures a block's gap: ARPACK finds the largest |mu| of the block's
     inverse from solves alone, or a dense eigvals does for a small block.
-    - The population block's |lambda_1| is measured with the LU of M, so
-      the check makes no factorization of its own. With P = I - e_0 e_0^T,
+    - The population block's |lambda_1| is measured with the LU of M, the
+      one factorization the check adds (none for a model without a drive,
+      whose solve uses that factor too). With P = I - e_0 e_0^T,
       let L_CC v = lambda v with lambda != 0. Then t_C^T v = 0, since
       t_C^T L_CC = 0, so M v = lambda P v and M^-1 P v = v / lambda; with
       M^-1 P e_0 = 0 the spectrum of M^-1 P is {0} and the 1/lambda. Its
@@ -507,14 +560,9 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     m = idx.size
     Lc = L if m == n * n else L[idx][:, idx]
     M = scipy.sparse.vstack([scipy.sparse.csr_matrix(_trace_vec(n)[idx]), Lc[1:]]).tocsc()
-    try:
-        lu = _factor(M)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"degenerate Liouvillian null space: the trace-row system is singular ({exc})"
-        ) from exc
-    gap = None
+    lu = gap = None   # lu: the factor of M, made for the check or the fallback only
     if check_unique:
+        lu = _factor_trace_system(M)
         lam1 = _block_gap(Lc, lu)
         gap = min(lam1, _coherence_gap(L, labels, n, lam1))
         if not gap > NULL_GAP_ATOL:
@@ -524,8 +572,18 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
 
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
-    y = lu.solve(rhs)
-    y += lu.solve(rhs - M @ y)
+    M0 = _undriven(M, model, idx)
+    try:
+        lu0 = lu if M0 is M and lu else _factor(M0)
+    except RuntimeError:   # an exactly singular M0 (say, undamped phonons): solve M instead
+        lu0 = None
+    y, krylov, omega = (None, 0, np.inf) if lu0 is None else _refine(M, M0, lu0, rhs)
+    fallback = not omega <= BACKWARD_ERROR_STOP
+    if fallback:
+        lu0 = lu or _factor_trace_system(M)
+        y = lu0.solve(rhs)
+        y += lu0.solve(rhs - M @ y)
+        omega = _backward_error(M, y, rhs)
     x = np.zeros(n * n, dtype=complex)
     x[idx] = y
     resid = float(np.linalg.norm(L @ x))
@@ -537,7 +595,77 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     space = model.space
     p, occ = rho.diagonal().real, space.occupations
     tail = {lbl: float(p[occ[k] == dim - 1].sum()) for k, (lbl, dim) in enumerate(space.modes)}
-    return SteadyStateReport(DensityMatrix(space, rho), resid, gap, m, lu.nnz, tail)
+    return SteadyStateReport(DensityMatrix(space, rho), resid, gap, m, lu0.nnz, tail,
+                             krylov, omega, fallback)
+
+
+def _factor_trace_system(M: scipy.sparse.csc_matrix) -> _PermutedLU:
+    """_factor(M), with an exactly singular M raised as a degenerate null
+    space (see steady_state)."""
+    try:
+        return _factor(M)
+    except RuntimeError as exc:
+        raise SolverError(
+            f"degenerate Liouvillian null space: the trace-row system is singular ({exc})"
+        ) from exc
+
+
+def _undriven(M: scipy.sparse.csc_matrix, model: LindbladModel,
+              idx: np.ndarray) -> scipy.sparse.csc_matrix:
+    """M0: the trace-row system M without the drive's commutator entries
+    -i(D kron I - I kron D^T), D = model.hamiltonian.meta["drive"], on the
+    sector idx, the trace row kept. They come from liouvillian's coordinate
+    writer and cancel M's own entries exactly, so the subtraction drops
+    them from the pattern. M itself when the model has no drive."""
+    drive = model.hamiltonian.meta.get("drive")
+    if drive is None or not drive.matrix.nnz:
+        return M
+    n = model.space.total_dim
+    d = drive.matrix.tocoo()
+    rows, cols, vals = _kron_sum([((d.row, d.col, -1j * d.data), None),
+                                  (None, (d.col, d.row, 1j * d.data))], n)
+    pos = np.full(n * n, -1)
+    pos[idx] = np.arange(idx.size)
+    rows, cols = pos[rows], pos[cols]
+    keep = (rows > 0) & (cols >= 0)   # row 0 is the trace row
+    return M - scipy.sparse.csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=M.shape)
+
+
+def _backward_error(M: scipy.sparse.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> float:
+    """Componentwise backward error max_i |rhs - M x|_i / (|M||x| + |rhs|)_i
+    (Oettli & Prager, Numer. Math. 6, 405 (1964)); a row whose denominator
+    is 0 has a zero residual and counts 0. SolverError when x is not
+    finite."""
+    if not np.isfinite(x).all():
+        raise SolverError("steady-state solve is not finite")
+    denom = abs(M) @ np.abs(x) + np.abs(rhs)
+    ratio = np.divide(np.abs(rhs - M @ x), denom, out=np.zeros(x.size), where=denom > 0)
+    return float(ratio.max())
+
+
+def _refine(M: scipy.sparse.csc_matrix, M0: scipy.sparse.csc_matrix, lu0: _PermutedLU,
+            rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+    """(x, Krylov iterations, backward error): M x = rhs by iterative
+    refinement from x = M0^-1 rhs, each correction a GMRES solve of M
+    preconditioned by lu0, the factor of M0; with M0 = M the factor is
+    exact and the correction is M^-1 r itself (see steady_state)."""
+    krylov = []
+    if M0 is M:
+        correct = lu0.solve
+    else:
+        precond = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)
+
+        def correct(r):
+            return scipy.sparse.linalg.gmres(
+                M, r, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART, maxiter=1, M=precond,
+                callback=krylov.append, callback_type="pr_norm")[0]
+    x = lu0.solve(rhs)
+    for step in range(REFINE_STEP_CAP + 1):
+        omega = _backward_error(M, x, rhs)
+        if omega <= BACKWARD_ERROR_STOP or step == REFINE_STEP_CAP:
+            break
+        x += correct(rhs - M @ x)
+    return x, len(krylov), omega
 
 
 def g2_zero(state: DensityMatrix, label: str) -> float:

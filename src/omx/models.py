@@ -116,7 +116,8 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
     with Delta_c = (Delta_s + Delta_a)/2 the detuning from the bare cavity
     frequency, and local drive amplitudes Omega_{1,2} = (Omega_s +-
     Omega_a)/sqrt(2). Dissipation: kappa D[c_i] per cavity and thermal
-    contact on the mechanical mode.
+    contact on the mechanical mode. A nonzero drive part of H is handed
+    over as H.meta["drive"] (see dynamics.steady_state).
     """
     params.require("omega_m", "J")
     if params.Delta_s is None or params.Delta_a is None:
@@ -129,10 +130,12 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
          - params.J * ((c1.dag() @ c2) + (c1 @ c2.dag())))
     om1 = (params.Omega_s + params.Omega_a) / math.sqrt(2)
     om2 = (params.Omega_s - params.Omega_a) / math.sqrt(2)
-    for amp, c in ((om1, c1), (om2, c2)):
-        if amp:
-            h = h + amp * (c + c.dag())
+    drives = [amp * (c + c.dag()) for amp, c in ((om1, c1), (om2, c2)) if amp]
+    for d in drives:
+        h = h + d
     h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
+    if drives:
+        h.meta["drive"] = sum(drives[1:], drives[0])
     cols = [(c1, params.kappa), (c2, params.kappa)]
     cols += _thermal_collapses(b, params)
     return LindbladModel(h, cols)
@@ -142,15 +145,19 @@ def _three_mode(name: str, params: SystemParams, truncations, couplings) -> Lind
     """The (a, s, m) frame of build_rwa and build_displaced: the space, the
     diagonal -Delta_s n_s - Delta_a n_a + omega_m n_m, kappa on both
     cavities and m's thermal contact. couplings(params), the builder's
-    _hamiltonian terms, runs between the parameter checks and the space."""
+    _hamiltonian terms as (couplings, drives), runs between the parameter
+    checks and the space. A nonzero drive part D of H is handed over as
+    H.meta["drive"] (see dynamics.steady_state)."""
     params.require("omega_m")
     if params.Delta_s is None or params.Delta_a is None:
         raise ValueError(f"{name} needs Delta_s and Delta_a")
-    terms = couplings(params)
+    terms, drives = couplings(params)
     space = _resolve_truncations(params, ["a", "s", "m"], truncations)
     n_a, n_s, n_m = space.occupations
     h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m,
-                     terms)
+                     terms + drives)
+    if any(g for g, _ in drives):
+        h.meta["drive"] = _hamiltonian(space, np.zeros(space.total_dim), drives)
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     return LindbladModel(h, [(a, params.kappa), (s, params.kappa)] + _thermal_collapses(b, params))
 
@@ -163,11 +170,11 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
         + Omega_s (c_s + c_s').
     The matrix element <0_a 1_s 1_m|H|1_a 0_s 0_m> equals g0/2, and the
     general transition amplitude scales as (g0/2) sqrt(n_a (n_s+1)(n_m+1)).
+    The drive part of H is handed over as H.meta["drive"].
     """
-    return _three_mode("build_rwa", params, truncations, lambda p: [
-        (0.5 * p.g0, {"a": -1, "s": 1, "m": 1}),   # c_a c_s' b'
-        (p.Omega_a, {"a": -1}),
-        (p.Omega_s, {"s": -1})])
+    return _three_mode("build_rwa", params, truncations, lambda p: (
+        [(0.5 * p.g0, {"a": -1, "s": 1, "m": 1})],   # c_a c_s' b'
+        [(p.Omega_a, {"a": -1}), (p.Omega_s, {"s": -1})]))
 
 
 def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
@@ -178,9 +185,9 @@ def build_displaced(params: SystemParams, truncations=None) -> LindbladModel:
     the three-wave coupling is unchanged. alpha is taken from params or
     from the steady drive balance.
     """
-    return _three_mode("build_displaced", params, truncations, lambda p: [
+    return _three_mode("build_displaced", params, truncations, lambda p: ([
         (0.5 * p.g0 * p.alpha_at(p.Delta_s), {"a": -1, "m": 1}),   # c_a b'
-        (0.5 * p.g0, {"a": -1, "s": 1, "m": 1})])                   # c_a c_s' b'
+        (0.5 * p.g0, {"a": -1, "s": 1, "m": 1})], []))              # c_a c_s' b'
 
 
 @dataclass
@@ -410,12 +417,15 @@ def build_nonhermitian(params: SystemParams, truncations=None) -> Operator:
     H~ = H_lin + H_g - i kappa (n_s + n_a)
          - i (gamma/2)(N_th + 1) b'b - i (gamma/2) N_th b b'.
     Its low-lying eigenvalues track the Fock ladder of the hybridized B
-    mode; meta carries the B lowering operator for eigenvector matching.
+    mode; meta carries the B lowering operator for eigenvector matching
+    and the hybridize(params) frame it was built from.
     """
     model = build_displaced(params, truncations)
-    space, theta = model.space, hybridize(params).theta
+    space, frame = model.space, hybridize(params)
+    theta = frame.theta
     b_mode = math.cos(theta) * annihilator(space, "m") + math.sin(theta) * annihilator(space, "a")
-    return Operator(space, model.hamiltonian.matrix - 1j * model.decay(), {"b_mode": b_mode})
+    return Operator(space, model.hamiltonian.matrix - 1j * model.decay(),
+                    {"b_mode": b_mode, "frame": frame})
 
 
 def build_transistor(params: SystemParams, n_m: int, truncations=None) -> LindbladModel:

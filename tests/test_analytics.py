@@ -12,6 +12,7 @@ from omx import (
     build_rwa,
     eigenvalue_prediction,
     g2_zero,
+    hybridize,
     min_g2_scan,
     phase_gate_error,
     phonon_nonlinearity,
@@ -339,7 +340,7 @@ def test_kerr_dephasing_ratio_identity():
 
 def test_eigenvalue_prediction_ground_level():
     p = SystemParams(alpha=1.0, **SM)
-    lam0 = eigenvalue_prediction(p, 0)
+    lam0 = eigenvalue_prediction(p, hybridize(p), 0)
     assert lam0.real == 0.0
     assert -lam0.imag == pytest.approx(0.5 * p.gamma * p.N_th, rel=1e-12)
 
@@ -348,7 +349,7 @@ def test_eigenvalue_prediction_closed_system_is_real():
     p = SystemParams(g0=1.0, kappa=1e-300, gamma=0.0, Delta_s=-1.0,
                      omega_m=2.0, Delta_a=-7.0, alpha=1.0)
     for n in range(4):
-        assert abs(eigenvalue_prediction(p, n).imag) < 1e-15
+        assert abs(eigenvalue_prediction(p, hybridize(p), n).imag) < 1e-15
 
 
 # -------------------------------------------------------------- phase gate ---

@@ -701,6 +701,33 @@ def test_phonon_eigen_records_every_dim_it_ran(tmp_path):
     assert run_phonon_eigen(cfg).metadata["truncations"] == {"a": 4, "s": 4, "m": 9}
 
 
+@pytest.mark.parametrize("scenario, kappa, warned", [
+    ("phonon-eigen", "0.025", 0), ("compare-effective", "0.025", 0),
+    ("phonon-eigen", "0.6", 2), ("compare-effective", "0.6", 2)])
+def test_phonon_eigen_derives_each_frame_once(tmp_path, monkeypatch, scenario, kappa, warned):
+    # one hybridize per alpha (two alphas), shared by build_nonhermitian and
+    # every eigenvalue_prediction; at kappa = 0.6, not small against the
+    # hybrid-mode splitting of about 5.1, each call warns of the dropped
+    # cross-terms once
+    import warnings
+
+    from omx import cli, models
+    real, calls = models.hybridize, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(models, "hybridize", counting)
+    text = (Path(__file__).parents[1] / "configs" / "effective_model_check.cfg").read_text()
+    cfg = load_config(write(tmp_path / "c.cfg", text.replace("kappa = 0.025", f"kappa = {kappa}")))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cli._SCENARIOS[scenario][0](cfg)
+    assert len(calls) == 2
+    assert sum("cross-terms" in str(w.message) for w in caught) == warned
+
+
 def test_g2scan_records_the_operating_point_it_ran(tmp_path):
     # the config's params were recorded, not the omega_m, J and gamma filled in
     from omx.cli import run_g2scan
@@ -914,7 +941,7 @@ def test_settable_values_are_counted():
                 count += sum(d is not None for d in node.args.kw_defaults)
             elif isinstance(node, ast.ClassDef):
                 count += sum(isinstance(stmt, ast.AnnAssign) for stmt in node.body)
-    assert count == 78
+    assert count == 81
 
 
 def test_every_export_has_a_caller():

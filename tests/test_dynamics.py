@@ -406,26 +406,32 @@ def test_fock_tail_falls_with_mechanical_truncation():
 
 
 def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
-    # one solve path: a bad LU result is reported, never retried
+    # one solve path: a NaN from either factor is reported, never retried
+    # and never handed to the Krylov step. The first factor is M0's; with
+    # the step cap at 0 the second is M's, in the fallback
     import scipy.sparse.linalg
     real = scipy.sparse.linalg.splu
-    calls = []
 
     class NanLU:
         def __init__(self, lu):
-            self.lu = lu
+            self.lu, self.nnz = lu, lu.nnz
 
         def solve(self, b):
             return np.full_like(self.lu.solve(b), np.nan)
 
-    def nan_splu(A, *args, **kwargs):
-        calls.append(A.shape)
-        return NanLU(real(A, *args, **kwargs))
+    for nan_call, cap in ((1, dynamics.REFINE_STEP_CAP), (2, 0)):
+        calls = []
 
-    monkeypatch.setattr(scipy.sparse.linalg, "splu", nan_splu)
-    with pytest.raises(SolverError, match="steady-state residual nan exceeds"):
-        steady_state(_rwa(0.3), check_unique=False)
-    assert len(calls) == 1
+        def nan_splu(A, *args, **kwargs):
+            calls.append(A.shape)
+            lu = real(A, *args, **kwargs)
+            return NanLU(lu) if len(calls) == nan_call else lu
+
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", nan_splu)
+        monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", cap)
+        with pytest.raises(SolverError, match="not finite"):
+            steady_state(_rwa(0.3), check_unique=False)
+        assert len(calls) == nan_call
 
 
 def _g2scan_point(n_th, dims, delta_a=-8.0):
@@ -438,31 +444,36 @@ def _g2scan_point(n_th, dims, delta_a=-8.0):
 @pytest.mark.parametrize("n_th, dims", [(0.0, (4, 4, 6)), (0.3, (3, 3, 4))],
                          ids=["a4s4m6", "a3s3m4-Nth0.3"])
 def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
-    # the uniqueness check reuses the solve's LU, and at the g2scan operating
-    # point the disc bound clears every coherence block, so nothing else is
-    # factored and the full-space oracle is never called
+    # the uniqueness check factors M once and measures the population gap
+    # with that factor; at the g2scan operating point the disc bound clears
+    # every coherence block, so the only other factor is M0's, on which the
+    # solution is iterated. The full-space oracle is never called
     import scipy.sparse.linalg
     real = scipy.sparse.linalg.splu
     calls = []
 
     def counting_splu(A, *args, **kwargs):
-        calls.append(A.shape)
+        calls.append(A.nnz)
         return real(A, *args, **kwargs)
 
     def oracle(L):
         raise AssertionError("steady_state called null_space_gap")
 
+    model = _g2scan_point(n_th, dims)
+    M, idx = _trace_row_system(model)
+    M0 = dynamics._undriven(M, model, idx)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     monkeypatch.setattr(dynamics, "null_space_gap", oracle)
-    rep = steady_state(_g2scan_point(n_th, dims))
-    assert calls == [(rep.solved_dim, rep.solved_dim)]
+    rep = steady_state(model)
+    assert calls == [M.nnz, M0.nnz] and M0.nnz < M.nnz
     assert rep.null_gap > 1e-8
+    assert not rep.lu_fallback and rep.krylov_iterations > 0
 
 
 def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     # every factor uses its own pattern's order, never an earlier point's:
     # the scan forward and reversed, each from an empty order cache, gives
-    # the same bits. One pattern: one ordering pass and nine factors
+    # the same bits. One pattern of M0: one ordering pass and nine factors
     import scipy.sparse.linalg
     calls = []
 
@@ -481,7 +492,8 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
             rep = steady_state(_g2scan_point(0.0, (4, 4, 6), d), check_unique=False)
             space, p = rep.state.space, rep.state.matrix.diagonal().real
             n_a = p @ space.occupations[space.index("a")]
-            out[d] = (g2_zero(rep.state, "a"), n_a, rep.residual, rep.lu_nnz)
+            out[d] = (g2_zero(rep.state, "a"), n_a, rep.residual, rep.lu_nnz,
+                      rep.krylov_iterations, rep.backward_error)
         return out
 
     for name in ("spilu", "splu"):
@@ -489,7 +501,7 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     deltas = np.linspace(-8.0, 8.0, 9)   # perfbench/configs/g2scan_reduced.cfg
     forward = scan(deltas)
     assert calls.count("spilu") == 1 and calls.count("splu") == 9
-    assert {v[3] for v in forward.values()} == {218_844}
+    assert {v[3] for v in forward.values()} == {19_846}
     assert scan(deltas[::-1]) == forward
 
 
@@ -525,14 +537,35 @@ def _trace_row_system(model):
     return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
 
 
-@pytest.mark.parametrize("delta_a", [3.3, 0.5])
-def test_g2_does_not_depend_on_lu_order(delta_a):
-    # oracle: another column order (MMD on A^T A, full partial pivoting)
-    # plus three refinement steps. At N_th = 1, m10, an un-refined COLAMD
-    # solve is 5.9e-6 and 6.9e-6 off at these two points; after the one
-    # refinement step of steady_state the orders agree to 6e-15.
+def test_lu_fill_below_colamd():
+    # the cached order on the pattern of A + A^T beats COLAMD on both
+    # systems a g2scan point factors: M for the check, M0 for the solve,
+    # whose fill the report records
     import scipy.sparse.linalg as spla
-    model = _g2scan_point(1.0, (4, 4, 10), delta_a)
+    from omx.dynamics import _factor
+    model = _g2scan_point(0.0, (4, 4, 6))
+    M, idx = _trace_row_system(model)
+    M0 = dynamics._undriven(M, model, idx)
+    rep = steady_state(model, check_unique=False)
+    assert _factor(M).nnz < spla.splu(M).nnz
+    assert rep.lu_nnz == _factor(M0).nnz < spla.splu(M0).nnz
+
+
+def _state(model, idx, y):
+    # the state whose sector entries are y, hermitized and normalized as
+    # steady_state does
+    n = model.space.total_dim
+    x = np.zeros(n * n, dtype=complex)
+    x[idx] = y
+    rho = x.reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def _lu_oracle(model) -> DensityMatrix:
+    # the trace-row system solved on a full-pivoting LU of M in another
+    # column order (MMD on M^T M), plus three refinement steps
+    import scipy.sparse.linalg as spla
     M, idx = _trace_row_system(model)
     lu = spla.splu(M, permc_spec="MMD_ATA")
     rhs = np.zeros(M.shape[0], dtype=complex)
@@ -540,22 +573,94 @@ def test_g2_does_not_depend_on_lu_order(delta_a):
     y = lu.solve(rhs)
     for _ in range(3):
         y += lu.solve(rhs - M @ y)
-    n = model.space.total_dim
-    x = np.zeros(n * n, dtype=complex)
-    x[idx] = y
-    rho = x.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    oracle = DensityMatrix(model.space, rho / np.trace(rho).real)
+    return DensityMatrix(model.space, _state(model, idx, y))
+
+
+@pytest.mark.parametrize("delta_a", [3.3, 0.5])
+def test_g2_does_not_depend_on_lu_order(delta_a):
+    # at N_th = 1, m10, an un-refined COLAMD solve is 5.9e-6 and 6.9e-6
+    # off at these two points; the refined solution of steady_state agrees
+    # with the oracle's other order and pivoting
+    model = _g2scan_point(1.0, (4, 4, 10), delta_a)
     g2 = g2_zero(steady_state(model, check_unique=False).state, "a")
-    assert g2 == pytest.approx(g2_zero(oracle, "a"), rel=1e-10, abs=0.0)
+    assert g2 == pytest.approx(g2_zero(_lu_oracle(model), "a"), rel=1e-10, abs=0.0)
 
 
-def test_lu_fill_below_colamd():
-    import scipy.sparse.linalg as spla
-    model = _g2scan_point(0.0, (4, 4, 6))
-    M, _ = _trace_row_system(model)
+@pytest.mark.parametrize("n_th, dims", [(0.0, (4, 4, 6)), (1.0, (4, 4, 10))],
+                         ids=["a4s4m6", "a4s4m10-Nth1"])
+@pytest.mark.parametrize("omega_a", [0.01, 0.1, 0.3, 1.0])
+def test_refinement_matches_the_lu_oracle(n_th, dims, omega_a):
+    # the Krylov refinement on M0's factor converges without the fallback
+    # up to a drive of kappa, where the drive is no longer weak, and gives
+    # the LU's <n_a> and g2
+    model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
+                                   Omega_a=omega_a, gamma=0.01, N_th=n_th), dims)
     rep = steady_state(model, check_unique=False)
-    assert rep.lu_nnz < spla.splu(M).nnz
+    assert not rep.lu_fallback and rep.krylov_iterations > 0
+    assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
+    oracle = _lu_oracle(model)
+    n_a = model.space.occupations[model.space.index("a")]
+    assert (rep.state.matrix.diagonal().real @ n_a
+            == pytest.approx(oracle.matrix.diagonal().real @ n_a, rel=1e-12, abs=0.0))
+    assert g2_zero(rep.state, "a") == pytest.approx(g2_zero(oracle, "a"), rel=1e-12, abs=0.0)
+
+
+def _lu_path(model):
+    # the trace-row system solved on its own factor with one refinement
+    # step: (the state, M's fill, the backward error)
+    from omx.dynamics import _backward_error, _factor
+    M, idx = _trace_row_system(model)
+    lu = _factor(M)
+    rhs = np.zeros(M.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    y = lu.solve(rhs)
+    y += lu.solve(rhs - M @ y)
+    return _state(model, idx, y), lu.nnz, _backward_error(M, y, rhs)
+
+
+@pytest.mark.parametrize("cap, gamma", [(0, 0.01), (dynamics.REFINE_STEP_CAP, 0.0)],
+                         ids=["stalled", "undamped-mechanics"])
+def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
+    # with no refinement step allowed the iteration stalls at M0's own
+    # solution; without mechanical damping M0 is singular (every phonon
+    # population of the undriven system is stationary) while M is not.
+    # Either way the fallback factors M and solves it with one refinement
+    # step on the same factor, bit for bit
+    monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", cap)
+    model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
+                                   Omega_a=0.01, gamma=gamma), (4, 4, 6))
+    rep = steady_state(model)
+    assert rep.lu_fallback and rep.krylov_iterations == 0 and rep.null_gap > 1e-8
+    rho, nnz, omega = _lu_path(model)
+    assert rep.lu_nnz == nnz
+    assert rep.backward_error == omega
+    assert np.array_equal(rep.state.matrix, rho)
+
+
+def test_undriven_model_solves_without_a_krylov_step(monkeypatch):
+    # build_displaced has no drive term, so M0 is M and its factor is
+    # exact: each correction is a plain refinement step, and the solve is
+    # the LU and its one refinement step, bit for bit. The checked solve
+    # factors M once, for the check and the solve (the check also factors
+    # some coherence blocks of this model)
+    import scipy.sparse.linalg
+    real = scipy.sparse.linalg.splu
+    calls = []
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    model = _displaced((3, 2, 7))
+    assert "drive" not in model.hamiltonian.meta
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    rep = steady_state(model)
+    assert calls.count((rep.solved_dim, rep.solved_dim)) == 1
+    assert rep.krylov_iterations == 0 and not rep.lu_fallback
+    rho, nnz, omega = _lu_path(model)
+    assert rep.backward_error == omega <= dynamics.BACKWARD_ERROR_STOP
+    assert rep.lu_nnz == nnz
+    assert np.array_equal(rep.state.matrix, rho)
 
 
 @pytest.mark.parametrize("make", [lambda: _rwa(0.3), lambda: _displaced((3, 2, 7)),

@@ -583,7 +583,7 @@ def test_effective_phonon_warns_when_elimination_marginal():
 
 @pytest.mark.parametrize("call", [
     lambda p: phonon_nonlinearity(p, corrected=True),
-    lambda p: eigenvalue_prediction(p, 2),
+    lambda p: eigenvalue_prediction(p, hybridize(p), 2),
     lambda p: build_effective_phonon(p, corrected=True),
 ], ids=["phonon_nonlinearity", "eigenvalue_prediction", "build_effective_phonon"])
 def test_each_call_derives_its_frame_once(call):
@@ -594,6 +594,19 @@ def test_each_call_derives_its_frame_once(call):
         warnings.simplefilter("always")
         call(p)
     assert sum("cross-terms" in str(w.message) for w in caught) == 1
+
+
+@pytest.mark.parametrize("build, dims", [(build_rwa, (3, 3, 4)), (build_full, (3, 3, 4))],
+                         ids=["rwa", "full"])
+def test_drive_part_is_handed_over(build, dims):
+    # meta["drive"] is H minus H at zero drive; without a drive there is none
+    p = SystemParams(g0=1.5, kappa=1.0, omega_m=8.0, J=4.0, Delta_a=0.5,
+                     Omega_a=0.02, Omega_s=0.03, gamma=0.3, N_th=0.2)
+    h = build(p, dims).hamiltonian
+    undriven = build(p.replace(Omega_a=0.0, Omega_s=0.0), dims).hamiltonian
+    assert "drive" not in undriven.meta
+    assert abs(h.matrix - undriven.matrix - h.meta["drive"].matrix).max() <= 1e-15
+    assert "drive" not in build_displaced(_KERR, dims).hamiltonian.meta
 
 
 # ----------------------------------------------------------- nonhermitian ---
