@@ -35,6 +35,7 @@ ModeSpace.occupations; no operator product is formed.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,28 +137,58 @@ def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
     as one coordinate list and one CSR conversion, with no kron products.
     The trace functional is verified to annihilate the generator:
     |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
+    steady_state builds it only for its uniqueness check; its population
+    block comes from a _BlockPlan, and this is that block's oracle.
     """
-    h, decay = model.hamiltonian.matrix, model.decay()
-    n = h.shape[0]
-    jumps = []
-    for op, rate in model.collapses:
-        if rate == 0.0:
-            continue
-        c = op.matrix.tocoo()
-        jumps.append(((c.row, c.col, (2.0 * rate) * c.data), (c.row, c.col, c.data.conj())))
-    k_l, k_r = (-1j * h - decay).tocoo(), (1j * h - decay).T.tocoo()
-    rows, cols, vals = _kron_sum([((k_l.row, k_l.col, k_l.data), None),
-                                  (None, (k_r.row, k_r.col, k_r.data))] + jumps, n)
+    n = model.space.total_dim
+    rows, cols, vals = _kron_sum(_generator_terms(model), n)
     # the CSR conversion sums duplicates (for ladder collapses only on the
     # diagonal, where K_L and K_R meet); entries that cancel exactly are
     # dropped, as an operator sum drops them
     L = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
     L.eliminate_zeros()
-    worst = np.abs(_trace_vec(n) @ L).max()
-    scale = max(1.0, np.abs(L.data).max() if L.nnz else 1.0)
-    if worst > TRACE_PRESERVATION_ATOL * scale:
-        raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
+    _check_trace(L, _trace_vec(n))
     return L
+
+
+def _generator_terms(model: LindbladModel) -> list:
+    """The terms of L as _kron_sum takes them: K_L kron I, I kron K_R and
+    2 rate_k c_k kron conj(c_k) for each collapse of nonzero rate."""
+    h, decay = model.hamiltonian.matrix, model.decay()
+    jumps = []
+    for op, rate in model.collapses:
+        if rate == 0.0:
+            continue
+        row, col, val = _triplet(op.matrix)
+        jumps.append(((row, col, (2.0 * rate) * val), (row, col, val.conj())))
+    col, row, val = _triplet(1j * h - decay)   # K_R is its transpose
+    return [(_triplet(-1j * h - decay), None), (None, (row, col, val))] + jumps
+
+
+def _triplet(a: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(row, col, val) of a CSR matrix's stored entries in storage order,
+    as tocoo gives them."""
+    rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
+    return rows, a.indices, a.data
+
+
+def _drive_terms(model: LindbladModel) -> list:
+    """The drive's commutator -i(D kron I - I kron D^T) as _kron_sum
+    terms, D = model.hamiltonian.meta["drive"] (handed over by
+    models.build_rwa and build_full); none for a model without a drive."""
+    drive = model.hamiltonian.meta.get("drive")
+    if drive is None or not drive.matrix.nnz:
+        return []
+    row, col, val = _triplet(drive.matrix)
+    return [((row, col, -1j * val), None), (None, (col, row, 1j * val))]
+
+
+def _check_trace(L: scipy.sparse.csr_matrix, t: np.ndarray) -> None:
+    """SolverError unless |t^T L| <= TRACE_PRESERVATION_ATOL columnwise,
+    relative to the largest entry of L (at least 1)."""
+    worst = np.abs(t @ L).max(initial=0.0)
+    if worst > TRACE_PRESERVATION_ATOL * np.abs(L.data).max(initial=1.0):
+        raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
 
 
 def _kron_sum(terms, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -223,7 +254,8 @@ def _start_vector(m: int) -> np.ndarray:
 class SteadyStateReport:
     """Steady state with the evidence that it is the right one.
 
-    residual: |L x|_2 of the solution on the full Liouvillian.
+    residual: |L x|_2 of the solution, the norm of the n^2 vector L x,
+        formed from the population block alone (see steady_state).
     null_gap: with check_unique, |lambda_1| of the full Liouvillian: the
         smaller of the population sector's |lambda_1|, measured with the
         LU of the trace-row system M, and the smallest |lambda| of the
@@ -324,7 +356,21 @@ def _disc_bounds(L: scipy.sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
 
 
 ORDER_CACHE_SIZE = 16
+PLAN_CACHE_SIZE = 8
 _ORDERS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
+_PLANS: dict[tuple, _BlockPlan] = {}
+
+
+def _cached(cache: dict, size: int, key: tuple, make):
+    """cache[key], made by make() on a miss; a full cache first drops its
+    oldest entry, so it never holds more than size."""
+    hit = cache.get(key)
+    if hit is None:
+        hit = make()
+        if len(cache) >= size:
+            del cache[next(iter(cache))]
+        cache[key] = hit
+    return hit
 
 
 class _PermutedLU:
@@ -346,8 +392,10 @@ def _order(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     """(q, perm_c) for A: SuperLU's minimum-degree column order perm_c on
     the pattern of A + A^T, and q = argsort(perm_c), so that A[q][:, q] is
     A in that order. The order is a function of the pattern alone, so it is
-    computed once per pattern and kept, for the last ORDER_CACHE_SIZE
-    patterns, under the exact key (shape, indptr bytes, indices bytes).
+    computed once per pattern and kept, for the last ORDER_CACHE_SIZE = 16
+    patterns, under the exact key (shape, indptr bytes, indices bytes);
+    _cached, the one bounded cache, drops the oldest pattern first and
+    serves steady_state's _BlockPlan too.
 
     scipy computes no order without a factorization, so on a miss it comes
     from an incomplete LU of a proxy with A's pattern: unit entries plus m
@@ -360,9 +408,7 @@ def _order(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     N_th = 1. Its perm_c equals splu's own on both and on the largest
     coherence block of displaced (4, 3, 5) (tier-1 test).
     """
-    key = (A.shape, A.indptr.tobytes(), A.indices.tobytes())
-    hit = _ORDERS.get(key)
-    if hit is None:
+    def make():
         m = A.shape[0]
         proxy = (scipy.sparse.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
                  + m * scipy.sparse.identity(m, format="csc"))
@@ -370,10 +416,10 @@ def _order(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
             proxy, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
             diag_pivot_thresh=0.1, options={"SymmetricMode": True})
         perm_c = ilu.perm_c.copy()   # a view into ilu: the copy lets its factors go
-        if len(_ORDERS) >= ORDER_CACHE_SIZE:
-            del _ORDERS[next(iter(_ORDERS))]   # the oldest pattern
-        hit = _ORDERS[key] = (np.argsort(perm_c), perm_c)
-    return hit
+        return np.argsort(perm_c), perm_c
+
+    return _cached(_ORDERS, ORDER_CACHE_SIZE,
+                   (A.shape, A.indptr.tobytes(), A.indices.tobytes()), make)
 
 
 def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
@@ -435,6 +481,184 @@ def _coherence_gap(L: scipy.sparse.csr_matrix, labels: np.ndarray, n: int, floor
     return bound
 
 
+class _BlockPlan:
+    """The symbolic half of L's population block, a function of the
+    sparsity patterns of the generator's factors alone (see steady_state).
+
+    idx: the block's entries, sorted: the connected component of entry
+        (0,0) in the structural pattern of L, the pattern before exact
+        cancellations, so it holds the block of every model with these
+        factor patterns.
+    pops: positions of the populations |i><i| in the block; fewer than n
+        when they split structurally.
+    block: the _Sums of L's terms on the block, in CSR order.
+    off_diagonal: which of the block's stored entries lie off its diagonal.
+    m_src, m_indptr, m_indices: the trace-row system M of the block in CSC
+        order, entry k taken from [1 at each of pops, block values][m_src[k]].
+    drive: the _Sums of the drive's commutator on M's rows 1..m-1, in
+        M's CSC order, and the slots of M's entries they land on; None
+        for a model without a drive. The structure comes from the same
+        factor patterns, so the slots exist: only where an entry of H
+        cancels exactly against the decay could a drive entry fall off
+        them, and such an entry is left out of M0.
+    All of it is block-sized: no array of the n^2 space outlives __init__.
+    """
+
+    def __init__(self, terms: list, drive: list, n: int):
+        rows, cols = _kron_sum(terms, n)[:2]
+        labels = _component_labels(
+            scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * n, n * n)))
+        self.idx = np.flatnonzero(labels == labels[0])
+        del labels
+        m = self.idx.size
+        pos = np.full(n * n, -1)
+        pos[self.idx] = np.arange(m)
+        self.pops = pos[:: n + 1][pos[:: n + 1] >= 0]
+        sel = np.flatnonzero(pos[rows] >= 0)   # a component: its rows' columns are in it
+        self.block = _sums(terms, n, sel, pos[rows[sel]], pos[cols[sel]], m)
+        indptr, indices = self.block.indptr, self.block.indices
+        self.off_diagonal = indices != np.repeat(np.arange(m), np.diff(indptr))
+        # M replaces L's row 0 by the trace row; a CSC conversion of the
+        # entry numbers gives each stored entry of M its source
+        k, row0 = self.pops.size, indptr[1]
+        ids = np.concatenate([np.arange(k), k + np.arange(row0, indices.size)])
+        M = scipy.sparse.csr_matrix(
+            (ids.astype(float), np.concatenate([self.pops, indices[row0:]]),
+             np.concatenate([[0], k + indptr[1:] - row0])), shape=(m, m)).tocsc()
+        self.m_src, self.m_indptr, self.m_indices = M.data.astype(np.intp), M.indptr, M.indices
+        self.drive = None
+        if drive:
+            rows, cols = _kron_sum(drive, n)[:2]
+            r, c = pos[rows], pos[cols]
+            sel = np.flatnonzero((r > 0) & (c >= 0))   # row 0 is the trace row
+            sums = _sums(drive, n, sel, c[sel], r[sel], m)
+            keys, m_keys = _keys(sums.indptr, sums.indices, m), _keys(M.indptr, M.indices, m)
+            slot = np.searchsorted(m_keys, keys).clip(max=m_keys.size - 1)
+            found = m_keys[slot] == keys
+            self.drive = (sums, slot[found], found)
+
+    def assemble(self, terms: list, drive: list, n: int) -> tuple:
+        """(idx, Lc, M, M0) of steady_state for a model with these factor
+        patterns: the values of its terms summed onto the block, the
+        block's trace check, and the population sector inside the block."""
+        m = self.idx.size
+        vals = _summed(_factor_values(terms, n), self.block)
+        Lc = scipy.sparse.csr_matrix((vals, self.block.indices.copy(), self.block.indptr.copy()),
+                                     shape=(m, m))
+        src = np.concatenate([np.ones(self.pops.size), vals])[self.m_src]
+        M = M0 = scipy.sparse.csc_matrix((src, self.m_indices.copy(), self.m_indptr.copy()),
+                                         shape=(m, m))
+        if self.drive is not None:
+            sums, slot, found = self.drive
+            undriven = src.copy()
+            undriven[slot] -= _summed(_factor_values(drive, n), sums)[found]
+            M0 = scipy.sparse.csc_matrix(
+                (undriven, self.m_indices.copy(), self.m_indptr.copy()), shape=(m, m))
+            M0.eliminate_zeros()
+        # entries that cancel exactly are dropped, as liouvillian drops them
+        M.eliminate_zeros()
+        split = np.any((vals == 0) & self.off_diagonal)
+        Lc.eliminate_zeros()
+        t = np.zeros(m)
+        t[self.pops] = 1.0
+        _check_trace(Lc, t)
+        idx = self.idx
+        # the structural block is connected, so only populations outside it
+        # or an off-diagonal entry that cancels can split the sector
+        if self.pops.size < n or split:
+            labels = np.full(n * n, -1)
+            labels[idx] = _component_labels(Lc)
+            idx = _sector(labels, n)
+            if idx.size < m:
+                sub = np.searchsorted(self.idx, idx)
+                Lc, M = Lc[sub][:, sub], M[sub][:, sub]
+                M0 = M if self.drive is None else M0[sub][:, sub]
+        return idx, Lc, M, M0
+
+
+def _keys(indptr: np.ndarray, indices: np.ndarray, m: int) -> np.ndarray:
+    """line * m + index of each stored entry of a compressed m x m matrix:
+    increasing when its indices are sorted."""
+    return np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr)) * m + indices
+
+
+def _sums(terms: list, n: int, sel: np.ndarray, major: np.ndarray, minor: np.ndarray,
+          size: int) -> _Sums:
+    """How entries sel of _kron_sum(terms, n), at (major, minor) of a
+    compressed size x size matrix, sum into it, as scipy's conversion of
+    a coordinate list sums them: the lines are filled in list order,
+    sort_indices sorts each line, and a run of equal indices is added left
+    to right. The sort is done once, here, by scipy itself on the entries'
+    numbers, so _summed gives the conversion's bits.
+
+    Returns a _Sums: left and right, the positions in the value arrays of
+    _factor_values of the two factors of each stored entry's first
+    contribution, then of each entry's second, and so on; runs, the stored
+    entries that take each further contribution; and the structure,
+    duplicates summed.
+    """
+    sizes = np.array([[n if f is None else f[0].size for f in term] for term in terms])
+    starts = np.concatenate([[0], np.cumsum(sizes[:, 0] * sizes[:, 1])])
+    term = np.searchsorted(starts, sel, side="right") - 1
+    p, q = np.divmod(sel - starts[term], sizes[term, 1])
+    left = np.concatenate([[0], np.cumsum(sizes[:, 0])])[term] + p
+    right = np.concatenate([[0], np.cumsum(sizes[:, 1])])[term] + q
+    order = np.argsort(major, kind="stable")
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=size))])
+    lines = scipy.sparse.csr_matrix((order.astype(float), minor[order], indptr),
+                                    shape=(size, size))
+    lines.sort_indices()
+    entry = lines.data.astype(np.intp)
+    key = _keys(lines.indptr, lines.indices, size)
+    first = np.flatnonzero(np.diff(key, prepend=-1))
+    count = np.diff(first, append=key.size)
+    runs = [np.flatnonzero(count > j) for j in range(1, count.max(initial=1))]
+    take = entry[np.concatenate([first] + [first[r] + j for j, r in enumerate(runs, 1)])]
+    return _Sums(left[take], right[take], runs,
+                 np.concatenate([[0], np.cumsum(np.bincount(key[first] // size, minlength=size))]),
+                 lines.indices[first])
+
+
+_Sums = namedtuple("_Sums", "left right runs indptr indices")
+
+
+def _factor_values(terms: list, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The values of the left and of the right factors of terms, each
+    concatenated in term order; the identity's are n ones."""
+    ones = np.ones(n)
+    return (np.concatenate([ones if a is None else a[2] for a, _ in terms]),
+            np.concatenate([ones if b is None else b[2] for _, b in terms]))
+
+
+def _summed(values: tuple[np.ndarray, np.ndarray], sums: _Sums) -> np.ndarray:
+    """The stored values of the matrix that _sums planned, from the factor
+    values of _factor_values: each contribution is the product of its two
+    factors, and the contributions to an entry are added in scipy's order."""
+    left, right = values
+    v = left[sums.left] * right[sums.right]
+    out, start = v[: sums.indices.size], sums.indices.size
+    for r in sums.runs:
+        out[r] += v[start:start + r.size]
+        start += r.size
+    return out
+
+
+def _population_block(model: LindbladModel) -> tuple:
+    """(idx, Lc, M, M0) of steady_state, from the model's _BlockPlan: made
+    on the first model with its factor patterns and kept, for the last
+    PLAN_CACHE_SIZE pattern sets, under the exact key of every factor's
+    (row, col) arrays."""
+    n = model.space.total_dim
+    terms, drive = _generator_terms(model), _drive_terms(model)
+    key = (n,) + tuple(tuple(None if f is None else
+                             (np.asarray(f[0], np.int64).tobytes(),
+                              np.asarray(f[1], np.int64).tobytes()) for f in term)
+                       # (None, None) parts the terms from the drive's
+                       for term in terms + [(None, None)] + drive)
+    plan = _cached(_PLANS, PLAN_CACHE_SIZE, key, lambda: _BlockPlan(terms, drive, n))
+    return plan.assemble(terms, drive, n)
+
+
 def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyStateReport:
     """Stationary state of the master equation.
 
@@ -450,6 +674,27 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     Within it the row of the (0,0) matrix element is replaced by the trace
     condition, and the square system M x = e_0 is solved by iterative
     refinement on the factor of a simpler system M0.
+    - Only the block is built. Its symbolic part is a _BlockPlan, made
+      once per sparsity pattern of the generator's factors (the K_L, K_R
+      and jump triplets that liouvillian writes, and the drive's) and kept
+      for the last PLAN_CACHE_SIZE = 8 patterns under the exact key of
+      their (row, col) arrays, as _order keeps orders. It holds the block's
+      entries, taken from the structural pattern of L (before exact
+      cancellations, so it holds the sector of every point with that
+      pattern); which products of factor entries land in the block, where,
+      and in which order scipy's CSR conversion would add them; and the
+      slots of the trace row and of the drive's commutator in M. A point
+      then forms the block's values, Lc, M and M0, with the bits that
+      slicing liouvillian(model) gives (tier-1 test), checks the block's
+      trace, drops its exact zeros, and labels the block's components
+      when an off-diagonal entry has cancelled or the populations lie
+      outside it, so split populations and cancellations are caught as
+      on the full L. On the g2scan sector (rwa a4/s4/m6, 1216 of 9216
+      entries) the block takes 1.2 to 1.5 ms a point against 7.1 to 8.6 ms
+      for the full L, its labels, the slicing and the drive list (one BLAS
+      thread); the plan takes 6 ms, once. The full
+      liouvillian(model) is built only for check_unique, which needs the
+      blocks outside the sector.
     - M0 is M without the drive's commutator entries -i(D kron I -
       I kron D^T), D = model.hamiltonian.meta["drive"] (handed over by
       models.build_rwa and build_full), with the trace row kept. Without
@@ -497,8 +742,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     Every factor is a function of its own matrix and the iteration of M
     and M0, so the result is a function of the model alone, whatever was
     solved before it in the process: the same for any point order or
-    number of jobs. The residual is checked on the full L: above 1e-9, or
-    not finite, it raises SolverError.
+    number of jobs. The residual |L x| is checked on the n^2 vector: the
+    block's product, scattered into it, has the bits of the full product,
+    since the rows outside the sector are zero. Above 1e-9, or not finite,
+    it raises SolverError.
 
     The trace-augmented system could not do better. Let A = [L_CC; t_C]
     be that system on the sector C. Trace preservation makes the
@@ -553,18 +800,18 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     check_unique=False, since each such sector carries its own steady
     state.
     """
-    L = liouvillian(model)
     n = model.space.total_dim
-    labels = _component_labels(L)
-    idx = _sector(labels, n)
+    # the check's full L comes first, so that its assembly's peak adds to
+    # nothing of the block's
+    L = liouvillian(model) if check_unique else None
+    idx, Lc, M, M0 = _population_block(model)
     m = idx.size
-    Lc = L if m == n * n else L[idx][:, idx]
-    M = scipy.sparse.vstack([scipy.sparse.csr_matrix(_trace_vec(n)[idx]), Lc[1:]]).tocsc()
     lu = gap = None   # lu: the factor of M, made for the check or the fallback only
     if check_unique:
         lu = _factor_trace_system(M)
         lam1 = _block_gap(Lc, lu)
-        gap = min(lam1, _coherence_gap(L, labels, n, lam1))
+        gap = min(lam1, _coherence_gap(L, _component_labels(L), n, lam1))
+        del L
         if not gap > NULL_GAP_ATOL:
             raise SolverError(
                 f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
@@ -572,7 +819,6 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
 
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
-    M0 = _undriven(M, model, idx)
     try:
         lu0 = lu if M0 is M and lu else _factor(M0)
     except RuntimeError:   # an exactly singular M0 (say, undamped phonons): solve M instead
@@ -583,12 +829,15 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
         lu0 = lu or _factor_trace_system(M)
         y = lu0.solve(rhs)
         y += lu0.solve(rhs - M @ y)
-        omega = _backward_error(M, y, rhs)
+        omega = _backward_error(abs(M), y, rhs - M @ y, rhs)
+    # |L x| as the n^2 vector it is: the rows outside the sector are zero,
+    # and the norm of the scattered block product has the same bits
     x = np.zeros(n * n, dtype=complex)
-    x[idx] = y
-    resid = float(np.linalg.norm(L @ x))
+    x[idx] = Lc @ y
+    resid = float(np.linalg.norm(x))
     if not np.isfinite(resid) or resid > STEADY_RESIDUAL_ATOL:
         raise SolverError(f"steady-state residual {resid:.2e} exceeds tolerance")
+    x[idx] = y
     rho = x.reshape(n, n)
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -612,34 +861,32 @@ def _factor_trace_system(M: scipy.sparse.csc_matrix) -> _PermutedLU:
 
 def _undriven(M: scipy.sparse.csc_matrix, model: LindbladModel,
               idx: np.ndarray) -> scipy.sparse.csc_matrix:
-    """M0: the trace-row system M without the drive's commutator entries
-    -i(D kron I - I kron D^T), D = model.hamiltonian.meta["drive"], on the
-    sector idx, the trace row kept. They come from liouvillian's coordinate
-    writer and cancel M's own entries exactly, so the subtraction drops
-    them from the pattern. M itself when the model has no drive."""
-    drive = model.hamiltonian.meta.get("drive")
-    if drive is None or not drive.matrix.nnz:
+    """M0 by subtraction, the oracle of _BlockPlan's: the trace-row system
+    M without the drive's commutator entries (_drive_terms) on the sector
+    idx, the trace row kept. They cancel M's own entries exactly, so the
+    subtraction drops them from the pattern. M itself when the model has no
+    drive."""
+    terms = _drive_terms(model)
+    if not terms:
         return M
-    n = model.space.total_dim
-    d = drive.matrix.tocoo()
-    rows, cols, vals = _kron_sum([((d.row, d.col, -1j * d.data), None),
-                                  (None, (d.col, d.row, 1j * d.data))], n)
-    pos = np.full(n * n, -1)
+    rows, cols, vals = _kron_sum(terms, model.space.total_dim)
+    pos = np.full(model.space.total_dim ** 2, -1)
     pos[idx] = np.arange(idx.size)
     rows, cols = pos[rows], pos[cols]
     keep = (rows > 0) & (cols >= 0)   # row 0 is the trace row
     return M - scipy.sparse.csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=M.shape)
 
 
-def _backward_error(M: scipy.sparse.csc_matrix, x: np.ndarray, rhs: np.ndarray) -> float:
-    """Componentwise backward error max_i |rhs - M x|_i / (|M||x| + |rhs|)_i
-    (Oettli & Prager, Numer. Math. 6, 405 (1964)); a row whose denominator
-    is 0 has a zero residual and counts 0. SolverError when x is not
-    finite."""
+def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray,
+                    rhs: np.ndarray) -> float:
+    """Componentwise backward error max_i |r_i| / (|M||x| + |rhs|)_i of x,
+    given |M| and the residual r = rhs - M x (Oettli & Prager, Numer. Math.
+    6, 405 (1964)); a row whose denominator is 0 has a zero residual and
+    counts 0. SolverError when x is not finite."""
     if not np.isfinite(x).all():
         raise SolverError("steady-state solve is not finite")
-    denom = abs(M) @ np.abs(x) + np.abs(rhs)
-    ratio = np.divide(np.abs(rhs - M @ x), denom, out=np.zeros(x.size), where=denom > 0)
+    denom = abs_m @ np.abs(x) + np.abs(rhs)
+    ratio = np.divide(np.abs(r), denom, out=np.zeros(x.size), where=denom > 0)
     return float(ratio.max())
 
 
@@ -648,7 +895,9 @@ def _refine(M: scipy.sparse.csc_matrix, M0: scipy.sparse.csc_matrix, lu0: _Permu
     """(x, Krylov iterations, backward error): M x = rhs by iterative
     refinement from x = M0^-1 rhs, each correction a GMRES solve of M
     preconditioned by lu0, the factor of M0; with M0 = M the factor is
-    exact and the correction is M^-1 r itself (see steady_state)."""
+    exact and the correction is M^-1 r itself (see steady_state). |M| is
+    formed once, and each step's residual serves both its backward error
+    and its correction."""
     krylov = []
     if M0 is M:
         correct = lu0.solve
@@ -659,12 +908,14 @@ def _refine(M: scipy.sparse.csc_matrix, M0: scipy.sparse.csc_matrix, lu0: _Permu
             return scipy.sparse.linalg.gmres(
                 M, r, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART, maxiter=1, M=precond,
                 callback=krylov.append, callback_type="pr_norm")[0]
+    abs_m = abs(M)
     x = lu0.solve(rhs)
     for step in range(REFINE_STEP_CAP + 1):
-        omega = _backward_error(M, x, rhs)
+        r = rhs - M @ x
+        omega = _backward_error(abs_m, x, r, rhs)
         if omega <= BACKWARD_ERROR_STOP or step == REFINE_STEP_CAP:
             break
-        x += correct(rhs - M @ x)
+        x += correct(r)
     return x, len(krylov), omega
 
 

@@ -487,6 +487,7 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
 
     def scan(deltas):
         monkeypatch.setattr(dynamics, "_ORDERS", {})
+        monkeypatch.setattr(dynamics, "_PLANS", {})
         out = {}
         for d in deltas:
             rep = steady_state(_g2scan_point(0.0, (4, 4, 6), d), check_unique=False)
@@ -535,6 +536,124 @@ def _trace_row_system(model):
     idx = _sector(_component_labels(L), n)
     trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
     return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
+
+
+def _diagonal_collapse():
+    # a dephasing jump n_c beside the two decays: on the diagonal of L the
+    # K_L, K_R and n_c kron n_c entries meet, three contributions whose sum
+    # depends on the order they are added in (at these rates two entries
+    # round differently when the three are added the other way round)
+    space = ModeSpace([("c", 3), ("d", 2)])
+    c, d = annihilator(space, "c"), annihilator(space, "d")
+    n_c = c.dag() @ c
+    h = Operator(space, (0.7 * n_c + 0.3 * (c.dag() @ d + d.dag() @ c)).matrix)
+    return LindbladModel(h, [(c, 0.1), (d, 0.7), (n_c, 0.3)])
+
+
+def _cancelling_coupling():
+    # a qubit with the jump |0><1| + 1/2 at rate 1/2 and H_01 = -i/4: the
+    # entries that tie the coherences to the populations cancel exactly,
+    # so the structural block holds all four entries, the sector two
+    space = ModeSpace([("c", 2)])
+    h = sp.csr_matrix(np.array([[0.3, -0.25j], [0.25j, -0.2]]))
+    c = sp.csr_matrix(np.array([[0.5, 1.0], [0.0, 0.5]]))
+    return LindbladModel(Operator(space, h), [(Operator(space, c), 0.5)])
+
+
+_BLOCK_CASES = {
+    "rwa-Nth0": lambda: _rwa(0.0),
+    "rwa-Nth0.3": lambda: _rwa(0.3),
+    "displaced-327": lambda: _displaced((3, 2, 7)),
+    "full": _LIOUVILLIAN_CASES["full"],
+    "transistor-driven": _driven_transistor,
+    "diagonal-collapse": _diagonal_collapse,
+    "cancelling-diagonal": _LIOUVILLIAN_CASES["cancelling-diagonal"],
+    "cancelling-coupling": _cancelling_coupling,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_block_plan_matches_the_liouvillian(name):
+    # the block steady_state assembles from its plan, with the sector, M
+    # and M0, is liouvillian's restricted to the population sector, in
+    # pattern and in bits
+    model = _BLOCK_CASES[name]()
+    idx, Lc, M, M0 = dynamics._population_block(model)
+    M_o, idx_o = _trace_row_system(model)
+    L = liouvillian(model)
+    assert np.array_equal(idx, idx_o)
+    for a, b in ((Lc, L[idx_o][:, idx_o]), (M, M_o), (M0, dynamics._undriven(M_o, model, idx_o))):
+        assert a.format == b.format and a.shape == b.shape
+        assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.data.view(np.uint64), b.data.view(np.uint64))
+    assert (M0 is M) == ("drive" not in model.hamiltonian.meta)
+    plan = dynamics._BlockPlan(dynamics._generator_terms(model), [], model.space.total_dim)
+    if name == "diagonal-collapse":
+        assert len(plan.block.runs) == 2   # entries with a second and with a third
+        assert plan.block.runs[1].size == model.space.total_dim
+    assert (plan.idx.size > idx.size) == (name == "cancelling-coupling")
+
+
+def test_unchecked_solve_builds_no_liouvillian(monkeypatch):
+    # the unchecked solve works on the block alone; the uniqueness check
+    # builds the full L once, for the blocks outside the sector
+    real, calls = dynamics.liouvillian, []
+
+    def counting(model):
+        calls.append(model)
+        return real(model)
+
+    monkeypatch.setattr(dynamics, "liouvillian", counting)
+    model = _g2scan_point(0.0, (4, 4, 6))
+    steady_state(model, check_unique=False)
+    assert calls == []
+    steady_state(model)
+    assert calls == [model]
+
+
+def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
+    # a point solved from empty caches, and again after another point of
+    # its pattern, gives the same state bits and the same report
+    monkeypatch.setattr(dynamics, "_PLANS", {})
+    monkeypatch.setattr(dynamics, "_ORDERS", {})
+    cold = steady_state(_g2scan_point(0.3, (3, 3, 4), 3.3))
+    steady_state(_g2scan_point(0.3, (3, 3, 4), -2.0), check_unique=False)
+    warm = steady_state(_g2scan_point(0.3, (3, 3, 4), 3.3))
+    assert len(dynamics._PLANS) == 1
+    assert np.array_equal(cold.state.matrix.view(np.uint64), warm.state.matrix.view(np.uint64))
+    assert {k: v for k, v in vars(cold).items() if k != "state"} == \
+        {k: v for k, v in vars(warm).items() if k != "state"}
+
+
+def test_bounded_cache_drops_its_oldest_entry():
+    cache, made = {}, []
+    for key in (1, 2, 1, 3):
+        assert dynamics._cached(cache, 2, key, lambda: made.append(key) or -key) == -key
+    assert made == [1, 2, 3] and cache == {2: -2, 3: -3}
+
+
+def test_iterated_state_does_not_depend_on_blas_threads():
+    # the iteration at a converged truncation (a4/s4/m10 at N_th = 1, the
+    # g2scan operating point) gives the same state bits with one and with
+    # two OpenBLAS threads. The LU path is not pinned: above the shipped
+    # sizes it may differ in the last bits (README, BLAS threads)
+    import os
+    import subprocess
+    import sys
+    code = ("import hashlib\n"
+            "from omx import SystemParams, build_rwa, steady_state\n"
+            "p = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,\n"
+            "                 Omega_a=0.01, gamma=0.01, N_th=1.0)\n"
+            "rep = steady_state(build_rwa(p, (4, 4, 10)), check_unique=False)\n"
+            "print(rep.lu_fallback, hashlib.sha256(rep.state.matrix.tobytes()).hexdigest())\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out.append(subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True).stdout)
+    assert out[0].startswith("False ") and out[1] == out[0]
 
 
 def test_lu_fill_below_colamd():
@@ -615,7 +734,7 @@ def _lu_path(model):
     rhs[0] = 1.0
     y = lu.solve(rhs)
     y += lu.solve(rhs - M @ y)
-    return _state(model, idx, y), lu.nnz, _backward_error(M, y, rhs)
+    return _state(model, idx, y), lu.nnz, _backward_error(abs(M), y, rhs - M @ y, rhs)
 
 
 @pytest.mark.parametrize("cap, gamma", [(0, 0.01), (dynamics.REFINE_STEP_CAP, 0.0)],
