@@ -172,17 +172,6 @@ def _triplet(a: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.nda
     return rows, a.indices, a.data
 
 
-def _drive_terms(model: LindbladModel) -> list:
-    """The drive's commutator -i(D kron I - I kron D^T) as _kron_sum
-    terms, D = model.hamiltonian.meta["drive"] (handed over by
-    models.build_rwa and build_full); none for a model without a drive."""
-    drive = model.hamiltonian.meta.get("drive")
-    if drive is None or not drive.matrix.nnz:
-        return []
-    row, col, val = _triplet(drive.matrix)
-    return [((row, col, -1j * val), None), (None, (col, row, 1j * val))]
-
-
 def _check_trace(L: scipy.sparse.csr_matrix, t: np.ndarray) -> None:
     """SolverError unless |t^T L| <= TRACE_PRESERVATION_ATOL columnwise,
     relative to the largest entry of L (at least 1)."""
@@ -262,16 +251,17 @@ class SteadyStateReport:
         blocks whose disc bound falls below it, each measured too (see
         steady_state). None without the check.
     solved_dim: size of the linear system actually solved.
-    lu_nnz: entries SuperLU stores in the L and U factors of the factor
-        the solution was computed with: M0's, or M's after the fallback.
+    lu_nnz: entries SuperLU stores in the L and U factors the solution
+        was computed with: the summed fill of P's level factors, M's when
+        P = M (a model without a drive) or after the fallback.
     fock_tail: population of the top Fock level of each mode, by label,
         read off the diagonal of the state: the truncation's evidence.
     krylov_iterations: GMRES iterations over all refinement steps; 0 for
         a model without a drive, whose corrections need no Krylov step.
     backward_error: componentwise backward error of the solution of M.
     lu_fallback: whether the refinement missed BACKWARD_ERROR_STOP within
-        REFINE_STEP_CAP steps, or M0 was singular, so M was factored and
-        solved instead.
+        REFINE_STEP_CAP steps, or a level block of P was singular, so M
+        was factored and solved instead.
     """
 
     state: DensityMatrix
@@ -307,7 +297,7 @@ def _block_gap(B: scipy.sparse.csr_matrix, lu: _PermutedLU | None) -> float:
     """Smallest |lambda| of a block B of L, measured.
 
     Given lu, the LU of the trace-row system M of the population block B,
-    it is |lambda_1| instead: the largest |mu| of M^-1 P is 1/|lambda_1|
+    it is |lambda_1| instead: the largest |mu| of M^-1 Pi is 1/|lambda_1|
     (see steady_state). Given None, B is factored (_factor) and the largest
     |mu| of B^-1 is 1/min |lambda|; an exactly singular factor gives 0.
     ARPACK finds that |mu| from solves alone (k = 2, since a population
@@ -408,18 +398,21 @@ def _order(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
     N_th = 1. Its perm_c equals splu's own on both and on the largest
     coherence block of displaced (4, 3, 5) (tier-1 test).
     """
-    def make():
-        m = A.shape[0]
-        proxy = (scipy.sparse.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
-                 + m * scipy.sparse.identity(m, format="csc"))
-        ilu = scipy.sparse.linalg.spilu(
-            proxy, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-        perm_c = ilu.perm_c.copy()   # a view into ilu: the copy lets its factors go
-        return np.argsort(perm_c), perm_c
-
     return _cached(_ORDERS, ORDER_CACHE_SIZE,
-                   (A.shape, A.indptr.tobytes(), A.indices.tobytes()), make)
+                   (A.shape, A.indptr.tobytes(), A.indices.tobytes()), lambda: _min_degree(A))
+
+
+def _min_degree(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """(q, perm_c) of _order, computed afresh: the ordering-only ILU of
+    A's diagonally dominant proxy."""
+    m = A.shape[0]
+    proxy = (scipy.sparse.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
+             + m * scipy.sparse.identity(m, format="csc"))
+    ilu = scipy.sparse.linalg.spilu(
+        proxy, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+        diag_pivot_thresh=0.1, options={"SymmetricMode": True})
+    perm_c = ilu.perm_c.copy()   # a view into ilu: the copy lets its factors go
+    return np.argsort(perm_c), perm_c
 
 
 def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
@@ -455,9 +448,13 @@ def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
     three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
     """
     q, perm_c = _order(A)
-    lu = scipy.sparse.linalg.splu(A[q][:, q], permc_spec="NATURAL", diag_pivot_thresh=0.1,
-                                  options={"SymmetricMode": True})
-    return _PermutedLU(lu, q, perm_c)
+    return _PermutedLU(_splu(A[q][:, q]), q, perm_c)
+
+
+def _splu(A: scipy.sparse.csc_matrix):
+    """SuperLU's factor of A in its natural order, with _factor's pivoting."""
+    return scipy.sparse.linalg.splu(A, permc_spec="NATURAL", diag_pivot_thresh=0.1,
+                                    options={"SymmetricMode": True})
 
 
 def _coherence_gap(L: scipy.sparse.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
@@ -483,7 +480,8 @@ def _coherence_gap(L: scipy.sparse.csr_matrix, labels: np.ndarray, n: int, floor
 
 class _BlockPlan:
     """The symbolic half of L's population block, a function of the
-    sparsity patterns of the generator's factors alone (see steady_state).
+    sparsity patterns of the generator's factors and of the photon number
+    handed over with the drive (see steady_state).
 
     idx: the block's entries, sorted: the connected component of entry
         (0,0) in the structural pattern of L, the pattern before exact
@@ -495,16 +493,13 @@ class _BlockPlan:
     off_diagonal: which of the block's stored entries lie off its diagonal.
     m_src, m_indptr, m_indices: the trace-row system M of the block in CSC
         order, entry k taken from [1 at each of pops, block values][m_src[k]].
-    drive: the _Sums of the drive's commutator on M's rows 1..m-1, in
-        M's CSC order, and the slots of M's entries they land on; None
-        for a model without a drive. The structure comes from the same
-        factor patterns, so the slots exist: only where an entry of H
-        cancels exactly against the decay could a drive entry fall off
-        them, and such an entry is left out of M0.
+    order: the photon order N_i + N_j of each entry |i><j| of the block,
+        N = photons; None for a model without a drive.
+    levels: the _Levels of M under that order, or None.
     All of it is block-sized: no array of the n^2 space outlives __init__.
     """
 
-    def __init__(self, terms: list, drive: list, n: int):
+    def __init__(self, terms: list, photons: np.ndarray | None, n: int):
         rows, cols = _kron_sum(terms, n)[:2]
         labels = _component_labels(
             scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * n, n * n)))
@@ -526,19 +521,14 @@ class _BlockPlan:
             (ids.astype(float), np.concatenate([self.pops, indices[row0:]]),
              np.concatenate([[0], k + indptr[1:] - row0])), shape=(m, m)).tocsc()
         self.m_src, self.m_indptr, self.m_indices = M.data.astype(np.intp), M.indptr, M.indices
-        self.drive = None
-        if drive:
-            rows, cols = _kron_sum(drive, n)[:2]
-            r, c = pos[rows], pos[cols]
-            sel = np.flatnonzero((r > 0) & (c >= 0))   # row 0 is the trace row
-            sums = _sums(drive, n, sel, c[sel], r[sel], m)
-            keys, m_keys = _keys(sums.indptr, sums.indices, m), _keys(M.indptr, M.indices, m)
-            slot = np.searchsorted(m_keys, keys).clip(max=m_keys.size - 1)
-            found = m_keys[slot] == keys
-            self.drive = (sums, slot[found], found)
+        self.order = self.levels = None
+        if photons is not None:
+            i, j = np.divmod(self.idx, n)
+            self.order = photons[i] + photons[j]
+            self.levels = _Levels(M, self.order)
 
-    def assemble(self, terms: list, drive: list, n: int) -> tuple:
-        """(idx, Lc, M, M0) of steady_state for a model with these factor
+    def assemble(self, terms: list, n: int) -> tuple:
+        """(idx, Lc, M, P) of steady_state for a model with these factor
         patterns: the values of its terms summed onto the block, the
         block's trace check, and the population sector inside the block."""
         m = self.idx.size
@@ -546,15 +536,9 @@ class _BlockPlan:
         Lc = scipy.sparse.csr_matrix((vals, self.block.indices.copy(), self.block.indptr.copy()),
                                      shape=(m, m))
         src = np.concatenate([np.ones(self.pops.size), vals])[self.m_src]
-        M = M0 = scipy.sparse.csc_matrix((src, self.m_indices.copy(), self.m_indptr.copy()),
-                                         shape=(m, m))
-        if self.drive is not None:
-            sums, slot, found = self.drive
-            undriven = src.copy()
-            undriven[slot] -= _summed(_factor_values(drive, n), sums)[found]
-            M0 = scipy.sparse.csc_matrix(
-                (undriven, self.m_indices.copy(), self.m_indptr.copy()), shape=(m, m))
-            M0.eliminate_zeros()
+        M = scipy.sparse.csc_matrix((src, self.m_indices.copy(), self.m_indptr.copy()),
+                                    shape=(m, m))
+        P = None if self.levels is None else self.levels.gather(src)
         # entries that cancel exactly are dropped, as liouvillian drops them
         M.eliminate_zeros()
         split = np.any((vals == 0) & self.off_diagonal)
@@ -572,8 +556,88 @@ class _BlockPlan:
             if idx.size < m:
                 sub = np.searchsorted(self.idx, idx)
                 Lc, M = Lc[sub][:, sub], M[sub][:, sub]
-                M0 = M if self.drive is None else M0[sub][:, sub]
-        return idx, Lc, M, M0
+                if P is not None:
+                    P = _Levels(M, self.order[sub]).gather(M.data)
+        return idx, Lc, M, P
+
+
+class _Levels:
+    """The structure of P, the photon-order block-lower-triangular part of
+    a trace-row system M (see steady_state): the entries of M whose column
+    has a photon order at most its row's.
+
+    perm: M's entries in level order, each level a contiguous slice
+        bounds[l]:bounds[l + 1], and within it in the minimum-degree order
+        of its diagonal block (_min_degree on the block's pattern), kept
+        here so that no level goes through _order's cache.
+    diag, lower: for each level, the diagonal block of M[perm][:, perm]
+        in CSC and the block of its rows left of it in CSR, each as
+        (slots, indices, indptr, shape), slots the positions of their
+        entries in M's CSC data.
+    """
+
+    def __init__(self, M: scipy.sparse.csc_matrix, order: np.ndarray):
+        pos = scipy.sparse.csc_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr),
+                                      shape=M.shape)   # 1 + the position of each entry
+        perm = np.argsort(order, kind="stable")
+        self.bounds = np.append(np.flatnonzero(np.diff(order[perm], prepend=-1)), order.size)
+        spans = list(zip(self.bounds[:-1], self.bounds[1:]))
+        A = pos[perm][:, perm]
+        for s, e in spans:
+            perm[s:e] = perm[s:e][_min_degree(A[s:e, s:e])[0]]
+        A = pos[perm][:, perm]
+        self.perm, self.diag, self.lower = perm, [], []
+        for s, e in spans:
+            for out, block in ((self.diag, A[s:e, s:e]), (self.lower, A[s:e, :s].tocsr())):
+                block.sort_indices()
+                out.append((block.data.astype(np.intp) - 1, block.indices, block.indptr,
+                            block.shape))
+
+    def gather(self, data: np.ndarray) -> _LevelSystem:
+        """P of the M whose CSC data is data, its exact zeros dropped."""
+        zeros = not data.all()
+        blocks = []
+        for fmt, parts in ((scipy.sparse.csc_matrix, self.diag),
+                           (scipy.sparse.csr_matrix, self.lower)):
+            blocks.append([])
+            for slots, indices, indptr, shape in parts:
+                if zeros:   # dropped in place, so not on the plan's own arrays
+                    b = fmt((data[slots], indices.copy(), indptr.copy()), shape=shape)
+                    b.eliminate_zeros()
+                else:
+                    b = fmt((data[slots], indices, indptr), shape=shape)
+                blocks[-1].append(b)
+        return _LevelSystem(self.perm, self.bounds, *blocks)
+
+
+_LevelSystem = namedtuple("_LevelSystem", "perm bounds diag lower")
+
+
+class _LevelLU:
+    """The exact solve of P = _LevelSystem: each diagonal block factored
+    (_splu, in the level's kept order), and P x = b solved by forward
+    substitution over the levels, each level's block left of the diagonal
+    applied as a sparse product. An exactly singular level block raises
+    RuntimeError, as splu does."""
+
+    def __init__(self, P: _LevelSystem):
+        self.P = P
+        self.lus = [_splu(D) for D in P.diag]
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        P = self.P
+        y = np.asarray(b, complex)[P.perm]
+        for lu, B, s, e in zip(self.lus, P.lower, P.bounds[:-1], P.bounds[1:]):
+            if s:
+                y[s:e] -= B @ y[:s]
+            y[s:e] = lu.solve(y[s:e])
+        x = np.empty_like(y)
+        x[P.perm] = y
+        return x
+
+    @property
+    def nnz(self) -> int:
+        return sum(lu.nnz for lu in self.lus)
 
 
 def _keys(indptr: np.ndarray, indices: np.ndarray, m: int) -> np.ndarray:
@@ -644,19 +708,19 @@ def _summed(values: tuple[np.ndarray, np.ndarray], sums: _Sums) -> np.ndarray:
 
 
 def _population_block(model: LindbladModel) -> tuple:
-    """(idx, Lc, M, M0) of steady_state, from the model's _BlockPlan: made
-    on the first model with its factor patterns and kept, for the last
-    PLAN_CACHE_SIZE pattern sets, under the exact key of every factor's
-    (row, col) arrays."""
+    """(idx, Lc, M, P) of steady_state, from the model's _BlockPlan: made
+    on the first model with its factor patterns and photon numbers
+    (model.hamiltonian.meta["photons"]) and kept, for the last
+    PLAN_CACHE_SIZE such sets, under the exact key of the photon numbers
+    and of every factor's (row, col) arrays."""
     n = model.space.total_dim
-    terms, drive = _generator_terms(model), _drive_terms(model)
-    key = (n,) + tuple(tuple(None if f is None else
-                             (np.asarray(f[0], np.int64).tobytes(),
-                              np.asarray(f[1], np.int64).tobytes()) for f in term)
-                       # (None, None) parts the terms from the drive's
-                       for term in terms + [(None, None)] + drive)
-    plan = _cached(_PLANS, PLAN_CACHE_SIZE, key, lambda: _BlockPlan(terms, drive, n))
-    return plan.assemble(terms, drive, n)
+    terms, photons = _generator_terms(model), model.hamiltonian.meta.get("photons")
+    key = (n, None if photons is None else np.asarray(photons, np.int64).tobytes()) + tuple(
+        tuple(None if f is None else (np.asarray(f[0], np.int64).tobytes(),
+                                      np.asarray(f[1], np.int64).tobytes()) for f in term)
+        for term in terms)
+    plan = _cached(_PLANS, PLAN_CACHE_SIZE, key, lambda: _BlockPlan(terms, photons, n))
+    return plan.assemble(terms, n)
 
 
 def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyStateReport:
@@ -673,47 +737,60 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     (0,0) entry; for a model without such a symmetry it is the whole space.
     Within it the row of the (0,0) matrix element is replaced by the trace
     condition, and the square system M x = e_0 is solved by iterative
-    refinement on the factor of a simpler system M0.
+    refinement on the exact solve of a simpler system P.
     - Only the block is built. Its symbolic part is a _BlockPlan, made
       once per sparsity pattern of the generator's factors (the K_L, K_R
-      and jump triplets that liouvillian writes, and the drive's) and kept
-      for the last PLAN_CACHE_SIZE = 8 patterns under the exact key of
-      their (row, col) arrays, as _order keeps orders. It holds the block's
-      entries, taken from the structural pattern of L (before exact
-      cancellations, so it holds the sector of every point with that
-      pattern); which products of factor entries land in the block, where,
-      and in which order scipy's CSR conversion would add them; and the
-      slots of the trace row and of the drive's commutator in M. A point
-      then forms the block's values, Lc, M and M0, with the bits that
-      slicing liouvillian(model) gives (tier-1 test), checks the block's
-      trace, drops its exact zeros, and labels the block's components
-      when an off-diagonal entry has cancelled or the populations lie
-      outside it, so split populations and cancellations are caught as
-      on the full L. On the g2scan sector (rwa a4/s4/m6, 1216 of 9216
-      entries) the block takes 1.2 to 1.5 ms a point against 7.1 to 8.6 ms
-      for the full L, its labels, the slicing and the drive list (one BLAS
-      thread); the plan takes 6 ms, once. The full
-      liouvillian(model) is built only for check_unique, which needs the
-      blocks outside the sector.
-    - M0 is M without the drive's commutator entries -i(D kron I -
-      I kron D^T), D = model.hamiltonian.meta["drive"] (handed over by
-      models.build_rwa and build_full), with the trace row kept. Without
-      the probe, H conserves the photon number and the collapses only
-      lower it, so M0 is block triangular and its factor is cheap: 19,846
-      stored entries on the g2scan sector (rwa a4/s4/m6, 1216 entries)
-      against 218,844 for M's. For a model without a drive M0 = M.
-    - Factors come from _factor: a minimum-degree column order on the
-      nearly symmetric pattern of A + A^T, kept by threshold pivoting that
-      takes a diagonal pivot down to 0.1 of its column's largest entry.
-      The order is computed from the pattern alone (_order) and cached per
-      pattern, so the points of a scan, which share one pattern, are
-      ordered once.
-    - From x = M0^-1 e_0, each refinement step takes r = e_0 - M x, solves
+      and jump triplets that liouvillian writes) and photon numbers, and
+      kept for the last PLAN_CACHE_SIZE = 8 such sets under their exact
+      key, as _order keeps orders. It holds the block's entries, taken
+      from the structural pattern of L (before exact cancellations, so it
+      holds the sector of every point with that pattern); which products
+      of factor entries land in the block, where, and in which order
+      scipy's CSR conversion would add them; the slots of the trace row in
+      M; and P's levels (_Levels). A point then forms the block's values,
+      Lc, M and P's blocks, with the bits that slicing liouvillian(model)
+      gives (tier-1 test), checks the block's trace, drops its exact
+      zeros, and labels the block's components when an off-diagonal entry
+      has cancelled or the populations lie outside it, so split
+      populations and cancellations are caught as on the full L. On the
+      g2scan sector (rwa a4/s4/m6, 1216 of 9216 entries) the block and P's
+      blocks take 2 to 2.5 ms a point against 7.1 to 8.6 ms for the full
+      L, its labels and the slicing (one BLAS thread); the plan takes
+      18 ms, once. The full liouvillian(model) is built only for
+      check_unique, which needs the blocks outside the sector.
+    - P is the photon-order block-lower-triangular part of M. With
+      N = model.hamiltonian.meta["photons"], the photon number of each
+      basis state (handed over with a nonzero drive by models.build_rwa,
+      n_a + n_s, and build_full, n_c1 + n_c2), the entry |i><j| has the
+      order c = N_i + N_j. The undriven H conserves N and the collapses
+      never raise it, so M's entries run from order c to c (H, the decay,
+      N-conserving jumps), from c - 1 to c and from c + 1 to c (the
+      drive), and from c + 2 to c (the photon jumps), besides the trace
+      row. P keeps those whose column's order is at most the row's: the
+      diagonal level blocks and the drive's raising entries, the source
+      of each photon order in the weak-drive hierarchy (Bamba et al., PRA
+      83, 021802(R) (2011)). It drops the jumps, the drive's lowering
+      entries and the trace row's populations above order 0. P is block
+      lower triangular over the levels, so it is solved exactly by
+      forward substitution (_LevelLU): only the diagonal level blocks are
+      factored, each in a minimum-degree order of its pattern kept in the
+      plan, and each block left of the diagonal is applied as a sparse
+      product. On the g2scan sector that is 13 levels whose factors store
+      9,015 entries in all, against 218,844 for M's. For a model without
+      a drive (no meta["photons"]) P = M.
+    - M's factor, for the check and the fallback, comes from _factor: a
+      minimum-degree column order on the nearly symmetric pattern of
+      A + A^T, kept by threshold pivoting that takes a diagonal pivot down
+      to 0.1 of its column's largest entry (the level blocks are factored
+      with the same pivoting). The order is computed from the pattern
+      alone (_order) and cached per pattern, so the points of a scan,
+      which share one pattern, are ordered once.
+    - From x = P^-1 e_0, each refinement step takes r = e_0 - M x, solves
       M d = r by one GMRES cycle (at most KRYLOV_RESTART iterations, to
-      KRYLOV_RTOL of |r|) preconditioned by M0's factor, and sets x += d:
-      GMRES-based iterative refinement on an exact factor of a nearby
+      KRYLOV_RTOL of |r|) preconditioned by P's solve, and sets x += d:
+      GMRES-based iterative refinement on an exact solve of a nearby
       system (Carson & Higham, SIAM J. Sci. Comput. 39, A2834 (2017)). With
-      M0 = M the factor is exact and the step is x += M^-1 r itself
+      P = M the factor is exact and the step is x += M^-1 r itself
       (Skeel, Math. Comp. 35, 817 (1980)), with no Krylov iteration.
     - The steps stop when the componentwise backward error
       omega = max_i |r_i| / (|M||x| + |e_0|)_i (Oettli & Prager, Numer.
@@ -725,22 +802,29 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
       errors far larger than rounding in them leave it untouched (at
       N_th = 1 with m10, an un-refined COLAMD LU puts g2 5.9e-6 to 6.9e-6
       relative off at a residual of 1.4e-16). Run on past the stop, omega
-      levels off between 2e-16 and 3e-13 at the nine g2scan points and
-      wanders there from step to step: a stop at 8 eps = 1.8e-15 falls
-      back at 7 of them. 1e-12 is the first decade above that floor.
-      At the stop, g2 agrees with the LU of M to 6.1e-15 relative over the
-      161 points of configs/antibunching_g2scan.cfg.
+      levels off between 1.5e-16 and 5.3e-14 at the nine g2scan points
+      and wanders there from step to step. 1e-12 was set as the first
+      decade above the floor of a preconditioner without the drive
+      entries (3e-13), and it keeps that margin. At the stop, g2 agrees
+      with the LU of M to 4.2e-15 relative over the 161 points of
+      configs/antibunching_g2scan.cfg.
     - Without the stop after REFINE_STEP_CAP = 8 steps, or with an exactly
-      singular M0, M is factored and solved with one refinement step on
-      its own factor, and report.lu_fallback says so. A solution that is
-      not finite raises SolverError at once, from either factor and
-      before any Krylov step: it is never retried.
-    - The iteration converges at strong drive too (Omega_a = 0.1 to 1
-      kappa on the g2scan point, g2 within 1e-12 of the LU), with more
-      Krylov iterations: about 25 at 0.01 kappa, 37 at 0.1 kappa and 60 at
-      kappa.
-    Every factor is a function of its own matrix and the iteration of M
-    and M0, so the result is a function of the model alone, whatever was
+      singular level block (say, undamped phonons), M is factored and
+      solved with one refinement step on its own factor, and
+      report.lu_fallback says so. A solution that is not finite raises
+      SolverError at once, from any factor and before any Krylov step: it
+      is never retried.
+    - The g2scan points take 8 to 12 Krylov iterations in all (23 to 28
+      with the drive left out of the preconditioner), and the thermal
+      sectors fewer: 3 at N_th = 1 with m10, m20, and a5/s5/m20 (11,500
+      entries, 0.15 s, where the drive-free preconditioner fell back to
+      M's LU after 8 stalled steps, about 6 s). The iteration converges at
+      strong drive too (Omega_a = 0.1 to 1 kappa on the g2scan point, g2
+      within 1e-12 of the LU), with more: 11 at 0.1 kappa, 15 at 0.3 kappa
+      and 25 at kappa.
+    Every factor is a function of its own matrix and order, each order a
+    function of a pattern, and the iteration a function of M and P, so the
+    result is a function of the model alone, whatever was
     solved before it in the process: the same for any point order or
     number of jobs. The residual |L x| is checked on the n^2 vector: the
     block's product, scattered into it, has the bits of the full product,
@@ -771,10 +855,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     inverse from solves alone, or a dense eigvals does for a small block.
     - The population block's |lambda_1| is measured with the LU of M, the
       one factorization the check adds (none for a model without a drive,
-      whose solve uses that factor too). With P = I - e_0 e_0^T,
+      whose solve uses that factor too). With Pi = I - e_0 e_0^T,
       let L_CC v = lambda v with lambda != 0. Then t_C^T v = 0, since
-      t_C^T L_CC = 0, so M v = lambda P v and M^-1 P v = v / lambda; with
-      M^-1 P e_0 = 0 the spectrum of M^-1 P is {0} and the 1/lambda. Its
+      t_C^T L_CC = 0, so M v = lambda Pi v and M^-1 Pi v = v / lambda; with
+      M^-1 Pi e_0 = 0 the spectrum of M^-1 Pi is {0} and the 1/lambda. Its
       largest |mu| is 1/|lambda_1|.
     - Every other block B would need a factor of its own, so it is measured
       only where a proven bound falls short. Since L(X^dag) = L(X)^dag
@@ -804,7 +888,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     # the check's full L comes first, so that its assembly's peak adds to
     # nothing of the block's
     L = liouvillian(model) if check_unique else None
-    idx, Lc, M, M0 = _population_block(model)
+    idx, Lc, M, P = _population_block(model)
     m = idx.size
     lu = gap = None   # lu: the factor of M, made for the check or the fallback only
     if check_unique:
@@ -820,10 +904,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
     try:
-        lu0 = lu if M0 is M and lu else _factor(M0)
-    except RuntimeError:   # an exactly singular M0 (say, undamped phonons): solve M instead
+        lu0 = (lu or _factor(M)) if P is None else _LevelLU(P)
+    except RuntimeError:   # an exactly singular factor (say, undamped phonons): solve M instead
         lu0 = None
-    y, krylov, omega = (None, 0, np.inf) if lu0 is None else _refine(M, M0, lu0, rhs)
+    y, krylov, omega = (None, 0, np.inf) if lu0 is None else _refine(M, lu0, rhs, P is None)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
         lu0 = lu or _factor_trace_system(M)
@@ -859,24 +943,6 @@ def _factor_trace_system(M: scipy.sparse.csc_matrix) -> _PermutedLU:
         ) from exc
 
 
-def _undriven(M: scipy.sparse.csc_matrix, model: LindbladModel,
-              idx: np.ndarray) -> scipy.sparse.csc_matrix:
-    """M0 by subtraction, the oracle of _BlockPlan's: the trace-row system
-    M without the drive's commutator entries (_drive_terms) on the sector
-    idx, the trace row kept. They cancel M's own entries exactly, so the
-    subtraction drops them from the pattern. M itself when the model has no
-    drive."""
-    terms = _drive_terms(model)
-    if not terms:
-        return M
-    rows, cols, vals = _kron_sum(terms, model.space.total_dim)
-    pos = np.full(model.space.total_dim ** 2, -1)
-    pos[idx] = np.arange(idx.size)
-    rows, cols = pos[rows], pos[cols]
-    keep = (rows > 0) & (cols >= 0)   # row 0 is the trace row
-    return M - scipy.sparse.csc_matrix((vals[keep], (rows[keep], cols[keep])), shape=M.shape)
-
-
 def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray,
                     rhs: np.ndarray) -> float:
     """Componentwise backward error max_i |r_i| / (|M||x| + |rhs|)_i of x,
@@ -890,16 +956,16 @@ def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray
     return float(ratio.max())
 
 
-def _refine(M: scipy.sparse.csc_matrix, M0: scipy.sparse.csc_matrix, lu0: _PermutedLU,
-            rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray,
+            exact: bool) -> tuple[np.ndarray, int, float]:
     """(x, Krylov iterations, backward error): M x = rhs by iterative
-    refinement from x = M0^-1 rhs, each correction a GMRES solve of M
-    preconditioned by lu0, the factor of M0; with M0 = M the factor is
-    exact and the correction is M^-1 r itself (see steady_state). |M| is
-    formed once, and each step's residual serves both its backward error
-    and its correction."""
+    refinement from x = lu0.solve(rhs), each correction a GMRES solve of M
+    preconditioned by lu0, the exact solve of P; when lu0 is exact, the
+    factor of M itself, the correction is M^-1 r (see steady_state). |M|
+    is formed once, and each step's residual serves both its backward
+    error and its correction."""
     krylov = []
-    if M0 is M:
+    if exact:
         correct = lu0.solve
     else:
         precond = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)

@@ -116,8 +116,9 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
     with Delta_c = (Delta_s + Delta_a)/2 the detuning from the bare cavity
     frequency, and local drive amplitudes Omega_{1,2} = (Omega_s +-
     Omega_a)/sqrt(2). Dissipation: kappa D[c_i] per cavity and thermal
-    contact on the mechanical mode. A nonzero drive part of H is handed
-    over as H.meta["drive"] (see dynamics.steady_state).
+    contact on the mechanical mode. With a nonzero drive the photon number
+    n1 + n2 of each basis state is handed over as H.meta["photons"] (see
+    dynamics.steady_state).
     """
     params.require("omega_m", "J")
     if params.Delta_s is None or params.Delta_a is None:
@@ -135,7 +136,7 @@ def build_full(params: SystemParams, truncations=None) -> LindbladModel:
         h = h + d
     h = h + params.omega_m * (b.dag() @ b) + params.g0 * ((c1.dag() @ c1) @ (b + b.dag()))
     if drives:
-        h.meta["drive"] = sum(drives[1:], drives[0])
+        h.meta["photons"] = space.occupations[0] + space.occupations[1]
     cols = [(c1, params.kappa), (c2, params.kappa)]
     cols += _thermal_collapses(b, params)
     return LindbladModel(h, cols)
@@ -146,8 +147,9 @@ def _three_mode(name: str, params: SystemParams, truncations, couplings) -> Lind
     diagonal -Delta_s n_s - Delta_a n_a + omega_m n_m, kappa on both
     cavities and m's thermal contact. couplings(params), the builder's
     _hamiltonian terms as (couplings, drives), runs between the parameter
-    checks and the space. A nonzero drive part D of H is handed over as
-    H.meta["drive"] (see dynamics.steady_state)."""
+    checks and the space. With a nonzero drive the photon number
+    n_a + n_s of each basis state is handed over as H.meta["photons"] (see
+    dynamics.steady_state)."""
     params.require("omega_m")
     if params.Delta_s is None or params.Delta_a is None:
         raise ValueError(f"{name} needs Delta_s and Delta_a")
@@ -157,7 +159,7 @@ def _three_mode(name: str, params: SystemParams, truncations, couplings) -> Lind
     h = _hamiltonian(space, -params.Delta_s * n_s - params.Delta_a * n_a + params.omega_m * n_m,
                      terms + drives)
     if any(g for g, _ in drives):
-        h.meta["drive"] = _hamiltonian(space, np.zeros(space.total_dim), drives)
+        h.meta["photons"] = n_a + n_s
     a, s, b = (annihilator(space, l) for l in ("a", "s", "m"))
     return LindbladModel(h, [(a, params.kappa), (s, params.kappa)] + _thermal_collapses(b, params))
 
@@ -170,7 +172,8 @@ def build_rwa(params: SystemParams, truncations=None) -> LindbladModel:
         + Omega_s (c_s + c_s').
     The matrix element <0_a 1_s 1_m|H|1_a 0_s 0_m> equals g0/2, and the
     general transition amplitude scales as (g0/2) sqrt(n_a (n_s+1)(n_m+1)).
-    The drive part of H is handed over as H.meta["drive"].
+    With a drive, the photon number n_a + n_s is handed over as
+    H.meta["photons"].
     """
     return _three_mode("build_rwa", params, truncations, lambda p: (
         [(0.5 * p.g0, {"a": -1, "s": 1, "m": 1})],   # c_a c_s' b'

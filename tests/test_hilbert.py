@@ -277,6 +277,49 @@ def test_density_matrix_validation():
         DensityMatrix(space, np.diag([1.5, -0.5]))
 
 
+def _scattered_blocks():
+    # a Hermitian 6 x 6 of four blocks, {0, 3}, {1, 5}, {2} and {4}, whose
+    # entries interleave; the {0, 3} block has eigenvalue 0.2 - sqrt(0.0725)
+    h = np.zeros((6, 6), dtype=complex)
+    h[np.ix_([0, 3], [0, 3])] = [[0.3, 0.25], [0.25, 0.1]]
+    h[np.ix_([1, 5], [1, 5])] = [[0.2, 0.05j], [-0.05j, 0.1]]
+    h[2, 2] = h[4, 4] = 0.15
+    return h
+
+
+def test_positivity_is_checked_block_by_block():
+    # the smallest eigenvalue is taken over the blocks of the exact-zero
+    # pattern: a block that is not positive still raises, with the value
+    # a dense eigvalsh gives; a state of one block takes that eigvalsh itself
+    from omx.hilbert import _min_eigenvalue
+    space = ModeSpace([("a", 2), ("m", 3)])
+    h = _scattered_blocks()
+    w = np.linalg.eigvalsh(h).min()
+    assert w == pytest.approx(0.2 - np.sqrt(0.0725), rel=1e-14)
+    assert _min_eigenvalue(h) == pytest.approx(w, rel=1e-14, abs=0.0)
+    with pytest.raises(ValueError, match=f"negative eigenvalue {w:.2e}"):
+        DensityMatrix(space, h)
+    rng = np.random.default_rng(3)
+    a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    dense = a @ a.conj().T
+    assert _min_eigenvalue(dense) == np.linalg.eigvalsh(dense).min()
+    DensityMatrix(space, dense / np.trace(dense).real)   # positive: no error
+
+
+def test_block_minimum_matches_the_dense_one_on_a_steady_state():
+    # the rotating-wave steady state splits into one block per n_s - n_m
+    from scipy.sparse.csgraph import connected_components
+
+    from omx import SystemParams, build_rwa, steady_state
+    from omx.hilbert import _min_eigenvalue
+    p = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
+                     Omega_a=0.01, gamma=0.01, N_th=0.3)
+    rho = steady_state(build_rwa(p, (3, 3, 4)), check_unique=False).state.matrix
+    h = 0.5 * (rho + rho.conj().T)
+    assert connected_components(sp.csr_matrix(h != 0), directed=False)[0] > 1
+    assert _min_eigenvalue(h) == pytest.approx(np.linalg.eigvalsh(h).min(), rel=0.0, abs=1e-15)
+
+
 def test_thermal_state_per_mode_occupations():
     space = ModeSpace([("a", 2), ("m", thermal_dim(0.5))])
     rho = thermal_state(space, {"m": 0.5})  # unspecified modes default to 0

@@ -596,17 +596,31 @@ def test_each_call_derives_its_frame_once(call):
     assert sum("cross-terms" in str(w.message) for w in caught) == 1
 
 
-@pytest.mark.parametrize("build, dims", [(build_rwa, (3, 3, 4)), (build_full, (3, 3, 4))],
+@pytest.mark.parametrize("build, dims, cavities",
+                         [(build_rwa, (3, 3, 4), ("a", "s")), (build_full, (3, 3, 4), ("c1", "c2"))],
                          ids=["rwa", "full"])
-def test_drive_part_is_handed_over(build, dims):
-    # meta["drive"] is H minus H at zero drive; without a drive there is none
+def test_drive_part_is_handed_over(build, dims, cavities):
+    # meta["photons"] is the photon number of each basis state, handed over
+    # with a drive only: H at zero drive conserves it, the drive part of H
+    # changes it by exactly one, and no collapse raises it
     p = SystemParams(g0=1.5, kappa=1.0, omega_m=8.0, J=4.0, Delta_a=0.5,
                      Omega_a=0.02, Omega_s=0.03, gamma=0.3, N_th=0.2)
-    h = build(p, dims).hamiltonian
+    model = build(p, dims)
+    h, space = model.hamiltonian, model.space
     undriven = build(p.replace(Omega_a=0.0, Omega_s=0.0), dims).hamiltonian
-    assert "drive" not in undriven.meta
-    assert abs(h.matrix - undriven.matrix - h.meta["drive"].matrix).max() <= 1e-15
-    assert "drive" not in build_displaced(_KERR, dims).hamiltonian.meta
+    assert "photons" not in undriven.meta
+    photons = h.meta["photons"]
+    assert np.array_equal(photons, sum(space.occupations[space.index(c)] for c in cavities))
+    u = undriven.matrix.tocoo()
+    assert np.array_equal(photons[u.row], photons[u.col])
+    d = (h.matrix - undriven.matrix).tocoo()
+    moved = d.data != 0
+    assert moved.any()
+    assert np.all(np.abs(photons[d.row[moved]] - photons[d.col[moved]]) == 1)
+    for op, _ in model.collapses:
+        c = op.matrix.tocoo()
+        assert np.all(photons[c.row] <= photons[c.col])
+    assert "photons" not in build_displaced(_KERR, dims).hamiltonian.meta
 
 
 # ----------------------------------------------------------- nonhermitian ---
