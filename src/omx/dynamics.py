@@ -293,7 +293,7 @@ def _sector(labels: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def _block_gap(B: scipy.sparse.csr_matrix, lu: _PermutedLU | None) -> float:
+def _block_gap(B: scipy.sparse.csr_matrix, lu: _LevelLU | None) -> float:
     """Smallest |lambda| of a block B of L, measured.
 
     Given lu, the LU of the trace-row system M of the population block B,
@@ -345,9 +345,7 @@ def _disc_bounds(L: scipy.sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
     return np.maximum(rows, cols)
 
 
-ORDER_CACHE_SIZE = 16
 PLAN_CACHE_SIZE = 8
-_ORDERS: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 _PLANS: dict[tuple, _BlockPlan] = {}
 
 
@@ -363,60 +361,35 @@ def _cached(cache: dict, size: int, key: tuple, make):
     return hit
 
 
-class _PermutedLU:
-    """The LU of A[q][:, q] (SuperLU's), solving A x = b: b is permuted in
-    and the solution out."""
+def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
+    """q such that A[q][:, q] is A in SuperLU's minimum-degree column order
+    perm_c on the pattern of A + A^T (q = argsort(perm_c)): a function of
+    A's pattern alone.
 
-    def __init__(self, lu, q: np.ndarray, perm_c: np.ndarray):
-        self.lu, self.q, self.perm_c = lu, q, perm_c
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return self.lu.solve(b[self.q])[self.perm_c]
-
-    @property
-    def nnz(self) -> int:
-        return self.lu.nnz
-
-
-def _order(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(q, perm_c) for A: SuperLU's minimum-degree column order perm_c on
-    the pattern of A + A^T, and q = argsort(perm_c), so that A[q][:, q] is
-    A in that order. The order is a function of the pattern alone, so it is
-    computed once per pattern and kept, for the last ORDER_CACHE_SIZE = 16
-    patterns, under the exact key (shape, indptr bytes, indices bytes);
-    _cached, the one bounded cache, drops the oldest pattern first and
-    serves steady_state's _BlockPlan too.
-
-    scipy computes no order without a factorization, so on a miss it comes
-    from an incomplete LU of a proxy with A's pattern: unit entries plus m
-    on the diagonal, strictly diagonally dominant (a row holds at most
-    m - 1 off-diagonal entries), so nothing is singular and drop_tol = 1
-    keeps little more than the diagonal. The ILU orders as splu does (the
-    same minimum degree and elimination-tree postorder, from the pattern
-    only) at a fraction of its cost: 7.3 ms against 26.5 ms for the LU of
-    the g2scan sector (rwa a4/s4/m6), 18 ms against 130 ms at m10 with
+    scipy computes no order without a factorization, so it comes from an
+    incomplete LU of a proxy with A's pattern: unit entries plus m on the
+    diagonal, strictly diagonally dominant (a row holds at most m - 1
+    off-diagonal entries), so nothing is singular and drop_tol = 1 keeps
+    little more than the diagonal. The ILU orders as splu does (the same
+    minimum degree and elimination-tree postorder, from the pattern only)
+    at a fraction of its cost: 7.3 ms against 26.5 ms for the LU of the
+    g2scan sector (rwa a4/s4/m6), 18 ms against 130 ms at m10 with
     N_th = 1. Its perm_c equals splu's own on both and on the largest
     coherence block of displaced (4, 3, 5) (tier-1 test).
     """
-    return _cached(_ORDERS, ORDER_CACHE_SIZE,
-                   (A.shape, A.indptr.tobytes(), A.indices.tobytes()), lambda: _min_degree(A))
-
-
-def _min_degree(A: scipy.sparse.csc_matrix) -> tuple[np.ndarray, np.ndarray]:
-    """(q, perm_c) of _order, computed afresh: the ordering-only ILU of
-    A's diagonally dominant proxy."""
     m = A.shape[0]
     proxy = (scipy.sparse.csc_matrix((np.ones(A.nnz), A.indices, A.indptr), shape=A.shape)
              + m * scipy.sparse.identity(m, format="csc"))
     ilu = scipy.sparse.linalg.spilu(
         proxy, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
         diag_pivot_thresh=0.1, options={"SymmetricMode": True})
-    perm_c = ilu.perm_c.copy()   # a view into ilu: the copy lets its factors go
-    return np.argsort(perm_c), perm_c
+    return np.argsort(ilu.perm_c)
 
 
-def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
-    """Sparse LU of a block of L, or of its trace-row system.
+def _factor(A: scipy.sparse.csc_matrix) -> _LevelLU:
+    """Sparse LU of a block of L, or of its trace-row system: the _LevelLU
+    of A as a one-level P, A[q][:, q] in the order q = _min_degree(A),
+    computed afresh on each call.
 
     The column order is a minimum degree on the pattern of A + A^T: the
     -i[H, rho] part of L has a symmetric pattern and only the c rho c^dag
@@ -431,24 +404,21 @@ def _factor(A: scipy.sparse.csc_matrix) -> _PermutedLU:
     | 4 coherence blocks, displaced (4, 3, 5) | 92,238 | 161,734 | 114,126 |
     | 7 coherence blocks, displaced (4, 3, 8) | 457,671 | 763,991 | 682,691 |
 
-    The order comes from _order, cached per sparsity pattern, and every
-    system is factored on it, the first of a pattern included: SuperLU
-    factors A[q][:, q] in its natural order, with the same pivoting, and
-    never orders anything itself. A scan's points share one pattern (only
-    diagonal values such as Delta_a change), so they share one ordering
-    pass; at the g2scan sector the LU takes 20.9 ms against 26.5 ms when
-    SuperLU orders each point (medians of 135 interleaved pairs, one BLAS
-    thread, 2-vCPU host), and the fill is the same. Since the order is a
+    SuperLU factors A[q][:, q] in its natural order, with the same
+    pivoting, and never orders anything itself. Since the order is a
     function of A's pattern, the factor of A is a function of A alone: its
-    bits cannot depend on which system came first, on the cache or on how
-    a scan is split over processes.
+    bits cannot depend on which system came first or on how a scan is
+    split over processes. It serves the fallback, the coherence blocks of
+    _block_gap and the uniqueness check's M where P is not M; the solve's
+    own factors are P's level blocks, whose orders the _BlockPlan keeps.
 
     steady_state repays the weaker pivoting with refinement steps. The
     gap of _coherence_gap moves by less than 5e-15 relative between the
     three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
     """
-    q, perm_c = _order(A)
-    return _PermutedLU(_splu(A[q][:, q]), q, perm_c)
+    q = _min_degree(A)
+    # one level: nothing lies left of its diagonal block
+    return _LevelLU(_LevelSystem(q, np.array([0, A.shape[0]]), [A[q][:, q]], [None]))
 
 
 def _splu(A: scipy.sparse.csc_matrix):
@@ -489,13 +459,17 @@ class _BlockPlan:
         factor patterns.
     pops: positions of the populations |i><i| in the block; fewer than n
         when they split structurally.
-    block: the _Sums of L's terms on the block, in CSR order.
+    row, col, left, right: each contribution of _kron_sum(terms, n) that
+        lands in the block, in the list's order: its block coordinates,
+        and the positions of its two factors in the value arrays of
+        _factor_values.
     off_diagonal: which of the block's stored entries lie off its diagonal.
     m_src, m_indptr, m_indices: the trace-row system M of the block in CSC
         order, entry k taken from [1 at each of pops, block values][m_src[k]].
     order: the photon order N_i + N_j of each entry |i><j| of the block,
-        N = photons; None for a model without a drive.
-    levels: the _Levels of M under that order, or None.
+        N = photons; 0 throughout for a model without a drive.
+    levels: the _Levels of M under that order: one level, P = M, for a
+        model without a drive.
     All of it is block-sized: no array of the n^2 space outlives __init__.
     """
 
@@ -510,8 +484,12 @@ class _BlockPlan:
         pos[self.idx] = np.arange(m)
         self.pops = pos[:: n + 1][pos[:: n + 1] >= 0]
         sel = np.flatnonzero(pos[rows] >= 0)   # a component: its rows' columns are in it
-        self.block = _sums(terms, n, sel, pos[rows[sel]], pos[cols[sel]], m)
-        indptr, indices = self.block.indptr, self.block.indices
+        self.left, self.right = _factor_positions(terms, n, sel)
+        block = scipy.sparse.coo_matrix((np.ones(sel.size), (pos[rows[sel]], pos[cols[sel]])),
+                                        shape=(m, m))
+        self.row, self.col = block.row, block.col
+        block = block.tocsr()
+        indptr, indices = block.indptr, block.indices
         self.off_diagonal = indices != np.repeat(np.arange(m), np.diff(indptr))
         # M replaces L's row 0 by the trace row; a CSC conversion of the
         # entry numbers gives each stored entry of M its source
@@ -521,24 +499,26 @@ class _BlockPlan:
             (ids.astype(float), np.concatenate([self.pops, indices[row0:]]),
              np.concatenate([[0], k + indptr[1:] - row0])), shape=(m, m)).tocsc()
         self.m_src, self.m_indptr, self.m_indices = M.data.astype(np.intp), M.indptr, M.indices
-        self.order = self.levels = None
-        if photons is not None:
-            i, j = np.divmod(self.idx, n)
-            self.order = photons[i] + photons[j]
-            self.levels = _Levels(M, self.order)
+        photons = np.zeros(n, int) if photons is None else np.asarray(photons)
+        i, j = np.divmod(self.idx, n)
+        self.order = photons[i] + photons[j]
+        self.levels = _Levels(M, self.order)
 
     def assemble(self, terms: list, n: int) -> tuple:
         """(idx, Lc, M, P) of steady_state for a model with these factor
         patterns: the values of its terms summed onto the block, the
         block's trace check, and the population sector inside the block."""
         m = self.idx.size
-        vals = _summed(_factor_values(terms, n), self.block)
-        Lc = scipy.sparse.csr_matrix((vals, self.block.indices.copy(), self.block.indptr.copy()),
-                                     shape=(m, m))
+        left, right = _factor_values(terms, n)
+        # scipy sums the products as liouvillian's conversion does, in the
+        # same order (see steady_state)
+        Lc = scipy.sparse.coo_matrix((left[self.left] * right[self.right], (self.row, self.col)),
+                                     shape=(m, m)).tocsr()
+        vals = Lc.data
         src = np.concatenate([np.ones(self.pops.size), vals])[self.m_src]
         M = scipy.sparse.csc_matrix((src, self.m_indices.copy(), self.m_indptr.copy()),
                                     shape=(m, m))
-        P = None if self.levels is None else self.levels.gather(src)
+        P = self.levels.gather(src)
         # entries that cancel exactly are dropped, as liouvillian drops them
         M.eliminate_zeros()
         split = np.any((vals == 0) & self.off_diagonal)
@@ -556,8 +536,7 @@ class _BlockPlan:
             if idx.size < m:
                 sub = np.searchsorted(self.idx, idx)
                 Lc, M = Lc[sub][:, sub], M[sub][:, sub]
-                if P is not None:
-                    P = _Levels(M, self.order[sub]).gather(M.data)
+                P = _Levels(M, self.order[sub]).gather(M.data)
         return idx, Lc, M, P
 
 
@@ -568,8 +547,7 @@ class _Levels:
 
     perm: M's entries in level order, each level a contiguous slice
         bounds[l]:bounds[l + 1], and within it in the minimum-degree order
-        of its diagonal block (_min_degree on the block's pattern), kept
-        here so that no level goes through _order's cache.
+        of its diagonal block (_min_degree on the block's pattern).
     diag, lower: for each level, the diagonal block of M[perm][:, perm]
         in CSC and the block of its rows left of it in CSR, each as
         (slots, indices, indptr, shape), slots the positions of their
@@ -584,7 +562,7 @@ class _Levels:
         spans = list(zip(self.bounds[:-1], self.bounds[1:]))
         A = pos[perm][:, perm]
         for s, e in spans:
-            perm[s:e] = perm[s:e][_min_degree(A[s:e, s:e])[0]]
+            perm[s:e] = perm[s:e][_min_degree(A[s:e, s:e])]
         A = pos[perm][:, perm]
         self.perm, self.diag, self.lower = perm, [], []
         for s, e in spans:
@@ -614,25 +592,25 @@ _LevelSystem = namedtuple("_LevelSystem", "perm bounds diag lower")
 
 
 class _LevelLU:
-    """The exact solve of P = _LevelSystem: each diagonal block factored
-    (_splu, in the level's kept order), and P x = b solved by forward
+    """The exact solve of a _LevelSystem P (steady_state's, or _factor's
+    one level): each diagonal block factored (_splu, in the level's
+    order), and P x = b solved by forward
     substitution over the levels, each level's block left of the diagonal
     applied as a sparse product. An exactly singular level block raises
     RuntimeError, as splu does."""
 
     def __init__(self, P: _LevelSystem):
-        self.P = P
+        self.perm, self.bounds, self.lower = P.perm, P.bounds, P.lower   # not the factored blocks
         self.lus = [_splu(D) for D in P.diag]
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        P = self.P
-        y = np.asarray(b, complex)[P.perm]
-        for lu, B, s, e in zip(self.lus, P.lower, P.bounds[:-1], P.bounds[1:]):
+        y = np.asarray(b, complex)[self.perm]
+        for lu, B, s, e in zip(self.lus, self.lower, self.bounds[:-1], self.bounds[1:]):
             if s:
                 y[s:e] -= B @ y[:s]
             y[s:e] = lu.solve(y[s:e])
         x = np.empty_like(y)
-        x[P.perm] = y
+        x[self.perm] = y
         return x
 
     @property
@@ -640,50 +618,15 @@ class _LevelLU:
         return sum(lu.nnz for lu in self.lus)
 
 
-def _keys(indptr: np.ndarray, indices: np.ndarray, m: int) -> np.ndarray:
-    """line * m + index of each stored entry of a compressed m x m matrix:
-    increasing when its indices are sorted."""
-    return np.repeat(np.arange(m, dtype=np.int64), np.diff(indptr)) * m + indices
-
-
-def _sums(terms: list, n: int, sel: np.ndarray, major: np.ndarray, minor: np.ndarray,
-          size: int) -> _Sums:
-    """How entries sel of _kron_sum(terms, n), at (major, minor) of a
-    compressed size x size matrix, sum into it, as scipy's conversion of
-    a coordinate list sums them: the lines are filled in list order,
-    sort_indices sorts each line, and a run of equal indices is added left
-    to right. The sort is done once, here, by scipy itself on the entries'
-    numbers, so _summed gives the conversion's bits.
-
-    Returns a _Sums: left and right, the positions in the value arrays of
-    _factor_values of the two factors of each stored entry's first
-    contribution, then of each entry's second, and so on; runs, the stored
-    entries that take each further contribution; and the structure,
-    duplicates summed.
-    """
+def _factor_positions(terms: list, n: int, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions, in the value arrays of _factor_values, of the left
+    and of the right factor of each entry sel of _kron_sum(terms, n)."""
     sizes = np.array([[n if f is None else f[0].size for f in term] for term in terms])
     starts = np.concatenate([[0], np.cumsum(sizes[:, 0] * sizes[:, 1])])
     term = np.searchsorted(starts, sel, side="right") - 1
     p, q = np.divmod(sel - starts[term], sizes[term, 1])
-    left = np.concatenate([[0], np.cumsum(sizes[:, 0])])[term] + p
-    right = np.concatenate([[0], np.cumsum(sizes[:, 1])])[term] + q
-    order = np.argsort(major, kind="stable")
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(major, minlength=size))])
-    lines = scipy.sparse.csr_matrix((order.astype(float), minor[order], indptr),
-                                    shape=(size, size))
-    lines.sort_indices()
-    entry = lines.data.astype(np.intp)
-    key = _keys(lines.indptr, lines.indices, size)
-    first = np.flatnonzero(np.diff(key, prepend=-1))
-    count = np.diff(first, append=key.size)
-    runs = [np.flatnonzero(count > j) for j in range(1, count.max(initial=1))]
-    take = entry[np.concatenate([first] + [first[r] + j for j, r in enumerate(runs, 1)])]
-    return _Sums(left[take], right[take], runs,
-                 np.concatenate([[0], np.cumsum(np.bincount(key[first] // size, minlength=size))]),
-                 lines.indices[first])
-
-
-_Sums = namedtuple("_Sums", "left right runs indptr indices")
+    return (np.concatenate([[0], np.cumsum(sizes[:, 0])])[term] + p,
+            np.concatenate([[0], np.cumsum(sizes[:, 1])])[term] + q)
 
 
 def _factor_values(terms: list, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -692,19 +635,6 @@ def _factor_values(terms: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     ones = np.ones(n)
     return (np.concatenate([ones if a is None else a[2] for a, _ in terms]),
             np.concatenate([ones if b is None else b[2] for _, b in terms]))
-
-
-def _summed(values: tuple[np.ndarray, np.ndarray], sums: _Sums) -> np.ndarray:
-    """The stored values of the matrix that _sums planned, from the factor
-    values of _factor_values: each contribution is the product of its two
-    factors, and the contributions to an entry are added in scipy's order."""
-    left, right = values
-    v = left[sums.left] * right[sums.right]
-    out, start = v[: sums.indices.size], sums.indices.size
-    for r in sums.runs:
-        out[r] += v[start:start + r.size]
-        start += r.size
-    return out
 
 
 def _population_block(model: LindbladModel) -> tuple:
@@ -742,14 +672,16 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
       once per sparsity pattern of the generator's factors (the K_L, K_R
       and jump triplets that liouvillian writes) and photon numbers, and
       kept for the last PLAN_CACHE_SIZE = 8 such sets under their exact
-      key, as _order keeps orders. It holds the block's entries, taken
+      key, the module's one cache. It holds the block's entries, taken
       from the structural pattern of L (before exact cancellations, so it
       holds the sector of every point with that pattern); which products
-      of factor entries land in the block, where, and in which order
-      scipy's CSR conversion would add them; the slots of the trace row in
-      M; and P's levels (_Levels). A point then forms the block's values,
-      Lc, M and P's blocks, with the bits that slicing liouvillian(model)
-      gives (tier-1 test), checks the block's trace, drops its exact
+      of factor entries land in the block, and where; the slots of the
+      trace row in M; and P's levels (_Levels). A point forms the products
+      and sums them by scipy's CSR conversion, as liouvillian does: each
+      row of the block holds the products of L's row in the same order,
+      their columns relabelled monotonically, so the block Lc has the bits
+      that slicing liouvillian(model) gives (tier-1 test). From Lc it
+      gathers M and P's blocks, checks the block's trace, drops its exact
       zeros, and labels the block's components when an off-diagonal entry
       has cancelled or the populations lie outside it, so split
       populations and cancellations are caught as on the full L. On the
@@ -777,14 +709,14 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
       plan, and each block left of the diagonal is applied as a sparse
       product. On the g2scan sector that is 13 levels whose factors store
       9,015 entries in all, against 218,844 for M's. For a model without
-      a drive (no meta["photons"]) P = M.
-    - M's factor, for the check and the fallback, comes from _factor: a
-      minimum-degree column order on the nearly symmetric pattern of
-      A + A^T, kept by threshold pivoting that takes a diagonal pivot down
-      to 0.1 of its column's largest entry (the level blocks are factored
-      with the same pivoting). The order is computed from the pattern
-      alone (_order) and cached per pattern, so the points of a scan,
-      which share one pattern, are ordered once.
+      a drive (no meta["photons"]) every entry has order 0: P is one
+      level, M itself, and its factor is M's.
+    - Every other factor comes from _factor, the same _LevelLU with its
+      matrix as one level, in a minimum-degree order computed per call,
+      and the same threshold pivoting: M's, for the check of a driven
+      model and for the fallback, and the coherence blocks' that the
+      check measures. By default a scan checks its first point only, so
+      it orders M once.
     - From x = P^-1 e_0, each refinement step takes r = e_0 - M x, solves
       M d = r by one GMRES cycle (at most KRYLOV_RESTART iterations, to
       KRYLOV_RTOL of |r|) preconditioned by P's solve, and sets x += d:
@@ -890,9 +822,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     L = liouvillian(model) if check_unique else None
     idx, Lc, M, P = _population_block(model)
     m = idx.size
+    exact = len(P.diag) == 1   # P = M: a model without a drive
     lu = gap = None   # lu: the factor of M, made for the check or the fallback only
     if check_unique:
-        lu = _factor_trace_system(M)
+        lu = _factor_trace_system(M, P)
         lam1 = _block_gap(Lc, lu)
         gap = min(lam1, _coherence_gap(L, _component_labels(L), n, lam1))
         del L
@@ -903,14 +836,14 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
 
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
-    try:
-        lu0 = (lu or _factor(M)) if P is None else _LevelLU(P)
-    except RuntimeError:   # an exactly singular factor (say, undamped phonons): solve M instead
+    try:   # without a drive the check's factor of M is P's
+        lu0 = lu if exact and lu else _LevelLU(P)
+    except RuntimeError:   # an exactly singular level block (say, undamped phonons): solve M instead
         lu0 = None
-    y, krylov, omega = (None, 0, np.inf) if lu0 is None else _refine(M, lu0, rhs, P is None)
+    y, krylov, omega = (None, 0, np.inf) if lu0 is None else _refine(M, lu0, rhs, exact)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
-        lu0 = lu or _factor_trace_system(M)
+        lu0 = lu or _factor_trace_system(M, P)
         y = lu0.solve(rhs)
         y += lu0.solve(rhs - M @ y)
         omega = _backward_error(abs(M), y, rhs - M @ y, rhs)
@@ -932,11 +865,12 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
                              krylov, omega, fallback)
 
 
-def _factor_trace_system(M: scipy.sparse.csc_matrix) -> _PermutedLU:
-    """_factor(M), with an exactly singular M raised as a degenerate null
-    space (see steady_state)."""
+def _factor_trace_system(M: scipy.sparse.csc_matrix, P: _LevelSystem) -> _LevelLU:
+    """The factor of M: P's when P = M (one level), else _factor(M); an
+    exactly singular M raised as a degenerate null space (see
+    steady_state)."""
     try:
-        return _factor(M)
+        return _LevelLU(P) if len(P.diag) == 1 else _factor(M)
     except RuntimeError as exc:
         raise SolverError(
             f"degenerate Liouvillian null space: the trace-row system is singular ({exc})"

@@ -486,9 +486,11 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
 
 def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     # every factor uses its own pattern's order, never an earlier point's:
-    # the scan forward and reversed, each from empty caches, gives the same
-    # bits. One pattern: one ordering pass per level of P, kept in the plan,
-    # and each point factors the 13 level blocks (their fill is 9,015)
+    # the scan forward and reversed, each from an empty plan cache, gives
+    # the same bits, its two ends checked, one first and one last. One
+    # pattern: one ordering pass per level of P, kept in the plan, and each
+    # point factors the 13 level blocks (their fill is 9,015); each checked
+    # point orders and factors M afresh, for the null-space gap
     import scipy.sparse.linalg
     calls = []
 
@@ -501,33 +503,34 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
         return wrapped
 
     def scan(deltas):
-        monkeypatch.setattr(dynamics, "_ORDERS", {})
         monkeypatch.setattr(dynamics, "_PLANS", {})
         out = {}
         for d in deltas:
-            rep = steady_state(_g2scan_point(0.0, (4, 4, 6), d), check_unique=False)
+            rep = steady_state(_g2scan_point(0.0, (4, 4, 6), d),
+                               check_unique=d in (deltas[0], deltas[-1]))
             space, p = rep.state.space, rep.state.matrix.diagonal().real
             n_a = p @ space.occupations[space.index("a")]
             out[d] = (g2_zero(rep.state, "a"), n_a, rep.residual, rep.lu_nnz,
-                      rep.krylov_iterations, rep.backward_error)
+                      rep.krylov_iterations, rep.backward_error, rep.null_gap)
         return out
 
     for name in ("spilu", "splu"):
         monkeypatch.setattr(scipy.sparse.linalg, name, counting(name))
     deltas = np.linspace(-8.0, 8.0, 9)   # perfbench/configs/g2scan_reduced.cfg
     forward = scan(deltas)
-    assert calls.count("spilu") == 13 and calls.count("splu") == 9 * 13
+    assert calls.count("spilu") == 13 + 2 and calls.count("splu") == 9 * 13 + 2
     assert {v[3] for v in forward.values()} == {9_015}
-    assert not dynamics._ORDERS   # no level goes through the order cache
+    assert [d for d, v in forward.items() if v[6] is not None] == [-8.0, 8.0]
     assert scan(deltas[::-1]) == forward
 
 
 def test_cached_order_is_superlus_own():
-    # the ordering-only ILU gives the column order that splu computes for
-    # itself, on the g2scan sector, the thermal sector at m10, and a
-    # coherence block that the uniqueness check factors
+    # the ordering-only ILU (_min_degree, whose orders the plan keeps for
+    # P's levels) gives the column order that splu computes for itself, on
+    # the g2scan sector, the thermal sector at m10, and a coherence block
+    # that the uniqueness check factors
     import scipy.sparse.linalg as spla
-    from omx.dynamics import _disc_bounds, _order
+    from omx.dynamics import _disc_bounds, _min_degree
     systems = [_trace_row_system(_g2scan_point(0.0, (4, 4, 6)))[0],
                _trace_row_system(_g2scan_point(1.0, (4, 4, 10)))[0]]
     L = liouvillian(_displaced((4, 3, 5)))
@@ -541,7 +544,7 @@ def test_cached_order_is_superlus_own():
     for A in systems:
         own = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                         options={"SymmetricMode": True}).perm_c
-        assert np.array_equal(_order(A)[1], own)
+        assert np.array_equal(_min_degree(A), np.argsort(own))
 
 
 def _trace_row_system(model):
@@ -597,9 +600,10 @@ def _with_photons(model):
 
 
 def _photon_order(model, idx):
-    # N_i + N_j of each sector entry |i><j|, N the handed-over photon number
+    # N_i + N_j of each sector entry |i><j|, N the handed-over photon
+    # number, or 0 throughout for a model without a drive
     n = model.space.total_dim
-    photons = model.hamiltonian.meta["photons"]
+    photons = model.hamiltonian.meta.get("photons", np.zeros(n, int))
     return photons[idx // n] + photons[idx % n]
 
 
@@ -636,7 +640,8 @@ def test_block_plan_matches_the_liouvillian(name):
     # the block steady_state assembles from its plan, with the sector, M
     # and P, is liouvillian's restricted to the population sector, in
     # pattern and in bits; P's levels run in increasing photon order and
-    # hold exactly the masked M's entries
+    # hold exactly the masked M's entries. Without a drive P is one level,
+    # M itself in its level order
     model = _BLOCK_CASES[name]()
     idx, Lc, M, P = dynamics._population_block(model)
     M_o, idx_o = _trace_row_system(model)
@@ -644,18 +649,24 @@ def test_block_plan_matches_the_liouvillian(name):
     assert np.array_equal(idx, idx_o)
     _same_bits(Lc, L[idx_o][:, idx_o])
     _same_bits(M, M_o)
-    assert (P is None) == ("photons" not in model.hamiltonian.meta)
-    if P is not None:
-        order = _photon_order(model, idx_o)[P.perm]
-        assert np.all(np.diff(order) >= 0)
-        assert np.array_equal(P.bounds, np.flatnonzero(np.diff(order, prepend=-1, append=-1)))
-        oracle = _masked(M_o, _photon_order(model, idx_o))[P.perm][:, P.perm]
+    order = _photon_order(model, idx_o)[P.perm]
+    assert np.all(np.diff(order) >= 0)
+    assert np.array_equal(P.bounds, np.flatnonzero(np.diff(order, prepend=-1, append=-1)))
+    oracle = _masked(M_o, _photon_order(model, idx_o))[P.perm][:, P.perm]
+    oracle.sort_indices()
+    _same_bits(_assembled(P), oracle)
+    if "photons" not in model.hamiltonian.meta:
+        assert len(P.diag) == 1
+        oracle = M_o[P.perm][:, P.perm]
         oracle.sort_indices()
         _same_bits(_assembled(P), oracle)
     plan = dynamics._BlockPlan(dynamics._generator_terms(model), None, model.space.total_dim)
     if name == "diagonal-collapse":
-        assert len(plan.block.runs) == 2   # entries with a second and with a third
-        assert plan.block.runs[1].size == model.space.total_dim
+        # K_L, K_R and n_c kron conj(n_c) meet on each population, so
+        # scipy's conversion adds three contributions there
+        m = plan.idx.size
+        counts = np.bincount(plan.row.astype(np.int64) * m + plan.col)
+        assert counts.max() == 3 and np.count_nonzero(counts == 3) == model.space.total_dim
     assert (plan.idx.size > idx.size) == name.startswith("cancelling-coupling")
 
 
@@ -694,7 +705,6 @@ def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
     # a point solved from empty caches, and again after another point of
     # its pattern, gives the same state bits and the same report
     monkeypatch.setattr(dynamics, "_PLANS", {})
-    monkeypatch.setattr(dynamics, "_ORDERS", {})
     cold = steady_state(_g2scan_point(0.3, (3, 3, 4), 3.3))
     steady_state(_g2scan_point(0.3, (3, 3, 4), -2.0), check_unique=False)
     warm = steady_state(_g2scan_point(0.3, (3, 3, 4), 3.3))
@@ -702,6 +712,26 @@ def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
     assert np.array_equal(cold.state.matrix.view(np.uint64), warm.state.matrix.view(np.uint64))
     assert {k: v for k, v in vars(cold).items() if k != "state"} == \
         {k: v for k, v in vars(warm).items() if k != "state"}
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _g2scan_point(0.0, (4, 4, 6), 3.3),
+    lambda: build_rwa(SystemParams(g0=2.0, kappa=1.0, omega_m=8.0, J=4.0, Delta_a=1.0,
+                                   Omega_a=0.0, gamma=0.2, N_th=0.3), (3, 3, 4)),
+    _BLOCK_CASES["cancelling-diagonal"], _BLOCK_CASES["cancelling-coupling"]],
+    ids=["g2scan", "rwa-undriven", "cancelling-diagonal", "cancelling-coupling"])
+def test_checked_and_unchecked_solves_give_the_same_bits(make):
+    # the check measures the gap with M's factor, and the solution comes
+    # from P's either way (without a drive P = M, and the check measures
+    # with P's factor): the same state bits and report, also where entries
+    # of M cancel, so that M's pattern is not the one P's order was planned on
+    model = make()
+    checked, unchecked = steady_state(model), steady_state(model, check_unique=False)
+    assert checked.null_gap > 1e-8 and unchecked.null_gap is None
+    assert np.array_equal(checked.state.matrix.view(np.uint64),
+                          unchecked.state.matrix.view(np.uint64))
+    assert {k: v for k, v in vars(checked).items() if k not in ("state", "null_gap")} == \
+        {k: v for k, v in vars(unchecked).items() if k not in ("state", "null_gap")}
 
 
 def test_bounded_cache_drops_its_oldest_entry():
