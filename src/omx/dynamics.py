@@ -251,17 +251,19 @@ class SteadyStateReport:
         blocks whose disc bound falls below it, each measured too (see
         steady_state). None without the check.
     solved_dim: size of the linear system actually solved.
-    lu_nnz: entries SuperLU stores in the L and U factors the solution
-        was computed with: the summed fill of P's level factors, M's when
-        P = M (a model without a drive) or after the fallback.
+    lu_nnz: entries SuperLU stores in the factors the solution was refined
+        on: the summed fill of P's level factors (one level, M itself, for
+        a model without a drive), or that of the factor of M after the
+        fallback.
     fock_tail: population of the top Fock level of each mode, by label,
         read off the diagonal of the state: the truncation's evidence.
-    krylov_iterations: GMRES iterations over all refinement steps; 0 for
-        a model without a drive, whose corrections need no Krylov step.
+    krylov_iterations: GMRES iterations over every refinement step, the
+        fallback's included. On an exact factor a step takes about one,
+        and none are needed when its first solve meets the stop.
     backward_error: componentwise backward error of the solution of M.
-    lu_fallback: whether the refinement missed BACKWARD_ERROR_STOP within
-        REFINE_STEP_CAP steps, or a level block of P was singular, so M
-        was factored and solved instead.
+    lu_fallback: whether the refinement on P missed BACKWARD_ERROR_STOP
+        within REFINE_STEP_CAP steps, or a level block of P was singular,
+        so the refinement ran again on a factor of M.
     """
 
     state: DensityMatrix
@@ -315,7 +317,7 @@ def _block_gap(B: scipy.sparse.csr_matrix, lu: _LevelLU | None) -> float:
     if lu is None:
         try:
             solve = _factor(B.tocsc()).solve
-        except RuntimeError:   # an exactly singular factor: lambda = 0
+        except SolverError:   # an exactly singular factor: lambda = 0
             return 0.0
     else:
         def solve(v):
@@ -387,38 +389,28 @@ def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
 
 
 def _factor(A: scipy.sparse.csc_matrix) -> _LevelLU:
-    """Sparse LU of a block of L, or of its trace-row system: the _LevelLU
-    of A as a one-level P, A[q][:, q] in the order q = _min_degree(A),
-    computed afresh on each call.
+    """Sparse LU of a block of L, or of its trace-row system M: the
+    _LevelLU of A as one level, A[q][:, q] in the order q = _min_degree(A),
+    computed afresh on each call. An exactly singular A raises SolverError:
+    a block of L or a trace-row system with a second null vector (see
+    steady_state).
 
-    The column order is a minimum degree on the pattern of A + A^T: the
-    -i[H, rho] part of L has a symmetric pattern and only the c rho c^dag
-    jumps are one-way, so the pattern is nearly symmetric. Threshold
+    The order is a minimum degree on the pattern of A + A^T, which is
+    nearly symmetric (only the c rho c^dag jumps are one-way). Threshold
     pivoting that takes the diagonal entry whenever it is at least 0.1 of
     its column's largest keeps that order; at the default threshold 1.0
-    the row swaps undo it. Entries stored in the factors (SuperLU's nnz):
-
-    | system | this | COLAMD | this order, threshold 1.0 |
-    |---|---|---|---|
-    | g2scan sector, rwa a4/s4/m6 | 218,844 | 355,080 | 629,477 |
-    | 4 coherence blocks, displaced (4, 3, 5) | 92,238 | 161,734 | 114,126 |
-    | 7 coherence blocks, displaced (4, 3, 8) | 457,671 | 763,991 | 682,691 |
-
-    SuperLU factors A[q][:, q] in its natural order, with the same
-    pivoting, and never orders anything itself. Since the order is a
-    function of A's pattern, the factor of A is a function of A alone: its
-    bits cannot depend on which system came first or on how a scan is
-    split over processes. It serves the fallback, the coherence blocks of
-    _block_gap and the uniqueness check's M where P is not M; the solve's
-    own factors are P's level blocks, whose orders the _BlockPlan keeps.
-
-    steady_state repays the weaker pivoting with refinement steps. The
-    gap of _coherence_gap moves by less than 5e-15 relative between the
-    three factors at displaced (3, 2, 7), (4, 3, 5) and (4, 3, 8).
+    the row swaps undo it. SuperLU never orders anything itself: left to
+    its own minimum degree it picks the same order, but where A has zero
+    diagonal entries it can store more fill (130,002 against 96,253
+    entries for M of the undamped g2scan model). So the factor is a
+    function of A alone: its bits cannot depend on which system came
+    first or on how a scan is split over processes.
     """
     q = _min_degree(A)
-    # one level: nothing lies left of its diagonal block
-    return _LevelLU(_LevelSystem(q, np.array([0, A.shape[0]]), [A[q][:, q]], [None]))
+    try:   # one level: nothing lies left of its diagonal block
+        return _LevelLU(_LevelSystem(q, np.array([0, A.shape[0]]), [A[q][:, q]], [None]))
+    except RuntimeError as exc:
+        raise SolverError(f"degenerate Liouvillian null space: singular factor ({exc})") from exc
 
 
 def _splu(A: scipy.sparse.csc_matrix):
@@ -654,167 +646,56 @@ def _population_block(model: LindbladModel) -> tuple:
 
 
 def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyStateReport:
-    """Stationary state of the master equation.
+    """Stationary state of the master equation, with its evidence.
 
-    Solves the Liouvillian null space directly, on the population sector of
-    L only. When H and every collapse operator shift some charge Q by a
-    fixed amount (a weak U(1) symmetry, e.g.
-    Q = n_s - n_m for the rotating-wave model), L maps each coherence
-    order |i><j| with Q_i - Q_j = q onto itself, so L is block-diagonal and
-    the steady state lives in the block that holds the populations
-    (Buca & Prosen, New J. Phys. 14, 073007 (2012)). That block is found
-    from the sparsity pattern alone, as the connected component of the
-    (0,0) entry; for a model without such a symmetry it is the whole space.
-    Within it the row of the (0,0) matrix element is replaced by the trace
-    condition, and the square system M x = e_0 is solved by iterative
-    refinement on the exact solve of a simpler system P.
-    - Only the block is built. Its symbolic part is a _BlockPlan, made
-      once per sparsity pattern of the generator's factors (the K_L, K_R
-      and jump triplets that liouvillian writes) and photon numbers, and
-      kept for the last PLAN_CACHE_SIZE = 8 such sets under their exact
-      key, the module's one cache. It holds the block's entries, taken
-      from the structural pattern of L (before exact cancellations, so it
-      holds the sector of every point with that pattern); which products
-      of factor entries land in the block, and where; the slots of the
-      trace row in M; and P's levels (_Levels). A point forms the products
-      and sums them by scipy's CSR conversion, as liouvillian does: each
-      row of the block holds the products of L's row in the same order,
-      their columns relabelled monotonically, so the block Lc has the bits
-      that slicing liouvillian(model) gives (tier-1 test). From Lc it
-      gathers M and P's blocks, checks the block's trace, drops its exact
-      zeros, and labels the block's components when an off-diagonal entry
-      has cancelled or the populations lie outside it, so split
-      populations and cancellations are caught as on the full L. On the
-      g2scan sector (rwa a4/s4/m6, 1216 of 9216 entries) the block and P's
-      blocks take 2 to 2.5 ms a point against 7.1 to 8.6 ms for the full
-      L, its labels and the slicing (one BLAS thread); the plan takes
-      18 ms, once. The full liouvillian(model) is built only for
-      check_unique, which needs the blocks outside the sector.
-    - P is the photon-order block-lower-triangular part of M. With
-      N = model.hamiltonian.meta["photons"], the photon number of each
-      basis state (handed over with a nonzero drive by models.build_rwa,
-      n_a + n_s, and build_full, n_c1 + n_c2), the entry |i><j| has the
-      order c = N_i + N_j. The undriven H conserves N and the collapses
-      never raise it, so M's entries run from order c to c (H, the decay,
-      N-conserving jumps), from c - 1 to c and from c + 1 to c (the
-      drive), and from c + 2 to c (the photon jumps), besides the trace
-      row. P keeps those whose column's order is at most the row's: the
-      diagonal level blocks and the drive's raising entries, the source
-      of each photon order in the weak-drive hierarchy (Bamba et al., PRA
-      83, 021802(R) (2011)). It drops the jumps, the drive's lowering
-      entries and the trace row's populations above order 0. P is block
-      lower triangular over the levels, so it is solved exactly by
-      forward substitution (_LevelLU): only the diagonal level blocks are
-      factored, each in a minimum-degree order of its pattern kept in the
-      plan, and each block left of the diagonal is applied as a sparse
-      product. On the g2scan sector that is 13 levels whose factors store
-      9,015 entries in all, against 218,844 for M's. For a model without
-      a drive (no meta["photons"]) every entry has order 0: P is one
-      level, M itself, and its factor is M's.
-    - Every other factor comes from _factor, the same _LevelLU with its
-      matrix as one level, in a minimum-degree order computed per call,
-      and the same threshold pivoting: M's, for the check of a driven
-      model and for the fallback, and the coherence blocks' that the
-      check measures. By default a scan checks its first point only, so
-      it orders M once.
-    - From x = P^-1 e_0, each refinement step takes r = e_0 - M x, solves
-      M d = r by one GMRES cycle (at most KRYLOV_RESTART iterations, to
-      KRYLOV_RTOL of |r|) preconditioned by P's solve, and sets x += d:
-      GMRES-based iterative refinement on an exact solve of a nearby
-      system (Carson & Higham, SIAM J. Sci. Comput. 39, A2834 (2017)). With
-      P = M the factor is exact and the step is x += M^-1 r itself
-      (Skeel, Math. Comp. 35, 817 (1980)), with no Krylov iteration.
-    - The steps stop when the componentwise backward error
-      omega = max_i |r_i| / (|M||x| + |e_0|)_i (Oettli & Prager, Numer.
-      Math. 6, 405 (1964)) is at most BACKWARD_ERROR_STOP = 1e-12: x then
-      solves (M + dM) x = e_0 exactly for some |dM| <= 1e-12 |M|, entry by
-      entry. That holds each row to its own scale, which a residual norm
-      cannot do: the norm is set by the populations of order 1, while the
-      two-photon entries behind g2 are of order 1e-9 at a weak drive, so
-      errors far larger than rounding in them leave it untouched (at
-      N_th = 1 with m10, an un-refined COLAMD LU puts g2 5.9e-6 to 6.9e-6
-      relative off at a residual of 1.4e-16). Run on past the stop, omega
-      levels off between 1.5e-16 and 5.3e-14 at the nine g2scan points
-      and wanders there from step to step. 1e-12 was set as the first
-      decade above the floor of a preconditioner without the drive
-      entries (3e-13), and it keeps that margin. At the stop, g2 agrees
-      with the LU of M to 4.2e-15 relative over the 161 points of
-      configs/antibunching_g2scan.cfg.
-    - Without the stop after REFINE_STEP_CAP = 8 steps, or with an exactly
-      singular level block (say, undamped phonons), M is factored and
-      solved with one refinement step on its own factor, and
-      report.lu_fallback says so. A solution that is not finite raises
-      SolverError at once, from any factor and before any Krylov step: it
-      is never retried.
-    - The g2scan points take 8 to 12 Krylov iterations in all (23 to 28
-      with the drive left out of the preconditioner), and the thermal
-      sectors fewer: 3 at N_th = 1 with m10, m20, and a5/s5/m20 (11,500
-      entries, 0.15 s, where the drive-free preconditioner fell back to
-      M's LU after 8 stalled steps, about 6 s). The iteration converges at
-      strong drive too (Omega_a = 0.1 to 1 kappa on the g2scan point, g2
-      within 1e-12 of the LU), with more: 11 at 0.1 kappa, 15 at 0.3 kappa
-      and 25 at kappa.
-    Every factor is a function of its own matrix and order, each order a
-    function of a pattern, and the iteration a function of M and P, so the
-    result is a function of the model alone, whatever was
-    solved before it in the process: the same for any point order or
-    number of jobs. The residual |L x| is checked on the n^2 vector: the
-    block's product, scattered into it, has the bits of the full product,
-    since the rows outside the sector are zero. Above 1e-9, or not finite,
-    it raises SolverError.
+    The state lives in the block of L that holds the populations: when H
+    and every collapse operator shift some charge Q by a fixed amount (a
+    weak U(1) symmetry, e.g. Q = n_s - n_m for the rotating-wave model), L
+    maps each coherence order onto itself (Buca & Prosen, New J. Phys. 14,
+    073007 (2012)). The block is the connected component of entry (0,0)
+    in L's sparsity pattern, the whole space for a model without such a
+    symmetry. Only it is built, from a _BlockPlan kept per sparsity pattern
+    and photon numbers, with the bits of the same block sliced from
+    liouvillian(model). Populations split over several sectors raise
+    SolverError, with or without the check.
 
-    The trace-augmented system could not do better. Let A = [L_CC; t_C]
-    be that system on the sector C. Trace preservation makes the
-    population rows of L sum to zero, so the replaced (0,0) row is minus
-    the sum of the other population rows. Hence ker M = ker A: the two are
-    singular together. The same identity gives |A x|^2 <= n |M x|^2, with n
-    the Hilbert-space dimension, so cond(M) <= sqrt(n) cond(A). The normal
-    equations of A have cond(A)^2, so they are better conditioned only when
-    cond(A) < sqrt(n), where the LU of M is already accurate to about 1e-14.
-    M is singular exactly when 0 is not a simple eigenvalue of L_CC (a
-    second null vector, or a Jordan chain, is traceless and lies in ker M),
-    so an exactly singular LU of M raises SolverError.
+    Within the block the row of (0,0) is replaced by the trace condition,
+    and M x = e_0 is solved by GMRES-based iterative refinement (_refine;
+    Carson & Higham, SIAM J. Sci. Comput. 39, A2834 (2017)) on the exact
+    solve of P, the photon-order block-lower-triangular part of M. With
+    N = model.hamiltonian.meta["photons"], handed over with a drive by
+    models.build_rwa and build_full, the entry |i><j| has the order
+    N_i + N_j, and P keeps the entries of M whose column's order is at most
+    its row's: the weak-drive hierarchy of Bamba et al., PRA 83, 021802(R)
+    (2011). P is solved level by level (_LevelLU); without a drive it is
+    one level, M itself. The steps stop once the componentwise backward
+    error max_i |r_i| / (|M||x| + |e_0|)_i (Oettli & Prager, Numer. Math.
+    6, 405 (1964)) is at most BACKWARD_ERROR_STOP. That holds each row to
+    its own scale, which a residual norm cannot: the norm is set by the
+    order-1 populations, not by the small two-photon entries behind g2.
+    If the stop is missed within REFINE_STEP_CAP steps, or a level block
+    of P is exactly singular (say, undamped phonons), the same refinement
+    runs on a factor of M (_factor; the check's, if the check ran), and
+    report.lu_fallback says so. A solution that is not finite raises
+    SolverError at once and is never retried; an exactly singular M raises
+    too, as its null space is degenerate. Each factor is a function of its
+    matrix, and each order of a pattern, so the result is a function of
+    the model alone: the same bits for any point order, number of jobs or
+    check_unique. A residual |L x| above STEADY_RESIDUAL_ATOL, or not
+    finite, raises SolverError.
 
     check_unique verifies, block by block, that |lambda_1| of the full L
-    exceeds 1e-8; a degenerate null space (dark state or disconnected
-    sector) raises SolverError. report.null_gap is that |lambda_1|. The
-    spectrum of L is the union of its blocks' spectra, and a second steady
-    state may sit in any block: a Hermitian jump c + c^dag on a qubit keeps
-    sigma_x stationary in the {01, 10} block, and a cyclic jump |k+1><k| on
-    three levels keeps c and c^2 in the blocks of charge difference 1 and 2,
-    while the population block of both has a gap. One routine (_block_gap)
-    measures a block's gap: ARPACK finds the largest |mu| of the block's
-    inverse from solves alone, or a dense eigvals does for a small block.
-    - The population block's |lambda_1| is measured with the LU of M, the
-      one factorization the check adds (none for a model without a drive,
-      whose solve uses that factor too). With Pi = I - e_0 e_0^T,
-      let L_CC v = lambda v with lambda != 0. Then t_C^T v = 0, since
-      t_C^T L_CC = 0, so M v = lambda Pi v and M^-1 Pi v = v / lambda; with
-      M^-1 Pi e_0 = 0 the spectrum of M^-1 Pi is {0} and the 1/lambda. Its
-      largest |mu| is 1/|lambda_1|.
-    - Every other block B would need a factor of its own, so it is measured
-      only where a proven bound falls short. Since L(X^dag) = L(X)^dag
-      for Hermitian H, the transpose (i,j) -> (j,i) maps each block onto a
-      block with the complex-conjugate spectrum, so one block of each such
-      pair is checked. By Gershgorin's theorem every eigenvalue of B lies
-      in a disc |z - B_ii| <= sum_{j != i} |B_ij| for some i, so
-      min |lambda(B)| >= min_i (|B_ii| - sum_{j != i} |B_ij|), and the same
-      holds with column sums, as B^T has the spectrum of B. One pass over
-      |L| gives both for every block. Where the discs reach the origin the
-      bound is useless (build_displaced at (4, 3, 5), where the true block
-      gaps are 0.036 or more); a block whose bound falls below the
-      population block's |lambda_1| is measured instead,
-      min |lambda(B)| = 1/rho(B^-1), from its sparse LU. An exactly
-      singular factor counts as lambda = 0.
-    A block whose disc bound clears the population |lambda_1| cannot hold
-    the full-space |lambda_1|, so null_gap is measured, not bounded. The
-    disc bound is exact arithmetic on the entries of L; the measured gaps
-    hold up to the rounding of the LU. For the g2scan model (rwa a4/s4/m6)
-    the disc bound on every other block is 72 or more, far above the
-    population |lambda_1| of about 0.01, so no block is factored.
-    Populations split over several sectors raise SolverError even with
-    check_unique=False, since each such sector carries its own steady
-    state.
+    exceeds NULL_GAP_ATOL, and raises SolverError otherwise (a dark state
+    or a disconnected sector); report.null_gap is that |lambda_1|,
+    measured, not bounded. The population block's comes from the check's
+    own factor of M: with Pi = I - e_0 e_0^T and t^T L = 0, each
+    eigenvector L v = lambda v, lambda != 0, gives M v = lambda Pi v, so
+    the largest |mu| of M^-1 Pi is 1/|lambda_1|. A second steady state may
+    sit in any other block (a Hermitian jump c + c^dag on a qubit keeps
+    sigma_x stationary), so each block of each pair related by
+    rho -> rho^dag gets Gershgorin's disc bound on min |lambda|, and is
+    measured (_block_gap) only where that bound falls below the population
+    block's |lambda_1|.
     """
     n = model.space.total_dim
     # the check's full L comes first, so that its assembly's peak adds to
@@ -822,10 +703,9 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     L = liouvillian(model) if check_unique else None
     idx, Lc, M, P = _population_block(model)
     m = idx.size
-    exact = len(P.diag) == 1   # P = M: a model without a drive
-    lu = gap = None   # lu: the factor of M, made for the check or the fallback only
+    lu = gap = None   # lu: the check's factor of M; past the check it serves the fallback only
     if check_unique:
-        lu = _factor_trace_system(M, P)
+        lu = _factor(M)
         lam1 = _block_gap(Lc, lu)
         gap = min(lam1, _coherence_gap(L, _component_labels(L), n, lam1))
         del L
@@ -836,17 +716,17 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
 
     rhs = np.zeros(m, dtype=complex)
     rhs[0] = 1.0
-    try:   # without a drive the check's factor of M is P's
-        lu0 = lu if exact and lu else _LevelLU(P)
-    except RuntimeError:   # an exactly singular level block (say, undamped phonons): solve M instead
-        lu0 = None
-    y, krylov, omega = (None, 0, np.inf) if lu0 is None else _refine(M, lu0, rhs, exact)
+    try:
+        lu0 = _LevelLU(P)
+    except RuntimeError:   # an exactly singular level block (say, undamped phonons)
+        krylov, omega = 0, np.inf
+    else:
+        y, krylov, omega = _refine(M, lu0, rhs)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
-        lu0 = lu or _factor_trace_system(M, P)
-        y = lu0.solve(rhs)
-        y += lu0.solve(rhs - M @ y)
-        omega = _backward_error(abs(M), y, rhs - M @ y, rhs)
+        lu0 = lu or _factor(M)
+        y, more, omega = _refine(M, lu0, rhs)
+        krylov += more
     # |L x| as the n^2 vector it is: the rows outside the sector are zero,
     # and the norm of the scattered block product has the same bits
     x = np.zeros(n * n, dtype=complex)
@@ -865,18 +745,6 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
                              krylov, omega, fallback)
 
 
-def _factor_trace_system(M: scipy.sparse.csc_matrix, P: _LevelSystem) -> _LevelLU:
-    """The factor of M: P's when P = M (one level), else _factor(M); an
-    exactly singular M raised as a degenerate null space (see
-    steady_state)."""
-    try:
-        return _LevelLU(P) if len(P.diag) == 1 else _factor(M)
-    except RuntimeError as exc:
-        raise SolverError(
-            f"degenerate Liouvillian null space: the trace-row system is singular ({exc})"
-        ) from exc
-
-
 def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray,
                     rhs: np.ndarray) -> float:
     """Componentwise backward error max_i |r_i| / (|M||x| + |rhs|)_i of x,
@@ -890,24 +758,14 @@ def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray
     return float(ratio.max())
 
 
-def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray,
-            exact: bool) -> tuple[np.ndarray, int, float]:
+def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
     """(x, Krylov iterations, backward error): M x = rhs by iterative
-    refinement from x = lu0.solve(rhs), each correction a GMRES solve of M
-    preconditioned by lu0, the exact solve of P; when lu0 is exact, the
-    factor of M itself, the correction is M^-1 r (see steady_state). |M|
-    is formed once, and each step's residual serves both its backward
-    error and its correction."""
+    refinement from x = lu0.solve(rhs), each correction one GMRES cycle on
+    M preconditioned by lu0, the exact solve of P or a factor of M itself
+    (see steady_state). |M| is formed once, and each step's residual serves
+    both its backward error and its correction."""
     krylov = []
-    if exact:
-        correct = lu0.solve
-    else:
-        precond = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)
-
-        def correct(r):
-            return scipy.sparse.linalg.gmres(
-                M, r, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART, maxiter=1, M=precond,
-                callback=krylov.append, callback_type="pr_norm")[0]
+    precond = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)
     abs_m = abs(M)
     x = lu0.solve(rhs)
     for step in range(REFINE_STEP_CAP + 1):
@@ -915,7 +773,9 @@ def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray,
         omega = _backward_error(abs_m, x, r, rhs)
         if omega <= BACKWARD_ERROR_STOP or step == REFINE_STEP_CAP:
             break
-        x += correct(r)
+        x += scipy.sparse.linalg.gmres(M, r, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART, maxiter=1,
+                                       M=precond, callback=krylov.append,
+                                       callback_type="pr_norm")[0]
     return x, len(krylov), omega
 
 

@@ -5,7 +5,8 @@ kron embedding of a single-mode operator (hilbert.annihilator and
 hilbert.ladder_product read the occupation table instead), dense Fock and
 thermal states with their expectation values and diagonal partial trace
 (dynamics reads observables off the populations), the time integration
-of the master equation (dynamics.steady_state solves the null space), and
+of the master equation and a full-pivoting LU solve of its trace-row
+system (dynamics.steady_state refines on a simpler system's factor), and
 the phase gate's scan with one SystemParams and one phonon_nonlinearity per
 detuning and its exact error from one dense expm of L
 (analytics.phase_gate_error scans on Python floats and takes the expm on
@@ -17,11 +18,12 @@ import math
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
 
 from omx import models
 from omx.analytics import GateBudget, _qubit_superposition, phonon_nonlinearity
-from omx.dynamics import LindbladModel, SolverError, liouvillian
+from omx.dynamics import LindbladModel, SolverError, _component_labels, _sector, liouvillian
 from omx.hilbert import DensityMatrix, ModeSpace, Operator, _canonical, thermal_weights
 from omx.params import SystemParams
 
@@ -111,6 +113,41 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMat
         rho /= np.trace(rho).real
         out.append(DensityMatrix(model.space, rho))
     return out
+
+
+def trace_row_system(model) -> tuple[sp.csc_matrix, np.ndarray]:
+    """(M, idx) of steady_state from the full L: the population sector idx
+    of L, and L on it with its first row replaced by the trace condition."""
+    L = liouvillian(model)
+    n = model.space.total_dim
+    idx = _sector(_component_labels(L), n)
+    trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
+    return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
+
+
+def sector_state(model, idx, y) -> np.ndarray:
+    """The density matrix whose sector entries idx are y, hermitized and
+    normalized as steady_state does."""
+    n = model.space.total_dim
+    x = np.zeros(n * n, dtype=complex)
+    x[idx] = y
+    rho = x.reshape(n, n)
+    rho = 0.5 * (rho + rho.conj().T)
+    return rho / np.trace(rho).real
+
+
+def lu_oracle(model) -> DensityMatrix:
+    """The steady state from the trace-row system solved on a full-pivoting
+    LU of M in another column order (MMD on M^T M), plus three refinement
+    steps."""
+    M, idx = trace_row_system(model)
+    lu = spla.splu(M, permc_spec="MMD_ATA")
+    rhs = np.zeros(M.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    y = lu.solve(rhs)
+    for _ in range(3):
+        y += lu.solve(rhs - M @ y)
+    return DensityMatrix(model.space, sector_state(model, idx, y))
 
 
 def phase_gate_scan(params: SystemParams) -> GateBudget:

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import lu_oracle
 
+from omx import SystemParams, build_rwa, g2_zero, steady_state
 from omx.cli import ConfigError, load_config, main, run_spectrum, run_sweep, run_transistor
 from omx.scan import ScanResult
 
@@ -475,6 +477,49 @@ def test_g2scan_outputs_do_not_depend_on_blas_threads(tmp_path):
     cfg = write(tmp_path / "g.cfg", text)
     one, two = (_g2scan_subprocess(cfg, tmp_path / f"threads{n}", threads=n) for n in (1, 2))
     assert one == two
+
+
+def _g2scan_outputs(tmp_path, name, text) -> tuple[str, dict]:
+    """CSV text and parsed JSON of an in-process g2scan run of text."""
+    cfg = write(tmp_path / f"{name}.cfg", text)
+    assert main(["g2scan", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+    with open(tmp_path / name / "g2scan.json", encoding="utf-8") as fh:
+        return (tmp_path / name / "g2scan.csv").read_text(encoding="utf-8"), json.load(fh)
+
+
+def test_g2scan_values_do_not_depend_on_check_unique(tmp_path):
+    # the check's factor of M never feeds the solve: checking the first
+    # point, every point or none gives the same data rows and JSON columns;
+    # only the "# run" line records the setting
+    text = (G2SCAN_REDUCED.replace("start = -8\nstop = 8\npoints = 9", "values = -4, 3.3, 6")
+            .replace("a:4, s:4, m:6", "a:3, s:3, m:4"))
+    assert "values = -4, 3.3, 6" in text and "a:3, s:3, m:4" in text
+    out = {check: _g2scan_outputs(tmp_path, check,
+                                  text.replace("check_unique = first", f"check_unique = {check}"))
+           for check in ("first", "all", "none")}
+    rows = {check: [ln for ln in csv.splitlines() if not ln.startswith("# run = ")]
+            for check, (csv, _) in out.items()}
+    assert sum(not ln.startswith("#") for ln in rows["first"]) == 1 + 3   # header, points
+    assert rows["all"] == rows["first"] == rows["none"]
+    assert out["all"][1]["columns"] == out["first"][1]["columns"] == out["none"][1]["columns"]
+    assert out["all"][1]["metadata"]["run"]["check_unique"] == "all"
+
+
+def test_g2scan_without_mechanical_damping_takes_the_fallback(tmp_path):
+    # gamma = 0 leaves the phonon populations of P's photon-free level
+    # undamped, so its block is singular and every point is solved on the
+    # factor of M; g2 still agrees with the full-pivoting LU oracle
+    text = (G2SCAN_REDUCED.replace("start = -8\nstop = 8\npoints = 9", "values = -4, 3.3")
+            .replace("gamma = 0.01", "gamma = 0"))
+    assert "values = -4, 3.3" in text and "gamma = 0\n" in text
+    _, data = _g2scan_outputs(tmp_path, "undamped", text)
+    g2 = data["columns"]["g2_numeric"]
+    assert len(g2) == 2
+    for da, value in zip((-4.0, 3.3), g2):
+        model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=da,
+                                       Omega_a=0.01, gamma=0.0), (4, 4, 6))
+        assert steady_state(model, check_unique=False).lu_fallback
+        assert value == pytest.approx(g2_zero(lu_oracle(model), "a"), rel=1e-12, abs=0.0)
 
 
 def _fmt(x) -> str:

@@ -32,9 +32,12 @@ from oracles import (
     evolve,
     expect,
     fock_density,
+    lu_oracle,
     ptrace_population,
+    sector_state,
     tensor_embed,
     thermal_state,
+    trace_row_system,
 )
 
 
@@ -473,7 +476,7 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
         raise AssertionError("steady_state called null_space_gap")
 
     model = _g2scan_point(n_th, dims)
-    M = _trace_row_system(model)[0]
+    M = trace_row_system(model)[0]
     P = dynamics._population_block(model)[3]
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     monkeypatch.setattr(dynamics, "null_space_gap", oracle)
@@ -531,8 +534,8 @@ def test_cached_order_is_superlus_own():
     # that the uniqueness check factors
     import scipy.sparse.linalg as spla
     from omx.dynamics import _disc_bounds, _min_degree
-    systems = [_trace_row_system(_g2scan_point(0.0, (4, 4, 6)))[0],
-               _trace_row_system(_g2scan_point(1.0, (4, 4, 10)))[0]]
+    systems = [trace_row_system(_g2scan_point(0.0, (4, 4, 6)))[0],
+               trace_row_system(_g2scan_point(1.0, (4, 4, 10)))[0]]
     L = liouvillian(_displaced((4, 3, 5)))
     labels = _component_labels(L)
     sizes = np.bincount(labels)
@@ -545,16 +548,6 @@ def test_cached_order_is_superlus_own():
         own = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
                         options={"SymmetricMode": True}).perm_c
         assert np.array_equal(_min_degree(A), np.argsort(own))
-
-
-def _trace_row_system(model):
-    # M of steady_state: the population sector of L with its first row
-    # replaced by the trace condition
-    L = liouvillian(model)
-    n = model.space.total_dim
-    idx = _sector(_component_labels(L), n)
-    trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
-    return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
 
 
 def _diagonal_collapse():
@@ -644,7 +637,7 @@ def test_block_plan_matches_the_liouvillian(name):
     # M itself in its level order
     model = _BLOCK_CASES[name]()
     idx, Lc, M, P = dynamics._population_block(model)
-    M_o, idx_o = _trace_row_system(model)
+    M_o, idx_o = trace_row_system(model)
     L = liouvillian(model)
     assert np.array_equal(idx, idx_o)
     _same_bits(Lc, L[idx_o][:, idx_o])
@@ -772,36 +765,11 @@ def test_lu_fill_below_colamd():
     import scipy.sparse.linalg as spla
     from omx.dynamics import _factor
     model = _g2scan_point(0.0, (4, 4, 6))
-    M = _trace_row_system(model)[0]
+    M = trace_row_system(model)[0]
     P = dynamics._population_block(model)[3]
     rep = steady_state(model, check_unique=False)
     assert _factor(M).nnz < spla.splu(M).nnz
     assert rep.lu_nnz == dynamics._LevelLU(P).nnz < sum(spla.splu(D).nnz for D in P.diag)
-
-
-def _state(model, idx, y):
-    # the state whose sector entries are y, hermitized and normalized as
-    # steady_state does
-    n = model.space.total_dim
-    x = np.zeros(n * n, dtype=complex)
-    x[idx] = y
-    rho = x.reshape(n, n)
-    rho = 0.5 * (rho + rho.conj().T)
-    return rho / np.trace(rho).real
-
-
-def _lu_oracle(model) -> DensityMatrix:
-    # the trace-row system solved on a full-pivoting LU of M in another
-    # column order (MMD on M^T M), plus three refinement steps
-    import scipy.sparse.linalg as spla
-    M, idx = _trace_row_system(model)
-    lu = spla.splu(M, permc_spec="MMD_ATA")
-    rhs = np.zeros(M.shape[0], dtype=complex)
-    rhs[0] = 1.0
-    y = lu.solve(rhs)
-    for _ in range(3):
-        y += lu.solve(rhs - M @ y)
-    return DensityMatrix(model.space, _state(model, idx, y))
 
 
 @pytest.mark.parametrize("delta_a", [3.3, 0.5])
@@ -811,7 +779,7 @@ def test_g2_does_not_depend_on_lu_order(delta_a):
     # with the oracle's other order and pivoting
     model = _g2scan_point(1.0, (4, 4, 10), delta_a)
     g2 = g2_zero(steady_state(model, check_unique=False).state, "a")
-    assert g2 == pytest.approx(g2_zero(_lu_oracle(model), "a"), rel=1e-10, abs=0.0)
+    assert g2 == pytest.approx(g2_zero(lu_oracle(model), "a"), rel=1e-10, abs=0.0)
 
 
 # Krylov iterations over all refinement steps, measured on both sectors
@@ -836,7 +804,7 @@ def test_refinement_matches_the_lu_oracle(n_th, dims, omega_a):
 
 
 def _assert_matches_the_lu_oracle(model, state):
-    oracle = _lu_oracle(model)
+    oracle = lu_oracle(model)
     n_a = model.space.occupations[model.space.index("a")]
     assert (state.matrix.diagonal().real @ n_a
             == pytest.approx(oracle.matrix.diagonal().real @ n_a, rel=1e-12, abs=0.0))
@@ -854,44 +822,41 @@ def test_large_thermal_sector_converges_without_the_fallback():
     _assert_matches_the_lu_oracle(model, rep.state)
 
 
-def _lu_path(model):
-    # the trace-row system solved on its own factor with one refinement
-    # step: (the state, M's fill, the backward error)
-    from omx.dynamics import _backward_error, _factor
-    M, idx = _trace_row_system(model)
-    lu = _factor(M)
-    rhs = np.zeros(M.shape[0], dtype=complex)
-    rhs[0] = 1.0
-    y = lu.solve(rhs)
-    y += lu.solve(rhs - M @ y)
-    return _state(model, idx, y), lu.nnz, _backward_error(abs(M), y, rhs - M @ y, rhs)
-
-
 @pytest.mark.parametrize("cap, gamma", [(0, 0.01), (dynamics.REFINE_STEP_CAP, 0.0)],
                          ids=["stalled", "undamped-mechanics"])
 def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
     # with no refinement step allowed the iteration stalls at P's own
     # solution; without mechanical damping P's photon-free level block is
     # singular (every phonon population there is stationary) while M is not.
-    # Either way the fallback factors M and solves it with one refinement
-    # step on the same factor, bit for bit
+    # Either way the fallback runs the same refinement on the check's
+    # factor of M and reports its fill. At the real cap it meets the stop
+    # and the LU oracle; at cap 0 both loops stop at their first solve
+    from omx.dynamics import _backward_error, _factor
     monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", cap)
     model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
                                    Omega_a=0.01, gamma=gamma), (4, 4, 6))
     rep = steady_state(model)
-    assert rep.lu_fallback and rep.krylov_iterations == 0 and rep.null_gap > 1e-8
-    rho, nnz, omega = _lu_path(model)
-    assert rep.lu_nnz == nnz
-    assert rep.backward_error == omega
-    assert np.array_equal(rep.state.matrix, rho)
+    assert rep.lu_fallback and rep.null_gap > 1e-8
+    M, idx = trace_row_system(model)
+    lu = _factor(M)
+    assert rep.lu_nnz == lu.nnz
+    if cap:
+        assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
+        _assert_matches_the_lu_oracle(model, rep.state)
+    else:
+        rhs = np.zeros(M.shape[0], dtype=complex)
+        rhs[0] = 1.0
+        y = lu.solve(rhs)
+        assert rep.krylov_iterations == 0
+        assert rep.backward_error == _backward_error(abs(M), y, rhs - M @ y, rhs)
+        assert np.array_equal(rep.state.matrix, sector_state(model, idx, y))
 
 
-def test_undriven_model_solves_without_a_krylov_step(monkeypatch):
-    # build_displaced has no drive term, so P is M and its factor is
-    # exact: each correction is a plain refinement step, and the solve is
-    # the LU and its one refinement step, bit for bit. The checked solve
-    # factors M once, for the check and the solve (the check also factors
-    # some coherence blocks of this model)
+def test_undriven_model_refines_on_its_one_level_factor(monkeypatch):
+    # build_displaced has no drive term, so P is M as one level and its
+    # factor is exact: the same GMRES refinement converges in one Krylov
+    # iteration. The checked solve factors M twice, once for the check and
+    # once as P (the check also factors some coherence blocks of this model)
     import scipy.sparse.linalg
     real = scipy.sparse.linalg.splu
     calls = []
@@ -904,12 +869,12 @@ def test_undriven_model_solves_without_a_krylov_step(monkeypatch):
     assert "photons" not in model.hamiltonian.meta
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     rep = steady_state(model)
-    assert calls.count((rep.solved_dim, rep.solved_dim)) == 1
-    assert rep.krylov_iterations == 0 and not rep.lu_fallback
-    rho, nnz, omega = _lu_path(model)
-    assert rep.backward_error == omega <= dynamics.BACKWARD_ERROR_STOP
-    assert rep.lu_nnz == nnz
-    assert np.array_equal(rep.state.matrix, rho)
+    assert calls.count((rep.solved_dim, rep.solved_dim)) == 2
+    assert rep.krylov_iterations == 1 and not rep.lu_fallback
+    assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
+    assert rep.lu_nnz == dynamics._LevelLU(dynamics._population_block(model)[3]).nnz
+    oracle = lu_oracle(model).matrix
+    assert np.abs(rep.state.matrix - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 @pytest.mark.parametrize("make", [lambda: _rwa(0.3), lambda: _displaced((3, 2, 7)),
