@@ -137,8 +137,8 @@ def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
     as one coordinate list and one CSR conversion, with no kron products.
     The trace functional is verified to annihilate the generator:
     |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
-    steady_state builds it only for its uniqueness check; its population
-    block comes from a _BlockPlan, and this is that block's oracle.
+    steady_state never builds it: its blocks come from a _BlockPlan and
+    _gather, and this is their oracle.
     """
     n = model.space.total_dim
     rows, cols, vals = _kron_sum(_generator_terms(model), n)
@@ -245,11 +245,13 @@ class SteadyStateReport:
 
     residual: |L x|_2 of the solution, the norm of the n^2 vector L x,
         formed from the population block alone (see steady_state).
-    null_gap: with check_unique, |lambda_1| of the full Liouvillian: the
-        smaller of the population sector's |lambda_1|, measured with the
-        LU of the trace-row system M, and the smallest |lambda| of the
-        blocks whose disc bound falls below it, each measured too (see
-        steady_state). None without the check.
+    null_gap: with check_unique, |lambda_1| of the full Liouvillian,
+        which is never built: the smaller of the population sector's
+        |lambda_1|, measured with the LU of the trace-row system M, and
+        the smallest |lambda| of the other blocks whose disc bound, taken
+        from the generator's kron factors, falls below it, each gathered
+        from those factors and measured too (see steady_state). None
+        without the check.
     solved_dim: size of the linear system actually solved.
     lu_nnz: entries SuperLU stores in the factors the solution was refined
         on: the summed fill of P's level factors (one level, M itself, for
@@ -316,7 +318,8 @@ def _block_gap(B: scipy.sparse.csr_matrix, lu: _LevelLU | None) -> float:
         return float(w[0] if lu is None else w[1])
     if lu is None:
         try:
-            solve = _factor(B.tocsc()).solve
+            B = B.tocsc()
+            solve = _factor(B, _min_degree(B)).solve
         except SolverError:   # an exactly singular factor: lambda = 0
             return 0.0
     else:
@@ -334,17 +337,121 @@ def _block_gap(B: scipy.sparse.csr_matrix, lu: _LevelLU | None) -> float:
     return float(1.0 / np.abs(w).max())
 
 
-def _disc_bounds(L: scipy.sparse.csr_matrix, labels: np.ndarray) -> np.ndarray:
-    """Gershgorin lower bound on min |lambda| of each connected block of L:
-    the larger of min_i (|L_ii| - sum_{j != i} |L_ij|) over its rows and
-    over its columns."""
-    a = abs(L)
-    twice = 2.0 * a.diagonal()
+def _disc_gaps(terms: list, n: int) -> np.ndarray:
+    """(2, n^2): for each row r of L, a lower bound on its Gershgorin gap
+    |L_rr| - sum_{c != r} |L_rc|, and the same for each column, from the
+    kron factors of terms alone (n x n work; no entry of L is formed).
+
+    A term A kron B puts A_ii B_jj on the diagonal at (i, j), and adds at
+    most rowsum|A|_i rowsum|B|_j - |A_ii| |B_jj| to the row's off-diagonal
+    sum (column sums likewise). The bound is exact, up to rounding, where
+    no two terms meet off the diagonal and nothing cancels there.
+    """
+    diag = np.zeros((n, n), complex)
+    off = np.zeros((2, n, n))
+    for a, b in terms:
+        (da, sa), (db, sb) = _abs_sums(a, n), _abs_sums(b, n)
+        diag += np.multiply.outer(da, db)
+        own = np.multiply.outer(np.abs(da), np.abs(db))
+        for k in (0, 1):
+            off[k] += np.multiply.outer(sa[k], sb[k]) - own
+    return (np.abs(diag) - off).reshape(2, n * n)
+
+
+def _abs_sums(f, n: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """(diagonal, (row sums of |f|, column sums of |f|)) of an n x n
+    (row, col, val) triplet, or of the identity for None."""
+    if f is None:
+        ones = np.ones(n)
+        return ones, (ones, ones)
+    row, col, val = f
+    diag = np.zeros(n, complex)
+    on = row == col
+    np.add.at(diag, row[on], val[on])
+    mag = np.abs(val)
+    return diag, (np.bincount(row, mag, minlength=n), np.bincount(col, mag, minlength=n))
+
+
+def _disc_bounds(gaps: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gershgorin lower bound on min |lambda| of each labelled block of L,
+    given the gaps of its entries' rows and columns (_disc_gaps): the
+    larger of its rows' least gap and its columns' least gap."""
     rows = np.full(labels.max() + 1, np.inf)
     cols = rows.copy()
-    np.minimum.at(rows, labels, twice - np.asarray(a.sum(axis=1)).ravel())
-    np.minimum.at(cols, labels, twice - np.asarray(a.sum(axis=0)).ravel())
+    np.minimum.at(rows, labels, gaps[0])
+    np.minimum.at(cols, labels, gaps[1])
     return np.maximum(rows, cols)
+
+
+def _coherence_gap(terms: list, n: int, labels: np.ndarray, entries: np.ndarray | None,
+                   bounds: np.ndarray, floor: float) -> float:
+    """min |lambda| over the blocks of L that labels marks on entries (the
+    sorted indices it labels; None for all n^2), the block of labels[0]
+    left out, or a proven lower bound on it of at least floor; inf when
+    there are none. Of each pair of blocks related by rho -> rho^dag one is
+    taken. A block whose disc bound (bounds) falls below floor is gathered
+    from the terms (_gather) and measured (_block_gap). See steady_state."""
+    first = np.unique(labels, return_index=True)[1]
+    at = first if entries is None else entries[first]
+    row, col = np.divmod(at, n)
+    flip = col * n + row   # the transposed entry, in the transposed block
+    if entries is None:
+        partner = labels[flip]
+    else:   # a partner outside entries cannot stand in: keep the block
+        pos = np.searchsorted(entries, flip).clip(max=entries.size - 1)
+        partner = np.where(entries[pos] == flip, labels[pos], first.size)
+    bound = np.inf
+    for c in np.flatnonzero(np.arange(first.size) <= partner):
+        if c == labels[0]:
+            continue
+        block = bounds[c]
+        if block < floor:
+            e = np.flatnonzero(labels == c)
+            block = _block_gap(_gather(terms, n, e if entries is None else entries[e]), None)
+        bound = min(bound, block)
+    return bound
+
+
+def _gather(terms: list, n: int, e: np.ndarray) -> scipy.sparse.csr_matrix:
+    """L[e][:, e] of liouvillian(model), in bits, for the sorted entries e
+    of a block of L, from the terms alone: each contribution of
+    _kron_sum(terms, n) to the rows e, in the list's order within each
+    row, summed by scipy's conversion as liouvillian's is, with its exact
+    zeros dropped. Contributions to columns outside e cancel exactly, as e
+    is a block, and are left out."""
+    i, j = np.divmod(e, n)
+    rows, cols, vals = [], [], []
+    for a, b in terms:
+        (a_ord, a_ptr, (_, a_col, a_val)), (b_ord, b_ptr, (_, b_col, b_val)) = (
+            _by_row(a, n), _by_row(b, n))
+        na, nb = np.diff(a_ptr)[i], np.diff(b_ptr)[j]
+        count = na * nb
+        r = np.repeat(np.arange(e.size), count)
+        k = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
+        p = a_ord[a_ptr[i][r] + k // nb[r]]
+        q = b_ord[b_ptr[j][r] + k % nb[r]]
+        rows.append(r)
+        cols.append(a_col[p].astype(np.int64) * n + b_col[q])
+        vals.append(a_val[p] * b_val[q])
+    col = np.concatenate(cols)
+    pos = np.searchsorted(e, col).clip(max=e.size - 1)
+    keep = e[pos] == col
+    B = scipy.sparse.coo_matrix(
+        (np.concatenate(vals)[keep], (np.concatenate(rows)[keep], pos[keep])),
+        shape=(e.size, e.size)).tocsr()
+    B.eliminate_zeros()
+    return B
+
+
+def _by_row(f, n: int) -> tuple:
+    """(order, ptr, triplet) of an n x n (row, col, val) triplet, or of the
+    identity (n ones) for None: order[ptr[i]:ptr[i + 1]] are the positions
+    of row i's entries, in increasing order."""
+    if f is None:
+        eye = np.arange(n)
+        return eye, np.arange(n + 1), (eye, eye, np.ones(n))
+    order = np.argsort(f[0], kind="stable")
+    return order, np.searchsorted(f[0][order], np.arange(n + 1)), f
 
 
 PLAN_CACHE_SIZE = 8
@@ -388,10 +495,11 @@ def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
     return np.argsort(ilu.perm_c)
 
 
-def _factor(A: scipy.sparse.csc_matrix) -> _LevelLU:
+def _factor(A: scipy.sparse.csc_matrix, q: np.ndarray) -> _LevelLU:
     """Sparse LU of a block of L, or of its trace-row system M: the
     _LevelLU of A as one level, A[q][:, q] in the order q = _min_degree(A),
-    computed afresh on each call. An exactly singular A raises SolverError:
+    which the caller computes or kept for A's pattern (the plan keeps
+    M's). An exactly singular A raises SolverError:
     a block of L or a trace-row system with a second null vector (see
     steady_state).
 
@@ -406,7 +514,6 @@ def _factor(A: scipy.sparse.csc_matrix) -> _LevelLU:
     function of A alone: its bits cannot depend on which system came
     first or on how a scan is split over processes.
     """
-    q = _min_degree(A)
     try:   # one level: nothing lies left of its diagonal block
         return _LevelLU(_LevelSystem(q, np.array([0, A.shape[0]]), [A[q][:, q]], [None]))
     except RuntimeError as exc:
@@ -419,36 +526,17 @@ def _splu(A: scipy.sparse.csc_matrix):
                                     options={"SymmetricMode": True})
 
 
-def _coherence_gap(L: scipy.sparse.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
-    """min |lambda| over the blocks of L outside the population sector, or a
-    proven lower bound on it of at least floor; inf when there are none. A
-    block whose disc bound falls below floor is measured (_block_gap). See
-    steady_state."""
-    first = np.unique(labels, return_index=True)[1]
-    row, col = np.divmod(first, n)
-    partner = labels[col * n + row]   # the component of the transposed entries
-    discs = _disc_bounds(L, labels)
-    bound = np.inf
-    for c in np.flatnonzero(np.arange(first.size) <= partner):
-        if c == labels[0]:
-            continue
-        block = discs[c]
-        if block < floor:
-            idx = np.flatnonzero(labels == c)
-            block = _block_gap(L[idx][:, idx], None)
-        bound = min(bound, block)
-    return bound
-
-
 class _BlockPlan:
     """The symbolic half of L's population block, a function of the
     sparsity patterns of the generator's factors and of the photon number
     handed over with the drive (see steady_state).
 
-    idx: the block's entries, sorted: the connected component of entry
-        (0,0) in the structural pattern of L, the pattern before exact
-        cancellations, so it holds the block of every model with these
-        factor patterns.
+    labels: the connected component of each of the n^2 entries in the
+        structural pattern of L, the pattern before exact cancellations,
+        so its blocks hold those of every model with these factor
+        patterns (int32, as scipy labels them): the uniqueness check's
+        blocks.
+    idx: the block's entries, sorted: the component of entry (0,0).
     pops: positions of the populations |i><i| in the block; fewer than n
         when they split structurally.
     row, col, left, right: each contribution of _kron_sum(terms, n) that
@@ -462,15 +550,16 @@ class _BlockPlan:
         N = photons; 0 throughout for a model without a drive.
     levels: the _Levels of M under that order: one level, P = M, for a
         model without a drive.
-    All of it is block-sized: no array of the n^2 space outlives __init__.
+    m_order: _min_degree of M's structural pattern, made by the first
+        factor of M on the pattern (min_degree) and None until then.
+    Besides labels all of it is block-sized.
     """
 
     def __init__(self, terms: list, photons: np.ndarray | None, n: int):
         rows, cols = _kron_sum(terms, n)[:2]
-        labels = _component_labels(
+        self.labels = _component_labels(
             scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * n, n * n)))
-        self.idx = np.flatnonzero(labels == labels[0])
-        del labels
+        self.idx = np.flatnonzero(self.labels == self.labels[0])
         m = self.idx.size
         pos = np.full(n * n, -1)
         pos[self.idx] = np.arange(m)
@@ -495,11 +584,14 @@ class _BlockPlan:
         i, j = np.divmod(self.idx, n)
         self.order = photons[i] + photons[j]
         self.levels = _Levels(M, self.order)
+        self.m_order = None
 
     def assemble(self, terms: list, n: int) -> tuple:
-        """(idx, Lc, M, P) of steady_state for a model with these factor
-        patterns: the values of its terms summed onto the block, the
-        block's trace check, and the population sector inside the block."""
+        """(idx, Lc, M, P, split) of steady_state for a model with these
+        factor patterns: the values of its terms summed onto the block, the
+        block's trace check, and the population sector inside the block.
+        split: where exact cancellations split the block, the labels of its
+        actual components (the sector's is split[0]), else None."""
         m = self.idx.size
         left, right = _factor_values(terms, n)
         # scipy sums the products as liouvillian's conversion does, in the
@@ -513,7 +605,7 @@ class _BlockPlan:
         P = self.levels.gather(src)
         # entries that cancel exactly are dropped, as liouvillian drops them
         M.eliminate_zeros()
-        split = np.any((vals == 0) & self.off_diagonal)
+        cancelled = np.any((vals == 0) & self.off_diagonal)
         Lc.eliminate_zeros()
         t = np.zeros(m)
         t[self.pops] = 1.0
@@ -521,15 +613,43 @@ class _BlockPlan:
         idx = self.idx
         # the structural block is connected, so only populations outside it
         # or an off-diagonal entry that cancels can split the sector
-        if self.pops.size < n or split:
+        split = None
+        if self.pops.size < n or cancelled:
             labels = np.full(n * n, -1)
-            labels[idx] = _component_labels(Lc)
+            labels[idx] = split = _component_labels(Lc)
             idx = _sector(labels, n)
             if idx.size < m:
                 sub = np.searchsorted(self.idx, idx)
                 Lc, M = Lc[sub][:, sub], M[sub][:, sub]
                 P = _Levels(M, self.order[sub]).gather(M.data)
-        return idx, Lc, M, P
+        return idx, Lc, M, P, split if idx.size < m else None
+
+    def min_degree(self, M: scipy.sparse.csc_matrix) -> np.ndarray:
+        """_min_degree(M) of assemble's M, kept in m_order while M has the
+        structural pattern, so that a factor of M stays a function of M."""
+        if M.nnz < self.m_src.size:   # exact zeros dropped: another pattern
+            return _min_degree(M)
+        if self.m_order is None:
+            self.m_order = _min_degree(M)
+        return self.m_order
+
+    def check(self, terms: list, n: int, Lc: scipy.sparse.csr_matrix,
+              M: scipy.sparse.csc_matrix, split: np.ndarray | None) -> tuple[_LevelLU, float]:
+        """(the factor of M, |lambda_1| of L): the uniqueness check of
+        steady_state on assemble's sector Lc, M and split, M factored in
+        its kept order. Every other block of L is bounded from the terms
+        (_disc_gaps) on the structural labels, and where cancellations
+        split the population block, its components outside the sector on
+        split's labels."""
+        lu = _factor(M, self.min_degree(M))
+        lam1 = _block_gap(Lc, lu)
+        gaps = _disc_gaps(terms, n)
+        gap = min(lam1, _coherence_gap(terms, n, self.labels, None,
+                                       _disc_bounds(gaps, self.labels), lam1))
+        if split is not None:
+            gap = min(gap, _coherence_gap(terms, n, split, self.idx,
+                                          _disc_bounds(gaps[:, self.idx], split), lam1))
+        return lu, gap
 
 
 class _Levels:
@@ -629,9 +749,9 @@ def _factor_values(terms: list, n: int) -> tuple[np.ndarray, np.ndarray]:
             np.concatenate([ones if b is None else b[2] for _, b in terms]))
 
 
-def _population_block(model: LindbladModel) -> tuple:
-    """(idx, Lc, M, P) of steady_state, from the model's _BlockPlan: made
-    on the first model with its factor patterns and photon numbers
+def _plan(model: LindbladModel) -> tuple[_BlockPlan, list]:
+    """The model's _BlockPlan and its _generator_terms. The plan is made on
+    the first model with its factor patterns and photon numbers
     (model.hamiltonian.meta["photons"]) and kept, for the last
     PLAN_CACHE_SIZE such sets, under the exact key of the photon numbers
     and of every factor's (row, col) arrays."""
@@ -641,8 +761,7 @@ def _population_block(model: LindbladModel) -> tuple:
         tuple(None if f is None else (np.asarray(f[0], np.int64).tobytes(),
                                       np.asarray(f[1], np.int64).tobytes()) for f in term)
         for term in terms)
-    plan = _cached(_PLANS, PLAN_CACHE_SIZE, key, lambda: _BlockPlan(terms, photons, n))
-    return plan.assemble(terms, n)
+    return _cached(_PLANS, PLAN_CACHE_SIZE, key, lambda: _BlockPlan(terms, photons, n)), terms
 
 
 def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyStateReport:
@@ -656,8 +775,8 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     in L's sparsity pattern, the whole space for a model without such a
     symmetry. Only it is built, from a _BlockPlan kept per sparsity pattern
     and photon numbers, with the bits of the same block sliced from
-    liouvillian(model). Populations split over several sectors raise
-    SolverError, with or without the check.
+    liouvillian(model), which is never built here. Populations split over
+    several sectors raise SolverError, with or without the check.
 
     Within the block the row of (0,0) is replaced by the trace condition,
     and M x = e_0 is solved by GMRES-based iterative refinement (_refine;
@@ -690,25 +809,23 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     measured, not bounded. The population block's comes from the check's
     own factor of M: with Pi = I - e_0 e_0^T and t^T L = 0, each
     eigenvector L v = lambda v, lambda != 0, gives M v = lambda Pi v, so
-    the largest |mu| of M^-1 Pi is 1/|lambda_1|. A second steady state may
-    sit in any other block (a Hermitian jump c + c^dag on a qubit keeps
-    sigma_x stationary), so each block of each pair related by
-    rho -> rho^dag gets Gershgorin's disc bound on min |lambda|, and is
-    measured (_block_gap) only where that bound falls below the population
-    block's |lambda_1|.
+    the largest |mu| of M^-1 Pi is 1/|lambda_1|; M is ordered once per
+    pattern (_BlockPlan.min_degree). A second steady state may sit in any other
+    block (a Hermitian jump c + c^dag on a qubit keeps sigma_x stationary),
+    so each block of each pair related by rho -> rho^dag gets Gershgorin's
+    disc bound on min |lambda|, taken from the kron factors (_disc_gaps) on
+    the plan's structural blocks, and on the actual blocks that exact
+    cancellations cut from the population block. Only a block whose bound
+    falls below the population block's |lambda_1| is gathered from the
+    factors (_gather) and measured (_block_gap).
     """
     n = model.space.total_dim
-    # the check's full L comes first, so that its assembly's peak adds to
-    # nothing of the block's
-    L = liouvillian(model) if check_unique else None
-    idx, Lc, M, P = _population_block(model)
+    plan, terms = _plan(model)
+    idx, Lc, M, P, split = plan.assemble(terms, n)
     m = idx.size
     lu = gap = None   # lu: the check's factor of M; past the check it serves the fallback only
     if check_unique:
-        lu = _factor(M)
-        lam1 = _block_gap(Lc, lu)
-        gap = min(lam1, _coherence_gap(L, _component_labels(L), n, lam1))
-        del L
+        lu, gap = plan.check(terms, n, Lc, M, split)
         if not gap > NULL_GAP_ATOL:
             raise SolverError(
                 f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
@@ -724,7 +841,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
         y, krylov, omega = _refine(M, lu0, rhs)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
-        lu0 = lu or _factor(M)
+        lu0 = lu or _factor(M, plan.min_degree(M))
         y, more, omega = _refine(M, lu0, rhs)
         krylov += more
     # |L x| as the n^2 vector it is: the rows outside the sector are zero,
@@ -760,12 +877,11 @@ def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray
 
 def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
     """(x, Krylov iterations, backward error): M x = rhs by iterative
-    refinement from x = lu0.solve(rhs), each correction one GMRES cycle on
-    M preconditioned by lu0, the exact solve of P or a factor of M itself
-    (see steady_state). |M| is formed once, and each step's residual serves
-    both its backward error and its correction."""
-    krylov = []
-    precond = scipy.sparse.linalg.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)
+    refinement from x = lu0.solve(rhs), each correction one GMRES cycle
+    (_gmres_cycle) on M preconditioned by lu0, the exact solve of P or a
+    factor of M itself (see steady_state). |M| is formed once, and each
+    step's residual serves both its backward error and its correction."""
+    krylov = 0
     abs_m = abs(M)
     x = lu0.solve(rhs)
     for step in range(REFINE_STEP_CAP + 1):
@@ -773,10 +889,81 @@ def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray) -> tuple[np.ndarra
         omega = _backward_error(abs_m, x, r, rhs)
         if omega <= BACKWARD_ERROR_STOP or step == REFINE_STEP_CAP:
             break
-        x += scipy.sparse.linalg.gmres(M, r, rtol=KRYLOV_RTOL, restart=KRYLOV_RESTART, maxiter=1,
-                                       M=precond, callback=krylov.append,
-                                       callback_type="pr_norm")[0]
-    return x, len(krylov), omega
+        dx, iterations = _gmres_cycle(M, lu0.solve, r)
+        x += dx
+        krylov += iterations
+    return x, krylov, omega
+
+
+def _gmres_cycle(M: scipy.sparse.csc_matrix, psolve, b: np.ndarray) -> tuple[np.ndarray, int]:
+    """(x, iterations): one GMRES cycle for M x = b from x = 0, left-
+    preconditioned by psolve, stopping at a preconditioned residual of
+    KRYLOV_RTOL relative or after KRYLOV_RESTART iterations.
+
+    This is scipy 1.17's gmres (scipy/sparse/linalg/_isolve/iterative.py,
+    BSD licence) at x0 = None, maxiter = 1, rtol = KRYLOV_RTOL and
+    restart = KRYLOV_RESTART, transcribed operation for operation, so its
+    iterate has the same bits: modified Gram-Schmidt with vdot, LAPACK
+    lartg Givens rotations, the back substitution, x += y @ V and the same
+    inner tolerance. Two results it discards are not computed: psolve(b)
+    serves both the tolerance and the first Krylov vector (scipy takes
+    psolve(r) again with r = b), and no residual is formed after the cycle.
+    """
+    n = b.size
+    bnrm2 = np.linalg.norm(b)
+    atol = KRYLOV_RTOL * float(bnrm2)
+    eps = np.finfo(complex).eps
+    restart = min(KRYLOV_RESTART, n)
+    lartg = scipy.linalg.get_lapack_funcs("lartg", dtype=complex)
+    v = np.empty([restart + 1, n], dtype=complex)
+    h = np.zeros([restart, restart + 1], dtype=complex)
+    givens = np.zeros([restart, 2], dtype=complex)
+    v[0, :] = psolve(b)
+    tmp = np.linalg.norm(v[0, :])
+    ptol = tmp * min(1.0, atol / bnrm2)
+    v[0, :] *= (1 / tmp)
+    S = np.zeros(restart + 1, dtype=complex)   # the Hessenberg problem's right side
+    S[0] = tmp
+    breakdown = False
+    for col in range(restart):
+        w = psolve(M @ v[col, :])
+        h0 = np.linalg.norm(w)
+        for k in range(col + 1):
+            tmp = np.vdot(v[k, :], w)
+            h[col, k] = tmp
+            w -= tmp * v[k, :]
+        h1 = np.linalg.norm(w)
+        h[col, col + 1] = h1
+        v[col + 1, :] = w[:]
+        if h1 <= eps * h0:   # the exact solution
+            h[col, col + 1] = 0
+            breakdown = True
+        else:
+            v[col + 1, :] *= (1 / h1)
+        for k in range(col):
+            c, s = givens[k, 0], givens[k, 1]
+            n0, n1 = h[col, [k, k + 1]]
+            h[col, [k, k + 1]] = [c * n0 + s * n1, -s.conj() * n0 + c * n1]
+        c, s, mag = lartg(h[col, col], h[col, col + 1])
+        givens[col, :] = [c, s]
+        h[col, [col, col + 1]] = mag, 0
+        tmp = -np.conjugate(s) * S[col]
+        S[[col, col + 1]] = [c * S[col], tmp]
+        if np.abs(tmp) <= ptol or breakdown:
+            break
+    if h[col, col] == 0:
+        S[col] = 0
+    y = S[:col + 1].copy()
+    for k in range(col, 0, -1):
+        if y[k] != 0:
+            y[k] /= h[k, k]
+            tmp = y[k]
+            y[:k] -= tmp * h[k, :k]
+    if y[0] != 0:
+        y[0] /= h[0, 0]
+    x = np.zeros(n, dtype=complex)
+    x += y @ v[:col + 1, :]
+    return x, col + 1
 
 
 def g2_zero(state: DensityMatrix, label: str) -> float:

@@ -6,7 +6,10 @@ hilbert.ladder_product read the occupation table instead), dense Fock and
 thermal states with their expectation values and diagonal partial trace
 (dynamics reads observables off the populations), the time integration
 of the master equation and a full-pivoting LU solve of its trace-row
-system (dynamics.steady_state refines on a simpler system's factor), and
+system (dynamics.steady_state refines on a simpler system's factor), the
+refinement on scipy's own gmres (dynamics transcribes one of its cycles),
+the uniqueness check's disc bounds and coherence gap on the full L
+(dynamics bounds and gathers the blocks from the kron factors), and
 the phase gate's scan with one SystemParams and one phonon_nonlinearity per
 detuning and its exact error from one dense expm of L
 (analytics.phase_gate_error scans on Python floats and takes the expm on
@@ -23,7 +26,9 @@ from scipy.integrate import solve_ivp
 
 from omx import models
 from omx.analytics import GateBudget, _qubit_superposition, phonon_nonlinearity
-from omx.dynamics import LindbladModel, SolverError, _component_labels, _sector, liouvillian
+from omx import dynamics
+from omx.dynamics import (LindbladModel, SolverError, _backward_error, _block_gap,
+                          _component_labels, _sector, liouvillian)
 from omx.hilbert import DensityMatrix, ModeSpace, Operator, _canonical, thermal_weights
 from omx.params import SystemParams
 
@@ -148,6 +153,59 @@ def lu_oracle(model) -> DensityMatrix:
     for _ in range(3):
         y += lu.solve(rhs - M @ y)
     return DensityMatrix(model.space, sector_state(model, idx, y))
+
+
+def scipy_refine(M, lu0, rhs) -> tuple[np.ndarray, int, float]:
+    """dynamics._refine with each correction from scipy's gmres (maxiter=1),
+    which applies the preconditioner to b twice and forms the residual
+    after the cycle."""
+    krylov = []
+    precond = spla.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)
+    abs_m = abs(M)
+    x = lu0.solve(rhs)
+    for step in range(dynamics.REFINE_STEP_CAP + 1):
+        r = rhs - M @ x
+        omega = _backward_error(abs_m, x, r, rhs)
+        if omega <= dynamics.BACKWARD_ERROR_STOP or step == dynamics.REFINE_STEP_CAP:
+            break
+        x += spla.gmres(M, r, rtol=dynamics.KRYLOV_RTOL, restart=dynamics.KRYLOV_RESTART,
+                        maxiter=1, M=precond, callback=krylov.append,
+                        callback_type="pr_norm")[0]
+    return x, len(krylov), omega
+
+
+def disc_bounds(L: sp.csr_matrix, labels: np.ndarray) -> np.ndarray:
+    """Gershgorin lower bound on min |lambda| of each labelled block of the
+    full L, from |L|: the larger of min_i (|L_ii| - sum_{j != i} |L_ij|)
+    over its rows and over its columns."""
+    a = abs(L)
+    twice = 2.0 * a.diagonal()
+    rows = np.full(labels.max() + 1, np.inf)
+    cols = rows.copy()
+    np.minimum.at(rows, labels, twice - np.asarray(a.sum(axis=1)).ravel())
+    np.minimum.at(cols, labels, twice - np.asarray(a.sum(axis=0)).ravel())
+    return np.maximum(rows, cols)
+
+
+def coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) -> float:
+    """The uniqueness check's min |lambda| over the blocks of the full L
+    outside the population block, on L's component labels: one block of
+    each rho -> rho^dag pair, disc-bounded (disc_bounds) and sliced from L
+    and measured where the bound falls below floor."""
+    first = np.unique(labels, return_index=True)[1]
+    row, col = np.divmod(first, n)
+    partner = labels[col * n + row]
+    discs = disc_bounds(L, labels)
+    bound = np.inf
+    for c in np.flatnonzero(np.arange(first.size) <= partner):
+        if c == labels[0]:
+            continue
+        block = discs[c]
+        if block < floor:
+            idx = np.flatnonzero(labels == c)
+            block = _block_gap(L[idx][:, idx], None)
+        bound = min(bound, block)
+    return bound
 
 
 def phase_gate_scan(params: SystemParams) -> GateBudget:

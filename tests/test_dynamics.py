@@ -28,12 +28,15 @@ from omx import (
 from omx.dynamics import _component_labels, _sector, null_space_gap
 from omx.hilbert import Operator
 from oracles import (
+    coherence_gap,
     destroy_matrix,
+    disc_bounds,
     evolve,
     expect,
     fock_density,
     lu_oracle,
     ptrace_population,
+    scipy_refine,
     sector_state,
     tensor_embed,
     thermal_state,
@@ -343,14 +346,17 @@ def test_coherence_block_gap_is_measured():
     # at displaced (4, 3, 5) the disc bounds of the coherence blocks of 180
     # to 504 entries fall below the population gap. Each such block's gap
     # must be its exact min |lambda|, not a lower bound such as
-    # 1/||B^-1||_1 (0.0152 on the block whose gap is 0.0359)
-    from omx.dynamics import (GAP_DENSE_LIMIT, _block_gap, _coherence_gap,
-                              _component_labels, _disc_bounds)
+    # 1/||B^-1||_1 (0.0152 on the block whose gap is 0.0359). The check
+    # takes the blocks and their bounds from the plan's structural labels
+    # and the kron factors, and gives the full-L check's gap in bits
+    from omx.dynamics import (GAP_DENSE_LIMIT, _block_gap, _coherence_gap, _disc_bounds,
+                              _disc_gaps)
     model = _displaced((4, 3, 5))
     L = liouvillian(model)
     n = model.space.total_dim
-    labels = _component_labels(L)
-    discs = _disc_bounds(L, labels)
+    plan, terms = dynamics._plan(model)
+    labels = plan.labels
+    discs = _disc_bounds(_disc_gaps(terms, n), labels)
     floor = steady_state(model).null_gap
     exact = {}
     for c in np.unique(labels):
@@ -360,7 +366,26 @@ def test_coherence_block_gap_is_measured():
             exact[c] = np.abs(sla.eigvals(B.toarray())).min()
             assert _block_gap(B, None) == pytest.approx(exact[c], rel=1e-8)
     assert max(np.count_nonzero(labels == c) for c in exact) > GAP_DENSE_LIMIT
-    assert _coherence_gap(L, labels, n, floor) == pytest.approx(min(exact.values()), rel=1e-8)
+    gap = _coherence_gap(terms, n, labels, None, discs, floor)
+    assert gap == pytest.approx(min(exact.values()), rel=1e-8)
+    assert gap == coherence_gap(L, _component_labels(L), n, floor)
+
+
+def test_gathered_blocks_are_the_liouvillians():
+    # every structural block of displaced (4, 3, 5), the short ones that
+    # the check measures among them, gathered from the kron factors alone
+    # has the bits of the same block sliced from the full L
+    from omx.dynamics import _disc_bounds, _disc_gaps, _gather
+    model = _displaced((4, 3, 5))
+    L = liouvillian(model)
+    n = model.space.total_dim
+    plan, terms = dynamics._plan(model)
+    discs = _disc_bounds(_disc_gaps(terms, n), plan.labels)
+    floor = steady_state(model).null_gap
+    for c in np.unique(plan.labels):
+        e = np.flatnonzero(plan.labels == c)
+        _same_bits(_gather(terms, n, e), L[e][:, e])
+    assert np.count_nonzero(discs < floor) > 2   # the population block's and short ones
 
 
 def test_checked_solve_allocates_no_dense_block():
@@ -430,9 +455,9 @@ def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
     def no_krylov(*args, **kwargs):
         raise AssertionError("a NaN reached the Krylov step")
 
-    levels = len(dynamics._population_block(_rwa(0.3))[3].diag)
+    levels = len(_population_block(_rwa(0.3))[3].diag)
     assert levels > 1
-    monkeypatch.setattr(scipy.sparse.linalg, "gmres", no_krylov)
+    monkeypatch.setattr(dynamics, "_gmres_cycle", no_krylov)
     for nan_call, cap in ((1, dynamics.REFINE_STEP_CAP), (levels, dynamics.REFINE_STEP_CAP),
                           (levels + 1, 0)):
         calls = []
@@ -477,7 +502,7 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
 
     model = _g2scan_point(n_th, dims)
     M = trace_row_system(model)[0]
-    P = dynamics._population_block(model)[3]
+    P = _population_block(model)[3]
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     monkeypatch.setattr(dynamics, "null_space_gap", oracle)
     rep = steady_state(model)
@@ -492,8 +517,9 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     # the scan forward and reversed, each from an empty plan cache, gives
     # the same bits, its two ends checked, one first and one last. One
     # pattern: one ordering pass per level of P, kept in the plan, and each
-    # point factors the 13 level blocks (their fill is 9,015); each checked
-    # point orders and factors M afresh, for the null-space gap
+    # point factors the 13 level blocks (their fill is 9,015); the first
+    # checked point orders M, kept in the plan too, and each checked point
+    # factors M, for the null-space gap
     import scipy.sparse.linalg
     calls = []
 
@@ -521,7 +547,7 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, name, counting(name))
     deltas = np.linspace(-8.0, 8.0, 9)   # perfbench/configs/g2scan_reduced.cfg
     forward = scan(deltas)
-    assert calls.count("spilu") == 13 + 2 and calls.count("splu") == 9 * 13 + 2
+    assert calls.count("spilu") == 13 + 1 and calls.count("splu") == 9 * 13 + 2
     assert {v[3] for v in forward.values()} == {9_015}
     assert [d for d, v in forward.items() if v[6] is not None] == [-8.0, 8.0]
     assert scan(deltas[::-1]) == forward
@@ -533,16 +559,19 @@ def test_cached_order_is_superlus_own():
     # the g2scan sector, the thermal sector at m10, and a coherence block
     # that the uniqueness check factors
     import scipy.sparse.linalg as spla
-    from omx.dynamics import _disc_bounds, _min_degree
+    from omx.dynamics import _disc_bounds, _disc_gaps, _min_degree
     systems = [trace_row_system(_g2scan_point(0.0, (4, 4, 6)))[0],
                trace_row_system(_g2scan_point(1.0, (4, 4, 10)))[0]]
-    L = liouvillian(_displaced((4, 3, 5)))
-    labels = _component_labels(L)
+    model = _displaced((4, 3, 5))
+    L = liouvillian(model)
+    plan, terms = dynamics._plan(model)
+    labels = plan.labels
     sizes = np.bincount(labels)
     sizes[labels[0]] = 0
     idx = np.flatnonzero(labels == sizes.argmax())
     # its discs reach the origin, so the check factors it (504 entries)
-    assert _disc_bounds(L, labels)[sizes.argmax()] < 0 and idx.size > 64
+    discs = _disc_bounds(_disc_gaps(terms, model.space.total_dim), labels)
+    assert discs[sizes.argmax()] < 0 and idx.size > 64
     systems.append(L[idx][:, idx].tocsc())
     for A in systems:
         own = spla.splu(A, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.1,
@@ -622,6 +651,12 @@ def _assembled(P):
                          shape=(m, m))
 
 
+def _population_block(model):
+    # steady_state's (idx, Lc, M, P), from the model's plan
+    plan, terms = dynamics._plan(model)
+    return plan.assemble(terms, model.space.total_dim)[:4]
+
+
 def _same_bits(a, b):
     assert a.format == b.format and a.shape == b.shape
     assert np.array_equal(a.indptr, b.indptr) and np.array_equal(a.indices, b.indices)
@@ -636,7 +671,7 @@ def test_block_plan_matches_the_liouvillian(name):
     # hold exactly the masked M's entries. Without a drive P is one level,
     # M itself in its level order
     model = _BLOCK_CASES[name]()
-    idx, Lc, M, P = dynamics._population_block(model)
+    idx, Lc, M, P = _population_block(model)
     M_o, idx_o = trace_row_system(model)
     L = liouvillian(model)
     assert np.array_equal(idx, idx_o)
@@ -669,7 +704,7 @@ def test_level_solve_is_the_masked_solve(name):
     # with a sparse solve of M masked to c(col) <= c(row)
     import scipy.sparse.linalg as spla
     model = _BLOCK_CASES[name]()
-    idx, _, M, P = dynamics._population_block(model)
+    idx, _, M, P = _population_block(model)
     rng = np.random.default_rng(7)
     b = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
     x = dynamics._LevelLU(P).solve(b)
@@ -678,8 +713,9 @@ def test_level_solve_is_the_masked_solve(name):
 
 
 def test_unchecked_solve_builds_no_liouvillian(monkeypatch):
-    # the unchecked solve works on the block alone; the uniqueness check
-    # builds the full L once, for the blocks outside the sector
+    # the solve works on the block alone, and the uniqueness check bounds
+    # and gathers the other blocks from the kron factors: neither builds
+    # the full L, also where the check measures coherence blocks
     real, calls = dynamics.liouvillian, []
 
     def counting(model):
@@ -689,9 +725,25 @@ def test_unchecked_solve_builds_no_liouvillian(monkeypatch):
     monkeypatch.setattr(dynamics, "liouvillian", counting)
     model = _g2scan_point(0.0, (4, 4, 6))
     steady_state(model, check_unique=False)
-    assert calls == []
     steady_state(model)
-    assert calls == [model]
+    steady_state(_displaced((4, 3, 5)))
+    assert calls == []
+
+
+def test_checked_scan_orders_m_once(monkeypatch):
+    # with every point checked, M's minimum-degree order is made on the
+    # first point of the pattern and kept in the plan
+    real, sizes = dynamics._min_degree, []
+
+    def counting(A):
+        sizes.append(A.shape[0])
+        return real(A)
+
+    monkeypatch.setattr(dynamics, "_PLANS", {})
+    monkeypatch.setattr(dynamics, "_min_degree", counting)
+    for delta_a in (-8.0, 0.0, 3.3):
+        rep = steady_state(_g2scan_point(0.0, (4, 4, 6), delta_a))
+    assert sizes.count(rep.solved_dim) == 1
 
 
 def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
@@ -714,10 +766,11 @@ def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
     _BLOCK_CASES["cancelling-diagonal"], _BLOCK_CASES["cancelling-coupling"]],
     ids=["g2scan", "rwa-undriven", "cancelling-diagonal", "cancelling-coupling"])
 def test_checked_and_unchecked_solves_give_the_same_bits(make):
-    # the check measures the gap with M's factor, and the solution comes
-    # from P's either way (without a drive P = M, and the check measures
-    # with P's factor): the same state bits and report, also where entries
-    # of M cancel, so that M's pattern is not the one P's order was planned on
+    # the check measures the gap with its own factor of M, and the
+    # solution comes from P's either way (without a drive P is M as one
+    # level, factored apart from the check's): the same state bits and
+    # report, also where entries of M cancel, so that M's pattern is not
+    # the one P's order was planned on
     model = make()
     checked, unchecked = steady_state(model), steady_state(model, check_unique=False)
     assert checked.null_gap > 1e-8 and unchecked.null_gap is None
@@ -763,12 +816,12 @@ def test_lu_fill_below_colamd():
     # g2scan point factors: M for the check, and P's level blocks for the
     # solve, whose summed fill the report records
     import scipy.sparse.linalg as spla
-    from omx.dynamics import _factor
+    from omx.dynamics import _factor, _min_degree
     model = _g2scan_point(0.0, (4, 4, 6))
     M = trace_row_system(model)[0]
-    P = dynamics._population_block(model)[3]
+    P = _population_block(model)[3]
     rep = steady_state(model, check_unique=False)
-    assert _factor(M).nnz < spla.splu(M).nnz
+    assert _factor(M, _min_degree(M)).nnz < spla.splu(M).nnz
     assert rep.lu_nnz == dynamics._LevelLU(P).nnz < sum(spla.splu(D).nnz for D in P.diag)
 
 
@@ -803,6 +856,46 @@ def test_refinement_matches_the_lu_oracle(n_th, dims, omega_a):
     _assert_matches_the_lu_oracle(model, rep.state)
 
 
+@pytest.mark.parametrize("make", [
+    *(lambda omega_a=omega_a: build_rwa(SystemParams(
+        g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3, Omega_a=omega_a, gamma=0.01),
+        (4, 4, 6)) for omega_a in sorted(_KRYLOV_CEILING)),
+    lambda: _g2scan_point(1.0, (4, 4, 10), 3.3), _BLOCK_CASES["cancelling-diagonal"]],
+    ids=[f"a4s4m6-drive{w}" for w in sorted(_KRYLOV_CEILING)] + ["a4s4m10-Nth1",
+                                                                "cancelling-diagonal"])
+def test_gmres_cycle_is_scipys(monkeypatch, make):
+    # the transcribed cycle gives scipy's gmres iterates in bits, at every
+    # drive of the Krylov ceilings (0.01 kappa is the g2scan point), on the
+    # thermal sector and through the fallback (cancelling-diagonal)
+    ours = steady_state(make(), check_unique=False)
+    monkeypatch.setattr(dynamics, "_refine", scipy_refine)
+    theirs = steady_state(make(), check_unique=False)
+    assert np.array_equal(ours.state.matrix.view(np.uint64), theirs.state.matrix.view(np.uint64))
+    assert (ours.krylov_iterations, ours.backward_error, ours.lu_fallback) == \
+        (theirs.krylov_iterations, theirs.backward_error, theirs.lu_fallback)
+
+
+def test_gmres_cycle_solves_p_once_per_krylov_vector(monkeypatch):
+    # at the g2scan point (Delta_a = 3.3) the refinement takes 3 cycles and
+    # 11 iterations: one solve of P to start, one per cycle for its first
+    # Krylov vector and one per iteration, 15 in all. scipy's gmres takes
+    # the first one twice, and 18 solves
+    real, calls = dynamics._LevelLU.solve, []
+
+    def counting(self, b):
+        calls.append(b.size)
+        return real(self, b)
+
+    monkeypatch.setattr(dynamics._LevelLU, "solve", counting)
+    model = _g2scan_point(0.0, (4, 4, 6), 3.3)
+    rep = steady_state(model, check_unique=False)
+    assert rep.krylov_iterations == 11 and len(calls) == 15
+    calls.clear()
+    monkeypatch.setattr(dynamics, "_refine", scipy_refine)
+    steady_state(model, check_unique=False)
+    assert len(calls) == 18
+
+
 def _assert_matches_the_lu_oracle(model, state):
     oracle = lu_oracle(model)
     n_a = model.space.occupations[model.space.index("a")]
@@ -831,14 +924,14 @@ def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
     # Either way the fallback runs the same refinement on the check's
     # factor of M and reports its fill. At the real cap it meets the stop
     # and the LU oracle; at cap 0 both loops stop at their first solve
-    from omx.dynamics import _backward_error, _factor
+    from omx.dynamics import _backward_error, _factor, _min_degree
     monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", cap)
     model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
                                    Omega_a=0.01, gamma=gamma), (4, 4, 6))
     rep = steady_state(model)
     assert rep.lu_fallback and rep.null_gap > 1e-8
     M, idx = trace_row_system(model)
-    lu = _factor(M)
+    lu = _factor(M, _min_degree(M))
     assert rep.lu_nnz == lu.nnz
     if cap:
         assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
@@ -872,7 +965,7 @@ def test_undriven_model_refines_on_its_one_level_factor(monkeypatch):
     assert calls.count((rep.solved_dim, rep.solved_dim)) == 2
     assert rep.krylov_iterations == 1 and not rep.lu_fallback
     assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
-    assert rep.lu_nnz == dynamics._LevelLU(dynamics._population_block(model)[3]).nnz
+    assert rep.lu_nnz == dynamics._LevelLU(_population_block(model)[3]).nnz
     oracle = lu_oracle(model).matrix
     assert np.abs(rep.state.matrix - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
@@ -881,16 +974,44 @@ def test_undriven_model_refines_on_its_one_level_factor(monkeypatch):
                                   lambda: _g2scan_point(0.3, (3, 3, 4))],
                          ids=["rwa-Nth0.3", "displaced-327", "g2scan-a3s3m4-Nth0.3"])
 def test_disc_bound_is_a_lower_bound(make):
-    from omx.dynamics import _component_labels, _disc_bounds
+    from omx.dynamics import _disc_bounds, _disc_gaps
     model = make()
     L = liouvillian(model)
-    labels = _component_labels(L)
-    discs = _disc_bounds(L, labels)
+    plan, terms = dynamics._plan(model)
+    labels = plan.labels
+    discs = _disc_bounds(_disc_gaps(terms, model.space.total_dim), labels)
     others = [c for c in np.unique(labels) if c != labels[0]]
     assert others
     for c in others:
         idx = np.flatnonzero(labels == c)
         assert discs[c] <= np.abs(sla.eigvals(L[idx][:, idx].toarray())).min()
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES) + ["displaced-435"])
+def test_term_disc_bound_is_the_full_bound(name):
+    # the disc bounds from the kron factors equal those of |L| to rounding
+    # wherever the structural and the actual components coincide, and
+    # never exceed a block's exact min |lambda|: on the structural blocks,
+    # and on the actual blocks, as the check bounds those that
+    # cancellations cut from the population block
+    from omx.dynamics import _disc_bounds, _disc_gaps
+    model = {**_BLOCK_CASES, "displaced-435": lambda: _displaced((4, 3, 5))}[name]()
+    n = model.space.total_dim
+    L = liouvillian(model)
+    plan, terms = dynamics._plan(model)
+    actual = _component_labels(L)
+    gaps = _disc_gaps(terms, n)
+    oracle, term, cut = (disc_bounds(L, actual), _disc_bounds(gaps, plan.labels),
+                         _disc_bounds(gaps, actual))
+    for s in np.unique(plan.labels):
+        e = np.flatnonzero(plan.labels == s)
+        if np.count_nonzero(actual == actual[e[0]]) == e.size:
+            assert term[s] == pytest.approx(oracle[actual[e[0]]], rel=1e-12, abs=0.0)
+    for c in np.unique(actual):
+        if c != actual[0]:
+            e = np.flatnonzero(actual == c)
+            exact = np.abs(sla.eigvals(L[e][:, e].toarray())).min()
+            assert max(cut[c], term[plan.labels[e[0]]]) <= exact
 
 
 def test_steady_state_long_time_agrees():
