@@ -134,18 +134,22 @@ def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the generator acting on vec(rho) (row-major).
 
     Assembled from K_L, K_R and the jump terms (see the module docstring)
-    as one coordinate list and one CSR conversion, with no kron products.
+    as one coordinate list and one CSR conversion, with no kron products;
+    each product of factor entries is formed as a _BlockPlan forms it.
     The trace functional is verified to annihilate the generator:
     |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
     steady_state never builds it: its blocks come from a _BlockPlan and
     _gather, and this is their oracle.
     """
     n = model.space.total_dim
-    rows, cols, vals = _kron_sum(_generator_terms(model), n)
+    terms = _generator_terms(model)
+    rows, cols = _kron_sum(terms, n)
+    left, right = _factor_values(terms, n)
+    p, q = _factor_positions(terms, n, np.arange(rows.size))
     # the CSR conversion sums duplicates (for ladder collapses only on the
     # diagonal, where K_L and K_R meet); entries that cancel exactly are
     # dropped, as an operator sum drops them
-    L = scipy.sparse.coo_matrix((vals, (rows, cols)), shape=(n * n, n * n)).tocsr()
+    L = scipy.sparse.coo_matrix((left[p] * right[q], (rows, cols)), shape=(n * n, n * n)).tocsr()
     L.eliminate_zeros()
     _check_trace(L, _trace_vec(n))
     return L
@@ -180,26 +184,25 @@ def _check_trace(L: scipy.sparse.csr_matrix, t: np.ndarray) -> None:
         raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
 
 
-def _kron_sum(terms, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coordinate list (rows, cols, vals) of sum_k A_k kron B_k on n^2
-    entries, each factor an n x n (row, col, val) triplet or None for the
-    identity. Each term writes its entries straight into one preallocated
+def _kron_sum(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coordinates (rows, cols) of the contributions of sum_k A_k kron B_k
+    on n^2 entries, each factor an n x n (row, col, val) triplet or None
+    for the identity; _factor_positions and _factor_values give their
+    values. Each term writes its entries straight into one preallocated
     list, with 32-bit indices while n^2 fits; duplicates are not summed."""
     index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    eye = (np.arange(n, dtype=index), np.arange(n, dtype=index), np.ones(n))
+    eye = (np.arange(n, dtype=index), np.arange(n, dtype=index))
     terms = [(eye if a is None else a, eye if b is None else b) for a, b in terms]
     size = sum(a[0].size * b[0].size for a, b in terms)
     rows, cols = np.empty(size, index), np.empty(size, index)
-    vals = np.empty(size, complex)
     start, n = 0, index(n)
-    for (a_row, a_col, a_val), (b_row, b_col, b_val) in terms:
+    for (a_row, a_col, *_), (b_row, b_col, *_) in terms:
         shape = (a_row.size, b_row.size)
         end = start + a_row.size * b_row.size
         np.add(a_row[:, None] * n, b_row, out=rows[start:end].reshape(shape))
         np.add(a_col[:, None] * n, b_col, out=cols[start:end].reshape(shape))
-        np.multiply(a_val[:, None], b_val, out=vals[start:end].reshape(shape))
         start = end
-    return rows, cols, vals
+    return rows, cols
 
 
 def _trace_vec(n: int) -> np.ndarray:
@@ -246,13 +249,15 @@ class SteadyStateReport:
     residual: |L x|_2 of the solution, the norm of the n^2 vector L x,
         formed from the population block alone (see steady_state).
     null_gap: with check_unique, |lambda_1| of the full Liouvillian,
-        which is never built: the smaller of the population sector's
-        |lambda_1|, measured with the LU of the trace-row system M, and
-        the smallest |lambda| of the other blocks whose disc bound, taken
-        from the generator's kron factors, falls below it, each gathered
-        from those factors and measured too (see steady_state). None
-        without the check.
-    solved_dim: size of the linear system actually solved.
+        which is never built: the smaller of the population block's
+        |lambda_1|, every component of the block included, measured with
+        the LU of the trace-row system M, and the smallest |lambda| of the
+        other blocks whose disc bound, taken from the generator's kron
+        factors, falls below it, each gathered from those factors and
+        measured too (see steady_state). None without the check.
+    solved_dim: size of the linear system solved: the plan's structural
+        population block, which also holds any component that exact
+        cancellations cut from the populations' sector.
     lu_nnz: entries SuperLU stores in the factors the solution was refined
         on: the summed fill of P's level factors (one level, M itself, for
         a model without a drive), or that of the factor of M after the
@@ -285,16 +290,6 @@ def _component_labels(L: scipy.sparse.csr_matrix) -> np.ndarray:
     # imaginary -i[H, rho] entries: hand it a real pattern instead
     pattern = scipy.sparse.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
     return scipy.sparse.csgraph.connected_components(pattern, directed=True, connection="weak")[1]
-
-
-def _sector(labels: np.ndarray, n: int) -> np.ndarray:
-    """Sorted indices of the population block of L, the component of entry
-    (0,0) in its labels; SolverError if the populations split over several."""
-    if np.any(labels[:: n + 1] != labels[0]):
-        raise SolverError(
-            "degenerate Liouvillian null space: the populations split into "
-            "disconnected sectors, each with its own steady state")
-    return np.flatnonzero(labels == labels[0])
 
 
 def _block_gap(B: scipy.sparse.csr_matrix, lu: _LevelLU | None) -> float:
@@ -383,31 +378,24 @@ def _disc_bounds(gaps: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.maximum(rows, cols)
 
 
-def _coherence_gap(terms: list, n: int, labels: np.ndarray, entries: np.ndarray | None,
-                   bounds: np.ndarray, floor: float) -> float:
-    """min |lambda| over the blocks of L that labels marks on entries (the
-    sorted indices it labels; None for all n^2), the block of labels[0]
-    left out, or a proven lower bound on it of at least floor; inf when
-    there are none. Of each pair of blocks related by rho -> rho^dag one is
-    taken. A block whose disc bound (bounds) falls below floor is gathered
-    from the terms (_gather) and measured (_block_gap). See steady_state."""
+def _coherence_gap(terms: list, n: int, labels: np.ndarray, floor: float) -> float:
+    """min |lambda| over the blocks of L that labels marks, the block of
+    labels[0] left out, or a proven lower bound on it of at least floor;
+    inf when there are none. Of each pair of blocks related by
+    rho -> rho^dag one is taken. A block whose disc bound (_disc_gaps,
+    _disc_bounds) falls below floor is gathered from the terms (_gather)
+    and measured (_block_gap). See steady_state."""
+    bounds = _disc_bounds(_disc_gaps(terms, n), labels)
     first = np.unique(labels, return_index=True)[1]
-    at = first if entries is None else entries[first]
-    row, col = np.divmod(at, n)
-    flip = col * n + row   # the transposed entry, in the transposed block
-    if entries is None:
-        partner = labels[flip]
-    else:   # a partner outside entries cannot stand in: keep the block
-        pos = np.searchsorted(entries, flip).clip(max=entries.size - 1)
-        partner = np.where(entries[pos] == flip, labels[pos], first.size)
+    row, col = np.divmod(first, n)
+    partner = labels[col * n + row]   # the block of the transposed entry
     bound = np.inf
     for c in np.flatnonzero(np.arange(first.size) <= partner):
         if c == labels[0]:
             continue
         block = bounds[c]
         if block < floor:
-            e = np.flatnonzero(labels == c)
-            block = _block_gap(_gather(terms, n, e if entries is None else entries[e]), None)
+            block = _block_gap(_gather(terms, n, np.flatnonzero(labels == c)), None)
         bound = min(bound, block)
     return bound
 
@@ -497,9 +485,9 @@ def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
 
 def _factor(A: scipy.sparse.csc_matrix, q: np.ndarray) -> _LevelLU:
     """Sparse LU of a block of L, or of its trace-row system M: the
-    _LevelLU of A as one level, A[q][:, q] in the order q = _min_degree(A),
-    which the caller computes or kept for A's pattern (the plan keeps
-    M's). An exactly singular A raises SolverError:
+    _LevelLU of A as one level, A[q][:, q] in the order q = _min_degree of
+    A's pattern, which the caller computes, or of M's structural pattern,
+    which the plan keeps. An exactly singular A raises SolverError:
     a block of L or a trace-row system with a second null vector (see
     steady_state).
 
@@ -511,7 +499,7 @@ def _factor(A: scipy.sparse.csc_matrix, q: np.ndarray) -> _LevelLU:
     its own minimum degree it picks the same order, but where A has zero
     diagonal entries it can store more fill (130,002 against 96,253
     entries for M of the undamped g2scan model). So the factor is a
-    function of A alone: its bits cannot depend on which system came
+    function of the model: its bits cannot depend on which system came
     first or on how a scan is split over processes.
     """
     try:   # one level: nothing lies left of its diagonal block
@@ -536,7 +524,8 @@ class _BlockPlan:
         so its blocks hold those of every model with these factor
         patterns (int32, as scipy labels them): the uniqueness check's
         blocks.
-    idx: the block's entries, sorted: the component of entry (0,0).
+    idx: the block's entries, sorted: the component of entry (0,0),
+        which steady_state solves and checks whole.
     pops: positions of the populations |i><i| in the block; fewer than n
         when they split structurally.
     row, col, left, right: each contribution of _kron_sum(terms, n) that
@@ -546,17 +535,17 @@ class _BlockPlan:
     off_diagonal: which of the block's stored entries lie off its diagonal.
     m_src, m_indptr, m_indices: the trace-row system M of the block in CSC
         order, entry k taken from [1 at each of pops, block values][m_src[k]].
-    order: the photon order N_i + N_j of each entry |i><j| of the block,
-        N = photons; 0 throughout for a model without a drive.
-    levels: the _Levels of M under that order: one level, P = M, for a
-        model without a drive.
-    m_order: _min_degree of M's structural pattern, made by the first
-        factor of M on the pattern (min_degree) and None until then.
+    levels: the _Levels of M under the photon order N_i + N_j of each
+        entry |i><j|, N = photons: one level, P = M, for a model without a
+        drive.
+    m_order: M's one minimum-degree order, on its structural pattern: the
+        one level's order where P = M, else made on the first call of
+        min_degree and None until then.
     Besides labels all of it is block-sized.
     """
 
     def __init__(self, terms: list, photons: np.ndarray | None, n: int):
-        rows, cols = _kron_sum(terms, n)[:2]
+        rows, cols = _kron_sum(terms, n)
         self.labels = _component_labels(
             scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * n, n * n)))
         self.idx = np.flatnonzero(self.labels == self.labels[0])
@@ -582,16 +571,15 @@ class _BlockPlan:
         self.m_src, self.m_indptr, self.m_indices = M.data.astype(np.intp), M.indptr, M.indices
         photons = np.zeros(n, int) if photons is None else np.asarray(photons)
         i, j = np.divmod(self.idx, n)
-        self.order = photons[i] + photons[j]
-        self.levels = _Levels(M, self.order)
-        self.m_order = None
+        self.levels = _Levels(M, photons[i] + photons[j])
+        self.m_order = self.levels.perm if len(self.levels.diag) == 1 else None
 
     def assemble(self, terms: list, n: int) -> tuple:
-        """(idx, Lc, M, P, split) of steady_state for a model with these
-        factor patterns: the values of its terms summed onto the block, the
-        block's trace check, and the population sector inside the block.
-        split: where exact cancellations split the block, the labels of its
-        actual components (the sector's is split[0]), else None."""
+        """(Lc, M, P) of steady_state on the block for a model with these
+        factor patterns: the values of its terms summed onto the block,
+        its exact zeros dropped and its trace checked. SolverError when the
+        populations split: some lie outside the block, or an off-diagonal
+        entry that cancels exactly cuts them apart."""
         m = self.idx.size
         left, right = _factor_values(terms, n)
         # scipy sums the products as liouvillian's conversion does, in the
@@ -610,46 +598,39 @@ class _BlockPlan:
         t = np.zeros(m)
         t[self.pops] = 1.0
         _check_trace(Lc, t)
-        idx = self.idx
         # the structural block is connected, so only populations outside it
-        # or an off-diagonal entry that cancels can split the sector
-        split = None
-        if self.pops.size < n or cancelled:
-            labels = np.full(n * n, -1)
-            labels[idx] = split = _component_labels(Lc)
-            idx = _sector(labels, n)
-            if idx.size < m:
-                sub = np.searchsorted(self.idx, idx)
-                Lc, M = Lc[sub][:, sub], M[sub][:, sub]
-                P = _Levels(M, self.order[sub]).gather(M.data)
-        return idx, Lc, M, P, split if idx.size < m else None
+        # or an off-diagonal entry that cancels can split them
+        split = self.pops.size < n
+        if cancelled and not split:
+            labels = _component_labels(Lc)
+            split = np.any(labels[self.pops] != labels[0])
+        if split:
+            raise SolverError(
+                "degenerate Liouvillian null space: the populations split into "
+                "disconnected sectors, each with its own steady state")
+        return Lc, M, P
 
-    def min_degree(self, M: scipy.sparse.csc_matrix) -> np.ndarray:
-        """_min_degree(M) of assemble's M, kept in m_order while M has the
-        structural pattern, so that a factor of M stays a function of M."""
-        if M.nnz < self.m_src.size:   # exact zeros dropped: another pattern
-            return _min_degree(M)
+    def min_degree(self) -> np.ndarray:
+        """m_order, made from M's structural pattern on the first call:
+        one order per plan, whatever exact zeros assemble drops from M.
+        Zeros on the diagonal cannot move it, as _min_degree's proxy adds
+        m there."""
         if self.m_order is None:
-            self.m_order = _min_degree(M)
+            m = self.idx.size
+            self.m_order = _min_degree(scipy.sparse.csc_matrix(
+                (np.ones(self.m_src.size), self.m_indices, self.m_indptr), shape=(m, m)))
         return self.m_order
 
     def check(self, terms: list, n: int, Lc: scipy.sparse.csr_matrix,
-              M: scipy.sparse.csc_matrix, split: np.ndarray | None) -> tuple[_LevelLU, float]:
+              M: scipy.sparse.csc_matrix) -> tuple[_LevelLU, float]:
         """(the factor of M, |lambda_1| of L): the uniqueness check of
-        steady_state on assemble's sector Lc, M and split, M factored in
-        its kept order. Every other block of L is bounded from the terms
-        (_disc_gaps) on the structural labels, and where cancellations
-        split the population block, its components outside the sector on
-        split's labels."""
-        lu = _factor(M, self.min_degree(M))
+        steady_state on assemble's Lc and M, M factored in its kept order.
+        The population gap covers every component of the block; every
+        other block of L is bounded from the terms on the structural
+        labels (_coherence_gap)."""
+        lu = _factor(M, self.min_degree())
         lam1 = _block_gap(Lc, lu)
-        gaps = _disc_gaps(terms, n)
-        gap = min(lam1, _coherence_gap(terms, n, self.labels, None,
-                                       _disc_bounds(gaps, self.labels), lam1))
-        if split is not None:
-            gap = min(gap, _coherence_gap(terms, n, split, self.idx,
-                                          _disc_bounds(gaps[:, self.idx], split), lam1))
-        return lu, gap
+        return lu, min(lam1, _coherence_gap(terms, n, self.labels, lam1))
 
 
 class _Levels:
@@ -772,11 +753,15 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     weak U(1) symmetry, e.g. Q = n_s - n_m for the rotating-wave model), L
     maps each coherence order onto itself (Buca & Prosen, New J. Phys. 14,
     073007 (2012)). The block is the connected component of entry (0,0)
-    in L's sparsity pattern, the whole space for a model without such a
-    symmetry. Only it is built, from a _BlockPlan kept per sparsity pattern
-    and photon numbers, with the bits of the same block sliced from
-    liouvillian(model), which is never built here. Populations split over
-    several sectors raise SolverError, with or without the check.
+    in L's structural sparsity pattern, before exact cancellations, the
+    whole space for a model without such a symmetry. Only it is built,
+    from a _BlockPlan kept per sparsity pattern and photon numbers, with
+    the bits of the same block sliced from liouvillian(model), which is
+    never built here. An off-diagonal entry that cancels exactly may cut a
+    component from the populations' sector; the block keeps it, and as its
+    right-hand side is zero, its part of the solution is exactly 0.
+    Populations split over several sectors raise SolverError, with or
+    without the check.
 
     Within the block the row of (0,0) is replaced by the trace condition,
     and M x = e_0 is solved by GMRES-based iterative refinement (_refine;
@@ -798,9 +783,9 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     report.lu_fallback says so. A solution that is not finite raises
     SolverError at once and is never retried; an exactly singular M raises
     too, as its null space is degenerate. Each factor is a function of its
-    matrix, and each order of a pattern, so the result is a function of
-    the model alone: the same bits for any point order, number of jobs or
-    check_unique. A residual |L x| above STEADY_RESIDUAL_ATOL, or not
+    matrix and order, and each order of a plan's pattern, so the result is
+    a function of the model alone: the same bits for any point order,
+    number of jobs or check_unique. A residual |L x| above STEADY_RESIDUAL_ATOL, or not
     finite, raises SolverError.
 
     check_unique verifies, block by block, that |lambda_1| of the full L
@@ -809,23 +794,23 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     measured, not bounded. The population block's comes from the check's
     own factor of M: with Pi = I - e_0 e_0^T and t^T L = 0, each
     eigenvector L v = lambda v, lambda != 0, gives M v = lambda Pi v, so
-    the largest |mu| of M^-1 Pi is 1/|lambda_1|; M is ordered once per
-    pattern (_BlockPlan.min_degree). A second steady state may sit in any other
+    the largest |mu| of M^-1 Pi is 1/|lambda_1|, taken over every
+    component of the block; M is ordered once per plan
+    (_BlockPlan.min_degree). A second steady state may sit in any other
     block (a Hermitian jump c + c^dag on a qubit keeps sigma_x stationary),
     so each block of each pair related by rho -> rho^dag gets Gershgorin's
     disc bound on min |lambda|, taken from the kron factors (_disc_gaps) on
-    the plan's structural blocks, and on the actual blocks that exact
-    cancellations cut from the population block. Only a block whose bound
-    falls below the population block's |lambda_1| is gathered from the
-    factors (_gather) and measured (_block_gap).
+    the plan's structural blocks. Only a block whose bound falls below the
+    population block's |lambda_1| is gathered from the factors (_gather)
+    and measured (_block_gap).
     """
     n = model.space.total_dim
     plan, terms = _plan(model)
-    idx, Lc, M, P, split = plan.assemble(terms, n)
-    m = idx.size
+    Lc, M, P = plan.assemble(terms, n)
+    idx, m = plan.idx, plan.idx.size
     lu = gap = None   # lu: the check's factor of M; past the check it serves the fallback only
     if check_unique:
-        lu, gap = plan.check(terms, n, Lc, M, split)
+        lu, gap = plan.check(terms, n, Lc, M)
         if not gap > NULL_GAP_ATOL:
             raise SolverError(
                 f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
@@ -841,10 +826,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
         y, krylov, omega = _refine(M, lu0, rhs)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
-        lu0 = lu or _factor(M, plan.min_degree(M))
+        lu0 = lu or _factor(M, plan.min_degree())
         y, more, omega = _refine(M, lu0, rhs)
         krylov += more
-    # |L x| as the n^2 vector it is: the rows outside the sector are zero,
+    # |L x| as the n^2 vector it is: the rows outside the block are zero,
     # and the norm of the scattered block product has the same bits
     x = np.zeros(n * n, dtype=complex)
     x[idx] = Lc @ y

@@ -6,7 +6,9 @@ hilbert.ladder_product read the occupation table instead), dense Fock and
 thermal states with their expectation values and diagonal partial trace
 (dynamics reads observables off the populations), the time integration
 of the master equation and a full-pivoting LU solve of its trace-row
-system (dynamics.steady_state refines on a simpler system's factor), the
+system on the population sector, the actual component of L's pattern
+(dynamics.steady_state refines on a simpler system's factor, on the
+structural block from the kron factors' patterns), the
 refinement on scipy's own gmres (dynamics transcribes one of its cycles),
 the uniqueness check's disc bounds and coherence gap on the full L
 (dynamics bounds and gathers the blocks from the kron factors), and
@@ -28,7 +30,7 @@ from omx import models
 from omx.analytics import GateBudget, _qubit_superposition, phonon_nonlinearity
 from omx import dynamics
 from omx.dynamics import (LindbladModel, SolverError, _backward_error, _block_gap,
-                          _component_labels, _sector, liouvillian)
+                          _component_labels, liouvillian)
 from omx.hilbert import DensityMatrix, ModeSpace, Operator, _canonical, thermal_weights
 from omx.params import SystemParams
 
@@ -120,12 +122,27 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMat
     return out
 
 
-def trace_row_system(model) -> tuple[sp.csc_matrix, np.ndarray]:
-    """(M, idx) of steady_state from the full L: the population sector idx
-    of L, and L on it with its first row replaced by the trace condition."""
+def population_sector(labels: np.ndarray, n: int) -> np.ndarray:
+    """Sorted indices of the population sector of L, the component of
+    entry (0,0) in its labels; SolverError if the populations split over
+    several."""
+    if np.any(labels[:: n + 1] != labels[0]):
+        raise SolverError(
+            "degenerate Liouvillian null space: the populations split into "
+            "disconnected sectors, each with its own steady state")
+    return np.flatnonzero(labels == labels[0])
+
+
+def trace_row_system(model, idx=None) -> tuple[sp.csc_matrix, np.ndarray]:
+    """(M, idx) from the full L: L on the sorted entries idx with its first
+    row replaced by the trace condition. idx defaults to the population
+    sector of L, its actual component; steady_state solves on the plan's
+    structural block, which also holds any component that exact
+    cancellations cut from the sector."""
     L = liouvillian(model)
     n = model.space.total_dim
-    idx = _sector(_component_labels(L), n)
+    if idx is None:
+        idx = population_sector(_component_labels(L), n)
     trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
     return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
 

@@ -25,7 +25,7 @@ from omx import (
     reflection_spectrum,
     steady_state,
 )
-from omx.dynamics import _component_labels, _sector, null_space_gap
+from omx.dynamics import _component_labels, null_space_gap
 from omx.hilbert import Operator
 from oracles import (
     coherence_gap,
@@ -35,6 +35,7 @@ from oracles import (
     expect,
     fock_density,
     lu_oracle,
+    population_sector,
     ptrace_population,
     scipy_refine,
     sector_state,
@@ -271,7 +272,7 @@ def test_steady_state_degenerate_coherence_block_raises(make, population_gap):
     # in a block of coherences, which the check must cover as well
     model = make()
     L = liouvillian(model)
-    sector = _sector(_component_labels(L), model.space.total_dim)
+    sector = population_sector(_component_labels(L), model.space.total_dim)
     assert null_space_gap(L[sector][:, sector])[1] == pytest.approx(population_gap)
     assert null_space_gap(L)[1] < 1e-12
     with pytest.raises(SolverError, match="degenerate"):
@@ -366,7 +367,7 @@ def test_coherence_block_gap_is_measured():
             exact[c] = np.abs(sla.eigvals(B.toarray())).min()
             assert _block_gap(B, None) == pytest.approx(exact[c], rel=1e-8)
     assert max(np.count_nonzero(labels == c) for c in exact) > GAP_DENSE_LIMIT
-    gap = _coherence_gap(terms, n, labels, None, discs, floor)
+    gap = _coherence_gap(terms, n, labels, floor)
     assert gap == pytest.approx(min(exact.values()), rel=1e-8)
     assert gap == coherence_gap(L, _component_labels(L), n, floor)
 
@@ -616,7 +617,8 @@ _BLOCK_CASES = {
 
 def _with_photons(model):
     # the model with its occupation handed over as the photon number, so
-    # that a split sector's P is built afresh from the smaller M
+    # that P has levels, the component that the cancellations cut from the
+    # sector one of them
     model.hamiltonian.meta["photons"] = model.space.occupations.sum(axis=0)
     return model
 
@@ -652,9 +654,10 @@ def _assembled(P):
 
 
 def _population_block(model):
-    # steady_state's (idx, Lc, M, P), from the model's plan
+    # steady_state's (idx, Lc, M, P), from the model's plan: idx is the
+    # plan's structural block
     plan, terms = dynamics._plan(model)
-    return plan.assemble(terms, model.space.total_dim)[:4]
+    return (plan.idx, *plan.assemble(terms, model.space.total_dim))
 
 
 def _same_bits(a, b):
@@ -665,22 +668,23 @@ def _same_bits(a, b):
 
 @pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
 def test_block_plan_matches_the_liouvillian(name):
-    # the block steady_state assembles from its plan, with the sector, M
-    # and P, is liouvillian's restricted to the population sector, in
-    # pattern and in bits; P's levels run in increasing photon order and
-    # hold exactly the masked M's entries. Without a drive P is one level,
-    # M itself in its level order
+    # the block steady_state assembles from its plan, with M and P, is
+    # liouvillian's restricted to the structural block, which holds the
+    # population sector, in pattern and in bits; P's levels run in
+    # increasing photon order and hold exactly the masked M's entries.
+    # Without a drive P is one level, M itself in its level order
     model = _BLOCK_CASES[name]()
     idx, Lc, M, P = _population_block(model)
-    M_o, idx_o = trace_row_system(model)
+    sector = trace_row_system(model)[1]
+    M_o = trace_row_system(model, idx)[0]
     L = liouvillian(model)
-    assert np.array_equal(idx, idx_o)
-    _same_bits(Lc, L[idx_o][:, idx_o])
+    assert np.isin(sector, idx).all()
+    _same_bits(Lc, L[idx][:, idx])
     _same_bits(M, M_o)
-    order = _photon_order(model, idx_o)[P.perm]
+    order = _photon_order(model, idx)[P.perm]
     assert np.all(np.diff(order) >= 0)
     assert np.array_equal(P.bounds, np.flatnonzero(np.diff(order, prepend=-1, append=-1)))
-    oracle = _masked(M_o, _photon_order(model, idx_o))[P.perm][:, P.perm]
+    oracle = _masked(M_o, _photon_order(model, idx))[P.perm][:, P.perm]
     oracle.sort_indices()
     _same_bits(_assembled(P), oracle)
     if "photons" not in model.hamiltonian.meta:
@@ -695,7 +699,7 @@ def test_block_plan_matches_the_liouvillian(name):
         m = plan.idx.size
         counts = np.bincount(plan.row.astype(np.int64) * m + plan.col)
         assert counts.max() == 3 and np.count_nonzero(counts == 3) == model.space.total_dim
-    assert (plan.idx.size > idx.size) == name.startswith("cancelling-coupling")
+    assert (idx.size > sector.size) == name.startswith("cancelling-coupling")
 
 
 @pytest.mark.parametrize("name", ["rwa-Nth0", "rwa-Nth0.3", "full", "transistor-driven"])
@@ -730,9 +734,8 @@ def test_unchecked_solve_builds_no_liouvillian(monkeypatch):
     assert calls == []
 
 
-def test_checked_scan_orders_m_once(monkeypatch):
-    # with every point checked, M's minimum-degree order is made on the
-    # first point of the pattern and kept in the plan
+def _count_min_degree(monkeypatch) -> list:
+    # the sizes of the matrices _min_degree orders, from an empty plan cache
     real, sizes = dynamics._min_degree, []
 
     def counting(A):
@@ -741,9 +744,67 @@ def test_checked_scan_orders_m_once(monkeypatch):
 
     monkeypatch.setattr(dynamics, "_PLANS", {})
     monkeypatch.setattr(dynamics, "_min_degree", counting)
+    return sizes
+
+
+def test_checked_scan_orders_m_once(monkeypatch):
+    # with every point checked, M's minimum-degree order is made on the
+    # first point of the pattern and kept in the plan
+    sizes = _count_min_degree(monkeypatch)
     for delta_a in (-8.0, 0.0, 3.3):
         rep = steady_state(_g2scan_point(0.0, (4, 4, 6), delta_a))
     assert sizes.count(rep.solved_dim) == 1
+
+
+def test_checked_undriven_solve_orders_m_once(monkeypatch):
+    # without a drive P is M as one level, and its level order is M's:
+    # the check takes it, so displaced (3, 2, 7) orders its 220-entry M
+    # once, then each coherence block that the check measures
+    sizes = _count_min_degree(monkeypatch)
+    assert steady_state(_displaced((3, 2, 7))).solved_dim == 220
+    assert sizes == [220, 208, 180, 144, 108, 72]
+
+
+# |lambda_1| of each case to 17 digits, as a check that slices the actual
+# population sector from the block, and bounds or measures the components
+# cut from it as blocks of their own, gives it: the whole-block check
+# must agree
+_NULL_GAPS = {
+    "cancelling-coupling": 0.7071067811865476,
+    "cancelling-coupling-levels": 0.7071067811865476,
+    "cancelling-diagonal": 0.0012310842060420317,
+    "diagonal-collapse": 0.31427550784910424,
+    "displaced-327": 0.0008417476312932072,
+    "full": 0.23942376897785295,
+    "rwa-Nth0": 0.19998871711445704,
+    "rwa-Nth0.3": 0.21555617567562543,
+    "transistor-driven": 2.0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES))
+def test_steady_state_solves_and_checks_the_structural_block(name):
+    # the solve and the population gap take the plan's block whole, also
+    # where cancellations cut a component from the sector: the gap sees
+    # every component of the block, so |lambda_1| is the same
+    model = _BLOCK_CASES[name]()
+    rep = steady_state(model)
+    assert rep.solved_dim == dynamics._plan(model)[0].idx.size
+    assert rep.null_gap == pytest.approx(_NULL_GAPS[name], rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("name", ["cancelling-coupling", "cancelling-coupling-levels"])
+def test_component_cut_from_the_sector_solves_to_zero(name):
+    # the cancelled couplings cut |0><1| and |1><0| from the sector. In the
+    # block they form a component whose right-hand side is zero, so the
+    # solution is exactly 0 there, and on the sector it is the LU oracle's
+    model = _BLOCK_CASES[name]()
+    rep = steady_state(model)
+    off = np.ones(model.space.total_dim ** 2, dtype=bool)
+    off[trace_row_system(model)[1]] = False
+    assert np.count_nonzero(off) == 2 and not rep.state.matrix.reshape(-1)[off].any()
+    oracle = lu_oracle(model).matrix
+    assert np.abs(rep.state.matrix - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
 def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
@@ -992,8 +1053,8 @@ def test_term_disc_bound_is_the_full_bound(name):
     # the disc bounds from the kron factors equal those of |L| to rounding
     # wherever the structural and the actual components coincide, and
     # never exceed a block's exact min |lambda|: on the structural blocks,
-    # and on the actual blocks, as the check bounds those that
-    # cancellations cut from the population block
+    # and on the actual blocks, those that cancellations cut from the
+    # population block included
     from omx.dynamics import _disc_bounds, _disc_gaps
     model = {**_BLOCK_CASES, "displaced-435": lambda: _displaced((4, 3, 5))}[name]()
     n = model.space.total_dim

@@ -24,6 +24,7 @@ from omx import (
     hybridize,
     number_op,
     phonon_nonlinearity,
+    reflection_spectrum,
 )
 from omx.hilbert import Operator, thermal_dim
 from omx.models import (
@@ -660,6 +661,42 @@ def test_transistor_effective_coupling():
         build_transistor(p, -1)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_transistor_is_the_pinned_rwa_model(n):
+    # at gamma = 0 the rwa model conserves n_a + n_s and n_s - n_m, so the
+    # states |0_a 1_s n> and |1_a 0_s n-1> (the first alone at n = 0) are
+    # closed under H - i decay. Shifted by the energy of |0_a 1_s n>, that
+    # block is the transistor's one-photon block on |1_s 0_ap>, |0_s 1_ap>:
+    # delta = Delta_s - Delta_a - omega_m = 2J - omega_m, hopping
+    # (g0/2) sqrt(n) and kappa on each. The shift cancels entries up to
+    # |H|, so they agree to a few eps |H|
+    p = SystemParams(g0=10.0, kappa=1.0, omega_m=100.0, J=50.7, Delta_a=0.3, gamma=0.0)
+    rwa = build_rwa(p, (2, 2, 4))
+    space, h = rwa.space, rwa.hamiltonian.matrix
+    keep = [space.basis_index(occ) for occ in ((0, 1, n), (1, 0, n - 1)) if min(occ) >= 0]
+    h_eff = (h - 1j * rwa.decay()).tocsr()
+    outside = np.setdiff1d(np.arange(space.total_dim), keep)
+    assert h_eff[keep][:, outside].nnz == 0 and h_eff[outside][:, keep].nnz == 0
+    block = h_eff[keep][:, keep].toarray() - h[keep[0], keep[0]] * np.eye(len(keep))
+
+    pinned = build_transistor(p, n)
+    one = [pinned.space.basis_index(occ) for occ in ((1, 0), (0, 1))]
+    oracle = (pinned.hamiltonian.matrix - 1j * pinned.decay())[one][:, one].toarray()
+    assert p.delta == pytest.approx(1.4) and oracle[1, 1] == p.delta - 1j * p.kappa
+    k = len(keep)
+    assert np.abs(block - oracle[:k, :k]).max() <= 4 * np.finfo(float).eps * abs(h).max()
+    if n == 0:   # no hopping: ap is a dark partner
+        assert oracle[0, 1] == oracle[1, 0] == 0
+    else:
+        assert block[0, 1] == pytest.approx(0.5 * p.g0 * np.sqrt(n), rel=1e-15)
+
+    # the reflection of the pinned model is the sliced block's resolvent
+    deltas = np.linspace(-8.0, 8.0, 33)
+    r = np.array([x for _, x in reflection_spectrum(pinned, "s", deltas, 0.01)])
+    g_ss = [np.linalg.inv(block - d * np.eye(k))[0, 0] for d in deltas]
+    assert np.abs(r - (1.0 + 2j * p.kappa * np.array(g_ss))).max() <= 1e-12
+
+
 # ------------------------------------------------- effective-model fidelity ---
 
 def test_effective_phonon_tracks_displaced_dynamics():
@@ -669,7 +706,8 @@ def test_effective_phonon_tracks_displaced_dynamics():
     # diagonalised on its population sector only: the start state lies in
     # it, and L maps the sector onto itself.
     from omx import build_displaced, liouvillian, phonon_nonlinearity
-    from omx.dynamics import _component_labels, _sector
+    from omx.dynamics import _component_labels
+    from oracles import population_sector
 
     p = SystemParams(g0=1.0, kappa=2.5e-2, gamma=2.5e-4, N_th=1.0,
                      Delta_s=-1.0, omega_m=0.5, Delta_a=-5.5, alpha=1.0)
@@ -692,7 +730,7 @@ def test_effective_phonon_tracks_displaced_dynamics():
     start = np.outer(targets[2], targets[2].conj()).reshape(-1)
 
     L = liouvillian(full)
-    sector = _sector(_component_labels(L), n_full)
+    sector = population_sector(_component_labels(L), n_full)
     outside = np.ones(n_full * n_full, dtype=bool)
     outside[sector] = False
     assert not np.any(start[outside])
