@@ -501,6 +501,15 @@ _SCENARIOS = {
     "sweep": (run_sweep, {"observable", "jobs"}),
 }
 
+# built once per process, not on every call of main
+_PARSER = argparse.ArgumentParser(
+    prog="omx",
+    description="Multimode optomechanics scenario runner (data output only; "
+                "plotting is external)")
+_PARSER.add_argument("scenario", choices=_SCENARIOS)
+_PARSER.add_argument("--config", required=True, help="scenario config file")
+_PARSER.add_argument("--out", required=True, help="output directory")
+
 
 # ------------------------------------------------------------------ main ---
 
@@ -529,14 +538,7 @@ def _verdict(result: ScanResult) -> int:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="omx",
-        description="Multimode optomechanics scenario runner (data output only; "
-                    "plotting is external)")
-    parser.add_argument("scenario", choices=_SCENARIOS)
-    parser.add_argument("--config", required=True, help="scenario config file")
-    parser.add_argument("--out", required=True, help="output directory")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     runner, run_keys = _SCENARIOS[args.scenario]
     out_dir = Path(args.out)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy
 
-from .hilbert import DensityMatrix, ModeSpace, Operator, ladder_product
+from .hilbert import DensityMatrix, ModeSpace, Operator, _components, ladder_product
 
 TRACE_PRESERVATION_ATOL = 1e-10
 STEADY_RESIDUAL_ATOL = 1e-9
@@ -134,29 +134,24 @@ def liouvillian(model: LindbladModel) -> scipy.sparse.csr_matrix:
     """Sparse matrix of the generator acting on vec(rho) (row-major).
 
     Assembled from K_L, K_R and the jump terms (see the module docstring)
-    as one coordinate list and one CSR conversion, with no kron products;
-    each product of factor entries is formed as a _BlockPlan forms it.
-    The trace functional is verified to annihilate the generator:
-    |vec(I)^T L| <= 1e-10 columnwise (relative to the largest entry).
-    steady_state never builds it: its blocks come from a _BlockPlan and
-    _gather, and this is their oracle.
+    with no kron products: _gather on every entry, the one enumeration of
+    the contributions that a _BlockPlan and the uniqueness check use too.
+    The CSR conversion sums duplicates (for ladder collapses only on the
+    diagonal, where K_L and K_R meet), and entries that cancel exactly are
+    dropped, as an operator sum drops them. The trace functional is
+    verified to annihilate the generator: |vec(I)^T L| <= 1e-10 columnwise
+    (relative to the largest entry). steady_state never builds it: its
+    blocks come from a _BlockPlan and _gather, and this is their oracle.
     """
     n = model.space.total_dim
-    terms = _generator_terms(model)
-    rows, cols = _kron_sum(terms, n)
-    left, right = _factor_values(terms, n)
-    p, q = _factor_positions(terms, n, np.arange(rows.size))
-    # the CSR conversion sums duplicates (for ladder collapses only on the
-    # diagonal, where K_L and K_R meet); entries that cancel exactly are
-    # dropped, as an operator sum drops them
-    L = scipy.sparse.coo_matrix((left[p] * right[q], (rows, cols)), shape=(n * n, n * n)).tocsr()
-    L.eliminate_zeros()
-    _check_trace(L, _trace_vec(n))
+    L = _gather(_generator_terms(model), n, np.arange(n * n))
+    _check_trace(L, np.eye(n).ravel())   # the trace functional vec(I)
     return L
 
 
 def _generator_terms(model: LindbladModel) -> list:
-    """The terms of L as _kron_sum takes them: K_L kron I, I kron K_R and
+    """The terms of L, each a pair of n x n (row, col, val) triplets or
+    None for the identity: K_L kron I, I kron K_R and
     2 rate_k c_k kron conj(c_k) for each collapse of nonzero rate."""
     h, decay = model.hamiltonian.matrix, model.decay()
     jumps = []
@@ -165,13 +160,13 @@ def _generator_terms(model: LindbladModel) -> list:
             continue
         row, col, val = _triplet(op.matrix)
         jumps.append(((row, col, (2.0 * rate) * val), (row, col, val.conj())))
-    col, row, val = _triplet(1j * h - decay)   # K_R is its transpose
-    return [(_triplet(-1j * h - decay), None), (None, (row, col, val))] + jumps
+    k_r = _triplet((1j * h - decay).T.tocsr())   # K_R is a transpose
+    return [(_triplet(-1j * h - decay), None), (None, k_r)] + jumps
 
 
 def _triplet(a: scipy.sparse.csr_matrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(row, col, val) of a CSR matrix's stored entries in storage order,
-    as tocoo gives them."""
+    as tocoo gives them: in row order."""
     rows = np.repeat(np.arange(a.shape[0], dtype=a.indices.dtype), np.diff(a.indptr))
     return rows, a.indices, a.data
 
@@ -182,33 +177,6 @@ def _check_trace(L: scipy.sparse.csr_matrix, t: np.ndarray) -> None:
     worst = np.abs(t @ L).max(initial=0.0)
     if worst > TRACE_PRESERVATION_ATOL * np.abs(L.data).max(initial=1.0):
         raise SolverError(f"Liouvillian is not trace preserving: {worst:.2e}")
-
-
-def _kron_sum(terms, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coordinates (rows, cols) of the contributions of sum_k A_k kron B_k
-    on n^2 entries, each factor an n x n (row, col, val) triplet or None
-    for the identity; _factor_positions and _factor_values give their
-    values. Each term writes its entries straight into one preallocated
-    list, with 32-bit indices while n^2 fits; duplicates are not summed."""
-    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    eye = (np.arange(n, dtype=index), np.arange(n, dtype=index))
-    terms = [(eye if a is None else a, eye if b is None else b) for a, b in terms]
-    size = sum(a[0].size * b[0].size for a, b in terms)
-    rows, cols = np.empty(size, index), np.empty(size, index)
-    start, n = 0, index(n)
-    for (a_row, a_col, *_), (b_row, b_col, *_) in terms:
-        shape = (a_row.size, b_row.size)
-        end = start + a_row.size * b_row.size
-        np.add(a_row[:, None] * n, b_row, out=rows[start:end].reshape(shape))
-        np.add(a_col[:, None] * n, b_col, out=cols[start:end].reshape(shape))
-        start = end
-    return rows, cols
-
-
-def _trace_vec(n: int) -> np.ndarray:
-    t = np.zeros(n * n)
-    t[:: n + 1] = 1.0
-    return t
 
 
 def null_space_gap(L: scipy.sparse.csr_matrix) -> tuple[float, float]:
@@ -402,44 +370,69 @@ def _coherence_gap(terms: list, n: int, labels: np.ndarray, floor: float) -> flo
 
 def _gather(terms: list, n: int, e: np.ndarray) -> scipy.sparse.csr_matrix:
     """L[e][:, e] of liouvillian(model), in bits, for the sorted entries e
-    of a block of L, from the terms alone: each contribution of
-    _kron_sum(terms, n) to the rows e, in the list's order within each
-    row, summed by scipy's conversion as liouvillian's is, with its exact
-    zeros dropped. Contributions to columns outside e cancel exactly, as e
-    is a block, and are left out."""
-    i, j = np.divmod(e, n)
-    rows, cols, vals = [], [], []
-    for a, b in terms:
-        (a_ord, a_ptr, (_, a_col, a_val)), (b_ord, b_ptr, (_, b_col, b_val)) = (
-            _by_row(a, n), _by_row(b, n))
-        na, nb = np.diff(a_ptr)[i], np.diff(b_ptr)[j]
-        count = na * nb
-        r = np.repeat(np.arange(e.size), count)
-        k = np.arange(r.size) - np.repeat(np.cumsum(count) - count, count)
-        p = a_ord[a_ptr[i][r] + k // nb[r]]
-        q = b_ord[b_ptr[j][r] + k % nb[r]]
-        rows.append(r)
-        cols.append(a_col[p].astype(np.int64) * n + b_col[q])
-        vals.append(a_val[p] * b_val[q])
-    col = np.concatenate(cols)
-    pos = np.searchsorted(e, col).clip(max=e.size - 1)
-    keep = e[pos] == col
-    B = scipy.sparse.coo_matrix(
-        (np.concatenate(vals)[keep], (np.concatenate(rows)[keep], pos[keep])),
-        shape=(e.size, e.size)).tocsr()
+    of a block of L, from the terms alone: the products of _contributions,
+    summed by scipy's conversion with its exact zeros dropped."""
+    r, c, p, q = _contributions(terms, n, e)
+    left, right = _factor_values(terms, n)
+    vals = left[p]
+    vals *= right[q]
+    B = scipy.sparse.coo_matrix((vals, (r, c)), shape=(e.size, e.size)).tocsr()
     B.eliminate_zeros()
     return B
 
 
-def _by_row(f, n: int) -> tuple:
-    """(order, ptr, triplet) of an n x n (row, col, val) triplet, or of the
-    identity (n ones) for None: order[ptr[i]:ptr[i + 1]] are the positions
-    of row i's entries, in increasing order."""
-    if f is None:
-        eye = np.arange(n)
-        return eye, np.arange(n + 1), (eye, eye, np.ones(n))
-    order = np.argsort(f[0], kind="stable")
-    return order, np.searchsorted(f[0][order], np.arange(n + 1)), f
+def _contributions(terms: list, n: int, e: np.ndarray) -> tuple:
+    """(r, c, p, q): each contribution of the terms to the rows e of L, the
+    sorted entries of a structural block, at row r and column c of
+    L[e][:, e] (32-bit while n^2 fits), the product of the factor values p
+    and q (positions in the arrays of _factor_values). Term by term and
+    row by row, the contributions of a row (i, j) run over the stored
+    entries of row i of the left factor, and within each over those of row
+    j of the right factor, in storage order: each row in the order of a
+    list of the terms' kron products, the only order on which the sums of
+    scipy's stable COO-to-CSR conversion depend. e is a structural block,
+    so every column lies in it; a column outside e gets index -1, which
+    scipy's COO constructor rejects."""
+    index = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    pos, r = np.full(n * n, -1, index), np.arange(e.size)
+    pos[e] = r
+    i, j = np.divmod(e, n)
+    ptrs = [[None if f is None else np.searchsorted(f[0], np.arange(n + 1)) for f in t]
+            for t in terms]
+    mask = np.zeros(n * n)
+    mask[e] = 1.0   # a term's count: its row sizes on either side, summed over e
+    count = int(sum((np.ones(n) if a is None else np.diff(a)) @ mask.reshape(n, n)
+                    @ (np.ones(n) if b is None else np.diff(b)) for a, b in ptrs))
+    rc, pq, s, start = np.empty((2, count), index), np.empty((2, count), int), 0, np.zeros(2, int)
+    for (a, b), (a_ptr, b_ptr) in zip(terms, ptrs):
+        g, p = _expand(a_ptr, i)
+        h, q = _expand(b_ptr, j[g])
+        p = p[h]
+        t = slice(s, s + q.size)
+        rc[0, t] = r[g][h]
+        col = np.multiply(p if a is None else a[1][p], n, dtype=int)
+        col += q if b is None else b[1][q]
+        np.take(pos, col, out=rc[1, t])
+        np.add(p, start[0], out=pq[0, t])
+        np.add(q, start[1], out=pq[1, t])
+        s = t.stop
+        start += [n if f is None else f[0].size for f in (a, b)]
+    return (*rc, *pq)
+
+
+def _expand(ptr: np.ndarray | None, rows: np.ndarray) -> tuple:
+    """(g, k): the stored entries of each of rows of a factor with row
+    pointers ptr, row by row: the index in rows of each entry's row, and
+    the entry's position. For the identity (None) each row's one entry is
+    the row itself, and g a slice."""
+    if ptr is None:
+        return slice(None), rows
+    counts, starts = np.diff(ptr)[rows], ptr[rows]
+    if counts.max(initial=0) <= 1:   # ladder and jump factors: skip the repeats
+        g = np.flatnonzero(counts)
+        return g, starts[g]
+    g = np.repeat(np.arange(rows.size), counts)
+    return g, np.arange(g.size) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
 PLAN_CACHE_SIZE = 8
@@ -514,6 +507,35 @@ def _splu(A: scipy.sparse.csc_matrix):
                                     options={"SymmetricMode": True})
 
 
+def _structural_labels(terms: list, n: int) -> np.ndarray:
+    """The weak component of each of the n^2 entries in the structural
+    pattern of L = sum_k A_k kron B_k, labelled from the factors' patterns.
+
+    The one-sided terms make L's graph the Cartesian product of two
+    n-node graphs, that of the left factors A of the (A, I) terms and
+    that of the right factors B of the (I, B) terms, whose components are
+    the pairs (component of i, component of j). A two-sided term A kron B
+    can only merge pairs, along (the component edges of A) x (the
+    component edges of B). So the components are those of the small graph
+    of pairs (_components). The components of each side are numbered by
+    their first node, so the pairs run in the order of their first entries
+    i n + j, and numbering the pair graph's components by first occurrence
+    numbers L's as scipy's connected_components does on L's pattern."""
+    sides = ([a for a, b in terms if b is None], [b for a, b in terms if a is None])
+    left, right = (_components(*(np.concatenate([f[k] for f in side]) for k in (0, 1)), n)
+                   for side in sides)
+    kl, kr = left.max() + 1, right.max() + 1
+    ends = ([np.zeros(0, int)], [np.zeros(0, int)])
+    for a, b in terms:
+        if a is not None and b is not None:   # a jump: pairs of its component edges
+            (a0, a1), (b0, b1) = (np.divmod(np.unique(c[f[0]] * k + c[f[1]]), k)
+                                  for c, f, k in ((left, a, kl), (right, b, kr)))
+            ends[0].append((a0[:, None] * kr + b0).ravel())
+            ends[1].append((a1[:, None] * kr + b1).ravel())
+    pair = _components(*(np.concatenate(x) for x in ends), kl * kr)
+    return pair[left[:, None] * kr + right].astype(np.int32).ravel()
+
+
 class _BlockPlan:
     """The symbolic half of L's population block, a function of the
     sparsity patterns of the generator's factors and of the photon number
@@ -522,15 +544,17 @@ class _BlockPlan:
     labels: the connected component of each of the n^2 entries in the
         structural pattern of L, the pattern before exact cancellations,
         so its blocks hold those of every model with these factor
-        patterns (int32, as scipy labels them): the uniqueness check's
-        blocks.
+        patterns: the uniqueness check's blocks. They come from the
+        factors' patterns (_structural_labels), numbered as scipy's
+        connected_components numbers the components of L's pattern, in
+        int32 as it does; no n^2-entry graph is formed.
     idx: the block's entries, sorted: the component of entry (0,0),
         which steady_state solves and checks whole.
     pops: positions of the populations |i><i| in the block; fewer than n
         when they split structurally.
-    row, col, left, right: each contribution of _kron_sum(terms, n) that
-        lands in the block, in the list's order: its block coordinates,
-        and the positions of its two factors in the value arrays of
+    row, col, left, right: each contribution of the terms to the block,
+        as _contributions enumerates them: its block coordinates, and the
+        positions of its two factors in the value arrays of
         _factor_values.
     off_diagonal: which of the block's stored entries lie off its diagonal.
     m_src, m_indptr, m_indices: the trace-row system M of the block in CSC
@@ -545,18 +569,12 @@ class _BlockPlan:
     """
 
     def __init__(self, terms: list, photons: np.ndarray | None, n: int):
-        rows, cols = _kron_sum(terms, n)
-        self.labels = _component_labels(
-            scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n * n, n * n)))
+        self.labels = _structural_labels(terms, n)
         self.idx = np.flatnonzero(self.labels == self.labels[0])
         m = self.idx.size
-        pos = np.full(n * n, -1)
-        pos[self.idx] = np.arange(m)
-        self.pops = pos[:: n + 1][pos[:: n + 1] >= 0]
-        sel = np.flatnonzero(pos[rows] >= 0)   # a component: its rows' columns are in it
-        self.left, self.right = _factor_positions(terms, n, sel)
-        block = scipy.sparse.coo_matrix((np.ones(sel.size), (pos[rows[sel]], pos[cols[sel]])),
-                                        shape=(m, m))
+        self.pops = np.flatnonzero(self.idx % (n + 1) == 0)
+        row, col, self.left, self.right = _contributions(terms, n, self.idx)
+        block = scipy.sparse.coo_matrix((np.ones(row.size), (row, col)), shape=(m, m))
         self.row, self.col = block.row, block.col
         block = block.tocsr()
         indptr, indices = block.indptr, block.indices
@@ -640,7 +658,15 @@ class _Levels:
 
     perm: M's entries in level order, each level a contiguous slice
         bounds[l]:bounds[l + 1], and within it in the minimum-degree order
-        of its diagonal block (_min_degree on the block's pattern).
+        of its diagonal block. One _min_degree call orders them all, on
+        the block-diagonal pattern of the level blocks. That SuperLU's
+        minimum degree gives each disconnected block the order it gets on
+        its own, interleaved with the others', is its observed behaviour,
+        not a theorem: the tier-1 test
+        test_one_ordering_pass_gives_each_level_its_own_order checks it on
+        the test models. A block without off-diagonal entries is the one
+        exception seen: it keeps its natural order, as SuperLU gives a
+        pattern without them on its own.
     diag, lower: for each level, the diagonal block of M[perm][:, perm]
         in CSC and the block of its rows left of it in CSR, each as
         (slots, indices, indptr, shape), slots the positions of their
@@ -648,21 +674,29 @@ class _Levels:
     """
 
     def __init__(self, M: scipy.sparse.csc_matrix, order: np.ndarray):
-        pos = scipy.sparse.csc_matrix((np.arange(1.0, M.nnz + 1), M.indices, M.indptr),
-                                      shape=M.shape)   # 1 + the position of each entry
         perm = np.argsort(order, kind="stable")
         self.bounds = np.append(np.flatnonzero(np.diff(order[perm], prepend=-1)), order.size)
         spans = list(zip(self.bounds[:-1], self.bounds[1:]))
-        A = pos[perm][:, perm]
-        for s, e in spans:
-            perm[s:e] = perm[s:e][_min_degree(A[s:e, s:e])]
-        A = pos[perm][:, perm]
+        level = np.repeat(np.arange(len(spans)), np.diff(self.bounds))
+        row, col = M.indices, np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+        r, c = np.argsort(perm)[np.array([row, col])]   # M's entries in level order
+        own = level[r] == level[c]
+        q = _min_degree(scipy.sparse.csc_matrix((np.ones(own.sum()), (r[own], c[own])),
+                                                shape=M.shape))
+        bare = np.bincount(level[r[own & (r != c)]], minlength=len(spans)) == 0
+        grouped = q[np.argsort(level[q], kind="stable")]
+        perm = perm[np.where(bare[level], np.arange(order.size), grouped)]
+        r, c = np.argsort(perm)[np.array([row, col])]
         self.perm, self.diag, self.lower = perm, [], []
-        for s, e in spans:
-            for out, block in ((self.diag, A[s:e, s:e]), (self.lower, A[s:e, :s].tocsr())):
-                block.sort_indices()
-                out.append((block.data.astype(np.intp) - 1, block.indices, block.indptr,
-                            block.shape))
+        # the diagonal blocks in CSC order, the blocks left of them in CSR
+        for out, major, minor, diag in ((self.diag, c, r, True), (self.lower, r, c, False)):
+            k = np.flatnonzero(level[r] == level[c] if diag else level[c] < level[r])
+            k = k[np.lexsort((minor[k], major[k]))]
+            cuts = np.searchsorted(major[k], self.bounds)
+            for (s, e), a, b in zip(spans, cuts[:-1], cuts[1:]):
+                ptr = np.searchsorted(major[k[a:b]], np.arange(s, e + 1))
+                out.append((k[a:b], (minor[k[a:b]] - s * diag).astype(M.indices.dtype),
+                            ptr.astype(M.indptr.dtype), (e - s, e - s if diag else s)))
 
     def gather(self, data: np.ndarray) -> _LevelSystem:
         """P of the M whose CSC data is data, its exact zeros dropped."""
@@ -711,17 +745,6 @@ class _LevelLU:
         return sum(lu.nnz for lu in self.lus)
 
 
-def _factor_positions(terms: list, n: int, sel: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The positions, in the value arrays of _factor_values, of the left
-    and of the right factor of each entry sel of _kron_sum(terms, n)."""
-    sizes = np.array([[n if f is None else f[0].size for f in term] for term in terms])
-    starts = np.concatenate([[0], np.cumsum(sizes[:, 0] * sizes[:, 1])])
-    term = np.searchsorted(starts, sel, side="right") - 1
-    p, q = np.divmod(sel - starts[term], sizes[term, 1])
-    return (np.concatenate([[0], np.cumsum(sizes[:, 0])])[term] + p,
-            np.concatenate([[0], np.cumsum(sizes[:, 1])])[term] + q)
-
-
 def _factor_values(terms: list, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The values of the left and of the right factors of terms, each
     concatenated in term order; the identity's are n ones."""
@@ -754,10 +777,11 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     maps each coherence order onto itself (Buca & Prosen, New J. Phys. 14,
     073007 (2012)). The block is the connected component of entry (0,0)
     in L's structural sparsity pattern, before exact cancellations, the
-    whole space for a model without such a symmetry. Only it is built,
-    from a _BlockPlan kept per sparsity pattern and photon numbers, with
-    the bits of the same block sliced from liouvillian(model), which is
-    never built here. An off-diagonal entry that cancels exactly may cut a
+    whole space for a model without such a symmetry; the plan labels the
+    components from the kron factors' patterns (_structural_labels), with
+    no n^2-entry graph. Only the block is built, from a _BlockPlan kept
+    per sparsity pattern and photon numbers, with the bits of the same
+    block sliced from liouvillian(model), which is never built here. An off-diagonal entry that cancels exactly may cut a
     component from the populations' sector; the block keeps it, and as its
     right-hand side is zero, its part of the solution is exactly 0.
     Populations split over several sectors raise SolverError, with or
@@ -771,10 +795,12 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     models.build_rwa and build_full, the entry |i><j| has the order
     N_i + N_j, and P keeps the entries of M whose column's order is at most
     its row's: the weak-drive hierarchy of Bamba et al., PRA 83, 021802(R)
-    (2011). P is solved level by level (_LevelLU); without a drive it is
-    one level, M itself. The steps stop once the componentwise backward
-    error max_i |r_i| / (|M||x| + |e_0|)_i (Oettli & Prager, Numer. Math.
-    6, 405 (1964)) is at most BACKWARD_ERROR_STOP. That holds each row to
+    (2011). P is solved level by level (_LevelLU), each level block in
+    its own minimum-degree order, all made by one ordering pass
+    (_Levels); without a drive it is one level, M itself. The steps stop
+    once the componentwise backward error max_i |r_i| / (|M||x| +
+    |e_0|)_i (Oettli & Prager, Numer. Math. 6, 405 (1964)) is at most
+    BACKWARD_ERROR_STOP. That holds each row to
     its own scale, which a residual norm cannot: the norm is set by the
     order-1 populations, not by the small two-photon entries behind g2.
     If the stop is missed within REFINE_STEP_CAP steps, or a level block

@@ -182,24 +182,11 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     components of the graph of h != 0 (symmetric, as h is), so its spectrum
     is the union of theirs. A state with a conserved charge, such as the
     rotating-wave steady state, splits into one block per charge; a state
-    of one component takes one eigvalsh of the whole.
-
-    The components are labelled in numpy: each entry takes the smallest
-    label among itself and its neighbours, then its label's label, until
-    nothing changes. Every label names an entry of the same component, and
-    at the fixed point the labels agree across every edge, so each
-    component carries one label. On the g2scan state (96 states, nine
-    blocks) that takes 0.06 ms against 0.3 ms for scipy's csgraph on the
-    same pattern."""
+    of one component takes one eigvalsh of the whole. The components come
+    from _components, which on the g2scan state (96 states, nine blocks)
+    takes 0.1 ms against 0.2 ms for scipy's csgraph."""
     n = h.shape[0]
-    linked = h != 0
-    labels = np.arange(n)
-    while True:
-        new = np.minimum(np.where(linked, labels, n).min(axis=1), labels)
-        new = new[new]
-        if np.array_equal(new, labels):
-            break
-        labels = new
+    labels = _components(*np.nonzero(h), n)
     if labels.max() == 0:
         return float(np.linalg.eigvalsh(h).min())
     size = np.bincount(labels, minlength=n)
@@ -208,6 +195,28 @@ def _min_eigenvalue(h: np.ndarray) -> float:
     w += [np.linalg.eigvalsh(h[np.ix_(b, b)]) for b in
           (np.flatnonzero(labels == lbl) for lbl in np.flatnonzero(size > 1))]
     return float(min(v.min(initial=np.inf) for v in w))
+
+
+def _components(rows: np.ndarray, cols: np.ndarray, n: int) -> np.ndarray:
+    """The connected component of each node of the graph on n nodes whose
+    edges rows[k] - cols[k] are taken both ways, numbered by first
+    occurrence, as scipy's connected_components numbers them.
+
+    Labelled in numpy: each node takes the smallest label among itself and
+    its neighbours, then its label's label, until nothing changes. Every
+    label names a node of the same component, and at the fixed point the
+    labels agree across every edge, so each component carries one label,
+    its smallest node, whose label can never fall; their ranks are the
+    numbers."""
+    rows, cols = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    labels = np.arange(n)
+    while True:
+        new = labels.copy()
+        np.minimum.at(new, rows, labels[cols])
+        new = new[new]
+        if np.array_equal(new, labels):
+            return np.unique(labels, return_inverse=True)[1]
+        labels = new
 
 
 def ladder_product(space: ModeSpace, steps: dict[str, int]):

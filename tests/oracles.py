@@ -8,10 +8,12 @@ thermal states with their expectation values and diagonal partial trace
 of the master equation and a full-pivoting LU solve of its trace-row
 system on the population sector, the actual component of L's pattern
 (dynamics.steady_state refines on a simpler system's factor, on the
-structural block from the kron factors' patterns), the
-refinement on scipy's own gmres (dynamics transcribes one of its cycles),
-the uniqueness check's disc bounds and coherence gap on the full L
-(dynamics bounds and gathers the blocks from the kron factors), and
+structural block from the kron factors' patterns), the structural
+component labels from the n^2-entry graph and P's level orders one level
+at a time (the plan labels from the factors and orders the levels in one
+pass), the refinement on scipy's own gmres (dynamics transcribes one of
+its cycles), the uniqueness check's disc bounds and coherence gap on the
+full L (dynamics bounds and gathers the blocks from the kron factors), and
 the phase gate's scan with one SystemParams and one phonon_nonlinearity per
 detuning and its exact error from one dense expm of L
 (analytics.phase_gate_error scans on Python floats and takes the expm on
@@ -131,6 +133,41 @@ def population_sector(labels: np.ndarray, n: int) -> np.ndarray:
             "degenerate Liouvillian null space: the populations split into "
             "disconnected sectors, each with its own steady state")
     return np.flatnonzero(labels == labels[0])
+
+
+def structural_labels(model) -> np.ndarray:
+    """The component labels of L's structural pattern, the pattern before
+    exact cancellations, from scipy's connected_components on the n^2-entry
+    graph of every contribution of the generator's terms: the oracle of
+    the plan's labels, which come from the factors' patterns alone."""
+    n = model.space.total_dim
+
+    def pattern(f):
+        if f is None:
+            return sp.identity(n, format="csr")
+        return sp.csr_matrix((np.ones(f[0].size), (f[0], f[1])), shape=(n, n))
+
+    graph = sum(sp.kron(pattern(a), pattern(b), format="csr")
+                for a, b in dynamics._generator_terms(model))
+    return _component_labels(graph)
+
+
+def level_orders(model) -> np.ndarray:
+    """P's level order with one _min_degree call per level: the plan's
+    block sorted by photon order, each level's diagonal block of M's
+    structural pattern ordered on its own. The oracle of the plan's one
+    ordering pass over all level blocks."""
+    plan = dynamics._plan(model)[0]
+    n, m = model.space.total_dim, plan.idx.size
+    photons = model.hamiltonian.meta.get("photons", np.zeros(n, int))
+    order = photons[plan.idx // n] + photons[plan.idx % n]
+    M = sp.csc_matrix((np.ones(plan.m_src.size), plan.m_indices, plan.m_indptr), shape=(m, m))
+    perm = np.argsort(order, kind="stable")
+    A = M[perm][:, perm]
+    bounds = np.flatnonzero(np.diff(order[perm], prepend=-1, append=-1))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        perm[s:e] = perm[s:e][dynamics._min_degree(A[s:e, s:e].tocsc())]
+    return perm
 
 
 def trace_row_system(model, idx=None) -> tuple[sp.csc_matrix, np.ndarray]:

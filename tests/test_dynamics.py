@@ -34,11 +34,13 @@ from oracles import (
     evolve,
     expect,
     fock_density,
+    level_orders,
     lu_oracle,
     population_sector,
     ptrace_population,
     scipy_refine,
     sector_state,
+    structural_labels,
     tensor_embed,
     thermal_state,
     trace_row_system,
@@ -387,6 +389,11 @@ def test_gathered_blocks_are_the_liouvillians():
         e = np.flatnonzero(plan.labels == c)
         _same_bits(_gather(terms, n, e), L[e][:, e])
     assert np.count_nonzero(discs < floor) > 2   # the population block's and short ones
+    # an entry set that is not closed under L is refused, not mis-gathered
+    e = plan.idx[: plan.idx.size // 2]
+    assert np.setdiff1d(L[e].indices, e).size > 0
+    with pytest.raises(ValueError):
+        _gather(terms, n, e)
 
 
 def test_checked_solve_allocates_no_dense_block():
@@ -517,10 +524,10 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     # every factor uses its own pattern's order, never an earlier point's:
     # the scan forward and reversed, each from an empty plan cache, gives
     # the same bits, its two ends checked, one first and one last. One
-    # pattern: one ordering pass per level of P, kept in the plan, and each
-    # point factors the 13 level blocks (their fill is 9,015); the first
-    # checked point orders M, kept in the plan too, and each checked point
-    # factors M, for the null-space gap
+    # pattern: one ordering pass over the 13 level blocks of P, kept in the
+    # plan, and each point factors the 13 level blocks (their fill is
+    # 9,015); the first checked point orders M, kept in the plan too, and
+    # each checked point factors M, for the null-space gap
     import scipy.sparse.linalg
     calls = []
 
@@ -548,7 +555,7 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, name, counting(name))
     deltas = np.linspace(-8.0, 8.0, 9)   # perfbench/configs/g2scan_reduced.cfg
     forward = scan(deltas)
-    assert calls.count("spilu") == 13 + 1 and calls.count("splu") == 9 * 13 + 2
+    assert calls.count("spilu") == 1 + 1 and calls.count("splu") == 9 * 13 + 2
     assert {v[3] for v in forward.values()} == {9_015}
     assert [d for d, v in forward.items() if v[6] is not None] == [-8.0, 8.0]
     assert scan(deltas[::-1]) == forward
@@ -749,11 +756,12 @@ def _count_min_degree(monkeypatch) -> list:
 
 def test_checked_scan_orders_m_once(monkeypatch):
     # with every point checked, M's minimum-degree order is made on the
-    # first point of the pattern and kept in the plan
+    # first point of the pattern and kept in the plan, as is the one
+    # ordering pass over P's level blocks, on a pattern of M's size too
     sizes = _count_min_degree(monkeypatch)
     for delta_a in (-8.0, 0.0, 3.3):
         rep = steady_state(_g2scan_point(0.0, (4, 4, 6), delta_a))
-    assert sizes.count(rep.solved_dim) == 1
+    assert sizes.count(rep.solved_dim) == 2
 
 
 def test_checked_undriven_solve_orders_m_once(monkeypatch):
@@ -763,6 +771,73 @@ def test_checked_undriven_solve_orders_m_once(monkeypatch):
     sizes = _count_min_degree(monkeypatch)
     assert steady_state(_displaced((3, 2, 7))).solved_dim == 220
     assert sizes == [220, 208, 180, 144, 108, 72]
+
+
+_PATTERN_CASES = {
+    **{f"liouvillian-{k}": make for k, make in _LIOUVILLIAN_CASES.items()},
+    **{f"block-{k}": make for k, make in _BLOCK_CASES.items()},
+    "displaced-435": lambda: _displaced((4, 3, 5)),
+    "g2scan-m6": lambda: _g2scan_point(0.0, (4, 4, 6)),
+    "g2scan-m20-Nth1": lambda: _g2scan_point(1.0, (4, 4, 20)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PATTERN_CASES))
+def test_plan_labels_are_those_of_the_full_pattern(name):
+    # the plan labels L's structural components from the factors' patterns
+    # alone; scipy, on the n^2-entry graph of every contribution, gives the
+    # same labels, in value and in int32
+    model = _PATTERN_CASES[name]()
+    labels = dynamics._BlockPlan(dynamics._generator_terms(model), None,
+                                 model.space.total_dim).labels
+    oracle = structural_labels(model)
+    assert labels.dtype == oracle.dtype == np.int32
+    assert np.array_equal(labels, oracle)
+
+
+@pytest.mark.parametrize("name", sorted(_PATTERN_CASES))
+def test_one_ordering_pass_gives_each_level_its_own_order(name):
+    # one _min_degree call on the block-diagonal pattern of P's level
+    # blocks orders each level as a call on its block alone does (13
+    # levels at g2scan m6)
+    model = _PATTERN_CASES[name]()
+    plan = dynamics._plan(model)[0]
+    assert np.array_equal(plan.levels.perm, level_orders(model))
+    if name == "g2scan-m6":
+        assert len(plan.levels.diag) == 13
+
+
+def test_a_level_without_couplings_keeps_its_natural_order():
+    # SuperLU orders a pattern without off-diagonal entries naturally, but
+    # its nodes, isolated in a larger pattern, in reverse: the last level
+    # of cancelling-diagonal is four such entries, in their own order
+    plan = dynamics._plan(_BLOCK_CASES["cancelling-diagonal"]())[0]
+    s = plan.levels.bounds[-2]
+    last = plan.levels.diag[-1]
+    assert last[3] == (4, 4) and np.array_equal(last[1], np.arange(4))
+    assert np.all(np.diff(plan.levels.perm[s:]) > 0)
+
+
+def test_plan_peak_is_below_the_full_pattern_graph():
+    # the bound is the CSR of the n^2-entry graph that labelling the full
+    # pattern with scipy needs at rwa a4/s4/m20, N_th = 1: float64 ones
+    # and int32 indices over its 1,030,912 contributions, and int32 indptr
+    # over its 102,400 rows, 12.8 MB. The plan forms no such graph
+    import tracemalloc
+    model = _g2scan_point(1.0, (4, 4, 20), 3.3)
+    n = model.space.total_dim
+    terms = dynamics._generator_terms(model)
+    count = sum((n if a is None else a[0].size) * (n if b is None else b[0].size)
+                for a, b in terms)
+    assert count == 1_030_912
+    bound = count * (8 + 4) + (n * n + 1) * 4
+    tracemalloc.start()
+    try:
+        dynamics._BlockPlan(terms, model.hamiltonian.meta["photons"], n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound
 
 
 # |lambda_1| of each case to 17 digits, as a check that slices the actual

@@ -320,6 +320,23 @@ def test_block_minimum_matches_the_dense_one_on_a_steady_state():
     assert _min_eigenvalue(h) == pytest.approx(np.linalg.eigvalsh(h).min(), rel=0.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_components_are_numbered_as_scipy_numbers_them(seed):
+    # by first occurrence, on the edges taken as directed, with self-loops
+    # and isolated nodes among them
+    from scipy.sparse.csgraph import connected_components
+
+    from omx.hilbert import _components
+    rng = np.random.default_rng(seed)
+    n = 300
+    rows, cols = rng.integers(0, n, 250), rng.integers(0, n, 250)
+    rows[:5] = cols[:5]
+    graph = sp.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(n, n))
+    count, oracle = connected_components(graph, directed=True, connection="weak")
+    labels = _components(rows, cols, n)
+    assert count > 1 and np.array_equal(labels, oracle)
+
+
 def test_thermal_state_per_mode_occupations():
     space = ModeSpace([("a", 2), ("m", thermal_dim(0.5))])
     rho = thermal_state(space, {"m": 0.5})  # unspecified modes default to 0
