@@ -559,8 +559,14 @@ class _BlockPlan:
     off_diagonal: which of the block's stored entries lie off its diagonal.
     m_src, m_indptr, m_indices: the trace-row system M of the block in CSC
         order, entry k taken from [1 at each of pops, block values][m_src[k]].
-    levels: the _Levels of M under the photon order N_i + N_j of each
-        entry |i><j|, N = photons: one level, P = M, for a model without a
+    levels: the _Levels of M under the drive order of each entry
+        (_drive_order): the least total rise of the photon order
+        N_i + N_j, N = photons, along a path from |0><0| in M's
+        structural pattern. It equals N_i + N_j wherever some path from
+        |0><0| never lowers it, as thermal phonon jumps make it on every
+        entry. At N_th = 0 an entry that holds a phonon but
+        fewer photons than made it lies higher: 17 levels at g2scan m6,
+        against 13 photon orders. One level, P = M, for a model without a
         drive.
     m_order: M's one minimum-degree order, on its structural pattern: the
         one level's order where P = M, else made on the first call of
@@ -589,7 +595,7 @@ class _BlockPlan:
         self.m_src, self.m_indptr, self.m_indices = M.data.astype(np.intp), M.indptr, M.indices
         photons = np.zeros(n, int) if photons is None else np.asarray(photons)
         i, j = np.divmod(self.idx, n)
-        self.levels = _Levels(M, photons[i] + photons[j])
+        self.levels = _Levels(M, _drive_order(M, photons[i] + photons[j]))
         self.m_order = self.levels.perm if len(self.levels.diag) == 1 else None
 
     def assemble(self, terms: list, n: int) -> tuple:
@@ -651,10 +657,47 @@ class _BlockPlan:
         return lu, min(lam1, _coherence_gap(terms, n, self.labels, lam1))
 
 
+def _drive_order(M: scipy.sparse.csc_matrix, c: np.ndarray) -> np.ndarray:
+    """The drive order of each entry of a trace-row system M whose entries
+    have the photon orders c: the least total rise of c along a path in
+    M's structural pattern from entry 0, |0><0|, where an edge col -> row
+    (M[row, col] stored) that raises c by k costs k and any other edge
+    costs nothing. It is the power of the drive at which the entry first
+    appears, never below c (every path from entry 0 climbs to c), and
+    equal to it wherever some path from entry 0 never lowers c. An entry
+    that no path reaches keeps c. M's first row is the trace row, not L's,
+    but it only leads into entry 0, which no path needs to enter.
+
+    Dial's bucket search in numpy: the entries of the least open order t
+    are closed over the edges that cost nothing, breadth first, and each
+    edge that costs k offers t + k to its row; one pass per order and per
+    breadth-first step, each on the out-edges of its frontier alone."""
+    ptr, rows = M.indptr, M.indices
+    rises = c[rows] - np.repeat(c, np.diff(ptr))   # along each stored entry's edge
+    far = np.iinfo(np.int64).max
+    d, done = np.full(c.size, far), np.zeros(c.size, bool)
+    d[0] = 0
+    while True:
+        reached = np.flatnonzero(~done & (d < far))
+        if not reached.size:
+            return np.where(done, d, c)
+        t = d[reached].min()
+        frontier = reached[d[reached] == t]
+        while frontier.size:
+            done[frontier] = True
+            k = _expand(ptr, frontier)[1]   # the frontier's out-edges
+            dst, rise = rows[k], rises[k]
+            up = rise > 0
+            np.minimum.at(d, dst[up], t + rise[up])
+            frontier = np.unique(dst[~up & ~done[dst]])
+            d[frontier] = t
+
+
 class _Levels:
-    """The structure of P, the photon-order block-lower-triangular part of
-    a trace-row system M (see steady_state): the entries of M whose column
-    has a photon order at most its row's.
+    """The structure of P, the block-lower-triangular part of a trace-row
+    system M under a level order of its entries, the drive order
+    (_drive_order) in steady_state: the entries of M whose column's order
+    is at most its row's.
 
     perm: M's entries in level order, each level a contiguous slice
         bounds[l]:bounds[l + 1], and within it in the minimum-degree order
@@ -790,15 +833,25 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     Within the block the row of (0,0) is replaced by the trace condition,
     and M x = e_0 is solved by GMRES-based iterative refinement (_refine;
     Carson & Higham, SIAM J. Sci. Comput. 39, A2834 (2017)) on the exact
-    solve of P, the photon-order block-lower-triangular part of M. With
+    solve of P, the drive-order block-lower-triangular part of M. With
     N = model.hamiltonian.meta["photons"], handed over with a drive by
-    models.build_rwa and build_full, the entry |i><j| has the order
-    N_i + N_j, and P keeps the entries of M whose column's order is at most
-    its row's: the weak-drive hierarchy of Bamba et al., PRA 83, 021802(R)
-    (2011). P is solved level by level (_LevelLU), each level block in
-    its own minimum-degree order, all made by one ordering pass
-    (_Levels); without a drive it is one level, M itself. The steps stop
-    once the componentwise backward error max_i |r_i| / (|M||x| +
+    models.build_rwa and build_full, the entry |i><j| has the photon order
+    N_i + N_j, and its drive order is the least total rise of the photon
+    order along a path from |0><0| in the block's structural pattern
+    (_drive_order): the power of the drive at which the entry first
+    appears, in the weak-drive hierarchy of Bamba et al., PRA 83,
+    021802(R) (2011). It is never below the photon order, and equal to it
+    when thermal phonon jumps connect every phonon state. At N_th = 0 an
+    entry that holds a phonon but fewer photons than made it is fed only
+    by a photon decay from two orders up, and so sits two orders higher.
+    P keeps the entries of M whose column's drive order is at most its
+    row's, that decay included, so its solve gives such an entry the
+    value that a P on the photon order sets to 0: the g2scan points take
+    2 to 4 Krylov iterations, against 8 to 12 on the photon order. P is
+    solved level by level (_LevelLU), each level block in its own
+    minimum-degree order, all made by one ordering pass (_Levels);
+    without a drive it is one level, M itself. The steps stop once the
+    componentwise backward error max_i |r_i| / (|M||x| +
     |e_0|)_i (Oettli & Prager, Numer. Math. 6, 405 (1964)) is at most
     BACKWARD_ERROR_STOP. That holds each row to
     its own scale, which a residual norm cannot: the norm is set by the

@@ -9,9 +9,10 @@ of the master equation and a full-pivoting LU solve of its trace-row
 system on the population sector, the actual component of L's pattern
 (dynamics.steady_state refines on a simpler system's factor, on the
 structural block from the kron factors' patterns), the structural
-component labels from the n^2-entry graph and P's level orders one level
-at a time (the plan labels from the factors and orders the levels in one
-pass), the refinement on scipy's own gmres (dynamics transcribes one of
+component labels and the drive order from the n^2-entry graph, and P's
+level orders one level at a time (the plan labels from the factors, finds
+the drive order by a bucket search on M's pattern and orders the levels
+in one pass), the refinement on scipy's own gmres (dynamics transcribes one of
 its cycles), the uniqueness check's disc bounds and coherence gap on the
 full L (dynamics bounds and gathers the blocks from the kron factors), and
 the phase gate's scan with one SystemParams and one phonon_nonlinearity per
@@ -27,6 +28,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
+from scipy.sparse.csgraph import dijkstra
 
 from omx import models
 from omx.analytics import GateBudget, _qubit_superposition, phonon_nonlinearity
@@ -135,11 +137,10 @@ def population_sector(labels: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(labels == labels[0])
 
 
-def structural_labels(model) -> np.ndarray:
-    """The component labels of L's structural pattern, the pattern before
-    exact cancellations, from scipy's connected_components on the n^2-entry
-    graph of every contribution of the generator's terms: the oracle of
-    the plan's labels, which come from the factors' patterns alone."""
+def structural_pattern(model) -> sp.csr_matrix:
+    """L's structural pattern, the pattern before exact cancellations: the
+    sum of the kron products of the patterns of every term's factors, as
+    ones, so that nothing cancels."""
     n = model.space.total_dim
 
     def pattern(f):
@@ -147,20 +148,45 @@ def structural_labels(model) -> np.ndarray:
             return sp.identity(n, format="csr")
         return sp.csr_matrix((np.ones(f[0].size), (f[0], f[1])), shape=(n, n))
 
-    graph = sum(sp.kron(pattern(a), pattern(b), format="csr")
-                for a, b in dynamics._generator_terms(model))
-    return _component_labels(graph)
+    return sum(sp.kron(pattern(a), pattern(b), format="csr")
+               for a, b in dynamics._generator_terms(model))
+
+
+def structural_labels(model) -> np.ndarray:
+    """The component labels of L's structural pattern, from scipy's
+    connected_components on the n^2-entry graph of every contribution of
+    the generator's terms: the oracle of the plan's labels, which come
+    from the factors' patterns alone."""
+    return _component_labels(structural_pattern(model))
+
+
+def drive_order(model, idx) -> np.ndarray:
+    """The drive order of the sorted entries idx of L's structural block:
+    scipy's dijkstra from entry (0,0) on the n^2-entry structural pattern,
+    each edge col -> row weighted by the rise of the photon order
+    N_i + N_j along it, or 0 where it does not rise (csgraph keeps the
+    explicit zeros of a sparse input as edges). An entry no path reaches
+    keeps its photon order. N is the handed-over meta["photons"], or 0
+    throughout for a model without a drive. The oracle of the plan's
+    bucket search on M's pattern."""
+    n = model.space.total_dim
+    photons = model.hamiltonian.meta.get("photons", np.zeros(n, int))
+    c = (photons[:, None] + photons).ravel()
+    A = structural_pattern(model).tocoo()
+    rise = np.maximum(c[A.row] - c[A.col], 0).astype(float)
+    graph = sp.csr_matrix((rise, (A.col, A.row)), shape=A.shape)   # edge col -> row
+    d = dijkstra(graph, indices=0)
+    return np.where(np.isinf(d), c, d).astype(int)[idx]
 
 
 def level_orders(model) -> np.ndarray:
     """P's level order with one _min_degree call per level: the plan's
-    block sorted by photon order, each level's diagonal block of M's
-    structural pattern ordered on its own. The oracle of the plan's one
-    ordering pass over all level blocks."""
+    block sorted by drive order (drive_order), each level's diagonal block
+    of M's structural pattern ordered on its own. The oracle of the plan's
+    one ordering pass over all level blocks."""
     plan = dynamics._plan(model)[0]
-    n, m = model.space.total_dim, plan.idx.size
-    photons = model.hamiltonian.meta.get("photons", np.zeros(n, int))
-    order = photons[plan.idx // n] + photons[plan.idx % n]
+    m = plan.idx.size
+    order = drive_order(model, plan.idx)
     M = sp.csc_matrix((np.ones(plan.m_src.size), plan.m_indices, plan.m_indptr), shape=(m, m))
     perm = np.argsort(order, kind="stable")
     A = M[perm][:, perm]

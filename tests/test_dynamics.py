@@ -31,6 +31,7 @@ from oracles import (
     coherence_gap,
     destroy_matrix,
     disc_bounds,
+    drive_order,
     evolve,
     expect,
     fock_density,
@@ -524,9 +525,9 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     # every factor uses its own pattern's order, never an earlier point's:
     # the scan forward and reversed, each from an empty plan cache, gives
     # the same bits, its two ends checked, one first and one last. One
-    # pattern: one ordering pass over the 13 level blocks of P, kept in the
-    # plan, and each point factors the 13 level blocks (their fill is
-    # 9,015); the first checked point orders M, kept in the plan too, and
+    # pattern: one ordering pass over the 17 level blocks of P, kept in the
+    # plan, and each point factors the 17 level blocks (their fill is
+    # 7,660); the first checked point orders M, kept in the plan too, and
     # each checked point factors M, for the null-space gap
     import scipy.sparse.linalg
     calls = []
@@ -555,8 +556,8 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
         monkeypatch.setattr(scipy.sparse.linalg, name, counting(name))
     deltas = np.linspace(-8.0, 8.0, 9)   # perfbench/configs/g2scan_reduced.cfg
     forward = scan(deltas)
-    assert calls.count("spilu") == 1 + 1 and calls.count("splu") == 9 * 13 + 2
-    assert {v[3] for v in forward.values()} == {9_015}
+    assert calls.count("spilu") == 1 + 1 and calls.count("splu") == 9 * 17 + 2
+    assert {v[3] for v in forward.values()} == {7_660}
     assert [d for d, v in forward.items() if v[6] is not None] == [-8.0, 8.0]
     assert scan(deltas[::-1]) == forward
 
@@ -630,16 +631,8 @@ def _with_photons(model):
     return model
 
 
-def _photon_order(model, idx):
-    # N_i + N_j of each sector entry |i><j|, N the handed-over photon
-    # number, or 0 throughout for a model without a drive
-    n = model.space.total_dim
-    photons = model.hamiltonian.meta.get("photons", np.zeros(n, int))
-    return photons[idx // n] + photons[idx % n]
-
-
 def _masked(M, order):
-    # P by its definition: the entries of M whose column has a photon
+    # P by its definition: the entries of M whose column has a drive
     # order at most its row's
     A = M.tocoo()
     keep = order[A.col] <= order[A.row]
@@ -678,7 +671,7 @@ def test_block_plan_matches_the_liouvillian(name):
     # the block steady_state assembles from its plan, with M and P, is
     # liouvillian's restricted to the structural block, which holds the
     # population sector, in pattern and in bits; P's levels run in
-    # increasing photon order and hold exactly the masked M's entries.
+    # increasing drive order and hold exactly the masked M's entries.
     # Without a drive P is one level, M itself in its level order
     model = _BLOCK_CASES[name]()
     idx, Lc, M, P = _population_block(model)
@@ -688,10 +681,10 @@ def test_block_plan_matches_the_liouvillian(name):
     assert np.isin(sector, idx).all()
     _same_bits(Lc, L[idx][:, idx])
     _same_bits(M, M_o)
-    order = _photon_order(model, idx)[P.perm]
+    order = drive_order(model, idx)[P.perm]
     assert np.all(np.diff(order) >= 0)
     assert np.array_equal(P.bounds, np.flatnonzero(np.diff(order, prepend=-1, append=-1)))
-    oracle = _masked(M_o, _photon_order(model, idx))[P.perm][:, P.perm]
+    oracle = _masked(M_o, drive_order(model, idx))[P.perm][:, P.perm]
     oracle.sort_indices()
     _same_bits(_assembled(P), oracle)
     if "photons" not in model.hamiltonian.meta:
@@ -719,7 +712,7 @@ def test_level_solve_is_the_masked_solve(name):
     rng = np.random.default_rng(7)
     b = rng.standard_normal(idx.size) + 1j * rng.standard_normal(idx.size)
     x = dynamics._LevelLU(P).solve(b)
-    oracle = spla.spsolve(_masked(M, _photon_order(model, idx)), b)
+    oracle = spla.spsolve(_masked(M, drive_order(model, idx)), b)
     assert np.abs(x - oracle).max() <= 1e-12 * np.abs(oracle).max()
 
 
@@ -779,6 +772,9 @@ _PATTERN_CASES = {
     "displaced-435": lambda: _displaced((4, 3, 5)),
     "g2scan-m6": lambda: _g2scan_point(0.0, (4, 4, 6)),
     "g2scan-m20-Nth1": lambda: _g2scan_point(1.0, (4, 4, 20)),
+    # the occupation n_a + n_s + n_m as the order: levels without couplings
+    # among levels with them
+    "levels-rwa-Nth1": lambda: _with_photons(_LIOUVILLIAN_CASES["rwa-Nth1"]()),
 }
 
 
@@ -798,24 +794,67 @@ def test_plan_labels_are_those_of_the_full_pattern(name):
 @pytest.mark.parametrize("name", sorted(_PATTERN_CASES))
 def test_one_ordering_pass_gives_each_level_its_own_order(name):
     # one _min_degree call on the block-diagonal pattern of P's level
-    # blocks orders each level as a call on its block alone does (13
+    # blocks orders each level as a call on its block alone does (17
     # levels at g2scan m6)
     model = _PATTERN_CASES[name]()
     plan = dynamics._plan(model)[0]
     assert np.array_equal(plan.levels.perm, level_orders(model))
     if name == "g2scan-m6":
-        assert len(plan.levels.diag) == 13
+        assert len(plan.levels.diag) == 17
+
+
+def _plan_order(model):
+    # (plan, the photon order N_i + N_j of its block's entries, the plan's
+    # drive order of them from M's structural pattern)
+    plan = dynamics._plan(model)[0]
+    n, m = model.space.total_dim, plan.idx.size
+    photons = model.hamiltonian.meta.get("photons", np.zeros(n, int))
+    c = photons[plan.idx // n] + photons[plan.idx % n]
+    M = sp.csc_matrix((np.ones(plan.m_src.size), plan.m_indices, plan.m_indptr), shape=(m, m))
+    return plan, c, dynamics._drive_order(M, c)
+
+
+def _assert_levels_follow(levels, order):
+    # the levels are the values of order, increasing
+    ranked = order[levels.perm]
+    assert np.all(np.diff(ranked) >= 0)
+    assert np.array_equal(levels.bounds, np.flatnonzero(np.diff(ranked, prepend=-1, append=-1)))
+
+
+@pytest.mark.parametrize("name", sorted(_PATTERN_CASES))
+def test_plan_levels_follow_the_drive_order(name):
+    # the bucket search on M's pattern gives the drive order that dijkstra
+    # gives on the n^2-entry structural pattern, and P's levels follow it
+    model = _PATTERN_CASES[name]()
+    plan, c, order = _plan_order(model)
+    assert np.array_equal(order, drive_order(model, plan.idx))
+    assert np.all(order >= c)
+    _assert_levels_follow(plan.levels, order)
+    if name == "g2scan-m6":
+        assert np.count_nonzero(order > c) == 736
+
+
+@pytest.mark.parametrize("n_th, dims", [(0.5, (4, 4, 6)), (1.0, (4, 4, 10))],
+                         ids=["a4s4m6-Nth0.5", "a4s4m10-Nth1"])
+def test_thermal_phonons_make_the_drive_order_the_photon_order(n_th, dims):
+    # thermal jumps connect every phonon state both ways, so the drive's
+    # raising edges reach every entry at its photon order: P keeps the 13
+    # photon-order levels
+    plan, c, order = _plan_order(_g2scan_point(n_th, dims))
+    assert np.array_equal(order, c)
+    _assert_levels_follow(plan.levels, c)
+    assert len(plan.levels.diag) == 13
 
 
 def test_a_level_without_couplings_keeps_its_natural_order():
     # SuperLU orders a pattern without off-diagonal entries naturally, but
-    # its nodes, isolated in a larger pattern, in reverse: the last level
-    # of cancelling-diagonal is four such entries, in their own order
-    plan = dynamics._plan(_BLOCK_CASES["cancelling-diagonal"]())[0]
-    s = plan.levels.bounds[-2]
-    last = plan.levels.diag[-1]
-    assert last[3] == (4, 4) and np.array_equal(last[1], np.arange(4))
-    assert np.all(np.diff(plan.levels.perm[s:]) > 0)
+    # its nodes, isolated in a larger pattern, in reverse: level 13 of
+    # levels-rwa-Nth1 is ten such entries, in their own order
+    levels = dynamics._plan(_PATTERN_CASES["levels-rwa-Nth1"]())[0].levels
+    s, e = levels.bounds[13:15]
+    bare = levels.diag[13]
+    assert bare[3] == (10, 10) and np.array_equal(bare[1], np.arange(10))
+    assert np.all(np.diff(levels.perm[s:e]) > 0)
 
 
 def test_plan_peak_is_below_the_full_pattern_graph():
@@ -972,9 +1011,11 @@ def test_g2_does_not_depend_on_lu_order(delta_a):
 
 
 # Krylov iterations over all refinement steps, measured on both sectors
-# below: 11, 11, 15 and 25 (24 at m10). Against M without its drive entries
-# as the preconditioner they were 23 to 28, 36, 49 and 56
-_KRYLOV_CEILING = {0.01: 12, 0.1: 12, 0.3: 16, 1.0: 27}
+# below (m6 at N_th = 0, then m10 at N_th = 1): 2 and 3, 8 and 11, 10 and
+# 15, 26 and 24. With P's levels on the photon order the m6 sector took 11,
+# 11, 15 and 25; against M without its drive entries as the preconditioner
+# the counts were 23 to 28, 36, 49 and 56
+_KRYLOV_CEILING = {0.01: 4, 0.1: 12, 0.3: 16, 1.0: 27}
 
 
 @pytest.mark.parametrize("n_th, dims", [(0.0, (4, 4, 6)), (1.0, (4, 4, 10))],
@@ -1012,10 +1053,10 @@ def test_gmres_cycle_is_scipys(monkeypatch, make):
 
 
 def test_gmres_cycle_solves_p_once_per_krylov_vector(monkeypatch):
-    # at the g2scan point (Delta_a = 3.3) the refinement takes 3 cycles and
-    # 11 iterations: one solve of P to start, one per cycle for its first
-    # Krylov vector and one per iteration, 15 in all. scipy's gmres takes
-    # the first one twice, and 18 solves
+    # at the g2scan point (Delta_a = 3.3) the refinement takes 1 cycle and
+    # 2 iterations: one solve of P to start, one per cycle for its first
+    # Krylov vector and one per iteration, 4 in all. scipy's gmres takes
+    # the first one twice, and 5 solves
     real, calls = dynamics._LevelLU.solve, []
 
     def counting(self, b):
@@ -1025,11 +1066,11 @@ def test_gmres_cycle_solves_p_once_per_krylov_vector(monkeypatch):
     monkeypatch.setattr(dynamics._LevelLU, "solve", counting)
     model = _g2scan_point(0.0, (4, 4, 6), 3.3)
     rep = steady_state(model, check_unique=False)
-    assert rep.krylov_iterations == 11 and len(calls) == 15
+    assert rep.krylov_iterations == 2 and len(calls) == 4
     calls.clear()
     monkeypatch.setattr(dynamics, "_refine", scipy_refine)
     steady_state(model, check_unique=False)
-    assert len(calls) == 18
+    assert len(calls) == 5
 
 
 def _assert_matches_the_lu_oracle(model, state):
@@ -1038,6 +1079,39 @@ def _assert_matches_the_lu_oracle(model, state):
     assert (state.matrix.diagonal().real @ n_a
             == pytest.approx(oracle.matrix.diagonal().real @ n_a, rel=1e-12, abs=0.0))
     assert g2_zero(state, "a") == pytest.approx(g2_zero(oracle, "a"), rel=1e-12, abs=0.0)
+
+
+def _weak_regime(delta_a):
+    # ROADMAP item 2's weak drive: gamma = 1e-3, Omega_a = 1e-4
+    return build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=delta_a,
+                                  Omega_a=1e-4, gamma=1e-3), (4, 4, 6))
+
+
+@pytest.mark.parametrize("makes", [
+    [lambda d=d: _g2scan_point(0.0, (4, 4, 6), d) for d in np.linspace(-8.0, 8.0, 9)],
+    [lambda: _g2scan_point(0.0, (4, 4, 10), 3.3)],
+    [lambda: _weak_regime(3.3), lambda: _weak_regime(0.0)]],
+    ids=["g2scan-reduced", "a4s4m10-Nth0", "weak-regime"])
+def test_drive_order_levels_converge_in_a_few_krylov_iterations(makes):
+    # at N_th = 0 an entry that holds a phonon but fewer photons than made
+    # it is fed only by a photon decay from two orders up: P on the drive
+    # order keeps that decay, so the refinement converges in at most 4
+    # Krylov iterations at the nine points of the reduced g2scan grid
+    # (perfbench/configs/g2scan_reduced.cfg), at m10 and in the weak
+    # regime, with no fallback (on the photon order: 8 to 11, then 32 and
+    # 23 or 24 before the fallback). g2 is that of the same refinement on
+    # the factor of M
+    for make in makes:
+        model = make()
+        rep = steady_state(model, check_unique=False)
+        assert not rep.lu_fallback and rep.krylov_iterations <= 4
+        plan, terms = dynamics._plan(model)
+        M = plan.assemble(terms, model.space.total_dim)[1]
+        rhs = np.zeros(M.shape[0], dtype=complex)
+        rhs[0] = 1.0
+        y = dynamics._refine(M, dynamics._factor(M, plan.min_degree()), rhs)[0]
+        on_m = DensityMatrix(model.space, sector_state(model, plan.idx, y))
+        assert g2_zero(rep.state, "a") == pytest.approx(g2_zero(on_m, "a"), rel=1e-12, abs=0.0)
 
 
 def test_large_thermal_sector_converges_without_the_fallback():
