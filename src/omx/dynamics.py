@@ -36,6 +36,7 @@ ModeSpace.occupations; no operator product is formed.
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,7 +206,8 @@ def null_space_gap(L: scipy.sparse.csr_matrix) -> tuple[float, float]:
 
 
 def _start_vector(m: int) -> np.ndarray:
-    """The one random vector: a seeded complex ARPACK start vector."""
+    """The one random vector: a seeded complex ARPACK start vector, whose
+    real part starts the real-mode ARPACK on M's real form."""
     rng = np.random.default_rng(0)
     return rng.standard_normal(m) + 1j * rng.standard_normal(m)
 
@@ -219,17 +221,19 @@ class SteadyStateReport:
     null_gap: with check_unique, |lambda_1| of the full Liouvillian,
         which is never built: the smaller of the population block's
         |lambda_1|, every component of the block included, measured with
-        the LU of the trace-row system M, and the smallest |lambda| of the
-        other blocks whose disc bound, taken from the generator's kron
-        factors, falls below it, each gathered from those factors and
-        measured too (see steady_state). None without the check.
+        the real LU of R, the real form of the trace-row system M, and the
+        smallest |lambda| of the other blocks whose disc bound, taken from
+        the generator's kron factors, falls below it, each gathered from
+        those factors and measured too (see steady_state). None without
+        the check.
     solved_dim: size of the linear system solved: the plan's structural
         population block, which also holds any component that exact
         cancellations cut from the populations' sector.
     lu_nnz: entries SuperLU stores in the factors the solution was refined
         on: the summed fill of P's level factors (one level, M itself, for
-        a model without a drive), or that of the factor of M after the
-        fallback.
+        a model without a drive), or that of the complex factor of M after
+        the fallback. The check's factor of R is not counted: it never
+        feeds the solve.
     fock_tail: population of the top Fock level of each mode, by label,
         read off the diagonal of the state: the truncation's evidence.
     krylov_iterations: GMRES iterations over every refinement step, the
@@ -260,41 +264,48 @@ def _component_labels(L: scipy.sparse.csr_matrix) -> np.ndarray:
     return scipy.sparse.csgraph.connected_components(pattern, directed=True, connection="weak")[1]
 
 
-def _block_gap(B: scipy.sparse.csr_matrix, lu: _LevelLU | None) -> float:
+def _block_gap(B: scipy.sparse.csr_matrix, factor: Callable[[], _LevelLU] | None) -> float:
     """Smallest |lambda| of a block B of L, measured.
 
-    Given lu, the LU of the trace-row system M of the population block B,
-    it is |lambda_1| instead: the largest |mu| of M^-1 Pi is 1/|lambda_1|
-    (see steady_state). Given None, B is factored (_factor) and the largest
-    |mu| of B^-1 is 1/min |lambda|; an exactly singular factor gives 0.
+    Given factor, which makes the factor of the real form R of the
+    trace-row system M of the population block B (_BlockPlan.real_factor),
+    it is |lambda_1| instead: R^-1 Pi has the nonzero eigenvalues of
+    M^-1 Pi, whose largest |mu| is 1/|lambda_1| (see steady_state), and
+    ARPACK finds it in real arithmetic. Given None, B is factored
+    (_factor) and the largest |mu| of B^-1 is 1/min |lambda|; an exactly
+    singular factor gives 0.
     ARPACK finds that |mu| from solves alone (k = 2, since a population
     block's spectrum comes in conjugate pairs), from the seeded start
-    vector. A block of at most GAP_DENSE_LIMIT entries takes a dense
-    eigvals and is not factored: with one BLAS thread that takes 1 ms at
-    40 entries, 4 ms at 72 and 11 ms at 108, against 1 to 5 ms for the LU
-    and ARPACK of such a coherence block, and 1 ms for ARPACK alone on a
-    population block (displaced (3, 2, 7) and (2, 3, 3)).
+    vector, or its real part for R. A block of at most GAP_DENSE_LIMIT
+    entries takes a dense eigvals, and factor is not called: with one BLAS
+    thread that takes 1 ms at 40 entries, 4 ms at 72 and 11 ms at 108,
+    against 1 to 5 ms for the LU and ARPACK of such a coherence block, and
+    1 ms for ARPACK alone on a population block (displaced (3, 2, 7) and
+    (2, 3, 3)).
     """
     m = B.shape[0]
     if m <= GAP_DENSE_LIMIT:
         w = np.sort(np.abs(scipy.linalg.eigvals(B.toarray())))
-        return float(w[0] if lu is None else w[1])
-    if lu is None:
+        return float(w[0] if factor is None else w[1])
+    v0 = _start_vector(m)
+    if factor is None:
         try:
             B = B.tocsc()
             solve = _factor(B, _min_degree(B)).solve
         except SolverError:   # an exactly singular factor: lambda = 0
             return 0.0
     else:
+        v0, lu = v0.real, factor()
+
         def solve(v):
             v = v.copy()
             v[0] = 0.0
             return lu.solve(v)
 
     try:
-        op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=complex)
+        op = scipy.sparse.linalg.LinearOperator((m, m), matvec=solve, dtype=v0.dtype)
         w = scipy.sparse.linalg.eigs(op, k=2, which="LM", return_eigenvectors=False,
-                                     maxiter=5000, v0=_start_vector(m))
+                                     maxiter=5000, v0=v0)
     except (scipy.sparse.linalg.ArpackNoConvergence, RuntimeError) as exc:
         raise SolverError(f"null-space gap estimation failed: {exc}") from exc
     return float(1.0 / np.abs(w).max())
@@ -477,12 +488,12 @@ def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
 
 
 def _factor(A: scipy.sparse.csc_matrix, q: np.ndarray) -> _LevelLU:
-    """Sparse LU of a block of L, or of its trace-row system M: the
-    _LevelLU of A as one level, A[q][:, q] in the order q = _min_degree of
-    A's pattern, which the caller computes, or of M's structural pattern,
-    which the plan keeps. An exactly singular A raises SolverError:
-    a block of L or a trace-row system with a second null vector (see
-    steady_state).
+    """Sparse LU of a block of L, of its trace-row system M, or of M's real
+    form: the _LevelLU of A as one level, A[q][:, q] in the order q, which
+    the caller computes: _min_degree of A's pattern, or the pair order
+    that the plan keeps for the real form (_BlockPlan.real_factor). An
+    exactly singular A raises SolverError: a block of L or a trace-row
+    system with a second null vector (see steady_state).
 
     The order is a minimum degree on the pattern of A + A^T, which is
     nearly symmetric (only the c rho c^dag jumps are one-way). Threshold
@@ -568,9 +579,11 @@ class _BlockPlan:
         fewer photons than made it lies higher: 17 levels at g2scan m6,
         against 13 photon orders. One level, P = M, for a model without a
         drive.
-    m_order: M's one minimum-degree order, on its structural pattern: the
-        one level's order where P = M, else made on the first call of
-        min_degree and None until then.
+    real: the structure of R, the real form of M (_real_form), made on the
+        first call of real_factor and None until then.
+    m_order: M's minimum-degree order for the fallback's factor, on M's
+        structural pattern, made on the first call of min_degree and None
+        until then.
     Besides labels all of it is block-sized.
     """
 
@@ -596,14 +609,16 @@ class _BlockPlan:
         photons = np.zeros(n, int) if photons is None else np.asarray(photons)
         i, j = np.divmod(self.idx, n)
         self.levels = _Levels(M, _drive_order(M, photons[i] + photons[j]))
-        self.m_order = self.levels.perm if len(self.levels.diag) == 1 else None
+        self.real = self.m_order = None
 
     def assemble(self, terms: list, n: int) -> tuple:
-        """(Lc, M, P) of steady_state on the block for a model with these
-        factor patterns: the values of its terms summed onto the block,
-        its exact zeros dropped and its trace checked. SolverError when the
-        populations split: some lie outside the block, or an off-diagonal
-        entry that cancels exactly cuts them apart."""
+        """(Lc, M, P, m_data) of steady_state on the block for a model with
+        these factor patterns: the values of its terms summed onto the
+        block, its exact zeros dropped and its trace checked; m_data holds
+        M's values on its structural pattern (m_src), zeros kept, for
+        real_factor. SolverError when the populations split: some lie
+        outside the block, or an off-diagonal entry that cancels exactly
+        cuts them apart."""
         m = self.idx.size
         left, right = _factor_values(terms, n)
         # scipy sums the products as liouvillian's conversion does, in the
@@ -612,7 +627,7 @@ class _BlockPlan:
                                      shape=(m, m)).tocsr()
         vals = Lc.data
         src = np.concatenate([np.ones(self.pops.size), vals])[self.m_src]
-        M = scipy.sparse.csc_matrix((src, self.m_indices.copy(), self.m_indptr.copy()),
+        M = scipy.sparse.csc_matrix((src.copy(), self.m_indices.copy(), self.m_indptr.copy()),
                                     shape=(m, m))
         P = self.levels.gather(src)
         # entries that cancel exactly are dropped, as liouvillian drops them
@@ -632,7 +647,7 @@ class _BlockPlan:
             raise SolverError(
                 "degenerate Liouvillian null space: the populations split into "
                 "disconnected sectors, each with its own steady state")
-        return Lc, M, P
+        return Lc, M, P, src
 
     def min_degree(self) -> np.ndarray:
         """m_order, made from M's structural pattern on the first call:
@@ -645,16 +660,90 @@ class _BlockPlan:
                 (np.ones(self.m_src.size), self.m_indices, self.m_indptr), shape=(m, m)))
         return self.m_order
 
+    def real_factor(self, m_data: np.ndarray, n: int) -> _LevelLU:
+        """The factor of R, the real form of M (_real_form), from
+        assemble's m_data, in the pair order that the plan keeps, made
+        with it on the first call; its solve takes real vectors. An exactly
+        singular R raises SolverError, as _factor does."""
+        if self.real is None:
+            self.real = _real_form(self.idx, n, self.m_indptr, self.m_indices)
+        perm, slot, src, coef, indptr, indices = self.real
+        vals = np.bincount(slot, coef * np.concatenate([m_data.real, m_data.imag])[src],
+                           minlength=indices.size)
+        m = self.idx.size
+        R = scipy.sparse.csc_matrix((vals, indices.copy(), indptr.copy()), shape=(m, m))
+        R.eliminate_zeros()
+        return _factor(R, perm)
+
     def check(self, terms: list, n: int, Lc: scipy.sparse.csr_matrix,
-              M: scipy.sparse.csc_matrix) -> tuple[_LevelLU, float]:
-        """(the factor of M, |lambda_1| of L): the uniqueness check of
-        steady_state on assemble's Lc and M, M factored in its kept order.
-        The population gap covers every component of the block; every
-        other block of L is bounded from the terms on the structural
-        labels (_coherence_gap)."""
-        lu = _factor(M, self.min_degree())
-        lam1 = _block_gap(Lc, lu)
-        return lu, min(lam1, _coherence_gap(terms, n, self.labels, lam1))
+              m_data: np.ndarray) -> float:
+        """|lambda_1| of L: the uniqueness check of steady_state on
+        assemble's Lc and m_data. The population gap covers every component
+        of the block, measured on the factor of M's real form (real_factor),
+        made only above GAP_DENSE_LIMIT entries; every other block of L is
+        bounded from the terms on the structural labels (_coherence_gap)."""
+        lam1 = _block_gap(Lc, lambda: self.real_factor(m_data, n))
+        return min(lam1, _coherence_gap(terms, n, self.labels, lam1))
+
+
+def _real_form(idx: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
+    """The structure of R, the real form of the trace-row system M on the
+    block idx, from M's CSC pattern (indptr, indices): (perm, slot, src,
+    coef, R's CSC indptr and indices), R to be factored in the order perm.
+
+    The population block is closed under rho -> rho^dag, and L(rho^dag) =
+    L(rho)^dag, so on the Hermitian matrices M is a real linear map. Its
+    real unknowns are rho_ii at the position of |i><i|, and Re rho_ij at
+    that of |i><j| and Im rho_ij at that of |j><i| (i < j): x = T u with
+    x_ij = u_ij + i u_ji and x_ji = u_ij - i u_ji. R = Re(T^-1 M T), and
+    M is its complexification up to the discarded Im(T^-1 M T): M's
+    departure from that symmetry, which only rounding and the Hermiticity
+    that LindbladModel checks leave (0 at g2scan m6, 2.8e-17 at m20 with
+    N_th = 1; tier-1 test). So R^-1 Pi has the eigenvalues of M^-1 Pi, as
+    Pi = I - e_0 e_0^T commutes with T: entry 0 is a population. An entry
+    of M adds c Re M_e or c Im M_e, c one of +-1 and +-1/2, to at most four
+    entries of R: R's data is bincount(slot, coef * [Re M, Im M][src]).
+
+    perm: a minimum degree (_min_degree) on the pair graph, one node per
+    pair {|i><j|, |j><i|} joined where M joins their entries, each pair's
+    two unknowns kept adjacent. At g2scan m6 it orders in 3 ms and R's
+    factor holds about 265,000 real entries, against 7-9 ms and 218,844
+    complex ones for M in its own order; R in its own order takes longer
+    to order and factor, and in M's order its fill doubles."""
+    m = idx.size
+    i, j = np.divmod(idx, n)
+    t = np.searchsorted(idx, j * n + i).clip(max=m - 1)   # each unknown's partner
+    if np.any(idx[t] != j * n + i):
+        raise SolverError("the population block is not closed under rho -> rho^dag: "
+                          "the model's H or collapse patterns break L(rho^dag) = L(rho)^dag")
+    k = np.arange(m)
+    head, tail = np.minimum(k, t), np.maximum(k, t)
+    # T^-1 takes row head of R from the rows of |i><j| and |j><i| with
+    # weight 1/2 (1 on the diagonal), row tail with -+i/2; T takes column
+    # k of M into column head with weight 1 and column tail with +-i.
+    # Each pair of weights multiplies to a real or an imaginary z
+    sgn = np.sign(t - k)
+    half = np.where(sgn == 0, 1.0, 0.5)
+    s, c = indices, np.repeat(k, np.diff(indptr))
+    rs, cs = sgn[s], sgn[c]
+    coef = np.concatenate([half[s], -half[s] * cs, 0.5 * rs, 0.5 * rs * cs])
+    rows = np.concatenate([head[s], head[s], tail[s], tail[s]])
+    cols = np.concatenate([head[c], tail[c], head[c], tail[c]])
+    e = np.arange(s.size)
+    src = np.concatenate([e, e + s.size, e + s.size, e])   # Re, Im, Im, Re of M's entry
+    keep = coef != 0
+    rows, cols, src, coef = rows[keep], cols[keep], src[keep], coef[keep]
+    # the pair graph's minimum degree, each pair's unknowns in a row
+    heads = np.flatnonzero(head == k)
+    pair = np.cumsum(head == k) - 1
+    graph = scipy.sparse.csc_matrix((np.ones(s.size), (pair[head[s]], pair[head[c]])),
+                                    shape=(heads.size, heads.size))
+    heads = heads[_min_degree(graph)]
+    perm = np.column_stack([heads, t[heads]]).ravel()
+    perm = perm[np.column_stack([np.ones(heads.size, bool), t[heads] != heads]).ravel()]
+    keys, slot = np.unique(cols * m + rows, return_inverse=True)
+    r_indptr = np.searchsorted(keys // m, np.arange(m + 1)).astype(indptr.dtype)
+    return perm, slot, src, coef, r_indptr, (keys % m).astype(indices.dtype)
 
 
 def _drive_order(M: scipy.sparse.csc_matrix, c: np.ndarray) -> np.ndarray:
@@ -767,14 +856,16 @@ class _LevelLU:
     order), and P x = b solved by forward
     substitution over the levels, each level's block left of the diagonal
     applied as a sparse product. An exactly singular level block raises
-    RuntimeError, as splu does."""
+    RuntimeError, as splu does. b may hold several columns; a real P
+    solves real b only, as SuperLU refuses complex b for a real factor."""
 
     def __init__(self, P: _LevelSystem):
         self.perm, self.bounds, self.lower = P.perm, P.bounds, P.lower   # not the factored blocks
         self.lus = [_splu(D) for D in P.diag]
+        self.dtype = P.diag[0].dtype
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        y = np.asarray(b, complex)[self.perm]
+        y = np.asarray(b, np.result_type(b, self.dtype))[self.perm]
         for lu, B, s, e in zip(self.lus, self.lower, self.bounds[:-1], self.bounds[1:]):
             if s:
                 y[s:e] -= B @ y[:s]
@@ -858,8 +949,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     order-1 populations, not by the small two-photon entries behind g2.
     If the stop is missed within REFINE_STEP_CAP steps, or a level block
     of P is exactly singular (say, undamped phonons), the same refinement
-    runs on a factor of M (_factor; the check's, if the check ran), and
-    report.lu_fallback says so. A solution that is not finite raises
+    runs on a complex factor of M (_factor), in the minimum-degree order of
+    M's structural pattern that the plan keeps (_BlockPlan.min_degree),
+    and report.lu_fallback says so; the refinement on the
+    check's real factor stalls there (README). A solution that is not finite raises
     SolverError at once and is never retried; an exactly singular M raises
     too, as its null space is degenerate. Each factor is a function of its
     matrix and order, and each order of a plan's pattern, so the result is
@@ -871,11 +964,14 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     exceeds NULL_GAP_ATOL, and raises SolverError otherwise (a dark state
     or a disconnected sector); report.null_gap is that |lambda_1|,
     measured, not bounded. The population block's comes from the check's
-    own factor of M: with Pi = I - e_0 e_0^T and t^T L = 0, each
-    eigenvector L v = lambda v, lambda != 0, gives M v = lambda Pi v, so
-    the largest |mu| of M^-1 Pi is 1/|lambda_1|, taken over every
-    component of the block; M is ordered once per plan
-    (_BlockPlan.min_degree). A second steady state may sit in any other
+    own factor: with Pi = I - e_0 e_0^T and t^T L = 0, each eigenvector
+    L v = lambda v, lambda != 0, gives M v = lambda Pi v, so the largest
+    |mu| of M^-1 Pi is 1/|lambda_1|, taken over every component of the
+    block. The block is closed under rho -> rho^dag, so M is the
+    complexification of a real matrix R, whose R^-1 Pi has the same
+    eigenvalues (_real_form): the check factors R, in real arithmetic and
+    in an order of its pair graph kept per plan (_BlockPlan.real_factor),
+    and ARPACK runs in real mode. A second steady state may sit in any other
     block (a Hermitian jump c + c^dag on a qubit keeps sigma_x stationary),
     so each block of each pair related by rho -> rho^dag gets Gershgorin's
     disc bound on min |lambda|, taken from the kron factors (_disc_gaps) on
@@ -885,11 +981,11 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     """
     n = model.space.total_dim
     plan, terms = _plan(model)
-    Lc, M, P = plan.assemble(terms, n)
+    Lc, M, P, m_data = plan.assemble(terms, n)
     idx, m = plan.idx, plan.idx.size
-    lu = gap = None   # lu: the check's factor of M; past the check it serves the fallback only
+    gap = None
     if check_unique:
-        lu, gap = plan.check(terms, n, Lc, M)
+        gap = plan.check(terms, n, Lc, m_data)
         if not gap > NULL_GAP_ATOL:
             raise SolverError(
                 f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
@@ -905,7 +1001,7 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
         y, krylov, omega = _refine(M, lu0, rhs)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
-        lu0 = lu or _factor(M, plan.min_degree())
+        lu0 = _factor(M, plan.min_degree())
         y, more, omega = _refine(M, lu0, rhs)
         krylov += more
     # |L x| as the n^2 vector it is: the rows outside the block are zero,

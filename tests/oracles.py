@@ -15,7 +15,8 @@ the drive order by a bucket search on M's pattern and orders the levels
 in one pass), the refinement on scipy's own gmres (dynamics transcribes one of
 its cycles), the uniqueness check's disc bounds and coherence gap on the
 full L (dynamics bounds and gathers the blocks from the kron factors), and
-the phase gate's scan with one SystemParams and one phonon_nonlinearity per
+the population gap on M's complex LU (dynamics measures it on the LU of
+M's real form), and the phase gate's scan with one SystemParams and one phonon_nonlinearity per
 detuning and its exact error from one dense expm of L
 (analytics.phase_gate_error scans on Python floats and takes the expm on
 L's blocks).
@@ -286,6 +287,61 @@ def coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) ->
             block = _block_gap(L[idx][:, idx], None)
         bound = min(bound, block)
     return bound
+
+
+def real_form(model) -> tuple:
+    """(C, M): C = T^-1 M T for the trace-row system M on the plan's block,
+    by sparse products, T taking the real unknowns (rho_ii; Re rho_ij at
+    |i><j| and Im rho_ij at |j><i|, i < j) to the entries: x_ij = u_ij +
+    i u_ji, x_ji = u_ij - i u_ji. Re C is the real form R, and Im C what
+    R discards. The oracle of dynamics._real_form, which forms R from M's
+    entries by a map that the plan keeps."""
+    plan, terms = dynamics._plan(model)
+    n = model.space.total_dim
+    M = plan.assemble(terms, n)[1]
+    i, j = np.divmod(plan.idx, n)
+    t = np.searchsorted(plan.idx, j * n + i)
+    k = np.arange(plan.idx.size)
+    d, a = np.flatnonzero(k == t), np.flatnonzero(k < t)
+    b, one = t[a], np.ones(a.size)
+    T = sp.csc_matrix((np.concatenate([np.ones(d.size), one, one, 1j * one, -1j * one]),
+                       (np.concatenate([d, a, b, a, b]), np.concatenate([d, a, a, b, b]))),
+                      shape=M.shape)
+    T_inv = sp.csc_matrix((np.concatenate([np.ones(d.size), one / 2, one / 2, -0.5j * one,
+                                           0.5j * one]),
+                           (np.concatenate([d, a, a, b, b]), np.concatenate([d, a, b, a, b]))),
+                          shape=M.shape)
+    return (T_inv @ M @ T).tocsc(), M
+
+
+def complex_check(model) -> tuple:
+    """(M's factor, |lambda_1| of L): the uniqueness check on the complex
+    trace-row system M itself. M is factored (dynamics._factor) in the
+    minimum-degree order of its structural pattern, and the population
+    gap is the largest |mu| of M^-1 Pi by ARPACK from the seeded complex
+    start vector (dense eigvals on at most GAP_DENSE_LIMIT entries); the
+    other blocks are bounded and measured as steady_state does. The
+    oracle of the check on M's real form."""
+    plan, terms = dynamics._plan(model)
+    n = model.space.total_dim
+    Lc, M = plan.assemble(terms, n)[:2]
+    m = M.shape[0]
+    q = dynamics._min_degree(sp.csc_matrix((np.ones(plan.m_src.size), plan.m_indices,
+                                            plan.m_indptr), shape=M.shape))
+    lu = dynamics._factor(M, q)
+    if m <= dynamics.GAP_DENSE_LIMIT:
+        lam1 = float(np.sort(np.abs(sla.eigvals(Lc.toarray())))[1])
+    else:
+        def solve(v):
+            v = v.copy()
+            v[0] = 0.0
+            return lu.solve(v)
+
+        op = spla.LinearOperator(M.shape, matvec=solve, dtype=complex)
+        w = spla.eigs(op, k=2, which="LM", return_eigenvectors=False, maxiter=5000,
+                      v0=dynamics._start_vector(m))
+        lam1 = float(1.0 / np.abs(w).max())
+    return lu, min(lam1, dynamics._coherence_gap(terms, n, plan.labels, lam1))
 
 
 def phase_gate_scan(params: SystemParams) -> GateBudget:

@@ -488,7 +488,7 @@ def _g2scan_outputs(tmp_path, name, text) -> tuple[str, dict]:
 
 
 def test_g2scan_values_do_not_depend_on_check_unique(tmp_path):
-    # the check's factor of M never feeds the solve: checking the first
+    # the check's factor never feeds the solve: checking the first
     # point, every point or none gives the same data rows and JSON columns;
     # only the "# run" line records the setting
     text = (G2SCAN_REDUCED.replace("start = -8\nstop = 8\npoints = 9", "values = -4, 3.3, 6")

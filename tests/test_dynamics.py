@@ -29,6 +29,7 @@ from omx.dynamics import _component_labels, null_space_gap
 from omx.hilbert import Operator
 from oracles import (
     coherence_gap,
+    complex_check,
     destroy_matrix,
     disc_bounds,
     drive_order,
@@ -39,6 +40,7 @@ from oracles import (
     lu_oracle,
     population_sector,
     ptrace_population,
+    real_form,
     scipy_refine,
     sector_state,
     structural_labels,
@@ -483,6 +485,14 @@ def test_steady_state_failed_solve_raises_after_one_factorization(monkeypatch):
         assert len(calls) == max(nan_call, levels)
 
 
+def _oracle_real_form(model):
+    # R = Re(T^-1 M T) from the oracle's sparse products, its exact zeros
+    # dropped, as the check drops them before it factors R
+    R = real_form(model)[0].real.copy()
+    R.eliminate_zeros()
+    return R
+
+
 def _g2scan_point(n_th, dims, delta_a=-8.0):
     # the shipped g2scan operating point (configs/antibunching_g2scan.cfg)
     p = SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=delta_a,
@@ -493,11 +503,11 @@ def _g2scan_point(n_th, dims, delta_a=-8.0):
 @pytest.mark.parametrize("n_th, dims", [(0.0, (4, 4, 6)), (0.3, (3, 3, 4))],
                          ids=["a4s4m6", "a3s3m4-Nth0.3"])
 def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
-    # the uniqueness check factors M once and measures the population gap
-    # with that factor; at the g2scan operating point the disc bound clears
-    # every coherence block, so the only other factors are P's level
-    # blocks, each once, on which the solution is iterated. The full-space
-    # oracle is never called
+    # the uniqueness check factors M's real form R once, its exact zeros
+    # dropped, and measures the population gap with that factor; at the
+    # g2scan operating point the disc bound clears every coherence block,
+    # so the only other factors are P's level blocks, each once, on which
+    # the solution is iterated. The full-space oracle is never called
     import scipy.sparse.linalg
     real = scipy.sparse.linalg.splu
     calls = []
@@ -512,10 +522,11 @@ def test_checked_steady_state_factors_once(monkeypatch, n_th, dims):
     model = _g2scan_point(n_th, dims)
     M = trace_row_system(model)[0]
     P = _population_block(model)[3]
+    R = _oracle_real_form(model)
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
     monkeypatch.setattr(dynamics, "null_space_gap", oracle)
     rep = steady_state(model)
-    assert calls == [M.nnz] + [D.nnz for D in P.diag]
+    assert calls == [R.nnz] + [D.nnz for D in P.diag]
     assert sum(D.nnz for D in P.diag) < M.nnz
     assert rep.null_gap > 1e-8
     assert not rep.lu_fallback and rep.krylov_iterations > 0
@@ -527,8 +538,9 @@ def test_scan_bits_do_not_depend_on_point_order(monkeypatch):
     # the same bits, its two ends checked, one first and one last. One
     # pattern: one ordering pass over the 17 level blocks of P, kept in the
     # plan, and each point factors the 17 level blocks (their fill is
-    # 7,660); the first checked point orders M, kept in the plan too, and
-    # each checked point factors M, for the null-space gap
+    # 7,660); the first checked point orders the pair graph of M's real
+    # form R, kept in the plan too, and each checked point factors R, for
+    # the null-space gap
     import scipy.sparse.linalg
     calls = []
 
@@ -657,7 +669,7 @@ def _population_block(model):
     # steady_state's (idx, Lc, M, P), from the model's plan: idx is the
     # plan's structural block
     plan, terms = dynamics._plan(model)
-    return (plan.idx, *plan.assemble(terms, model.space.total_dim))
+    return (plan.idx, *plan.assemble(terms, model.space.total_dim)[:3])
 
 
 def _same_bits(a, b):
@@ -748,22 +760,26 @@ def _count_min_degree(monkeypatch) -> list:
 
 
 def test_checked_scan_orders_m_once(monkeypatch):
-    # with every point checked, M's minimum-degree order is made on the
-    # first point of the pattern and kept in the plan, as is the one
-    # ordering pass over P's level blocks, on a pattern of M's size too
+    # with every point checked, the minimum-degree order of the pair graph
+    # of M's real form (656 pairs of the 1,216 entries: the 96
+    # populations and 560 pairs of coherences) is made on the first point
+    # of the pattern and kept in the plan, as is the one ordering pass
+    # over P's level blocks, on a pattern of M's size
     sizes = _count_min_degree(monkeypatch)
     for delta_a in (-8.0, 0.0, 3.3):
         rep = steady_state(_g2scan_point(0.0, (4, 4, 6), delta_a))
-    assert sizes.count(rep.solved_dim) == 2
+    assert rep.solved_dim == 1216
+    assert sizes == [1216, 656]
 
 
 def test_checked_undriven_solve_orders_m_once(monkeypatch):
-    # without a drive P is M as one level, and its level order is M's:
-    # the check takes it, so displaced (3, 2, 7) orders its 220-entry M
-    # once, then each coherence block that the check measures
+    # without a drive P is M as one level, ordered once on M's 220
+    # entries; the check orders the 131 pairs of M's real form (42
+    # populations and 89 pairs of coherences) once, then each coherence
+    # block that it measures
     sizes = _count_min_degree(monkeypatch)
     assert steady_state(_displaced((3, 2, 7))).solved_dim == 220
-    assert sizes == [220, 208, 180, 144, 108, 72]
+    assert sizes == [220, 131, 208, 180, 144, 108, 72]
 
 
 _PATTERN_CASES = {
@@ -941,9 +957,9 @@ def test_a_warm_plan_cache_changes_no_bit(monkeypatch):
     _BLOCK_CASES["cancelling-diagonal"], _BLOCK_CASES["cancelling-coupling"]],
     ids=["g2scan", "rwa-undriven", "cancelling-diagonal", "cancelling-coupling"])
 def test_checked_and_unchecked_solves_give_the_same_bits(make):
-    # the check measures the gap with its own factor of M, and the
-    # solution comes from P's either way (without a drive P is M as one
-    # level, factored apart from the check's): the same state bits and
+    # the check measures the gap with its own factor of M's real form,
+    # and the solution comes from P's either way (without a drive P is M
+    # as one level): the same state bits and
     # report, also where entries of M cancel, so that M's pattern is not
     # the one P's order was planned on
     model = make()
@@ -953,6 +969,117 @@ def test_checked_and_unchecked_solves_give_the_same_bits(make):
                           unchecked.state.matrix.view(np.uint64))
     assert {k: v for k, v in vars(checked).items() if k not in ("state", "null_gap")} == \
         {k: v for k, v in vars(unchecked).items() if k not in ("state", "null_gap")}
+
+
+_REAL_FORM_CASES = {
+    **_BLOCK_CASES,
+    "displaced-435": lambda: _displaced((4, 3, 5)),
+    **{f"g2scan-m6-{d}": lambda d=d: _g2scan_point(0.0, (4, 4, 6), d) for d in (-8.0, 0.0, 3.3)},
+    "g2scan-m10-Nth1": lambda: _g2scan_point(1.0, (4, 4, 10), 3.3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_REAL_FORM_CASES))
+def test_real_form_check_agrees_with_the_complex_check(name):
+    # the population gap measured on the LU of M's real form R, by ARPACK
+    # in real arithmetic, is the one that the LU of M itself gives
+    # (measured: 6.6e-15 relative or closer)
+    model = _REAL_FORM_CASES[name]()
+    assert steady_state(model).null_gap == pytest.approx(complex_check(model)[1], rel=1e-12,
+                                                         abs=0.0)
+
+
+@pytest.mark.parametrize("name", sorted(k for k in _BLOCK_CASES if k != "full"))
+def test_real_form_has_the_spectrum_of_m(name):
+    # R^-1 Pi, from the check's factor of R, and M^-1 Pi have the same
+    # eigenvalues on every block of at most 400 entries, to 1e-12 of the
+    # largest (measured: 6.6e-15). They are matched one to one by least
+    # distance: sorting would pair them by rounding, as conjugate pairs
+    # and equal real parts come in either order
+    from scipy.optimize import linear_sum_assignment
+    model = _BLOCK_CASES[name]()
+    plan, terms = dynamics._plan(model)
+    _, M, _, m_data = plan.assemble(terms, model.space.total_dim)
+    m = M.shape[0]
+    assert m <= 400
+    pi = np.eye(m)
+    pi[0, 0] = 0.0
+    ours = sla.eigvals(plan.real_factor(m_data, model.space.total_dim).solve(pi))
+    theirs = sla.eigvals(np.linalg.solve(M.toarray(), pi))
+    r, c = linear_sum_assignment(np.abs(ours[:, None] - theirs[None, :]))
+    assert np.abs(ours[r] - theirs[c]).max() <= 1e-12 * np.abs(theirs).max()
+
+
+def _nearly_hermitian(model):
+    # H with its upper triangle scaled by 1 + 9e-13: max|H - H^dag| is
+    # 9e-13 max|H| or less, which LindbladModel accepts
+    h = sp.triu(model.hamiltonian.matrix, 1, format="csr") * 9e-13 + model.hamiltonian.matrix
+    return LindbladModel(Operator(model.space, h), model.collapses)
+
+
+@pytest.mark.parametrize("name", sorted(_BLOCK_CASES) + ["g2scan-m6", "g2scan-m10-Nth1",
+                                                         "g2scan-m20-Nth1", "nearly-hermitian"])
+def test_real_form_discards_only_rounding(name):
+    # the bound, stated before the run: C = T^-1 M T sums, into each entry,
+    # at most two pairs of M's entries whose imaginary parts cancel where
+    # M maps Hermitian to Hermitian, each with weight 1/2, so |Im C| is at
+    # most the largest |M_(ji),(lk) - conj M_(ij),(kl)|. A model that
+    # LindbladModel accepts has max|H - H^dag| <= HERMITIAN_RTOL max|H|, and
+    # H acts on rho from the left and from the right: 2 HERMITIAN_RTOL
+    # max|H|. The sums of at most three products that form an entry of L
+    # and of its mirror, and the decay's sums, round by a few eps of
+    # max|M|: 8 eps max|M|. Measured: 0 at g2scan m6, 1.4e-17 at m10 and
+    # 2.8e-17 at m20 with N_th = 1, 2.8e-17 at most on the block cases
+    make = {**_BLOCK_CASES,
+            "g2scan-m6": lambda: _g2scan_point(0.0, (4, 4, 6), 3.3),
+            "g2scan-m10-Nth1": lambda: _g2scan_point(1.0, (4, 4, 10), 3.3),
+            "g2scan-m20-Nth1": lambda: _g2scan_point(1.0, (4, 4, 20), 3.3),
+            "nearly-hermitian": lambda: _nearly_hermitian(_rwa(0.0))}[name]
+    model = make()
+    C, M = real_form(model)
+    h = np.abs(model.hamiltonian.matrix.data).max(initial=0.0)
+    bound = (2 * dynamics.HERMITIAN_RTOL * h
+             + 8 * np.finfo(float).eps * np.abs(M.data).max())
+    assert np.abs(C.imag).max() <= bound
+    if name == "nearly-hermitian":   # the bound is not vacuous
+        assert np.abs(C.imag).max() > 8 * np.finfo(float).eps * np.abs(M.data).max()
+
+
+def _dark_lambda_system(dim=9):
+    # a Lambda system |g1>, |g2>, |e> driven from both ground states, with
+    # e decaying into the bright state (|g1> + |g2>)/sqrt 2 only: the dark
+    # state (|g1> - |g2>)/sqrt 2 is stationary beside the driven bright
+    # system's own steady state. Beside it a damped mode of dim levels,
+    # whose populations are its own block: 9 dim entries in the block
+    space = ModeSpace([("q", 3), ("c", dim)])
+    drive = np.zeros((3, 3))
+    drive[2, :2] = drive[:2, 2] = 0.7
+    jump = np.zeros((3, 3))
+    jump[:2, 2] = np.sqrt(0.5)
+    c = annihilator(space, "c")
+    h = (tensor_embed(drive, space, "q").matrix + 0.3 * (c.dag() @ c).matrix)
+    return LindbladModel(Operator(space, h), [(tensor_embed(jump, space, "q"), 0.5), (c, 1.0)])
+
+
+@pytest.mark.parametrize("dim", [9, 7])
+def test_degenerate_population_block_raises(monkeypatch, dim):
+    # the dark Lambda system's second steady state shares the population
+    # block. At 81 entries, above GAP_DENSE_LIMIT, the check takes it to
+    # the real form's factor; at 63 the dense eigvals measures it and the
+    # real form is never built. Either way it raises
+    model = _dark_lambda_system(dim)
+    m = dynamics._plan(model)[0].idx.size
+    assert m == 9 * dim and (m > dynamics.GAP_DENSE_LIMIT) == (dim == 9)
+    real, calls = dynamics._BlockPlan.real_factor, []
+
+    def counting(self, m_data, n):
+        calls.append(self.idx.size)
+        return real(self, m_data, n)
+
+    monkeypatch.setattr(dynamics._BlockPlan, "real_factor", counting)
+    with pytest.raises(SolverError, match="degenerate"):
+        steady_state(model)
+    assert calls == ([m] if dim == 9 else [])
 
 
 def test_bounded_cache_drops_its_oldest_entry():
@@ -988,15 +1115,18 @@ def test_iterated_state_does_not_depend_on_blas_threads():
 
 def test_lu_fill_below_colamd():
     # the kept orders on the pattern of A + A^T beat COLAMD on what a
-    # g2scan point factors: M for the check, and P's level blocks for the
-    # solve, whose summed fill the report records
+    # g2scan point factors: M for the fallback, in its minimum-degree
+    # order, M's real form R for the check, in its pair order (264,569
+    # against 518,774 entries), and P's level blocks for the solve, whose
+    # summed fill the report records
     import scipy.sparse.linalg as spla
-    from omx.dynamics import _factor, _min_degree
     model = _g2scan_point(0.0, (4, 4, 6))
-    M = trace_row_system(model)[0]
-    P = _population_block(model)[3]
+    plan, terms = dynamics._plan(model)
+    _, M, P, m_data = plan.assemble(terms, model.space.total_dim)
+    R = _oracle_real_form(model)
     rep = steady_state(model, check_unique=False)
-    assert _factor(M, _min_degree(M)).nnz < spla.splu(M).nnz
+    assert dynamics._factor(M, plan.min_degree()).nnz < spla.splu(M).nnz
+    assert plan.real_factor(m_data, model.space.total_dim).nnz < spla.splu(R).nnz
     assert rep.lu_nnz == dynamics._LevelLU(P).nnz < sum(spla.splu(D).nnz for D in P.diag)
 
 
@@ -1100,7 +1230,7 @@ def test_drive_order_levels_converge_in_a_few_krylov_iterations(makes):
     # (perfbench/configs/g2scan_reduced.cfg), at m10 and in the weak
     # regime, with no fallback (on the photon order: 8 to 11, then 32 and
     # 23 or 24 before the fallback). g2 is that of the same refinement on
-    # the factor of M
+    # M's complex factor
     for make in makes:
         model = make()
         rep = steady_state(model, check_unique=False)
@@ -1109,7 +1239,7 @@ def test_drive_order_levels_converge_in_a_few_krylov_iterations(makes):
         M = plan.assemble(terms, model.space.total_dim)[1]
         rhs = np.zeros(M.shape[0], dtype=complex)
         rhs[0] = 1.0
-        y = dynamics._refine(M, dynamics._factor(M, plan.min_degree()), rhs)[0]
+        y = dynamics._refine(M, complex_check(model)[0], rhs)[0]
         on_m = DensityMatrix(model.space, sector_state(model, plan.idx, y))
         assert g2_zero(rep.state, "a") == pytest.approx(g2_zero(on_m, "a"), rel=1e-12, abs=0.0)
 
@@ -1131,9 +1261,11 @@ def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
     # with no refinement step allowed the iteration stalls at P's own
     # solution; without mechanical damping P's photon-free level block is
     # singular (every phonon population there is stationary) while M is not.
-    # Either way the fallback runs the same refinement on the check's
-    # factor of M and reports its fill. At the real cap it meets the stop
-    # and the LU oracle; at cap 0 both loops stop at their first solve
+    # Either way the fallback runs the same refinement on a complex factor
+    # of M in its minimum-degree order, and reports its fill; the check's
+    # factor of M's real form does not serve it. At the
+    # real cap it meets the stop and the LU oracle; at cap 0 both loops
+    # stop at their first solve
     from omx.dynamics import _backward_error, _factor, _min_degree
     monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", cap)
     model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
@@ -1158,8 +1290,9 @@ def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
 def test_undriven_model_refines_on_its_one_level_factor(monkeypatch):
     # build_displaced has no drive term, so P is M as one level and its
     # factor is exact: the same GMRES refinement converges in one Krylov
-    # iteration. The checked solve factors M twice, once for the check and
-    # once as P (the check also factors some coherence blocks of this model)
+    # iteration. The checked solve factors two matrices of M's size, M's
+    # real form for the check and M as P (the check also factors some
+    # coherence blocks of this model)
     import scipy.sparse.linalg
     real = scipy.sparse.linalg.splu
     calls = []
