@@ -35,6 +35,7 @@ ModeSpace.occupations; no operator product is formed.
 
 from __future__ import annotations
 
+import functools
 from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -231,18 +232,18 @@ class SteadyStateReport:
         cancellations cut from the populations' sector.
     lu_nnz: entries SuperLU stores in the factors the solution was refined
         on: the summed fill of P's level factors (one level, M itself, for
-        a model without a drive), or that of the complex factor of M after
-        the fallback. The check's factor of R is not counted: it never
-        feeds the solve.
+        a model without a drive), or, after the fallback, the real entries
+        of the factor of R, M's real form, that the check shares.
     fock_tail: population of the top Fock level of each mode, by label,
         read off the diagonal of the state: the truncation's evidence.
     krylov_iterations: GMRES iterations over every refinement step, the
         fallback's included. On an exact factor a step takes about one,
         and none are needed when its first solve meets the stop.
-    backward_error: componentwise backward error of the solution of M.
+    backward_error: componentwise backward error of the solution of M,
+        with rows of rounding size judged normwise (_backward_error).
     lu_fallback: whether the refinement on P missed BACKWARD_ERROR_STOP
         within REFINE_STEP_CAP steps, or a level block of P was singular,
-        so the refinement ran again on a factor of M.
+        so the refinement ran again on the factor of M's real form.
     """
 
     state: DensityMatrix
@@ -488,12 +489,12 @@ def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
 
 
 def _factor(A: scipy.sparse.csc_matrix, q: np.ndarray) -> _LevelLU:
-    """Sparse LU of a block of L, of its trace-row system M, or of M's real
-    form: the _LevelLU of A as one level, A[q][:, q] in the order q, which
-    the caller computes: _min_degree of A's pattern, or the pair order
-    that the plan keeps for the real form (_BlockPlan.real_factor). An
-    exactly singular A raises SolverError: a block of L or a trace-row
-    system with a second null vector (see steady_state).
+    """Sparse LU of a block of L or of the real form R of its trace-row
+    system M: the _LevelLU of A as one level, A[q][:, q] in the order q,
+    which the caller computes: _min_degree of A's pattern, or the pair
+    order that the plan keeps for R (_BlockPlan.real_factor). An exactly
+    singular A raises SolverError: a block of L or a trace-row system with
+    a second null vector (see steady_state).
 
     The order is a minimum degree on the pattern of A + A^T, which is
     nearly symmetric (only the c rho c^dag jumps are one-way). Threshold
@@ -580,10 +581,8 @@ class _BlockPlan:
         against 13 photon orders. One level, P = M, for a model without a
         drive.
     real: the structure of R, the real form of M (_real_form), made on the
-        first call of real_factor and None until then.
-    m_order: M's minimum-degree order for the fallback's factor, on M's
-        structural pattern, made on the first call of min_degree and None
-        until then.
+        first call of real_factor and None until then. R's is the one
+        factor of the block's size, the check's and the fallback's.
     Besides labels all of it is block-sized.
     """
 
@@ -609,7 +608,7 @@ class _BlockPlan:
         photons = np.zeros(n, int) if photons is None else np.asarray(photons)
         i, j = np.divmod(self.idx, n)
         self.levels = _Levels(M, _drive_order(M, photons[i] + photons[j]))
-        self.real = self.m_order = None
+        self.real = None
 
     def assemble(self, terms: list, n: int) -> tuple:
         """(Lc, M, P, m_data) of steady_state on the block for a model with
@@ -649,17 +648,6 @@ class _BlockPlan:
                 "disconnected sectors, each with its own steady state")
         return Lc, M, P, src
 
-    def min_degree(self) -> np.ndarray:
-        """m_order, made from M's structural pattern on the first call:
-        one order per plan, whatever exact zeros assemble drops from M.
-        Zeros on the diagonal cannot move it, as _min_degree's proxy adds
-        m there."""
-        if self.m_order is None:
-            m = self.idx.size
-            self.m_order = _min_degree(scipy.sparse.csc_matrix(
-                (np.ones(self.m_src.size), self.m_indices, self.m_indptr), shape=(m, m)))
-        return self.m_order
-
     def real_factor(self, m_data: np.ndarray, n: int) -> _LevelLU:
         """The factor of R, the real form of M (_real_form), from
         assemble's m_data, in the pair order that the plan keeps, made
@@ -667,7 +655,7 @@ class _BlockPlan:
         singular R raises SolverError, as _factor does."""
         if self.real is None:
             self.real = _real_form(self.idx, n, self.m_indptr, self.m_indices)
-        perm, slot, src, coef, indptr, indices = self.real
+        perm, slot, src, coef, indptr, indices, _ = self.real
         vals = np.bincount(slot, coef * np.concatenate([m_data.real, m_data.imag])[src],
                            minlength=indices.size)
         m = self.idx.size
@@ -675,21 +663,23 @@ class _BlockPlan:
         R.eliminate_zeros()
         return _factor(R, perm)
 
-    def check(self, terms: list, n: int, Lc: scipy.sparse.csr_matrix,
-              m_data: np.ndarray) -> float:
-        """|lambda_1| of L: the uniqueness check of steady_state on
-        assemble's Lc and m_data. The population gap covers every component
-        of the block, measured on the factor of M's real form (real_factor),
-        made only above GAP_DENSE_LIMIT entries; every other block of L is
-        bounded from the terms on the structural labels (_coherence_gap)."""
-        lam1 = _block_gap(Lc, lambda: self.real_factor(m_data, n))
-        return min(lam1, _coherence_gap(terms, n, self.labels, lam1))
+    def real_solve(self, lu: _LevelLU, b: np.ndarray) -> np.ndarray:
+        """M^-1 b from real_factor's factor lu of R = Re(T^-1 M T): b taken
+        to the real unknowns by T^-1, its real and imaginary parts solved
+        as two columns, and the solution taken back by T (_real_form)."""
+        t = self.real[-1]
+        sgn = np.sign(t - np.arange(t.size))   # 1 at |i><j|, -1 at |j><i| (i < j)
+        u = np.where(sgn < 0, 0.5j * (b - b[t]), 0.5 * (b + b[t]))
+        w = lu.solve(np.column_stack([u.real, u.imag]))
+        u = w[:, 0] + 1j * w[:, 1]
+        return np.where(sgn > 0, u + 1j * u[t], np.where(sgn < 0, u[t] - 1j * u, u))
 
 
 def _real_form(idx: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
     """The structure of R, the real form of the trace-row system M on the
     block idx, from M's CSC pattern (indptr, indices): (perm, slot, src,
-    coef, R's CSC indptr and indices), R to be factored in the order perm.
+    coef, R's CSC indptr and indices, t), R to be factored in the order
+    perm, t each unknown's partner: |j><i| for |i><j|.
 
     The population block is closed under rho -> rho^dag, and L(rho^dag) =
     L(rho)^dag, so on the Hermitian matrices M is a real linear map. Its
@@ -707,9 +697,9 @@ def _real_form(idx: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray)
     perm: a minimum degree (_min_degree) on the pair graph, one node per
     pair {|i><j|, |j><i|} joined where M joins their entries, each pair's
     two unknowns kept adjacent. At g2scan m6 it orders in 3 ms and R's
-    factor holds about 265,000 real entries, against 7-9 ms and 218,844
-    complex ones for M in its own order; R in its own order takes longer
-    to order and factor, and in M's order its fill doubles."""
+    factor holds 264,861 real entries, against 13 ms and 271,776 in R's
+    own minimum degree (786,000 against 970,000 at m10); undamped it loses,
+    465,958 against 208,387 at m10."""
     m = idx.size
     i, j = np.divmod(idx, n)
     t = np.searchsorted(idx, j * n + i).clip(max=m - 1)   # each unknown's partner
@@ -743,7 +733,7 @@ def _real_form(idx: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray)
     perm = perm[np.column_stack([np.ones(heads.size, bool), t[heads] != heads]).ravel()]
     keys, slot = np.unique(cols * m + rows, return_inverse=True)
     r_indptr = np.searchsorted(keys // m, np.arange(m + 1)).astype(indptr.dtype)
-    return perm, slot, src, coef, r_indptr, (keys % m).astype(indices.dtype)
+    return perm, slot, src, coef, r_indptr, (keys % m).astype(indices.dtype), t
 
 
 def _drive_order(M: scipy.sparse.csc_matrix, c: np.ndarray) -> np.ndarray:
@@ -915,11 +905,11 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     components from the kron factors' patterns (_structural_labels), with
     no n^2-entry graph. Only the block is built, from a _BlockPlan kept
     per sparsity pattern and photon numbers, with the bits of the same
-    block sliced from liouvillian(model), which is never built here. An off-diagonal entry that cancels exactly may cut a
-    component from the populations' sector; the block keeps it, and as its
-    right-hand side is zero, its part of the solution is exactly 0.
-    Populations split over several sectors raise SolverError, with or
-    without the check.
+    block sliced from liouvillian(model), which is never built here. An
+    off-diagonal entry that cancels exactly may cut a component from the
+    populations' sector; the block keeps it, and as its right-hand side
+    is zero, its part of the solution is exactly 0. Populations split
+    over several sectors raise SolverError, with or without the check.
 
     Within the block the row of (0,0) is replaced by the trace condition,
     and M x = e_0 is solved by GMRES-based iterative refinement (_refine;
@@ -942,23 +932,23 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     solved level by level (_LevelLU), each level block in its own
     minimum-degree order, all made by one ordering pass (_Levels);
     without a drive it is one level, M itself. The steps stop once the
-    componentwise backward error max_i |r_i| / (|M||x| +
-    |e_0|)_i (Oettli & Prager, Numer. Math. 6, 405 (1964)) is at most
-    BACKWARD_ERROR_STOP. That holds each row to
-    its own scale, which a residual norm cannot: the norm is set by the
-    order-1 populations, not by the small two-photon entries behind g2.
-    If the stop is missed within REFINE_STEP_CAP steps, or a level block
-    of P is exactly singular (say, undamped phonons), the same refinement
-    runs on a complex factor of M (_factor), in the minimum-degree order of
-    M's structural pattern that the plan keeps (_BlockPlan.min_degree),
-    and report.lu_fallback says so; the refinement on the
-    check's real factor stalls there (README). A solution that is not finite raises
+    componentwise backward error max_i |r_i| / (|M||x| + |e_0|)_i (Oettli
+    & Prager, Numer. Math. 6, 405 (1964)) is at most BACKWARD_ERROR_STOP.
+    That holds each row to its own scale, which a residual norm cannot:
+    the norm is set by the order-1 populations, not by the small
+    two-photon entries behind g2. A row that meets only unknowns of
+    rounding size, as where the exact state is 0 (undamped phonons), is
+    judged normwise (_backward_error). If the stop is missed within
+    REFINE_STEP_CAP steps, or a level block of P is exactly singular, the
+    same refinement runs on the check's factor of M's real form R, made
+    at most once a call (_BlockPlan.real_factor, real_solve), and
+    report.lu_fallback says so. A solution that is not finite raises
     SolverError at once and is never retried; an exactly singular M raises
     too, as its null space is degenerate. Each factor is a function of its
     matrix and order, and each order of a plan's pattern, so the result is
     a function of the model alone: the same bits for any point order,
-    number of jobs or check_unique. A residual |L x| above STEADY_RESIDUAL_ATOL, or not
-    finite, raises SolverError.
+    number of jobs or check_unique. A residual |L x| above
+    STEADY_RESIDUAL_ATOL, or not finite, raises SolverError.
 
     check_unique verifies, block by block, that |lambda_1| of the full L
     exceeds NULL_GAP_ATOL, and raises SolverError otherwise (a dark state
@@ -983,9 +973,11 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     plan, terms = _plan(model)
     Lc, M, P, m_data = plan.assemble(terms, n)
     idx, m = plan.idx, plan.idx.size
+    real = functools.cache(lambda: plan.real_factor(m_data, n))   # the check's and the fallback's
     gap = None
-    if check_unique:
-        gap = plan.check(terms, n, Lc, m_data)
+    if check_unique:   # the population gap on R's factor, then the other blocks
+        gap = _block_gap(Lc, real)
+        gap = min(gap, _coherence_gap(terms, n, plan.labels, gap))
         if not gap > NULL_GAP_ATOL:
             raise SolverError(
                 f"degenerate Liouvillian null space (|lambda_1| bound {gap:.2e}); "
@@ -998,11 +990,11 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     except RuntimeError:   # an exactly singular level block (say, undamped phonons)
         krylov, omega = 0, np.inf
     else:
-        y, krylov, omega = _refine(M, lu0, rhs)
+        y, krylov, omega = _refine(M, lu0.solve, rhs)
     fallback = not omega <= BACKWARD_ERROR_STOP
     if fallback:
-        lu0 = _factor(M, plan.min_degree())
-        y, more, omega = _refine(M, lu0, rhs)
+        lu0 = real()
+        y, more, omega = _refine(M, functools.partial(plan.real_solve, lu0), rhs)
         krylov += more
     # |L x| as the n^2 vector it is: the rows outside the block are zero,
     # and the norm of the scattered block product has the same bits
@@ -1022,34 +1014,42 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
                              krylov, omega, fallback)
 
 
-def _backward_error(abs_m: scipy.sparse.csc_matrix, x: np.ndarray, r: np.ndarray,
-                    rhs: np.ndarray) -> float:
-    """Componentwise backward error max_i |r_i| / (|M||x| + |rhs|)_i of x,
-    given |M| and the residual r = rhs - M x (Oettli & Prager, Numer. Math.
-    6, 405 (1964)); a row whose denominator is 0 has a zero residual and
-    counts 0. SolverError when x is not finite."""
+def _backward_error(abs_m: scipy.sparse.csc_matrix, row_sums: np.ndarray, x: np.ndarray,
+                    r: np.ndarray, rhs: np.ndarray) -> float:
+    """Componentwise backward error of x, given |M|, its row sums |M| 1 and
+    the residual r = rhs - M x: max_i |r_i| / d_i, d_i = (|M||x| + |rhs|)_i
+    (Oettli & Prager, Numer. Math. 6, 405 (1964)), except that a row whose
+    d_i is at most eps s_i, s_i = (|M| 1)_i |x|_inf + |rhs_i|, meets only
+    unknowns of rounding size and is judged normwise, on d_i + (|M| 1)_i
+    |x|_inf (Arioli, Demmel & Duff, SIAM J. Matrix Anal. Appl. 10, 165
+    (1989)). A zero denominator counts 0. SolverError when x is not finite."""
     if not np.isfinite(x).all():
         raise SolverError("steady-state solve is not finite")
-    denom = abs_m @ np.abs(x) + np.abs(rhs)
+    size, b = np.abs(x), np.abs(rhs)
+    norm = row_sums * size.max()
+    denom = abs_m @ size + b
+    denom = np.where(denom <= np.finfo(float).eps * (norm + b), denom + norm, denom)
     ratio = np.divide(np.abs(r), denom, out=np.zeros(x.size), where=denom > 0)
     return float(ratio.max())
 
 
-def _refine(M: scipy.sparse.csc_matrix, lu0, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
+def _refine(M: scipy.sparse.csc_matrix, psolve, rhs: np.ndarray) -> tuple[np.ndarray, int, float]:
     """(x, Krylov iterations, backward error): M x = rhs by iterative
-    refinement from x = lu0.solve(rhs), each correction one GMRES cycle
-    (_gmres_cycle) on M preconditioned by lu0, the exact solve of P or a
-    factor of M itself (see steady_state). |M| is formed once, and each
-    step's residual serves both its backward error and its correction."""
+    refinement from x = psolve(rhs), each correction one GMRES cycle
+    (_gmres_cycle) on M preconditioned by psolve, the exact solve of P or
+    M's solve through the factor of its real form (see steady_state). |M|
+    and its row sums are formed once, and each step's residual serves
+    both its backward error and its correction."""
     krylov = 0
     abs_m = abs(M)
-    x = lu0.solve(rhs)
+    row_sums = abs_m @ np.ones(M.shape[0])
+    x = psolve(rhs)
     for step in range(REFINE_STEP_CAP + 1):
         r = rhs - M @ x
-        omega = _backward_error(abs_m, x, r, rhs)
+        omega = _backward_error(abs_m, row_sums, x, r, rhs)
         if omega <= BACKWARD_ERROR_STOP or step == REFINE_STEP_CAP:
             break
-        dx, iterations = _gmres_cycle(M, lu0.solve, r)
+        dx, iterations = _gmres_cycle(M, psolve, r)
         x += dx
         krylov += iterations
     return x, krylov, omega

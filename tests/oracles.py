@@ -14,9 +14,11 @@ level orders one level at a time (the plan labels from the factors, finds
 the drive order by a bucket search on M's pattern and orders the levels
 in one pass), the refinement on scipy's own gmres (dynamics transcribes one of
 its cycles), the uniqueness check's disc bounds and coherence gap on the
-full L (dynamics bounds and gathers the blocks from the kron factors), and
-the population gap on M's complex LU (dynamics measures it on the LU of
-M's real form), and the phase gate's scan with one SystemParams and one phonon_nonlinearity per
+full L (dynamics bounds and gathers the blocks from the kron factors), the
+population gap on M's complex LU (dynamics measures it on the LU of M's
+real form), that real form and its change of unknowns T by sparse
+products (dynamics forms and applies them by index maps), and the phase
+gate's scan with one SystemParams and one phonon_nonlinearity per
 detuning and its exact error from one dense expm of L
 (analytics.phase_gate_error scans on Python floats and takes the expm on
 L's blocks).
@@ -236,17 +238,18 @@ def lu_oracle(model) -> DensityMatrix:
     return DensityMatrix(model.space, sector_state(model, idx, y))
 
 
-def scipy_refine(M, lu0, rhs) -> tuple[np.ndarray, int, float]:
+def scipy_refine(M, psolve, rhs) -> tuple[np.ndarray, int, float]:
     """dynamics._refine with each correction from scipy's gmres (maxiter=1),
     which applies the preconditioner to b twice and forms the residual
-    after the cycle."""
+    after the cycle. The backward error is dynamics', on the same row sums."""
     krylov = []
-    precond = spla.LinearOperator(M.shape, matvec=lu0.solve, dtype=complex)
+    precond = spla.LinearOperator(M.shape, matvec=psolve, dtype=complex)
     abs_m = abs(M)
-    x = lu0.solve(rhs)
+    row_sums = abs_m @ np.ones(M.shape[0])
+    x = psolve(rhs)
     for step in range(dynamics.REFINE_STEP_CAP + 1):
         r = rhs - M @ x
-        omega = _backward_error(abs_m, x, r, rhs)
+        omega = _backward_error(abs_m, row_sums, x, r, rhs)
         if omega <= dynamics.BACKWARD_ERROR_STOP or step == dynamics.REFINE_STEP_CAP:
             break
         x += spla.gmres(M, r, rtol=dynamics.KRYLOV_RTOL, restart=dynamics.KRYLOV_RESTART,
@@ -289,13 +292,12 @@ def coherence_gap(L: sp.csr_matrix, labels: np.ndarray, n: int, floor: float) ->
     return bound
 
 
-def real_form(model) -> tuple:
-    """(C, M): C = T^-1 M T for the trace-row system M on the plan's block,
-    by sparse products, T taking the real unknowns (rho_ii; Re rho_ij at
-    |i><j| and Im rho_ij at |j><i|, i < j) to the entries: x_ij = u_ij +
-    i u_ji, x_ji = u_ij - i u_ji. Re C is the real form R, and Im C what
-    R discards. The oracle of dynamics._real_form, which forms R from M's
-    entries by a map that the plan keeps."""
+def real_basis(model) -> tuple:
+    """(T, T^-1, M): T takes the real unknowns (rho_ii; Re rho_ij at
+    |i><j| and Im rho_ij at |j><i|, i < j) to the entries of the
+    trace-row system M on the plan's block: x_ij = u_ij + i u_ji,
+    x_ji = u_ij - i u_ji. The sparse-product oracle of the index maps in
+    dynamics._real_form and _BlockPlan.real_solve."""
     plan, terms = dynamics._plan(model)
     n = model.space.total_dim
     M = plan.assemble(terms, n)[1]
@@ -311,6 +313,15 @@ def real_form(model) -> tuple:
                                            0.5j * one]),
                            (np.concatenate([d, a, a, b, b]), np.concatenate([d, a, b, a, b]))),
                           shape=M.shape)
+    return T, T_inv, M
+
+
+def real_form(model) -> tuple:
+    """(C, M): C = T^-1 M T (real_basis) by sparse products. Re C is the
+    real form R, and Im C what R discards. The oracle of
+    dynamics._real_form, which forms R from M's entries by a map that the
+    plan keeps."""
+    T, T_inv, M = real_basis(model)
     return (T_inv @ M @ T).tocsc(), M
 
 

@@ -508,7 +508,8 @@ def test_g2scan_values_do_not_depend_on_check_unique(tmp_path):
 def test_g2scan_without_mechanical_damping_takes_the_fallback(tmp_path):
     # gamma = 0 leaves the phonon populations of P's photon-free level
     # undamped, so its block is singular and every point is solved on the
-    # factor of M; g2 still agrees with the full-pivoting LU oracle
+    # factor of M's real form; g2 still agrees with the full-pivoting LU
+    # oracle
     text = (G2SCAN_REDUCED.replace("start = -8\nstop = 8\npoints = 9", "values = -4, 3.3")
             .replace("gamma = 0.01", "gamma = 0"))
     assert "values = -4, 3.3" in text and "gamma = 0\n" in text

@@ -40,6 +40,7 @@ from oracles import (
     lu_oracle,
     population_sector,
     ptrace_population,
+    real_basis,
     real_form,
     scipy_refine,
     sector_state,
@@ -1115,17 +1116,15 @@ def test_iterated_state_does_not_depend_on_blas_threads():
 
 def test_lu_fill_below_colamd():
     # the kept orders on the pattern of A + A^T beat COLAMD on what a
-    # g2scan point factors: M for the fallback, in its minimum-degree
-    # order, M's real form R for the check, in its pair order (264,569
-    # against 518,774 entries), and P's level blocks for the solve, whose
-    # summed fill the report records
+    # g2scan point factors: M's real form R for the check and the
+    # fallback, in its pair order (264,861 against 518,774 entries), and
+    # P's level blocks for the solve, whose summed fill the report records
     import scipy.sparse.linalg as spla
     model = _g2scan_point(0.0, (4, 4, 6))
     plan, terms = dynamics._plan(model)
-    _, M, P, m_data = plan.assemble(terms, model.space.total_dim)
+    _, _, P, m_data = plan.assemble(terms, model.space.total_dim)
     R = _oracle_real_form(model)
     rep = steady_state(model, check_unique=False)
-    assert dynamics._factor(M, plan.min_degree()).nnz < spla.splu(M).nnz
     assert plan.real_factor(m_data, model.space.total_dim).nnz < spla.splu(R).nnz
     assert rep.lu_nnz == dynamics._LevelLU(P).nnz < sum(spla.splu(D).nnz for D in P.diag)
 
@@ -1239,7 +1238,7 @@ def test_drive_order_levels_converge_in_a_few_krylov_iterations(makes):
         M = plan.assemble(terms, model.space.total_dim)[1]
         rhs = np.zeros(M.shape[0], dtype=complex)
         rhs[0] = 1.0
-        y = dynamics._refine(M, complex_check(model)[0], rhs)[0]
+        y = dynamics._refine(M, complex_check(model)[0].solve, rhs)[0]
         on_m = DensityMatrix(model.space, sector_state(model, plan.idx, y))
         assert g2_zero(rep.state, "a") == pytest.approx(g2_zero(on_m, "a"), rel=1e-12, abs=0.0)
 
@@ -1255,36 +1254,134 @@ def test_large_thermal_sector_converges_without_the_fallback():
     _assert_matches_the_lu_oracle(model, rep.state)
 
 
+def _rounding_rows():
+    # (M, rhs, x): x_0 = 1 solves row 0, and rows 1 to 3 meet only x_1 to
+    # x_3, whose exact value is 0 and which hold eps/2 each, as a solve
+    # leaves them. Row 1 meets three of them: its |M||x| is 1.5 eps, below
+    # eps times its row sum 3 but not times its largest entry 1
+    M = sp.csc_matrix(np.array([[1.0, 0, 0, 0], [0, 1, 1, 1], [0, 0, 1, 0], [0, 0, 0, 1]]))
+    eps = np.finfo(float).eps
+    return M, np.array([1.0, 0, 0, 0]), np.array([1.0, eps / 2, eps / 2, eps / 2])
+
+
+def test_backward_error_judges_rounding_rows_normwise(monkeypatch):
+    # Oettli-Prager's ratio reads 1.0 on a row that meets only unknowns of
+    # rounding size, whatever the solve; judged normwise (Arioli, Demmel &
+    # Duff) on the row sums that _refine forms, the row is met. An error of
+    # 1e-10 relative on the one significant row's term still shows. With
+    # no step allowed, _refine returns the first solve's backward error
+    from omx.dynamics import _refine
+    monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", 0)
+    M, rhs, x = _rounding_rows()
+    r = rhs - M @ x
+    assert np.max(np.abs(r) / (abs(M) @ np.abs(x) + np.abs(rhs))) == 1.0
+    assert _refine(M, lambda b: x.copy(), rhs)[2] <= 1e-15
+    x[0] *= 1.0 + 1e-10
+    assert _refine(M, lambda b: x.copy(), rhs)[2] > dynamics.BACKWARD_ERROR_STOP
+
+
+@pytest.mark.parametrize("make", [
+    *(lambda d=d: _g2scan_point(0.0, (4, 4, 6), d) for d in np.linspace(-8.0, 8.0, 9)),
+    lambda: _g2scan_point(1.0, (4, 4, 10), 3.3)],
+    ids=[f"g2scan-reduced{d:g}" for d in np.linspace(-8.0, 8.0, 9)] + ["a4s4m10-Nth1"])
+def test_backward_error_judges_significant_rows_componentwise(make):
+    # no row whose own unknown exceeds 1e-14 |x|_inf is judged normwise at
+    # the points of perfbench/configs/g2scan_reduced.cfg and at m10 with
+    # N_th = 1: the two-photon entries behind g2 keep Oettli-Prager's
+    # ratio. A residual of d_i on row i alone reads 1.0 on such a row
+    from omx.dynamics import _LevelLU, _backward_error, _refine
+    model = make()
+    plan, terms = dynamics._plan(model)
+    M, P = plan.assemble(terms, model.space.total_dim)[1:3]
+    rhs = np.zeros(M.shape[0], dtype=complex)
+    rhs[0] = 1.0
+    x = _refine(M, _LevelLU(P).solve, rhs)[0]
+    abs_m = abs(M)
+    row_sums = abs_m @ np.ones(M.shape[0])
+    d = abs_m @ np.abs(x) + np.abs(rhs)
+    rows = np.flatnonzero(np.abs(x) > 1e-14 * np.abs(x).max())
+    r = np.zeros(x.size)
+    for i in rows:
+        r[i] = d[i]
+        assert _backward_error(abs_m, row_sums, x, r, rhs) == 1.0
+        r[i] = 0.0
+
+
+def _undamped(delta_a):
+    # the g2scan operating point without mechanical damping
+    return build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=delta_a,
+                                  Omega_a=0.01, gamma=0.0), (4, 4, 6))
+
+
 @pytest.mark.parametrize("cap, gamma", [(0, 0.01), (dynamics.REFINE_STEP_CAP, 0.0)],
                          ids=["stalled", "undamped-mechanics"])
 def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
     # with no refinement step allowed the iteration stalls at P's own
     # solution; without mechanical damping P's photon-free level block is
     # singular (every phonon population there is stationary) while M is not.
-    # Either way the fallback runs the same refinement on a complex factor
-    # of M in its minimum-degree order, and reports its fill; the check's
-    # factor of M's real form does not serve it. At the
-    # real cap it meets the stop and the LU oracle; at cap 0 both loops
-    # stop at their first solve
-    from omx.dynamics import _backward_error, _factor, _min_degree
+    # Either way the fallback runs the same refinement on the check's
+    # factor of M's real form R, and reports its fill (264,861 and
+    # 107,320 real entries). At the real cap it meets the stop and the LU
+    # oracle; at cap 0 both loops stop at their first solve, which is one
+    # solve of R for the real and imaginary parts of T^-1 e_0, taken back by T
+    from omx.dynamics import _backward_error
     monkeypatch.setattr(dynamics, "REFINE_STEP_CAP", cap)
     model = build_rwa(SystemParams(g0=8.0, kappa=1.0, omega_m=160.0, J=80.0, Delta_a=3.3,
                                    Omega_a=0.01, gamma=gamma), (4, 4, 6))
     rep = steady_state(model)
     assert rep.lu_fallback and rep.null_gap > 1e-8
-    M, idx = trace_row_system(model)
-    lu = _factor(M, _min_degree(M))
-    assert rep.lu_nnz == lu.nnz
+    plan, terms = dynamics._plan(model)
+    n = model.space.total_dim
+    _, M, _, m_data = plan.assemble(terms, n)
+    lu = plan.real_factor(m_data, n)
+    assert rep.lu_nnz == lu.nnz == (264861 if cap == 0 else 107320)
     if cap:
         assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
         _assert_matches_the_lu_oracle(model, rep.state)
     else:
+        T, T_inv, _ = real_basis(model)
         rhs = np.zeros(M.shape[0], dtype=complex)
         rhs[0] = 1.0
-        y = lu.solve(rhs)
+        u = T_inv @ rhs
+        w = lu.solve(np.column_stack([u.real, u.imag]))
+        y = T @ (w[:, 0] + 1j * w[:, 1])
+        abs_m = abs(M)
         assert rep.krylov_iterations == 0
-        assert rep.backward_error == _backward_error(abs(M), y, rhs - M @ y, rhs)
-        assert np.array_equal(rep.state.matrix, sector_state(model, idx, y))
+        assert rep.backward_error == _backward_error(abs_m, abs_m @ np.ones(M.shape[0]), y,
+                                                     rhs - M @ y, rhs)
+        assert np.array_equal(rep.state.matrix, sector_state(model, plan.idx, y))
+
+
+@pytest.mark.parametrize("make", [lambda: _undamped(-4.0), lambda: _undamped(3.3),
+                                  _BLOCK_CASES["cancelling-diagonal"]],
+                         ids=["undamped-Delta_a-4", "undamped-Delta_a3.3", "cancelling-diagonal"])
+def test_fallback_on_the_real_factor_matches_the_lu_oracle(make):
+    # at gamma = 0 the state is exactly 0 on most entries; refined on the
+    # factor of M's real form it meets the stop and the full-pivoting LU
+    model = make()
+    rep = steady_state(model, check_unique=False)
+    assert rep.lu_fallback and rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
+    oracle = lu_oracle(model).matrix
+    assert np.abs(rep.state.matrix - oracle).max() <= 1e-12 * np.abs(oracle).max()
+
+
+def test_checked_fallback_factors_the_block_once(monkeypatch):
+    # the check and the fallback share one factor of M's real form: a
+    # checked undamped point makes one factor of the population block's
+    # size (P's level blocks are smaller, and one of them is singular)
+    import scipy.sparse.linalg
+    real = scipy.sparse.linalg.splu
+    calls = []
+
+    def counting_splu(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    model = _undamped(3.3)
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting_splu)
+    rep = steady_state(model)
+    assert rep.lu_fallback and rep.null_gap > 1e-8
+    assert calls.count((rep.solved_dim, rep.solved_dim)) == 1
 
 
 def test_undriven_model_refines_on_its_one_level_factor(monkeypatch):
