@@ -28,8 +28,8 @@ import numpy as np
 import scipy
 
 from . import models
-from .dynamics import _component_labels, liouvillian
-from .hilbert import thermal_dim, thermal_weights
+from .dynamics import liouvillian
+from .hilbert import _components, thermal_dim, thermal_weights
 from .params import SystemParams
 from .scan import ScanResult
 
@@ -397,7 +397,7 @@ def _exact_gate_error(params: SystemParams, t_g: float) -> float:
     psi0 = np.kron(_qubit_superposition(4), _qubit_superposition(4))
     rho0 = np.outer(psi0, psi0.conj()).reshape(-1)
     gen = liouvillian(model)
-    labels = _component_labels(gen)
+    labels = _components(*gen.nonzero(), n * n)
     rho = np.zeros_like(rho0)
     for label in np.unique(labels[rho0 != 0]):
         idx = np.flatnonzero(labels == label)

@@ -222,7 +222,8 @@ class SteadyStateReport:
     null_gap: with check_unique, |lambda_1| of the full Liouvillian,
         which is never built: the smaller of the population block's
         |lambda_1|, every component of the block included, measured with
-        the real LU of R, the real form of the trace-row system M, and the
+        the real LU of R = Re(T^-1 M T), the real form of the trace-row
+        system M, formed by two sparse products (_BlockPlan.real), and the
         smallest |lambda| of the other blocks whose disc bound, taken from
         the generator's kron factors, falls below it, each gathered from
         those factors and measured too (see steady_state). None without
@@ -233,7 +234,8 @@ class SteadyStateReport:
     lu_nnz: entries SuperLU stores in the factors the solution was refined
         on: the summed fill of P's level factors (one level, M itself, for
         a model without a drive), or, after the fallback, the real entries
-        of the factor of R, M's real form, that the check shares.
+        of the factor of R = Re(T^-1 M T), M's real form, that the check
+        shares.
     fock_tail: population of the top Fock level of each mode, by label,
         read off the diagonal of the state: the truncation's evidence.
     krylov_iterations: GMRES iterations over every refinement step, the
@@ -257,24 +259,16 @@ class SteadyStateReport:
     lu_fallback: bool | None = None
 
 
-def _component_labels(L: scipy.sparse.csr_matrix) -> np.ndarray:
-    """Label of each entry's connected component in L's sparsity graph."""
-    # csgraph casts complex weights to real, which would drop the purely
-    # imaginary -i[H, rho] entries: hand it a real pattern instead
-    pattern = scipy.sparse.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
-    return scipy.sparse.csgraph.connected_components(pattern, directed=True, connection="weak")[1]
-
-
 def _block_gap(B: scipy.sparse.csr_matrix, factor: Callable[[], _LevelLU] | None) -> float:
     """Smallest |lambda| of a block B of L, measured.
 
-    Given factor, which makes the factor of the real form R of the
-    trace-row system M of the population block B (_BlockPlan.real_factor),
-    it is |lambda_1| instead: R^-1 Pi has the nonzero eigenvalues of
-    M^-1 Pi, whose largest |mu| is 1/|lambda_1| (see steady_state), and
-    ARPACK finds it in real arithmetic. Given None, B is factored
-    (_factor) and the largest |mu| of B^-1 is 1/min |lambda|; an exactly
-    singular factor gives 0.
+    Given factor, which makes the factor of the real form R = Re(T^-1 M T)
+    of the trace-row system M of the population block B, formed by two
+    sparse products (_BlockPlan.real_factor), it is |lambda_1| instead:
+    R^-1 Pi has the nonzero eigenvalues of M^-1 Pi, whose largest |mu| is
+    1/|lambda_1| (see steady_state), and ARPACK finds it in real
+    arithmetic. Given None, B is factored (_factor) and the largest |mu|
+    of B^-1 is 1/min |lambda|; an exactly singular factor gives 0.
     ARPACK finds that |mu| from solves alone (k = 2, since a population
     block's spectrum comes in conjugate pairs), from the seeded start
     vector, or its real part for R. A block of at most GAP_DENSE_LIMIT
@@ -489,12 +483,12 @@ def _min_degree(A: scipy.sparse.csc_matrix) -> np.ndarray:
 
 
 def _factor(A: scipy.sparse.csc_matrix, q: np.ndarray) -> _LevelLU:
-    """Sparse LU of a block of L or of the real form R of its trace-row
-    system M: the _LevelLU of A as one level, A[q][:, q] in the order q,
-    which the caller computes: _min_degree of A's pattern, or the pair
-    order that the plan keeps for R (_BlockPlan.real_factor). An exactly
-    singular A raises SolverError: a block of L or a trace-row system with
-    a second null vector (see steady_state).
+    """Sparse LU of a block of L or of the real form R = Re(T^-1 M T) of
+    its trace-row system M: the _LevelLU of A as one level, A[q][:, q] in
+    the order q, which the caller computes: _min_degree of A's pattern, or
+    the pair order that the plan keeps with T (_BlockPlan.real). An
+    exactly singular A raises SolverError: a block of L or a trace-row
+    system with a second null vector (see steady_state).
 
     The order is a minimum degree on the pattern of A + A^T, which is
     nearly symmetric (only the c rho c^dag jumps are one-way). Threshold
@@ -580,9 +574,11 @@ class _BlockPlan:
         fewer photons than made it lies higher: 17 levels at g2scan m6,
         against 13 photon orders. One level, P = M, for a model without a
         drive.
-    real: the structure of R, the real form of M (_real_form), made on the
-        first call of real_factor and None until then. R's is the one
-        factor of the block's size, the check's and the fallback's.
+    real: (T, T^-1, perm), the change of unknowns that takes M to its real
+        form R = Re(T^-1 M T) and the order R is factored in, made on first
+        use. R's is the one factor of the block's size, the check's and the
+        fallback's (real_factor, real_solve).
+    n: the model's Hilbert-space dimension.
     Besides labels all of it is block-sized.
     """
 
@@ -608,16 +604,14 @@ class _BlockPlan:
         photons = np.zeros(n, int) if photons is None else np.asarray(photons)
         i, j = np.divmod(self.idx, n)
         self.levels = _Levels(M, _drive_order(M, photons[i] + photons[j]))
-        self.real = None
+        self.n = n
 
     def assemble(self, terms: list, n: int) -> tuple:
-        """(Lc, M, P, m_data) of steady_state on the block for a model with
-        these factor patterns: the values of its terms summed onto the
-        block, its exact zeros dropped and its trace checked; m_data holds
-        M's values on its structural pattern (m_src), zeros kept, for
-        real_factor. SolverError when the populations split: some lie
-        outside the block, or an off-diagonal entry that cancels exactly
-        cuts them apart."""
+        """(Lc, M, P) of steady_state on the block for a model with these
+        factor patterns: the values of its terms summed onto the block, its
+        exact zeros dropped and its trace checked. SolverError when the
+        populations split: some lie outside the block, or an off-diagonal
+        entry that cancels exactly cuts them apart."""
         m = self.idx.size
         left, right = _factor_values(terms, n)
         # scipy sums the products as liouvillian's conversion does, in the
@@ -626,7 +620,8 @@ class _BlockPlan:
                                      shape=(m, m)).tocsr()
         vals = Lc.data
         src = np.concatenate([np.ones(self.pops.size), vals])[self.m_src]
-        M = scipy.sparse.csc_matrix((src.copy(), self.m_indices.copy(), self.m_indptr.copy()),
+        # P gathers copies of src before M drops its zeros in place
+        M = scipy.sparse.csc_matrix((src, self.m_indices.copy(), self.m_indptr.copy()),
                                     shape=(m, m))
         P = self.levels.gather(src)
         # entries that cancel exactly are dropped, as liouvillian drops them
@@ -640,100 +635,82 @@ class _BlockPlan:
         # or an off-diagonal entry that cancels can split them
         split = self.pops.size < n
         if cancelled and not split:
-            labels = _component_labels(Lc)
+            labels = _components(*Lc.nonzero(), m)
             split = np.any(labels[self.pops] != labels[0])
         if split:
             raise SolverError(
                 "degenerate Liouvillian null space: the populations split into "
                 "disconnected sectors, each with its own steady state")
-        return Lc, M, P, src
+        return Lc, M, P
 
-    def real_factor(self, m_data: np.ndarray, n: int) -> _LevelLU:
-        """The factor of R, the real form of M (_real_form), from
-        assemble's m_data, in the pair order that the plan keeps, made
-        with it on the first call; its solve takes real vectors. An exactly
+    @functools.cached_property
+    def real(self) -> tuple:
+        """(T, T^-1, perm): the change of unknowns that makes M real, and
+        the order R is factored in, made on first use.
+
+        The population block is closed under rho -> rho^dag, and L(rho^dag) =
+        L(rho)^dag, so on the Hermitian matrices M is a real linear map. Its
+        real unknowns are rho_ii at the position of |i><i|, and Re rho_ij at
+        that of |i><j| and Im rho_ij at that of |j><i| (i < j): x = T u with
+        x_ij = u_ij + i u_ji and x_ji = u_ij - i u_ji. R = Re(T^-1 M T), and
+        M is its complexification up to the discarded Im(T^-1 M T): M's
+        departure from that symmetry, which only rounding and the Hermiticity
+        that LindbladModel checks leave (0 at g2scan m6, 2.8e-17 at m20 with
+        N_th = 1; tier-1 test). So R^-1 Pi has the eigenvalues of M^-1 Pi, as
+        Pi = I - e_0 e_0^T commutes with T: entry 0 is a population.
+
+        perm: a minimum degree (_min_degree) on the pair graph, one node per
+        pair {|i><j|, |j><i|} joined where M joins their entries, each pair's
+        two unknowns kept adjacent. At g2scan m6 it orders in 3 ms and R's
+        factor holds 264,861 real entries, against 13 ms and 271,776 in R's
+        own minimum degree (786,000 against 970,000 at m10); undamped it loses,
+        465,958 against 208,387 at m10."""
+        m, n = self.idx.size, self.n
+        i, j = np.divmod(self.idx, n)
+        t = np.searchsorted(self.idx, j * n + i).clip(max=m - 1)   # each unknown's partner
+        if np.any(self.idx[t] != j * n + i):
+            raise SolverError("the population block is not closed under rho -> rho^dag: "
+                              "the model's H or collapse patterns break L(rho^dag) = L(rho)^dag")
+        k = np.arange(m)
+        d, a = np.flatnonzero(k == t), np.flatnonzero(k < t)
+        b, one = t[a], np.ones(a.size)
+        rows, cols = np.concatenate([d, a, b, a, b]), np.concatenate([d, a, a, b, b])
+        T = scipy.sparse.csc_matrix(
+            (np.concatenate([np.ones(d.size), one, one, 1j * one, -1j * one]), (rows, cols)),
+            shape=(m, m))
+        T_inv = scipy.sparse.csc_matrix(
+            (np.concatenate([np.ones(d.size), one / 2, one / 2, -0.5j * one, 0.5j * one]),
+             (cols, rows)), shape=(m, m))
+        # the pair graph's minimum degree, each pair's unknowns in a row
+        head = np.minimum(k, t)
+        heads = np.flatnonzero(head == k)
+        pair = np.cumsum(head == k) - 1
+        s, c = self.m_indices, np.repeat(k, np.diff(self.m_indptr))
+        graph = scipy.sparse.csc_matrix((np.ones(s.size), (pair[head[s]], pair[head[c]])),
+                                        shape=(heads.size, heads.size))
+        heads = heads[_min_degree(graph)]
+        perm = np.column_stack([heads, t[heads]]).ravel()
+        perm = perm[np.column_stack([np.ones(heads.size, bool), t[heads] != heads]).ravel()]
+        return T, T_inv, perm
+
+    def real_factor(self, M: scipy.sparse.csc_matrix) -> _LevelLU:
+        """The factor of R = Re(T^-1 M T), formed by two sparse products
+        with the plan's T and T^-1 (real), its exact zeros dropped, in the
+        pair order kept with them; its solve takes real vectors. An exactly
         singular R raises SolverError, as _factor does."""
-        if self.real is None:
-            self.real = _real_form(self.idx, n, self.m_indptr, self.m_indices)
-        perm, slot, src, coef, indptr, indices, _ = self.real
-        vals = np.bincount(slot, coef * np.concatenate([m_data.real, m_data.imag])[src],
-                           minlength=indices.size)
-        m = self.idx.size
-        R = scipy.sparse.csc_matrix((vals, indices.copy(), indptr.copy()), shape=(m, m))
+        T, T_inv, perm = self.real
+        R = (T_inv @ M @ T).real
         R.eliminate_zeros()
         return _factor(R, perm)
 
     def real_solve(self, lu: _LevelLU, b: np.ndarray) -> np.ndarray:
-        """M^-1 b from real_factor's factor lu of R = Re(T^-1 M T): b taken
-        to the real unknowns by T^-1, its real and imaginary parts solved
-        as two columns, and the solution taken back by T (_real_form)."""
-        t = self.real[-1]
-        sgn = np.sign(t - np.arange(t.size))   # 1 at |i><j|, -1 at |j><i| (i < j)
-        u = np.where(sgn < 0, 0.5j * (b - b[t]), 0.5 * (b + b[t]))
+        """M^-1 b from real_factor's factor lu of R: b taken to the real
+        unknowns by T^-1, its real and imaginary parts solved as two
+        columns, and the solution taken back by T."""
+        T, T_inv, _ = self.real
+        u = T_inv @ b
         w = lu.solve(np.column_stack([u.real, u.imag]))
-        u = w[:, 0] + 1j * w[:, 1]
-        return np.where(sgn > 0, u + 1j * u[t], np.where(sgn < 0, u[t] - 1j * u, u))
-
-
-def _real_form(idx: np.ndarray, n: int, indptr: np.ndarray, indices: np.ndarray) -> tuple:
-    """The structure of R, the real form of the trace-row system M on the
-    block idx, from M's CSC pattern (indptr, indices): (perm, slot, src,
-    coef, R's CSC indptr and indices, t), R to be factored in the order
-    perm, t each unknown's partner: |j><i| for |i><j|.
-
-    The population block is closed under rho -> rho^dag, and L(rho^dag) =
-    L(rho)^dag, so on the Hermitian matrices M is a real linear map. Its
-    real unknowns are rho_ii at the position of |i><i|, and Re rho_ij at
-    that of |i><j| and Im rho_ij at that of |j><i| (i < j): x = T u with
-    x_ij = u_ij + i u_ji and x_ji = u_ij - i u_ji. R = Re(T^-1 M T), and
-    M is its complexification up to the discarded Im(T^-1 M T): M's
-    departure from that symmetry, which only rounding and the Hermiticity
-    that LindbladModel checks leave (0 at g2scan m6, 2.8e-17 at m20 with
-    N_th = 1; tier-1 test). So R^-1 Pi has the eigenvalues of M^-1 Pi, as
-    Pi = I - e_0 e_0^T commutes with T: entry 0 is a population. An entry
-    of M adds c Re M_e or c Im M_e, c one of +-1 and +-1/2, to at most four
-    entries of R: R's data is bincount(slot, coef * [Re M, Im M][src]).
-
-    perm: a minimum degree (_min_degree) on the pair graph, one node per
-    pair {|i><j|, |j><i|} joined where M joins their entries, each pair's
-    two unknowns kept adjacent. At g2scan m6 it orders in 3 ms and R's
-    factor holds 264,861 real entries, against 13 ms and 271,776 in R's
-    own minimum degree (786,000 against 970,000 at m10); undamped it loses,
-    465,958 against 208,387 at m10."""
-    m = idx.size
-    i, j = np.divmod(idx, n)
-    t = np.searchsorted(idx, j * n + i).clip(max=m - 1)   # each unknown's partner
-    if np.any(idx[t] != j * n + i):
-        raise SolverError("the population block is not closed under rho -> rho^dag: "
-                          "the model's H or collapse patterns break L(rho^dag) = L(rho)^dag")
-    k = np.arange(m)
-    head, tail = np.minimum(k, t), np.maximum(k, t)
-    # T^-1 takes row head of R from the rows of |i><j| and |j><i| with
-    # weight 1/2 (1 on the diagonal), row tail with -+i/2; T takes column
-    # k of M into column head with weight 1 and column tail with +-i.
-    # Each pair of weights multiplies to a real or an imaginary z
-    sgn = np.sign(t - k)
-    half = np.where(sgn == 0, 1.0, 0.5)
-    s, c = indices, np.repeat(k, np.diff(indptr))
-    rs, cs = sgn[s], sgn[c]
-    coef = np.concatenate([half[s], -half[s] * cs, 0.5 * rs, 0.5 * rs * cs])
-    rows = np.concatenate([head[s], head[s], tail[s], tail[s]])
-    cols = np.concatenate([head[c], tail[c], head[c], tail[c]])
-    e = np.arange(s.size)
-    src = np.concatenate([e, e + s.size, e + s.size, e])   # Re, Im, Im, Re of M's entry
-    keep = coef != 0
-    rows, cols, src, coef = rows[keep], cols[keep], src[keep], coef[keep]
-    # the pair graph's minimum degree, each pair's unknowns in a row
-    heads = np.flatnonzero(head == k)
-    pair = np.cumsum(head == k) - 1
-    graph = scipy.sparse.csc_matrix((np.ones(s.size), (pair[head[s]], pair[head[c]])),
-                                    shape=(heads.size, heads.size))
-    heads = heads[_min_degree(graph)]
-    perm = np.column_stack([heads, t[heads]]).ravel()
-    perm = perm[np.column_stack([np.ones(heads.size, bool), t[heads] != heads]).ravel()]
-    keys, slot = np.unique(cols * m + rows, return_inverse=True)
-    r_indptr = np.searchsorted(keys // m, np.arange(m + 1)).astype(indptr.dtype)
-    return perm, slot, src, coef, r_indptr, (keys % m).astype(indices.dtype), t
+        return T @ (w[:, 0] + 1j * w[:, 1])
 
 
 def _drive_order(M: scipy.sparse.csc_matrix, c: np.ndarray) -> np.ndarray:
@@ -940,9 +917,10 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     rounding size, as where the exact state is 0 (undamped phonons), is
     judged normwise (_backward_error). If the stop is missed within
     REFINE_STEP_CAP steps, or a level block of P is exactly singular, the
-    same refinement runs on the check's factor of M's real form R, made
-    at most once a call (_BlockPlan.real_factor, real_solve), and
-    report.lu_fallback says so. A solution that is not finite raises
+    same refinement runs on the check's factor of M's real form
+    R = Re(T^-1 M T), made at most once a call (_BlockPlan.real_factor),
+    each solve taken to R's unknowns by T^-1 and back by T (real_solve),
+    and report.lu_fallback says so. A solution that is not finite raises
     SolverError at once and is never retried; an exactly singular M raises
     too, as its null space is degenerate. Each factor is a function of its
     matrix and order, and each order of a plan's pattern, so the result is
@@ -958,22 +936,25 @@ def steady_state(model: LindbladModel, check_unique: bool = True) -> SteadyState
     L v = lambda v, lambda != 0, gives M v = lambda Pi v, so the largest
     |mu| of M^-1 Pi is 1/|lambda_1|, taken over every component of the
     block. The block is closed under rho -> rho^dag, so M is the
-    complexification of a real matrix R, whose R^-1 Pi has the same
-    eigenvalues (_real_form): the check factors R, in real arithmetic and
-    in an order of its pair graph kept per plan (_BlockPlan.real_factor),
-    and ARPACK runs in real mode. A second steady state may sit in any other
-    block (a Hermitian jump c + c^dag on a qubit keeps sigma_x stationary),
-    so each block of each pair related by rho -> rho^dag gets Gershgorin's
-    disc bound on min |lambda|, taken from the kron factors (_disc_gaps) on
-    the plan's structural blocks. Only a block whose bound falls below the
-    population block's |lambda_1| is gathered from the factors (_gather)
-    and measured (_block_gap).
+    complexification of a real matrix R = Re(T^-1 M T), T the change of
+    unknowns to Re and Im of the coherences, whose R^-1 Pi has the same
+    eigenvalues (_BlockPlan.real): the check forms R by two sparse
+    products with T and T^-1, which the plan keeps, factors it in real
+    arithmetic and in an order of its pair graph kept with them
+    (_BlockPlan.real_factor), and ARPACK runs in real mode. A second
+    steady state may sit in any other block (a Hermitian jump c + c^dag on
+    a qubit keeps sigma_x stationary), so each block of each pair related
+    by rho -> rho^dag gets Gershgorin's disc bound on min |lambda|, taken
+    from the kron factors (_disc_gaps) on the plan's structural blocks.
+    Only a block whose bound falls below the population block's
+    |lambda_1| is gathered from the factors (_gather) and measured
+    (_block_gap).
     """
     n = model.space.total_dim
     plan, terms = _plan(model)
-    Lc, M, P, m_data = plan.assemble(terms, n)
+    Lc, M, P = plan.assemble(terms, n)
     idx, m = plan.idx, plan.idx.size
-    real = functools.cache(lambda: plan.real_factor(m_data, n))   # the check's and the fallback's
+    real = functools.cache(lambda: plan.real_factor(M))   # the check's and the fallback's
     gap = None
     if check_unique:   # the population gap on R's factor, then the other blocks
         gap = _block_gap(Lc, real)
@@ -1294,7 +1275,7 @@ def nonhermitian_eigs(h_eff: Operator, k: int):
     if not support[-1].any():
         raise ValueError(f"(B^dag)^{k - 1}|vac> vanishes in this truncation: "
                          f"the ladder holds fewer than {k} levels")
-    labels = _component_labels(h_eff.matrix)
+    labels = _components(*h_eff.matrix.nonzero(), dim)
     keep = np.flatnonzero(np.isin(labels, labels[support.any(axis=0)]))
     if keep.size > DENSE_EIG_LIMIT:
         raise SolverError(

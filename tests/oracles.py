@@ -8,20 +8,21 @@ thermal states with their expectation values and diagonal partial trace
 of the master equation and a full-pivoting LU solve of its trace-row
 system on the population sector, the actual component of L's pattern
 (dynamics.steady_state refines on a simpler system's factor, on the
-structural block from the kron factors' patterns), the structural
-component labels and the drive order from the n^2-entry graph, and P's
-level orders one level at a time (the plan labels from the factors, finds
-the drive order by a bucket search on M's pattern and orders the levels
-in one pass), the refinement on scipy's own gmres (dynamics transcribes one of
-its cycles), the uniqueness check's disc bounds and coherence gap on the
-full L (dynamics bounds and gathers the blocks from the kron factors), the
-population gap on M's complex LU (dynamics measures it on the LU of M's
-real form), that real form and its change of unknowns T by sparse
-products (dynamics forms and applies them by index maps), and the phase
-gate's scan with one SystemParams and one phonon_nonlinearity per
-detuning and its exact error from one dense expm of L
-(analytics.phase_gate_error scans on Python floats and takes the expm on
-L's blocks).
+structural block from the kron factors' patterns), component labels by
+scipy's connected_components (omx labels in numpy, hilbert._components),
+the structural component labels and the drive order from the n^2-entry
+graph, and P's level orders one level at a time (the plan labels from the
+factors, finds the drive order by a bucket search on M's pattern and
+orders the levels in one pass), the refinement on scipy's own gmres
+(dynamics transcribes one of its cycles), the uniqueness check's disc
+bounds and coherence gap on the full L (dynamics bounds and gathers the
+blocks from the kron factors), the population gap on M's complex LU
+(dynamics measures it on the LU of M's real form), that real form and its
+change of unknowns T, built apart from the plan (dynamics keeps T and
+T^-1 in it), and the phase gate's scan with one SystemParams and one
+phonon_nonlinearity per detuning and its exact error from one dense expm
+of L (analytics.phase_gate_error scans on Python floats and takes the
+expm on L's blocks).
 """
 
 import math
@@ -31,13 +32,12 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.integrate import solve_ivp
-from scipy.sparse.csgraph import dijkstra
+from scipy.sparse.csgraph import connected_components, dijkstra
 
 from omx import models
 from omx.analytics import GateBudget, _qubit_superposition, phonon_nonlinearity
 from omx import dynamics
-from omx.dynamics import (LindbladModel, SolverError, _backward_error, _block_gap,
-                          _component_labels, liouvillian)
+from omx.dynamics import LindbladModel, SolverError, _backward_error, _block_gap, liouvillian
 from omx.hilbert import DensityMatrix, ModeSpace, Operator, _canonical, thermal_weights
 from omx.params import SystemParams
 
@@ -129,6 +129,16 @@ def evolve(model: LindbladModel, rho0: DensityMatrix, t_grid) -> list[DensityMat
     return out
 
 
+def component_labels(L: sp.csr_matrix) -> np.ndarray:
+    """Label of each entry's connected component in L's sparsity graph, by
+    scipy's connected_components: the oracle of hilbert._components, which
+    omx labels with."""
+    # csgraph casts complex weights to real, which would drop the purely
+    # imaginary -i[H, rho] entries: hand it a real pattern instead
+    pattern = sp.csr_matrix((np.ones(L.nnz), L.indices, L.indptr), shape=L.shape)
+    return connected_components(pattern, directed=True, connection="weak")[1]
+
+
 def population_sector(labels: np.ndarray, n: int) -> np.ndarray:
     """Sorted indices of the population sector of L, the component of
     entry (0,0) in its labels; SolverError if the populations split over
@@ -160,7 +170,7 @@ def structural_labels(model) -> np.ndarray:
     connected_components on the n^2-entry graph of every contribution of
     the generator's terms: the oracle of the plan's labels, which come
     from the factors' patterns alone."""
-    return _component_labels(structural_pattern(model))
+    return component_labels(structural_pattern(model))
 
 
 def drive_order(model, idx) -> np.ndarray:
@@ -208,7 +218,7 @@ def trace_row_system(model, idx=None) -> tuple[sp.csc_matrix, np.ndarray]:
     L = liouvillian(model)
     n = model.space.total_dim
     if idx is None:
-        idx = population_sector(_component_labels(L), n)
+        idx = population_sector(component_labels(L), n)
     trace = sp.csr_matrix(np.eye(n).reshape(1, -1)[:, idx])
     return sp.vstack([trace, L[idx][:, idx][1:]]).tocsc(), idx
 
@@ -296,8 +306,9 @@ def real_basis(model) -> tuple:
     """(T, T^-1, M): T takes the real unknowns (rho_ii; Re rho_ij at
     |i><j| and Im rho_ij at |j><i|, i < j) to the entries of the
     trace-row system M on the plan's block: x_ij = u_ij + i u_ji,
-    x_ji = u_ij - i u_ji. The sparse-product oracle of the index maps in
-    dynamics._real_form and _BlockPlan.real_solve."""
+    x_ji = u_ij - i u_ji. The oracle of the T and T^-1 that the plan
+    keeps (dynamics._BlockPlan.real), which real_factor and real_solve
+    apply."""
     plan, terms = dynamics._plan(model)
     n = model.space.total_dim
     M = plan.assemble(terms, n)[1]
@@ -318,9 +329,8 @@ def real_basis(model) -> tuple:
 
 def real_form(model) -> tuple:
     """(C, M): C = T^-1 M T (real_basis) by sparse products. Re C is the
-    real form R, and Im C what R discards. The oracle of
-    dynamics._real_form, which forms R from M's entries by a map that the
-    plan keeps."""
+    real form R, and Im C what R discards. The oracle of the R that
+    dynamics._BlockPlan.real_factor forms from the plan's T and T^-1."""
     T, T_inv, M = real_basis(model)
     return (T_inv @ M @ T).tocsc(), M
 

@@ -1066,3 +1066,20 @@ def test_closed_form_scenarios_never_load_the_sparse_engine(tmp_path):
         argv = [scenario, "--config", str(configs / f"{cfg}.cfg"), "--out", str(tmp_path)]
         loaded = _loaded_after(f"import omx.cli\nassert omx.cli.main({argv!r}) == 0")
         assert not loaded["scipy.sparse"] and not loaded["scipy.linalg"], scenario
+
+
+def test_no_shipped_scenario_loads_csgraph(tmp_path):
+    # omx labels components in numpy (hilbert._components); scipy's csgraph
+    # is the tests' oracle only. Every shipped config, and gate-error with
+    # exact = true, runs in one fresh interpreter that never loads it
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    exact = tmp_path / "exact.cfg"
+    exact.write_text((configs / "phonon_gate_error.cfg").read_text(encoding="utf-8")
+                     .replace("exact = false", "exact = true"), encoding="utf-8")
+    runs = [[SHIPPED_SCENARIOS[path.stem], "--config", str(path),
+             "--out", str(tmp_path / path.stem)] for path in sorted(configs.glob("*.cfg"))]
+    runs.append(["gate-error", "--config", str(exact), "--out", str(tmp_path / "exact")])
+    assert len(runs) == 9 and "exact = true" in exact.read_text(encoding="utf-8")
+    loaded = _loaded_after("import omx.cli\n" + "".join(
+        f"assert omx.cli.main({argv!r}) == 0\n" for argv in runs))
+    assert loaded["scipy.sparse"] and not loaded["scipy.sparse.csgraph"]

@@ -25,11 +25,12 @@ from omx import (
     reflection_spectrum,
     steady_state,
 )
-from omx.dynamics import _component_labels, null_space_gap
+from omx.dynamics import null_space_gap
 from omx.hilbert import Operator
 from oracles import (
     coherence_gap,
     complex_check,
+    component_labels,
     destroy_matrix,
     disc_bounds,
     drive_order,
@@ -278,7 +279,7 @@ def test_steady_state_degenerate_coherence_block_raises(make, population_gap):
     # in a block of coherences, which the check must cover as well
     model = make()
     L = liouvillian(model)
-    sector = population_sector(_component_labels(L), model.space.total_dim)
+    sector = population_sector(component_labels(L), model.space.total_dim)
     assert null_space_gap(L[sector][:, sector])[1] == pytest.approx(population_gap)
     assert null_space_gap(L)[1] < 1e-12
     with pytest.raises(SolverError, match="degenerate"):
@@ -375,7 +376,7 @@ def test_coherence_block_gap_is_measured():
     assert max(np.count_nonzero(labels == c) for c in exact) > GAP_DENSE_LIMIT
     gap = _coherence_gap(terms, n, labels, floor)
     assert gap == pytest.approx(min(exact.values()), rel=1e-8)
-    assert gap == coherence_gap(L, _component_labels(L), n, floor)
+    assert gap == coherence_gap(L, component_labels(L), n, floor)
 
 
 def test_gathered_blocks_are_the_liouvillians():
@@ -1000,12 +1001,12 @@ def test_real_form_has_the_spectrum_of_m(name):
     from scipy.optimize import linear_sum_assignment
     model = _BLOCK_CASES[name]()
     plan, terms = dynamics._plan(model)
-    _, M, _, m_data = plan.assemble(terms, model.space.total_dim)
+    _, M, _ = plan.assemble(terms, model.space.total_dim)
     m = M.shape[0]
     assert m <= 400
     pi = np.eye(m)
     pi[0, 0] = 0.0
-    ours = sla.eigvals(plan.real_factor(m_data, model.space.total_dim).solve(pi))
+    ours = sla.eigvals(plan.real_factor(M).solve(pi))
     theirs = sla.eigvals(np.linalg.solve(M.toarray(), pi))
     r, c = linear_sum_assignment(np.abs(ours[:, None] - theirs[None, :]))
     assert np.abs(ours[r] - theirs[c]).max() <= 1e-12 * np.abs(theirs).max()
@@ -1046,6 +1047,37 @@ def test_real_form_discards_only_rounding(name):
         assert np.abs(C.imag).max() > 8 * np.finfo(float).eps * np.abs(M.data).max()
 
 
+_BASIS_CASES = {
+    **_BLOCK_CASES,
+    "g2scan-m6": lambda: _g2scan_point(0.0, (4, 4, 6), 3.3),
+    "g2scan-m10-Nth1": lambda: _g2scan_point(1.0, (4, 4, 10), 3.3),
+    "g2scan-m20-Nth1": lambda: _g2scan_point(1.0, (4, 4, 20), 3.3),
+    "displaced-435": lambda: _displaced((4, 3, 5)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_BASIS_CASES))
+def test_plan_keeps_the_oracles_basis(monkeypatch, name):
+    # the plan's T and T^-1 are real_basis's entry for entry, and the R
+    # that the check and the fallback factor is Re(T^-1 M T) of the
+    # oracle's products, its exact zeros dropped, in pattern and bits
+    def canonical(A):
+        A = A.copy()
+        A.sort_indices()
+        return A
+
+    model = _BASIS_CASES[name]()
+    plan = dynamics._plan(model)[0]
+    T, T_inv, M = real_basis(model)
+    for ours, theirs in zip(plan.real[:2], (T, T_inv)):
+        _same_bits(canonical(ours), canonical(theirs))
+    real, factored = dynamics._factor, []
+    monkeypatch.setattr(dynamics, "_factor", lambda A, q: factored.append(A) or real(A, q))
+    plan.real_factor(M)
+    assert len(factored) == 1
+    _same_bits(canonical(factored[0]), canonical(_oracle_real_form(model)))
+
+
 def _dark_lambda_system(dim=9):
     # a Lambda system |g1>, |g2>, |e> driven from both ground states, with
     # e decaying into the bright state (|g1> + |g2>)/sqrt 2 only: the dark
@@ -1073,9 +1105,9 @@ def test_degenerate_population_block_raises(monkeypatch, dim):
     assert m == 9 * dim and (m > dynamics.GAP_DENSE_LIMIT) == (dim == 9)
     real, calls = dynamics._BlockPlan.real_factor, []
 
-    def counting(self, m_data, n):
+    def counting(self, M):
         calls.append(self.idx.size)
-        return real(self, m_data, n)
+        return real(self, M)
 
     monkeypatch.setattr(dynamics._BlockPlan, "real_factor", counting)
     with pytest.raises(SolverError, match="degenerate"):
@@ -1122,10 +1154,10 @@ def test_lu_fill_below_colamd():
     import scipy.sparse.linalg as spla
     model = _g2scan_point(0.0, (4, 4, 6))
     plan, terms = dynamics._plan(model)
-    _, _, P, m_data = plan.assemble(terms, model.space.total_dim)
+    _, M, P = plan.assemble(terms, model.space.total_dim)
     R = _oracle_real_form(model)
     rep = steady_state(model, check_unique=False)
-    assert plan.real_factor(m_data, model.space.total_dim).nnz < spla.splu(R).nnz
+    assert plan.real_factor(M).nnz < spla.splu(R).nnz
     assert rep.lu_nnz == dynamics._LevelLU(P).nnz < sum(spla.splu(D).nnz for D in P.diag)
 
 
@@ -1332,8 +1364,8 @@ def test_refinement_falls_back_to_the_lu(monkeypatch, cap, gamma):
     assert rep.lu_fallback and rep.null_gap > 1e-8
     plan, terms = dynamics._plan(model)
     n = model.space.total_dim
-    _, M, _, m_data = plan.assemble(terms, n)
-    lu = plan.real_factor(m_data, n)
+    _, M, _ = plan.assemble(terms, n)
+    lu = plan.real_factor(M)
     assert rep.lu_nnz == lu.nnz == (264861 if cap == 0 else 107320)
     if cap:
         assert rep.backward_error <= dynamics.BACKWARD_ERROR_STOP
@@ -1439,7 +1471,7 @@ def test_term_disc_bound_is_the_full_bound(name):
     n = model.space.total_dim
     L = liouvillian(model)
     plan, terms = dynamics._plan(model)
-    actual = _component_labels(L)
+    actual = component_labels(L)
     gaps = _disc_gaps(terms, n)
     oracle, term, cut = (disc_bounds(L, actual), _disc_bounds(gaps, plan.labels),
                          _disc_bounds(gaps, actual))
